@@ -30,20 +30,11 @@ import numpy as np
 from .bonds import Bond, price
 from .curve import YieldCurve, spot
 from .errors import ExtrapolationError, ValidationError
-from .hedging import (
-    LEG_COUNT,
-    HedgePlan,
-    Strategy,
-    convexity_hedge,
-    cubic_hedge,
-    duration_hedge,
-    quadratic_hedge,
-    snapshot,
-)
+from .hedging import STRATEGIES, HedgePlan, InstrumentSnapshot, Strategy, build_plan, snapshot
 
 UNHEDGED = "unhedged"
 
-ALL_STRATEGIES = (Strategy.DURATION, Strategy.QUADRATIC, Strategy.CONVEXITY, Strategy.CUBIC)
+ALL_STRATEGIES = tuple(STRATEGIES)
 
 
 @dataclass(frozen=True)
@@ -62,13 +53,14 @@ class BacktestConfig:
         if self.rebalance_days < 1:
             raise ValueError("rebalance_days must be >= 1")
         for strat in self.strategies:
+            spec = STRATEGIES.get(strat)
+            if spec is None:
+                raise ValueError(f"cannot backtest strategy {strat.value}: no closed form")
             ids = self.instruments.get(strat)
             if ids is None:
                 raise ValueError(f"no hedging instruments configured for {strat.value}")
-            if len(ids) != LEG_COUNT[strat]:
-                raise ValueError(
-                    f"{strat.value} needs {LEG_COUNT[strat]} instruments, got {len(ids)}"
-                )
+            if len(ids) != spec.legs:
+                raise ValueError(f"{strat.value} needs {spec.legs} instruments, got {len(ids)}")
             if self.target_id in ids:
                 raise ValueError(f"target {self.target_id!r} cannot hedge itself")
 
@@ -155,25 +147,6 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
     return corr
 
 
-def _build_plan(
-    strat: Strategy,
-    target,
-    legs: list,
-    allow_extrapolation: bool,
-) -> HedgePlan:
-    if strat is Strategy.DURATION:
-        return duration_hedge(target, legs[0])
-    if strat is Strategy.QUADRATIC:
-        return quadratic_hedge(target, legs[0], legs[1], allow_extrapolation=allow_extrapolation)
-    if strat is Strategy.CONVEXITY:
-        return convexity_hedge(target, legs[0], legs[1])
-    if strat is Strategy.CUBIC:
-        return cubic_hedge(
-            target, legs[0], legs[1], legs[2], allow_extrapolation=allow_extrapolation
-        )
-    raise ValueError(f"cannot backtest strategy {strat}")
-
-
 def run_backtest(
     history: Sequence[YieldCurve],
     universe: Mapping[str, Bond],
@@ -212,15 +185,31 @@ def run_backtest(
     def rolled_bond(bond_id: str, on: dt.date) -> Bond:
         return universe[bond_id].rolled(year_fraction(day0, on))
 
+    # per-day memos: each bond is marked and snapshotted once per replayed
+    # day, whichever series asks first
+    marks: dict[str, tuple[float, float, float]] = {}
+    snaps: dict[str, InstrumentSnapshot] = {}
+
     def step_pnl(bond_id: str, amount: float, cur: YieldCurve, nxt: YieldCurve) -> tuple[float, float]:
-        b_now = rolled_bond(bond_id, cur.date)
-        b_next = rolled_bond(bond_id, nxt.date)
-        p_now = price(b_now, spot(cur, b_now.maturity))
-        p_next = price(b_next, spot(nxt, b_next.maturity))
+        if bond_id not in marks:
+            b_now = rolled_bond(bond_id, cur.date)
+            b_next = rolled_bond(bond_id, nxt.date)
+            marks[bond_id] = (
+                price(b_now, spot(cur, b_now.maturity)),
+                price(b_next, spot(nxt, b_next.maturity)),
+                price(b_next, spot(cur, b_next.maturity)),
+            )
+        p_now, p_next, p_carry = marks[bond_id]
         gross = amount * (p_next - p_now)
         # deterministic pull-to-par on an unchanged curve
-        carry = amount * (price(b_next, spot(cur, b_next.maturity)) - p_now)
+        carry = amount * (p_carry - p_now)
         return gross, gross - carry
+
+    def snap(bond_id: str, cur: YieldCurve, amount: float = 0.0) -> InstrumentSnapshot:
+        # the target never hedges itself, so an id always carries one amount
+        if bond_id not in snaps:
+            snaps[bond_id] = snapshot(rolled_bond(bond_id, cur.date), cur, amount=amount)
+        return snaps[bond_id]
 
     def unpriceable(ids: list[str], nxt: YieldCurve) -> list[str]:
         # bonds must stay above the shortest tenor through the next mark
@@ -230,6 +219,8 @@ def run_backtest(
     for k in range(len(curves) - 1):
         cur, nxt = curves[k], curves[k + 1]
         rebalance = k % config.rebalance_days == 0
+        marks.clear()
+        snaps.clear()
 
         for strat in config.strategies:
             name = strat.value
@@ -246,11 +237,9 @@ def run_backtest(
                 continue
             try:
                 if rebalance or strat not in plans:
-                    target = snapshot(
-                        rolled_bond(config.target_id, cur.date), cur, amount=config.target_amount
-                    )
-                    legs = [snapshot(rolled_bond(i, cur.date), cur) for i in config.instruments[strat]]
-                    plans[strat] = _build_plan(strat, target, legs, config.allow_extrapolation)
+                    target = snap(config.target_id, cur, config.target_amount)
+                    legs = [snap(i, cur) for i in config.instruments[strat]]
+                    plans[strat] = build_plan(strat, target, legs, config.allow_extrapolation)
                 plan = plans[strat]
                 gross = net = 0.0
                 for bond_id, amount in [(config.target_id, config.target_amount)] + [

@@ -122,31 +122,33 @@ def price(bond: Bond, ytm: float) -> float:
     return float(np.sum(cf * (1.0 + ytm) ** (-t)))
 
 
-def modified_duration(bond: Bond, ytm: float) -> float:
-    """-(1/P) dP/dy, i.e. Macaulay duration divided by (1 + y)."""
-    _check_yield(ytm)
+def _pv_moments(bond: Bond, ytm: float) -> tuple[float, float, float]:
+    """(sum PV, sum t PV, sum t(t+1) PV) of the cashflows at one yield."""
     t, cf = _flow_arrays(bond)
     pv = cf * (1.0 + ytm) ** (-t)
-    return float(np.sum(t * pv) / (np.sum(pv) * (1.0 + ytm)))
+    return float(np.sum(pv)), float(np.sum(t * pv)), float(np.sum(t * (t + 1.0) * pv))
+
+
+def modified_duration(bond: Bond, ytm: float) -> float:
+    """-(1/P) dP/dy, i.e. Macaulay duration divided by (1 + y)."""
+    return analytics(bond, ytm).modified_duration
 
 
 def convexity(bond: Bond, ytm: float) -> float:
     """(1/P) d2P/dy2 = sum t(t+1) PV_t / (P (1+y)^2)."""
-    _check_yield(ytm)
-    t, cf = _flow_arrays(bond)
-    pv = cf * (1.0 + ytm) ** (-t)
-    return float(np.sum(t * (t + 1.0) * pv) / (np.sum(pv) * (1.0 + ytm) ** 2))
+    return analytics(bond, ytm).convexity
 
 
 def analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """Price, duration and convexity in one pass over the cashflows."""
     _check_yield(ytm)
-    t, cf = _flow_arrays(bond)
-    pv = cf * (1.0 + ytm) ** (-t)
-    p = float(np.sum(pv))
-    mac = float(np.sum(t * pv)) / p
-    cx = float(np.sum(t * (t + 1.0) * pv)) / (p * (1.0 + ytm) ** 2)
-    return BondAnalytics(price=p, ytm=ytm, modified_duration=mac / (1.0 + ytm), convexity=cx)
+    p, tpv, ttpv = _pv_moments(bond, ytm)
+    return BondAnalytics(
+        price=p,
+        ytm=ytm,
+        modified_duration=tpv / p / (1.0 + ytm),
+        convexity=ttpv / (p * (1.0 + ytm) ** 2),
+    )
 
 
 def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAnalytics:

@@ -32,9 +32,9 @@ from .backtest import (
 from .bonds import curve_analytics
 from .curve import ShockSpec, YieldCurve
 from .errors import CurveHedgeError, ValidationError
-from .hedging import Strategy, convexity_hedge, cubic_hedge, duration_hedge, quadratic_hedge, snapshot
+from .hedging import Strategy, build_plan, snapshot
 from .io import (
-    RATE_COMMENT,
+    correlations_csv,
     emit_report,
     fmt_num,
     parse_bonds_json,
@@ -46,14 +46,6 @@ from .io import (
 )
 from .scenario import default_segment, run_scenario
 from .synth import SynthConfig, default_bond_universe, generate_history
-
-_STRATEGY_BUILDERS = {
-    Strategy.DURATION: duration_hedge,
-    Strategy.QUADRATIC: quadratic_hedge,
-    Strategy.CONVEXITY: convexity_hedge,
-    Strategy.CUBIC: cubic_hedge,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -169,11 +161,7 @@ def cmd_hedge(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValidationError(f"unknown bond id(s) {unknown}")
     target = snapshot(universe[args.target], curve, amount=args.amount)
     legs = [snapshot(universe[i], curve) for i in ids]
-    builder = _STRATEGY_BUILDERS[strategy]
-    if strategy in (Strategy.QUADRATIC, Strategy.CUBIC):
-        plan = builder(target, *legs, allow_extrapolation=cfg.allow_extrapolation)
-    else:
-        plan = builder(target, *legs)
+    plan = build_plan(strategy, target, legs, cfg.allow_extrapolation)
     data = plan_to_dict(plan)
     data["legs"] = [{"id": l["id"], "amount": _round10(l["amount"])} for l in data["legs"]]
     data["constraints"] = [
@@ -255,11 +243,7 @@ def cmd_backtest(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
     history = parse_curve_csv(args.history)
     corr = tenor_correlations(history, on="diffs" if cfg.diff_correlations else "levels")
-    tenors = history[0].tenors
-    lines = [RATE_COMMENT, "tenor," + ",".join(f"tenor_{t:g}" for t in tenors)]
-    for i, t in enumerate(tenors):
-        lines.append(f"{t:g}," + ",".join(fmt_num(v) for v in corr[i]))
-    _emit("\n".join(lines), cfg.out)
+    _emit(correlations_csv(corr, history[0].tenors), cfg.out)
     return 0
 
 

@@ -53,8 +53,12 @@ class YieldCurve:
             raise ValueError("tenors must be strictly increasing")
         if not np.all(np.isfinite(r)):
             raise ValueError("spot rates must be finite")
+        rates = tuple(float(x) for x in r)
+        # min over the Python floats: far cheaper than a NumPy reduction at this size
+        if min(rates) <= -1.0:
+            raise ValueError("spot rates must be greater than -100%")
         object.__setattr__(self, "tenors", tuple(float(x) for x in t))
-        object.__setattr__(self, "rates", tuple(float(x) for x in r))
+        object.__setattr__(self, "rates", rates)
 
     @classmethod
     def from_points(cls, date: dt.date, points) -> "YieldCurve":

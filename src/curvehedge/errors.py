@@ -1,9 +1,11 @@
 """Exception types shared across the toolkit.
 
 Everything derives from ValueError so callers that do not care about the
-distinction can catch the builtin. The distinct classes exist where callers
-genuinely branch on them (the backtester catches ExtrapolationError to
-truncate a series instead of aborting the run).
+distinction can catch the builtin. The distinct classes name the failure for
+callers that branch on it. The backtester does not catch ExtrapolationError
+to truncate a series: it checks ahead that every bond stays above the
+curve's shortest tenor, and re-raises any error that still occurs with the
+strategy and date prepended.
 """
 
 

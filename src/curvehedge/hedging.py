@@ -15,17 +15,20 @@ N_i P_i D_i, the strategies are:
   Covers translation, rotation and twist, i.e. any rate move quadratic in
   maturity.
 
-The two- and three-instrument ratios have closed forms; the cubic ones are
-the Lagrange basis weights over the instrument maturities. A generic
-square-system solver reproduces every closed form and extends to arbitrary
-constraint sets.
+STRATEGIES is the one table of these facts, and build_plan dispatches on it.
+Duration, quadratic and cubic are one formula, polynomial interpolation:
+with n legs, leg i takes the target's dollar duration times the Lagrange
+basis polynomial l_i(T) over the n leg maturities, which zeroes
+sum N_i P_i D_i T_i^k for k < n. Convexity is a 2x2 solve of its own. A
+generic square-system solver reproduces every closed form and extends to
+arbitrary constraint sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,14 +54,6 @@ class Strategy(str, Enum):
     CONVEXITY = "convexity"  # the duration-convexity approach
     CUBIC = "cubic"
     CUSTOM = "custom"  # generic constraint system, any leg count
-
-
-LEG_COUNT = {
-    Strategy.DURATION: 1,
-    Strategy.QUADRATIC: 2,
-    Strategy.CONVEXITY: 2,
-    Strategy.CUBIC: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -111,10 +106,10 @@ class HedgePlan:
     constraints: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        expected = LEG_COUNT.get(self.strategy)
-        if expected is not None and len(self.legs) != expected:
+        spec = STRATEGIES.get(self.strategy)
+        if spec is not None and len(self.legs) != spec.legs:
             raise ValueError(
-                f"{self.strategy.value} plan needs {expected} legs, got {len(self.legs)}"
+                f"{self.strategy.value} plan needs {spec.legs} legs, got {len(self.legs)}"
             )
 
     def amounts(self) -> dict[str, float]:
@@ -137,6 +132,28 @@ DURATION_MATURITY_SQ = Constraint(
     "dollar_duration_maturity_sq", lambda s: s.modified_duration * s.maturity**2
 )
 DOLLAR_CONVEXITY = Constraint("dollar_convexity", lambda s: s.convexity)
+
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """What a closed-form strategy zeroes, and where its target may sit."""
+
+    constraints: tuple[Constraint, ...]
+    interior: bool  # target maturity must lie inside the legs' span
+
+    @property
+    def legs(self) -> int:
+        return len(self.constraints)
+
+
+STRATEGIES: Mapping[Strategy, StrategySpec] = {
+    Strategy.DURATION: StrategySpec((DOLLAR_DURATION,), interior=False),
+    Strategy.QUADRATIC: StrategySpec((DOLLAR_DURATION, DURATION_MATURITY), interior=True),
+    Strategy.CONVEXITY: StrategySpec((DOLLAR_DURATION, DOLLAR_CONVEXITY), interior=False),
+    Strategy.CUBIC: StrategySpec(
+        (DOLLAR_DURATION, DURATION_MATURITY, DURATION_MATURITY_SQ), interior=True
+    ),
+}
 
 
 def snapshot(bond: Bond, curve: YieldCurve, amount: float = 0.0, mode: str = "flat") -> InstrumentSnapshot:
@@ -171,6 +188,21 @@ def _achieved(
     return tuple(out)
 
 
+def _plan(
+    strategy: Strategy,
+    target: InstrumentSnapshot,
+    legs: Sequence[InstrumentSnapshot],
+    amounts: Sequence[float],
+) -> HedgePlan:
+    return HedgePlan(
+        strategy=strategy,
+        target_id=target.id,
+        target_amount=target.amount,
+        legs=tuple(HedgeLeg(inst.id, float(n)) for inst, n in zip(legs, amounts)),
+        constraints=_achieved(target, legs, amounts, STRATEGIES[strategy].constraints),
+    )
+
+
 def _check_interior(
     t: float, lo: float, hi: float, allow_extrapolation: bool
 ) -> None:
@@ -183,19 +215,38 @@ def _check_interior(
         )
 
 
+def _lagrange_hedge(
+    strategy: Strategy,
+    target: InstrumentSnapshot,
+    insts: Sequence[InstrumentSnapshot],
+    allow_extrapolation: bool,
+) -> HedgePlan:
+    """Legs N_i P_i D_i = -N P D l_i(T), l_i the Lagrange basis over the leg maturities."""
+    insts = sorted(insts, key=lambda s: s.maturity)
+    for lo, hi in zip(insts, insts[1:]):
+        if hi.maturity - lo.maturity < MIN_MATURITY_SPAN:
+            raise DegenerateSpanError(
+                f"instruments {lo.id!r} and {hi.id!r} have maturities {lo.maturity} "
+                f"and {hi.maturity}, closer than {MIN_MATURITY_SPAN:.3e} years"
+            )
+    ts = [s.maturity for s in insts]
+    if STRATEGIES[strategy].interior:
+        _check_interior(target.maturity, ts[0], ts[-1], allow_extrapolation)
+    npd = _dollar_duration(target)
+    t = target.maturity
+    amounts = []
+    for i, inst in enumerate(insts):
+        basis = 1.0
+        for j, tj in enumerate(ts):
+            if j != i:
+                basis *= (t - tj) / (ts[i] - tj)
+        amounts.append(-npd * basis / (inst.price * inst.modified_duration))
+    return _plan(strategy, target, insts, amounts)
+
+
 def duration_hedge(target: InstrumentSnapshot, inst_a: InstrumentSnapshot) -> HedgePlan:
     """Single-instrument hedge N_A = -N P D / (P_A D_A); kills dollar duration."""
-    dd_a = inst_a.price * inst_a.modified_duration
-    if dd_a == 0.0:
-        raise ValueError(f"instrument {inst_a.id!r} has zero dollar duration")
-    n_a = -_dollar_duration(target) / dd_a
-    return HedgePlan(
-        strategy=Strategy.DURATION,
-        target_id=target.id,
-        target_amount=target.amount,
-        legs=(HedgeLeg(inst_a.id, float(n_a)),),
-        constraints=_achieved(target, [inst_a], [n_a], [DOLLAR_DURATION]),
-    )
+    return _lagrange_hedge(Strategy.DURATION, target, (inst_a,), False)
 
 
 def quadratic_hedge(
@@ -214,28 +265,7 @@ def quadratic_hedge(
 
     zeroing both sum N_i P_i D_i and sum N_i P_i D_i T_i.
     """
-    lo, hi = sorted((inst_a, inst_b), key=lambda s: s.maturity)
-    span = hi.maturity - lo.maturity
-    if span < MIN_MATURITY_SPAN:
-        raise DegenerateSpanError(
-            f"instrument maturities {lo.maturity} and {hi.maturity} are "
-            f"closer than {MIN_MATURITY_SPAN:.3e} years"
-        )
-    _check_interior(target.maturity, lo.maturity, hi.maturity, allow_extrapolation)
-    npd = _dollar_duration(target)
-    w_lo = (hi.maturity - target.maturity) / span
-    w_hi = (target.maturity - lo.maturity) / span
-    n_lo = -npd * w_lo / (lo.price * lo.modified_duration)
-    n_hi = -npd * w_hi / (hi.price * hi.modified_duration)
-    return HedgePlan(
-        strategy=Strategy.QUADRATIC,
-        target_id=target.id,
-        target_amount=target.amount,
-        legs=(HedgeLeg(lo.id, float(n_lo)), HedgeLeg(hi.id, float(n_hi))),
-        constraints=_achieved(
-            target, [lo, hi], [n_lo, n_hi], [DOLLAR_DURATION, DURATION_MATURITY]
-        ),
-    )
+    return _lagrange_hedge(Strategy.QUADRATIC, target, (inst_a, inst_b), allow_extrapolation)
 
 
 def convexity_hedge(
@@ -267,15 +297,7 @@ def convexity_hedge(
     d, c = target.modified_duration, target.convexity
     n_a = np_ * (b.convexity * d - c * b.modified_duration) / (a.price * det)
     n_b = np_ * (-a.convexity * d + a.modified_duration * c) / (b.price * det)
-    return HedgePlan(
-        strategy=Strategy.CONVEXITY,
-        target_id=target.id,
-        target_amount=target.amount,
-        legs=(HedgeLeg(a.id, float(n_a)), HedgeLeg(b.id, float(n_b))),
-        constraints=_achieved(
-            target, [a, b], [n_a, n_b], [DOLLAR_DURATION, DOLLAR_CONVEXITY]
-        ),
-    )
+    return _plan(Strategy.CONVEXITY, target, (a, b), (n_a, n_b))
 
 
 def cubic_hedge(
@@ -297,40 +319,31 @@ def cubic_hedge(
     are sorted by maturity internally, so the result does not depend on the
     order they are passed in.
     """
-    insts = sorted((inst_a, inst_b, inst_c), key=lambda s: s.maturity)
-    ts = [s.maturity for s in insts]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(ts[j] - ts[i]) < MIN_MATURITY_SPAN:
-                raise DegenerateSpanError(
-                    f"instruments {insts[i].id!r} and {insts[j].id!r} have "
-                    f"degenerate node maturities {ts[i]} and {ts[j]}"
-                )
-    _check_interior(target.maturity, ts[0], ts[-1], allow_extrapolation)
-    npd = _dollar_duration(target)
-    t = target.maturity
-    legs = []
-    amounts = []
-    for i, inst in enumerate(insts):
-        basis = 1.0
-        for j, tj in enumerate(ts):
-            if j != i:
-                basis *= (t - tj) / (ts[i] - tj)
-        n_i = -npd * basis / (inst.price * inst.modified_duration)
-        amounts.append(n_i)
-        legs.append(HedgeLeg(inst.id, float(n_i)))
-    return HedgePlan(
-        strategy=Strategy.CUBIC,
-        target_id=target.id,
-        target_amount=target.amount,
-        legs=tuple(legs),
-        constraints=_achieved(
-            target,
-            insts,
-            amounts,
-            [DOLLAR_DURATION, DURATION_MATURITY, DURATION_MATURITY_SQ],
-        ),
+    return _lagrange_hedge(
+        Strategy.CUBIC, target, (inst_a, inst_b, inst_c), allow_extrapolation
     )
+
+
+def build_plan(
+    strategy: Strategy,
+    target: InstrumentSnapshot,
+    legs: Sequence[InstrumentSnapshot],
+    allow_extrapolation: bool = False,
+) -> HedgePlan:
+    """Build a closed-form strategy's plan; allow_extrapolation applies to interior ones.
+
+    The public builder is looked up by name at call time, so a wrapper
+    installed on this module's attribute sees every plan.
+    """
+    spec = STRATEGIES.get(strategy)
+    if spec is None:
+        raise ValueError(f"{strategy.value} has no closed form; use solve_constraint_hedge")
+    if len(legs) != spec.legs:
+        raise ValueError(f"{strategy.value} needs {spec.legs} instruments, got {len(legs)}")
+    builder = globals()[f"{strategy.value}_hedge"]
+    if spec.interior:
+        return builder(target, *legs, allow_extrapolation=allow_extrapolation)
+    return builder(target, *legs)
 
 
 def solve_constraint_hedge(

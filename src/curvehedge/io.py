@@ -36,9 +36,6 @@ def fmt_num(x: float) -> str:
     return f"{x:.10g}"
 
 
-_fmt = fmt_num
-
-
 def _tenor_header(t: float) -> str:
     return f"tenor_{t:g}"
 
@@ -106,7 +103,10 @@ def parse_curve_csv(path) -> list[YieldCurve]:
             errors.append(f"line {ln}: {kind} date {date}")
             continue
         last_date = date
-        curves.append(YieldCurve(date, tuple(tenors), tuple(rates)))
+        try:
+            curves.append(YieldCurve(date, tuple(tenors), tuple(rates)))
+        except ValueError as exc:
+            errors.append(f"line {ln}: {exc}")
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
     if not curves:
@@ -130,7 +130,7 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
             raise ValidationError(f"tenor grid changes on {c.date}; cannot write one file")
     lines = [RATE_COMMENT, "date," + ",".join(_tenor_header(t) for t in grid)]
     for c in curves:
-        lines.append(c.date.isoformat() + "," + ",".join(_fmt(r) for r in c.rates))
+        lines.append(c.date.isoformat() + "," + ",".join(fmt_num(r) for r in c.rates))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -244,6 +244,14 @@ def parse_plan_json(path) -> HedgePlan:
 # backtest report emission
 # ---------------------------------------------------------------------------
 
+def correlations_csv(correlations: np.ndarray, tenors: Sequence[float]) -> str:
+    """The tenor correlation matrix as CSV text, labelled by tenor."""
+    lines = [RATE_COMMENT, "tenor," + ",".join(_tenor_header(t) for t in tenors)]
+    for i, t in enumerate(tenors):
+        lines.append(f"{t:g}," + ",".join(fmt_num(v) for v in correlations[i]))
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(
     report: BacktestReport,
     out_dir,
@@ -271,7 +279,7 @@ def emit_report(
         for date, pnl, cum in zip(
             series.dates, series.pnl(net), series.cumulative(net)
         ):
-            lines.append(f"{date.isoformat()},{_fmt(pnl)},{_fmt(cum)}")
+            lines.append(f"{date.isoformat()},{fmt_num(pnl)},{fmt_num(cum)}")
         staged.append((out / f"pnl_{name}.csv", "\n".join(lines) + "\n"))
 
     lines = [PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day"]
@@ -280,18 +288,15 @@ def emit_report(
         if stats is None:
             continue
         lines.append(
-            f"{name},{_fmt(stats.mean)},{_fmt(stats.stdev)},"
-            f"{_fmt(stats.max_drawdown)},{_fmt(stats.worst_day)}"
+            f"{name},{fmt_num(stats.mean)},{fmt_num(stats.stdev)},"
+            f"{fmt_num(stats.max_drawdown)},{fmt_num(stats.worst_day)}"
         )
     staged.append((out / "summary.csv", "\n".join(lines) + "\n"))
 
     if correlations is not None:
         if tenors is None:
             raise ValueError("correlations need the tenor grid for labelling")
-        lines = [RATE_COMMENT, "tenor," + ",".join(_tenor_header(t) for t in tenors)]
-        for i, t in enumerate(tenors):
-            lines.append(f"{t:g}," + ",".join(_fmt(v) for v in correlations[i]))
-        staged.append((out / "correlations.csv", "\n".join(lines) + "\n"))
+        staged.append((out / "correlations.csv", correlations_csv(correlations, tenors)))
 
     tmp_paths = []
     for final, text in staged:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bonds import Bond
-from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, derivatives, fit_segment
+from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment
 
 DEFAULT_TENORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
 # gently rising base curve with real curvature and twist over the grid
@@ -58,17 +58,6 @@ class ShockDraws:
     c: np.ndarray
     idio: np.ndarray  # (days - 1, n_tenors)
     segment: PolynomialSegment
-
-    def common_variance_share(self, tenors) -> np.ndarray:
-        """Per tenor: variance share of the (a, b, c) factors in daily changes."""
-        shares = []
-        for idx, t in enumerate(tenors):
-            _, f1, f2 = derivatives(self.segment, t)
-            common = self.a + self.b * f1 + self.c * f2
-            v_common = float(np.var(common))
-            v_idio = float(np.var(self.idio[:, idx]))
-            shares.append(v_common / (v_common + v_idio) if v_common + v_idio > 0 else 1.0)
-        return np.array(shares)
 
 
 def _trading_dates(start: dt.date, days: int, weekdays_only: bool) -> list[dt.date]:

@@ -44,6 +44,8 @@ def test_curve_validation():
         YieldCurve(D, (0.0, 1.0), (0.03, 0.04))
     with pytest.raises(ValueError, match="finite"):
         YieldCurve(D, (1.0, 2.0), (0.03, float("nan")))
+    with pytest.raises(ValueError, match="-100%"):
+        YieldCurve(D, (1.0, 2.0), (0.03, -1.0))
     with pytest.raises(ValueError, match="equal length"):
         YieldCurve(D, (1.0, 2.0), (0.03,))
 

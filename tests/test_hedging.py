@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from curvehedge import (
     CollinearInstrumentError,
@@ -15,6 +16,7 @@ from curvehedge import (
     SingularSystemError,
     Strategy,
     aggregate_portfolio,
+    build_plan,
     convexity_hedge,
     cubic_hedge,
     duration_hedge,
@@ -26,6 +28,7 @@ from curvehedge.hedging import (
     DOLLAR_DURATION,
     DURATION_MATURITY,
     DURATION_MATURITY_SQ,
+    STRATEGIES,
     Constraint,
 )
 
@@ -368,6 +371,63 @@ def test_homogeneity_in_target_amount():
     for p1, p2 in pairs:
         for leg1, leg2 in zip(p1.legs, p2.legs):
             assert leg2.amount == 2.0 * leg1.amount  # exact for a power of two
+
+
+# ---------------------------------------------------------------------------
+# build_plan over the strategy table, on random instrument sets
+# ---------------------------------------------------------------------------
+
+def _risk_snap(draw, id, maturity, amount=0.0):
+    d = maturity * draw(st.floats(0.5, 1.0))
+    c = d * d * draw(st.floats(1.0, 1.6)) + d
+    return snap(id, draw(st.floats(50.0, 150.0)), maturity, d, c, amount)
+
+
+@st.composite
+def hedge_cases(draw):
+    """A table strategy, its legs (distinct maturities) and an interior target."""
+    strategy = draw(st.sampled_from(list(STRATEGIES)))
+    n = STRATEGIES[strategy].legs
+    ts = sorted(draw(st.lists(st.floats(0.5, 30.0), min_size=n, max_size=n)))
+    assume(all(b - a >= 0.25 for a, b in zip(ts, ts[1:])))
+    legs = [_risk_snap(draw, f"L{i}", t) for i, t in enumerate(ts)]
+    t = ts[0] + draw(st.floats(0.0, 1.0)) * (ts[-1] - ts[0]) if n > 1 else draw(st.floats(0.5, 30.0))
+    amount = draw(st.floats(1.0, 500.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    target = _risk_snap(draw, "TGT", t, amount)
+    if strategy is Strategy.CONVEXITY:
+        a, b = legs
+        det = a.convexity * b.modified_duration - b.convexity * a.modified_duration
+        assume(abs(det) > 1e-3 * max(a.convexity * b.modified_duration,
+                                     b.convexity * a.modified_duration))
+    return strategy, target, legs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hedge_cases(), order=st.randoms(use_true_random=False), scale=st.floats(0.1, 10.0))
+def test_build_plan_properties(case, order, scale):
+    strategy, target, legs = case
+    plan = build_plan(strategy, target, legs)
+    npd = abs(target.amount * target.price * target.modified_duration)
+    assert [name for name, _ in plan.constraints] == [
+        c.name for c in STRATEGIES[strategy].constraints]
+    for name, value in plan.constraints:
+        assert abs(value) <= 1e-9 * npd, name
+
+    shuffled = list(legs)
+    order.shuffle(shuffled)
+    assert build_plan(strategy, target, shuffled).legs == plan.legs
+
+    scaled = build_plan(strategy, target.with_amount(scale * target.amount), legs)
+    for leg, ref in zip(scaled.legs, plan.legs):
+        assert leg.id == ref.id
+        assert leg.amount == pytest.approx(scale * ref.amount, rel=1e-12)
+
+
+def test_build_plan_rejects_custom_and_wrong_leg_count(snaps):
+    with pytest.raises(ValueError, match="no closed form"):
+        build_plan(Strategy.CUSTOM, snaps["B2"], [snaps["B3"]])
+    with pytest.raises(ValueError, match="needs 2 instruments, got 1"):
+        build_plan(Strategy.QUADRATIC, snaps["B2"], [snaps["B3"]])
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,18 @@ def test_parse_curve_empty_and_header_only(tmp_path):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_1,tenor_5\n"))
 
 
+@pytest.mark.parametrize("cell,reason", [
+    ("nan", "spot rates must be finite"),
+    ("-1.5", "spot rates must be greater than -100%"),
+])
+def test_parse_curve_bad_rate_value_line_number(tmp_path, cell, reason):
+    text = f"date,tenor_1,tenor_5\n2024-01-02,0.03,0.035\n2024-01-03,{cell},0.036\n"
+    path = write(tmp_path, "c.csv", text)
+    with pytest.raises(ValidationError) as err:
+        parse_curve_csv(path)
+    assert str(err.value) == f"{path}: line 3: {reason}"
+
+
 def test_parse_curve_collects_all_row_errors(tmp_path):
     text = (
         "date,tenor_1,tenor_5\n"
@@ -376,6 +388,31 @@ def test_cli_hedge_matches_library(cli_files, capsys):
         "dollar_duration", "dollar_duration_maturity"}
 
 
+@pytest.mark.parametrize("strategy,instruments", [
+    ("quadratic", "B3,B2"),
+    ("cubic", "B3,B4,B2"),
+])
+def test_cli_hedge_allow_extrapolation(cli_files, capsys, strategy, instruments):
+    # B1 (7y) lies outside every leg span here (4y to 5.5y at most)
+    argv = ["hedge", "--strategy", strategy, "--target", "B1",
+            "--instruments", instruments, "--bonds", str(cli_files["bonds"]),
+            "--curve", str(cli_files["curve"])]
+    assert main(argv) == 2
+    assert "allow_extrapolation" in capsys.readouterr().err
+    assert main(argv + ["--allow-extrapolation"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["strategy"] == strategy
+    assert sorted(leg["id"] for leg in data["legs"]) == sorted(instruments.split(","))
+
+
+def test_cli_hedge_wrong_instrument_count(cli_files, capsys):
+    rc = main(["hedge", "--strategy", "cubic", "--target", "B2",
+               "--instruments", "B3,B1", "--bonds", str(cli_files["bonds"]),
+               "--curve", str(cli_files["curve"])])
+    assert rc == 2
+    assert "cubic needs 3 instruments, got 2" in capsys.readouterr().err
+
+
 def test_cli_hedge_unknown_bond(cli_files, capsys):
     rc = main(["hedge", "--strategy", "duration", "--target", "NOPE",
                "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
@@ -425,6 +462,26 @@ def test_cli_backtest_writes_files(cli_files):
                  "pnl_cubic.csv", "pnl_unhedged.csv", "summary.csv",
                  "correlations.csv"):
         assert (out_dir / name).is_file(), name
+
+
+def test_cli_backtest_allow_extrapolation(cli_files, capsys):
+    config = {
+        "target": {"id": "B1", "amount": 100.0},
+        "strategies": ["quadratic", "cubic"],
+        "instruments": {"quadratic": ["B3", "B2"], "cubic": ["B3", "B2", "B4"]},
+    }
+    path = cli_files["tmp"] / "extrapolate.json"
+    out = cli_files["tmp"] / "report"
+    argv = ["backtest", "--history", str(cli_files["curve"]), "--bonds",
+            str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]
+    path.write_text(json.dumps(config))
+    assert main(argv) == 2
+    assert "allow_extrapolation" in capsys.readouterr().err
+    path.write_text(json.dumps({**config, "allow_extrapolation": True}))
+    assert main(argv) == 0
+    for name in ("quadratic", "cubic"):
+        rows = (out / f"pnl_{name}.csv").read_text().splitlines()[2:]
+        assert len(rows) == len(cli_files["curves"]) - 1
 
 
 def test_cli_backtest_requires_out(cli_files, capsys):
