@@ -1,22 +1,32 @@
 """Daily backtest: rebalance each strategy's hedge, mark to market, compare.
 
-Mechanics per step from day d to day d+1:
+Every bond's maturity rolls down by the ACT/365 fraction elapsed since the
+start of the window, so analytics on day d use the shortened bond. The
+replay runs in three phases:
 
-* every bond's maturity rolls down by the ACT/365 fraction elapsed since
-  the start of the window, so analytics on day d use the shortened bond;
-* on rebalance days each strategy's plan is rebuilt from day-d snapshots;
-* P&L is exact repricing: amount times (price off day d+1's curve at the
-  rolled maturity minus price off day d's curve at day d's maturity).
+* mark table: each bond the config names lives for as many steps as it
+  stays at or above the curve's shortest tenor through the next mark. Over
+  that life it is rolled and snapshotted once per day, and the snapshot's
+  price is the day's mark: the rolled bond priced off that day's curve. It
+  also gets one carry price per step, the bond rolled to day d+1 priced off
+  day d's curve. A bond that cannot be priced fails here, by name, before
+  any strategy runs.
+* plans: a strategy lives as long as the shortest life among its bonds. On
+  every rebalance_days-th step its plan is rebuilt from that day's
+  snapshots, and the leg amounts are held until the next rebalance.
+* P&L: exact repricing, summed as arrays over the holdings (target first,
+  then the plan's legs): amount times (mark on day d+1 minus mark on day d).
 
 Gross P&L includes pull-to-par carry. The carry-netted series subtracts
 the deterministic price drift the position would have shown on an
-unchanged curve, isolating curve-movement P&L; on a frozen history the
-netted series is identically zero. Both series are kept, net_carry picks
-which one reports and summaries use.
+unchanged curve (carry price minus mark), isolating curve-movement P&L; on
+a frozen history the netted series is identically zero. Both series are
+kept, net_carry picks which one reports and summaries use.
 
-A strategy whose bonds mature, or roll below the curve's shortest tenor,
-has its series truncated at that day with a warning record instead of
-failing the whole run.
+A series whose bonds mature, or roll below the curve's shortest tenor, is
+truncated at that day with a warning instead of failing the whole run. The
+warnings come in day order, and within a day in config order with the
+unhedged series last.
 """
 
 from __future__ import annotations
@@ -29,8 +39,8 @@ import numpy as np
 
 from .bonds import Bond, price
 from .curve import YieldCurve, spot
-from .errors import ExtrapolationError, ValidationError
-from .hedging import STRATEGIES, HedgePlan, InstrumentSnapshot, Strategy, build_plan, snapshot
+from .errors import ValidationError
+from .hedging import STRATEGIES, InstrumentSnapshot, Strategy, build_plan, snapshot
 
 UNHEDGED = "unhedged"
 
@@ -53,6 +63,8 @@ class BacktestConfig:
         if self.rebalance_days < 1:
             raise ValueError("rebalance_days must be >= 1")
         for strat in self.strategies:
+            if self.strategies.count(strat) > 1:
+                raise ValueError(f"{strat.value} is listed more than once in strategies")
             spec = STRATEGIES.get(strat)
             if spec is None:
                 raise ValueError(f"cannot backtest strategy {strat.value}: no closed form")
@@ -147,6 +159,38 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
     return corr
 
 
+def _mark(
+    bond: Bond, curves: Sequence[YieldCurve], elapsed: Sequence[float], life: int
+) -> tuple[list[InstrumentSnapshot], np.ndarray, np.ndarray]:
+    """A bond's daily snapshots over its life, its marks and its carry prices.
+
+    The mark on day d is the price of the bond rolled to day d off day d's
+    curve (the snapshot's price); the carry price of step d is the bond
+    rolled to day d+1 priced off day d's curve.
+    """
+    snaps: list[InstrumentSnapshot] = []
+    carry: list[float] = []
+    try:
+        # a bond gone before the first mark is never priced
+        for k in range(life + 1 if life else 0):
+            b = bond.rolled(elapsed[k])
+            snaps.append(snapshot(b, curves[k]))
+            if k:
+                carry.append(price(b, spot(curves[k - 1], b.maturity)))
+    except ValueError as exc:
+        raise type(exc)(f"bond {bond.id!r} cannot be priced on {curves[k].date}: {exc}") from exc
+    return snaps, np.array([s.price for s in snaps]), np.array(carry)
+
+
+def _pnl(
+    amount: float | np.ndarray, marks: np.ndarray, carry: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gross P&L of holding `amount` over n steps, and its carry-netted part."""
+    gross = amount * (marks[1 : n + 1] - marks[:n])
+    # deterministic pull-to-par on an unchanged curve
+    return gross, gross - amount * (carry[:n] - marks[:n])
+
+
 def run_backtest(
     history: Sequence[YieldCurve],
     universe: Mapping[str, Bond],
@@ -175,108 +219,69 @@ def run_backtest(
     if missing:
         raise ValidationError(f"bond universe is missing instrument(s) {missing}")
 
-    day0 = curves[0].date
-    names = [s.value for s in config.strategies] + [UNHEDGED]
-    alive: dict[str, bool] = {n: True for n in names}
-    recorded: dict[str, list[tuple[dt.date, float, float]]] = {n: [] for n in names}
-    warnings: list[str] = []
-    plans: dict[Strategy, HedgePlan] = {}
-
-    def rolled_bond(bond_id: str, on: dt.date) -> Bond:
-        return universe[bond_id].rolled(year_fraction(day0, on))
-
-    # per-day memos: each bond is marked and snapshotted once per replayed
-    # day, whichever series asks first
-    marks: dict[str, tuple[float, float, float]] = {}
-    snaps: dict[str, InstrumentSnapshot] = {}
-
-    def step_pnl(bond_id: str, amount: float, cur: YieldCurve, nxt: YieldCurve) -> tuple[float, float]:
-        if bond_id not in marks:
-            b_now = rolled_bond(bond_id, cur.date)
-            b_next = rolled_bond(bond_id, nxt.date)
-            marks[bond_id] = (
-                price(b_now, spot(cur, b_now.maturity)),
-                price(b_next, spot(nxt, b_next.maturity)),
-                price(b_next, spot(cur, b_next.maturity)),
-            )
-        p_now, p_next, p_carry = marks[bond_id]
-        gross = amount * (p_next - p_now)
-        # deterministic pull-to-par on an unchanged curve
-        carry = amount * (p_carry - p_now)
-        return gross, gross - carry
-
-    def snap(bond_id: str, cur: YieldCurve, amount: float = 0.0) -> InstrumentSnapshot:
-        # the target never hedges itself, so an id always carries one amount
-        if bond_id not in snaps:
-            snaps[bond_id] = snapshot(rolled_bond(bond_id, cur.date), cur, amount=amount)
-        return snaps[bond_id]
-
-    def unpriceable(ids: list[str], nxt: YieldCurve) -> list[str]:
-        # bonds must stay above the shortest tenor through the next mark
-        elapsed = year_fraction(day0, nxt.date)
-        return [i for i in ids if universe[i].maturity - elapsed < nxt.min_tenor]
-
-    for k in range(len(curves) - 1):
-        cur, nxt = curves[k], curves[k + 1]
-        rebalance = k % config.rebalance_days == 0
-        marks.clear()
-        snaps.clear()
-
-        for strat in config.strategies:
-            name = strat.value
-            if not alive[name]:
-                continue
-            ids = [config.target_id, *config.instruments[strat]]
-            dead = unpriceable(ids, nxt)
-            if dead:
-                warnings.append(
-                    f"{name}: series truncated at {cur.date}: {dead} matured or "
-                    "rolled below the curve's shortest tenor"
-                )
-                alive[name] = False
-                continue
-            try:
-                if rebalance or strat not in plans:
-                    target = snap(config.target_id, cur, config.target_amount)
-                    legs = [snap(i, cur) for i in config.instruments[strat]]
-                    plans[strat] = build_plan(strat, target, legs, config.allow_extrapolation)
-                plan = plans[strat]
-                gross = net = 0.0
-                for bond_id, amount in [(config.target_id, config.target_amount)] + [
-                    (leg.id, leg.amount) for leg in plan.legs
-                ]:
-                    g, n = step_pnl(bond_id, amount, cur, nxt)
-                    gross += g
-                    net += n
-            except (ExtrapolationError, ValueError) as exc:
-                raise type(exc)(f"{name} failed on {cur.date}: {exc}") from exc
-            recorded[name].append((nxt.date, gross, net))
-
-        if alive[UNHEDGED]:
-            if unpriceable([config.target_id], nxt):
-                warnings.append(f"{UNHEDGED}: series truncated at {cur.date}: target matured")
-                alive[UNHEDGED] = False
-            else:
-                g, n = step_pnl(config.target_id, config.target_amount, cur, nxt)
-                recorded[UNHEDGED].append((nxt.date, g, n))
-
-    series: dict[str, StrategySeries] = {}
-    summary: dict[str, SummaryStats] = {}
-    for name in names:
-        rows = recorded[name]
-        s = StrategySeries(
-            name=name,
-            dates=[r[0] for r in rows],
-            gross=np.array([r[1] for r in rows]),
-            net=np.array([r[2] for r in rows]),
+    # mark table: a bond lives while it stays at or above the shortest tenor
+    # through the next mark
+    dates = [c.date for c in curves]
+    elapsed = [year_fraction(dates[0], d) for d in dates]
+    steps = len(curves) - 1
+    min_tenor = curves[0].min_tenor
+    life, snaps, marks, carry = {}, {}, {}, {}
+    for bond_id in sorted(needed):
+        maturity = universe[bond_id].maturity
+        life[bond_id] = next(
+            (k for k in range(steps) if maturity - elapsed[k + 1] < min_tenor), steps
         )
-        series[name] = s
-        if rows:
-            summary[name] = summary_stats(s.pnl(config.net_carry))
+        snaps[bond_id], marks[bond_id], carry[bond_id] = _mark(
+            universe[bond_id], curves, elapsed, life[bond_id]
+        )
+
+    target, amount = config.target_id, config.target_amount
+    series: dict[str, StrategySeries] = {}
+    ends: list[tuple[int, int, str]] = []  # (step, series position, warning)
+    for pos, strat in enumerate(config.strategies):
+        name, ids = strat.value, [target, *config.instruments[strat]]
+        n = min(life[i] for i in ids)
+        if n < steps:
+            dead = [i for i in ids if life[i] == n]
+            ends.append((n, pos, f"{name}: series truncated at {dates[n]}: {dead} matured "
+                        "or rolled below the curve's shortest tenor"))
+        # plan legs come sorted by maturity, which rolling keeps, so every
+        # plan lists them in the same order
+        held: dict[str, list[float]] = {}
+        for k in range(0, n, config.rebalance_days):
+            try:
+                plan = build_plan(
+                    strat,
+                    snaps[target][k].with_amount(amount),
+                    [snaps[i][k] for i in config.instruments[strat]],
+                    config.allow_extrapolation,
+                )
+            except ValueError as exc:
+                raise type(exc)(f"{name} failed on {dates[k]}: {exc}") from exc
+            for leg in plan.legs:
+                held.setdefault(leg.id, []).append(leg.amount)
+        gross, net = np.zeros(n), np.zeros(n)
+        holdings = [(i, np.repeat(a, config.rebalance_days)[:n]) for i, a in held.items()]
+        for bond_id, a in [(target, amount), *holdings]:
+            g, g_net = _pnl(a, marks[bond_id], carry[bond_id], n)
+            gross += g
+            net += g_net
+        series[name] = StrategySeries(name, dates[1 : n + 1], gross, net)
+
+    n = life[target]
+    if n < steps:
+        ends.append((n, len(config.strategies),
+                     f"{UNHEDGED}: series truncated at {dates[n]}: target matured"))
+    gross, net = _pnl(amount, marks[target], carry[target], n)
+    series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross, net)
+
+    summary = {
+        name: summary_stats(s.pnl(config.net_carry)) for name, s in series.items() if s.dates
+    }
     return BacktestReport(
         config=config,
-        dates=[c.date for c in curves],
+        dates=dates,
         series=series,
         summary=summary,
-        warnings=warnings,
+        warnings=[w for *_, w in sorted(ends)],
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve import YieldCurve, spot
+from .errors import ExtrapolationError
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 
@@ -159,7 +160,9 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
 
     mode="spot": every cashflow is discounted at its own tenor's spot rate;
     duration and convexity are then the sensitivities to a parallel shift of
-    the whole curve. The reported ytm is still the maturity-point spot.
+    the whole curve. The reported ytm is still the maturity-point spot. A
+    flow before the curve's shortest tenor raises ExtrapolationError naming
+    the bond and the flow's time.
     """
     y = spot(curve, bond.maturity)
     if mode == "flat":
@@ -168,7 +171,15 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
         raise ValueError(f"unknown pricing mode {mode!r} (expected 'flat' or 'spot')")
 
     t, cf = _flow_arrays(bond)
-    rates = np.array([spot(curve, ti) for ti in t])
+    try:
+        rates = np.array([spot(curve, ti) for ti in t])
+    except ExtrapolationError as exc:
+        # spot at the maturity passed above, so it is the earliest flow
+        # that lies before the shortest tenor
+        raise ExtrapolationError(
+            f"bond {bond.id!r}: cashflow at t={t[0]} lies before the curve's shortest "
+            f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
+        ) from exc
     pv = cf * (1.0 + rates) ** (-t)
     p = float(np.sum(pv))
     # sensitivities to bumping every spot rate by the same epsilon

@@ -20,7 +20,6 @@ import argparse
 import datetime as dt
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .backtest import (
@@ -47,45 +46,16 @@ from .io import (
 from .scenario import default_segment, run_scenario
 from .synth import SynthConfig, default_bond_universe, generate_history
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
 
-    subcommand: str
-    inputs: tuple[Path, ...]
-    out: Path | None
-    seed: int
-    tolerance: float
-    allow_extrapolation: bool = False
-    net_carry: bool = False
-    diff_correlations: bool = False
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
+def _check_inputs(args: argparse.Namespace) -> None:
     """Fail-fast validation: every missing input is reported before any work."""
-    input_attrs = ("bonds", "curve", "history", "plan", "config")
-    inputs = []
     problems = []
-    for attr in input_attrs:
+    for attr in ("bonds", "curve", "history", "plan", "config"):
         value = getattr(args, attr, None)
-        if value is None:
-            continue
-        p = Path(value)
-        if not p.is_file():
-            problems.append(f"--{attr}: no such file: {p}")
-        inputs.append(p)
+        if value is not None and not Path(value).is_file():
+            problems.append(f"--{attr}: no such file: {Path(value)}")
     if problems:
         raise ValidationError("; ".join(problems))
-    return RunConfig(
-        subcommand=args.command,
-        inputs=tuple(inputs),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        allow_extrapolation=getattr(args, "allow_extrapolation", False),
-        net_carry=getattr(args, "net_carry", False),
-        diff_correlations=getattr(args, "diff", False),
-    )
 
 
 def _pick_curve(curves: list[YieldCurve], date: str | None) -> YieldCurve:
@@ -118,14 +88,15 @@ def _parse_shock(text: str) -> ShockSpec:
     return ShockSpec.parametric(values["a"], values["b"], values["c"])
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
+def _emit(text: str, out: str | None) -> None:
+    if not out:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text if text.endswith("\n") else text + "\n")
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text if text.endswith("\n") else text + "\n")
 
 
 def _round10(x: float) -> float:
@@ -136,7 +107,7 @@ def _round10(x: float) -> float:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)
     header = f"{'id':<8}{'maturity':>10}{'price':>16}{'ytm':>14}{'duration':>14}{'convexity':>14}"
@@ -147,11 +118,11 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             f"{bond.id:<8}{fmt_num(bond.maturity):>10}{fmt_num(a.price):>16}"
             f"{fmt_num(a.ytm):>14}{fmt_num(a.modified_duration):>14}{fmt_num(a.convexity):>14}"
         )
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def cmd_hedge(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_hedge(args: argparse.Namespace) -> int:
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)
     strategy = Strategy(args.strategy)
@@ -161,17 +132,17 @@ def cmd_hedge(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValidationError(f"unknown bond id(s) {unknown}")
     target = snapshot(universe[args.target], curve, amount=args.amount)
     legs = [snapshot(universe[i], curve) for i in ids]
-    plan = build_plan(strategy, target, legs, cfg.allow_extrapolation)
+    plan = build_plan(strategy, target, legs, args.allow_extrapolation)
     data = plan_to_dict(plan)
     data["legs"] = [{"id": l["id"], "amount": _round10(l["amount"])} for l in data["legs"]]
     data["constraints"] = [
         {"name": c["name"], "value": _round10(c["value"])} for c in data["constraints"]
     ]
-    _emit(json.dumps(data, indent=2), cfg.out)
+    _emit(json.dumps(data, indent=2), args.out)
     return 0
 
 
-def cmd_scenario(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_scenario(args: argparse.Namespace) -> int:
     plan = parse_plan_json(args.plan)
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)
@@ -186,12 +157,12 @@ def cmd_scenario(args: argparse.Namespace, cfg: RunConfig) -> int:
             "shock": {"a": result.shock.a, "b": result.shock.b, "c": result.shock.c},
             "unhedged_pnl": _round10(result.unhedged_pnl),
             "hedged_pnl": _round10(result.hedged_pnl),
-            "within_tolerance": abs(result.hedged_pnl) <= cfg.tolerance,
+            "within_tolerance": abs(result.hedged_pnl) <= args.tolerance,
             "per_instrument": [
                 {"id": i, "pnl": _round10(p)} for i, p in result.per_instrument_pnl
             ],
         }))
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -220,8 +191,8 @@ def _backtest_config(path) -> BacktestConfig:
         raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
 
 
-def cmd_backtest(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_backtest(args: argparse.Namespace) -> int:
+    if not args.out:
         raise ValidationError("backtest requires --out <dir>")
     history = parse_curve_csv(args.history)
     universe = parse_bonds_json(args.bonds)
@@ -233,22 +204,22 @@ def cmd_backtest(args: argparse.Namespace, cfg: RunConfig) -> int:
                 and (config.end is None or c.date <= config.end)]
     corr = None
     try:
-        corr = tenor_correlations(in_range, on="diffs" if cfg.diff_correlations else "levels")
+        corr = tenor_correlations(in_range, on="diffs" if args.diff else "levels")
     except ValueError as exc:
         print(f"warning: correlations skipped: {exc}", file=sys.stderr)
-    emit_report(report, cfg.out, correlations=corr, tenors=history[0].tenors)
+    emit_report(report, args.out, correlations=corr, tenors=history[0].tenors)
     return 0
 
 
-def cmd_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     history = parse_curve_csv(args.history)
-    corr = tenor_correlations(history, on="diffs" if cfg.diff_correlations else "levels")
-    _emit(correlations_csv(corr, history[0].tenors), cfg.out)
+    corr = tenor_correlations(history, on="diffs" if args.diff else "levels")
+    _emit(correlations_csv(corr, history[0].tenors), args.out)
     return 0
 
 
-def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_synth(args: argparse.Namespace) -> int:
+    if not args.out:
         raise ValidationError("synth requires --out <csv>")
     synth_cfg = SynthConfig(
         days=args.days,
@@ -258,10 +229,10 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
         sigma_twist=args.sigma_twist,
         sigma_idio=args.sigma_idio,
         ar=args.ar,
-        seed=cfg.seed,
+        seed=args.seed,
     )
     curves, _ = generate_history(synth_cfg)
-    write_curve_csv(curves, cfg.out)
+    write_curve_csv(curves, args.out)
     if args.bonds_out:
         write_bonds_json(default_bond_universe(), args.bonds_out)
     return 0
@@ -273,11 +244,6 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    common.add_argument(
-        "--tolerance", type=float, default=1e-9,
-        help="absolute tolerance for within-tolerance flags (default 1e-9)",
-    )
     common.add_argument("--out", default=None, help="output file or directory")
 
     parser = argparse.ArgumentParser(
@@ -315,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shock", required=True, help="e.g. a=0.001,b=0,c=0")
     p.add_argument("--sweep", type=int, default=0,
                    help="run N dyadic scales of the shock instead of one")
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="absolute tolerance for within-tolerance flags (default 1e-9)")
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("backtest", parents=[common], help="replay a curve history")
@@ -333,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic history")
     p.add_argument("--days", type=int, default=250)
+    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
     p.add_argument("--start", default="2024-01-02", help="first trading date")
     p.add_argument("--sigma-level", type=float, default=SynthConfig.sigma_level)
     p.add_argument("--sigma-slope", type=float, default=SynthConfig.sigma_slope)
@@ -349,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _run_config(args)
-        return args.func(args, cfg)
+        _check_inputs(args)
+        return args.func(args)
     except CurveHedgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,9 @@
 Everything derives from ValueError so callers that do not care about the
 distinction can catch the builtin. The distinct classes name the failure for
 callers that branch on it. The backtester does not catch ExtrapolationError
-to truncate a series: it checks ahead that every bond stays above the
+to truncate a series: it works out ahead how long every bond stays above the
 curve's shortest tenor, and re-raises any error that still occurs with the
-strategy and date prepended.
+bond (while marking) or the strategy (while planning) and the date prepended.
 """
 
 

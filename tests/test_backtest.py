@@ -1,6 +1,7 @@
 """Backtest engine: carry netting, day-step oracles, truncation, correlation
 matrices and summary statistics."""
 
+import dataclasses
 import datetime as dt
 import math
 
@@ -10,12 +11,14 @@ import pytest
 from curvehedge import (
     BacktestConfig,
     Bond,
+    ExtrapolationError,
     ShockSpec,
     Strategy,
     SynthConfig,
     ValidationError,
     YieldCurve,
     apply_shock,
+    build_plan,
     duration_hedge,
     generate_history,
     price,
@@ -32,14 +35,15 @@ from curvehedge.backtest import UNHEDGED
 GRID = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
 
 
-def history_from_shifts(base_rates, shifts, start=dt.date(2024, 1, 2)):
-    """A history where day k's curve is base + cumulative shift vector k."""
+def history_from_shifts(base_rates, shifts, start=dt.date(2024, 1, 2), spacing=1):
+    """A history where day k's curve is base + cumulative shift vector k,
+    its dates `spacing` calendar days apart."""
     curves = [YieldCurve(start, GRID, tuple(base_rates))]
     cum = np.zeros(len(GRID))
     day = start
     for shift in shifts:
         cum = cum + np.asarray(shift)
-        day = day + dt.timedelta(days=1)
+        day = day + dt.timedelta(days=spacing)
         curves.append(YieldCurve(day, GRID, tuple(np.asarray(base_rates) + cum)))
     return curves
 
@@ -357,6 +361,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="no hedging instruments"):
         BacktestConfig(target_id="B2", instruments={},
                        strategies=(Strategy.DURATION,))
+    with pytest.raises(ValueError, match="duration is listed more than once"):
+        BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)},
+                       strategies=(Strategy.DURATION, Strategy.DURATION))
 
 
 def test_cumulative_is_prefix_sum(universe):
@@ -382,3 +389,107 @@ def test_report_series_lengths(universe):
     for series in report.series.values():
         assert len(series.dates) == 6
         assert series.gross.shape == (6,)
+
+
+def scalar_replay(history, universe, config):
+    """The backtest step by step with scalar calls: every bond is rolled,
+    priced and snapshotted afresh for each series on each step, and each
+    step's P&L is summed target first, then the plan's legs."""
+    day0 = history[0].date
+    names = [s.value for s in config.strategies] + [UNHEDGED]
+    rows = {name: [] for name in names}
+    alive = dict.fromkeys(names, True)
+    warnings, plans = [], {}
+    for k, (cur, nxt) in enumerate(zip(history, history[1:])):
+        e_now, e_next = year_fraction(day0, cur.date), year_fraction(day0, nxt.date)
+
+        def step(bond_id, amount):
+            b_now, b_next = universe[bond_id].rolled(e_now), universe[bond_id].rolled(e_next)
+            p_now = price(b_now, spot(cur, b_now.maturity))
+            gross = amount * (price(b_next, spot(nxt, b_next.maturity)) - p_now)
+            carry = amount * (price(b_next, spot(cur, b_next.maturity)) - p_now)
+            return gross, gross - carry
+
+        def dead(ids):
+            return [i for i in ids if universe[i].maturity - e_next < nxt.min_tenor]
+
+        for strat in config.strategies:
+            name, ids = strat.value, [config.target_id, *config.instruments[strat]]
+            if not alive[name]:
+                continue
+            if dead(ids):
+                warnings.append(f"{name}: series truncated at {cur.date}: {dead(ids)} matured "
+                                "or rolled below the curve's shortest tenor")
+                alive[name] = False
+                continue
+            if k % config.rebalance_days == 0:
+                target = snapshot(universe[config.target_id].rolled(e_now), cur,
+                                  amount=config.target_amount)
+                legs = [snapshot(universe[i].rolled(e_now), cur) for i in ids[1:]]
+                plans[strat] = build_plan(strat, target, legs, config.allow_extrapolation)
+            gross = net = 0.0
+            for bond_id, amount in [(config.target_id, config.target_amount)] + [
+                    (leg.id, leg.amount) for leg in plans[strat].legs]:
+                g, n = step(bond_id, amount)
+                gross += g
+                net += n
+            rows[name].append((nxt.date, gross, net))
+        if alive[UNHEDGED]:
+            if dead([config.target_id]):
+                warnings.append(f"{UNHEDGED}: series truncated at {cur.date}: target matured")
+                alive[UNHEDGED] = False
+            else:
+                rows[UNHEDGED].append((nxt.date, *step(config.target_id, config.target_amount)))
+    return rows, warnings
+
+
+def test_backtest_equals_scalar_replay(universe):
+    """Bit-exact against the scalar replay: short bonds with an accrual
+    offset and quarterly coupons, strategies truncating out of config
+    order, rebalancing every third step, a short target position."""
+    uni = dict(universe)
+    uni["S13"] = Bond("S13", 100.0, 0.025, 2, 1.3, issue_or_first_coupon_offset=0.1)
+    uni["Q21"] = Bond("Q21", 100.0, 0.04, 4, 2.1)
+    rng = np.random.default_rng(5)
+    hist = history_from_shifts(base_rates(), 2e-4 * rng.standard_normal((90, len(GRID))),
+                               spacing=7)
+    config = BacktestConfig(
+        target_id="Q21",
+        target_amount=-80.0,
+        instruments={
+            Strategy.DURATION: ("B3",),
+            Strategy.QUADRATIC: ("S13", "B3"),
+            Strategy.CONVEXITY: ("B3", "B1"),
+            Strategy.CUBIC: ("B2", "S13", "B3"),
+        },
+        rebalance_days=3,
+    )
+    rows, warnings = scalar_replay(hist, uni, config)
+    # S13 rolls below 0.5y first, then the target ends every remaining series
+    assert [w.split(":")[0] for w in warnings] == [
+        "quadratic", "cubic", "duration", "convexity", UNHEDGED]
+    assert 0 < len(rows["quadratic"]) < len(rows["duration"]) < len(hist) - 1
+
+    for net_carry in (False, True):
+        report = run_backtest(hist, uni, dataclasses.replace(config, net_carry=net_carry))
+        assert report.warnings == warnings
+        assert list(report.series) == list(rows)
+        for name, want in rows.items():
+            s = report.series[name]
+            assert s.dates == [r[0] for r in want], name
+            assert s.gross.tolist() == [r[1] for r in want], name
+            assert s.net.tolist() == [r[2] for r in want], name
+            assert report.summary[name] == summary_stats(s.pnl(net_carry)), name
+
+
+def test_unpriceable_bond_named_before_any_strategy(universe):
+    """A bond past the curve's last knot fails up front, naming the bond and the date."""
+    uni = dict(universe)
+    uni["L"] = Bond("L", 100.0, 0.04, 1, 12.0)
+    hist = history_from_shifts(base_rates(), [np.zeros(len(GRID))] * 3)
+    config = standard_config(instruments={**standard_config().instruments,
+                                          Strategy.QUADRATIC: ("B3", "L")})
+    with pytest.raises(ExtrapolationError,
+                       match=r"bond 'L' cannot be priced on 2024-01-02: maturity 12.0 "
+                             r"outside curve range \[0.5, 10.0\]"):
+        run_backtest(hist, uni, config)

@@ -242,6 +242,19 @@ def test_curve_analytics_spot_mode_parallel_bump_oracle(universe, curve):
     assert a.convexity == pytest.approx(c_fd, rel=1e-4)
 
 
+def test_curve_analytics_spot_mode_short_coupon_names_bond(curve):
+    """A quarterly 5y bond's first flow, at 0.25y, lies before the 0.5y knot."""
+    from curvehedge import ExtrapolationError, snapshot
+
+    q = Bond("Q", 100.0, 0.04, 4, 5.0)
+    for call in (lambda: curve_analytics(q, curve, mode="spot"),
+                 lambda: snapshot(q, curve, mode="spot")):
+        with pytest.raises(ExtrapolationError,
+                           match=r"bond 'Q': cashflow at t=0.25 lies before .* 0.5"):
+            call()
+    assert curve_analytics(q, curve).price > 0.0  # flat mode only needs the maturity
+
+
 def test_curve_analytics_unknown_mode(universe, curve):
     with pytest.raises(ValueError, match="mode"):
         curve_analytics(universe["B2"], curve, mode="banana")

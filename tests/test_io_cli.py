@@ -8,6 +8,7 @@ import pytest
 
 from curvehedge import (
     BacktestConfig,
+    Bond,
     Strategy,
     SynthConfig,
     ValidationError,
@@ -357,6 +358,15 @@ def test_cli_analyze(cli_files, capsys):
     assert "duration" in out and "convexity" in out
 
 
+def test_cli_analyze_spot_mode_short_coupon(cli_files, capsys):
+    bonds = cli_files["tmp"] / "quarterly.json"
+    write_bonds_json([Bond("Q", 100.0, 0.04, 4, 5.0)], bonds)
+    rc = main(["analyze", "--bonds", str(bonds), "--curve", str(cli_files["curve"]),
+               "--mode", "spot"])
+    assert rc == 2
+    assert "bond 'Q': cashflow at t=0.25" in capsys.readouterr().err
+
+
 def test_cli_analyze_to_file(cli_files):
     out_path = cli_files["tmp"] / "report" / "analytics.txt"
     rc = main(["analyze", "--bonds", str(cli_files["bonds"]),
@@ -439,6 +449,27 @@ def test_cli_scenario_sweep(cli_files, capsys):
         assert len(r["per_instrument"]) == 4  # target + 3 legs
     # second order: quartering the shock cuts the residual ~16x
     assert abs(rows[2]["hedged_pnl"]) < abs(rows[0]["hedged_pnl"]) / 8
+
+
+def test_cli_scenario_tolerance_flips_flag(cli_files, capsys):
+    plan_path = cli_files["tmp"] / "plan_d.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2",
+                 "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(plan_path)]) == 0
+    argv = ["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+            "--curve", str(cli_files["curve"]), "--shock", "a=0,b=0.001"]
+    assert main(argv) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["within_tolerance"] is False  # a rotation leaks through a duration hedge
+    assert main(argv + ["--tolerance", str(2 * abs(row["hedged_pnl"]))]) == 0
+    assert json.loads(capsys.readouterr().out)["within_tolerance"] is True
+
+
+def test_cli_seed_only_on_synth(cli_files):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--bonds", str(cli_files["bonds"]),
+              "--curve", str(cli_files["curve"]), "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_cli_scenario_bad_shock(cli_files, capsys):
@@ -538,6 +569,8 @@ def test_cli_missing_inputs_all_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     for frag in ("--bonds", "--history", "--config"):
         assert frag in err
+    # one error line names all three
+    assert err.count("error:") == 1 and err.count("no such file") == 3
 
 
 def test_cli_rejects_unknown_strategy(cli_files):

@@ -1,0 +1,39 @@
+"""The benchmark's layer tracer looks up every traced function by name, so a
+change that deletes or renames one must fail here, not only in the
+benchmark. Also pins the backtest's per-layer work on a short window."""
+
+import sys
+from pathlib import Path
+
+import curvehedge
+from curvehedge import BacktestConfig, Strategy, SynthConfig, generate_history
+from curvehedge.synth import default_bond_universe
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import layertrace  # noqa: E402
+
+
+def test_tracer_wraps_every_name_and_counts_backtest_work():
+    tracer = layertrace.Tracer()  # looks up every traced name
+    curves, _ = generate_history(SynthConfig(days=20, seed=3))
+    universe = {b.id: b for b in default_bond_universe()}
+    config = BacktestConfig(
+        target_id="B2",
+        instruments={
+            Strategy.DURATION: ("B3",),
+            Strategy.QUADRATIC: ("B3", "B1"),
+            Strategy.CONVEXITY: ("B3", "B1"),
+            Strategy.CUBIC: ("B3", "B1", "B4"),
+        },
+    )
+    tracer.install()
+    try:
+        report = curvehedge.run_backtest(curves, universe, config)
+    finally:
+        tracer.uninstall()
+    steps = len(curves) - 1
+    assert all(len(s.dates) == steps for s in report.series.values())
+    assert tracer.plan_stat().calls == 4 * steps
+    assert tracer.stat("backtest", "run_backtest").calls == 1
+    assert tracer.stat("bonds", "price").calls <= len(universe) * steps
+    assert tracer.stat("hedging", "snapshot").calls <= len(universe) * len(curves)
