@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bonds import Bond, price
-from .curve import YieldCurve, spot
+from .curve import YieldCurve, check_history, spot
 from .errors import ValidationError
 from .hedging import STRATEGIES, InstrumentSnapshot, Strategy, build_plan, snapshot
 
@@ -142,10 +142,8 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
         raise ValueError(f"on must be 'levels' or 'diffs', got {on!r}")
     if len(history) < 3:
         raise ValueError(f"need at least 3 days of history, got {len(history)}")
+    check_history(history)
     grid = history[0].tenors
-    for c in history[1:]:
-        if c.tenors != grid:
-            raise ValueError(f"tenor grid changes on {c.date}; correlations need one grid")
     levels = np.array([c.rates for c in history])
     data = np.diff(levels, axis=0) if on == "diffs" else levels
     # max-min is exact in floating point, unlike a computed stdev
@@ -200,11 +198,7 @@ def run_backtest(
     curves = list(history)
     if len(curves) < 2:
         raise ValidationError("backtest needs at least 2 days of history")
-    for prev, cur in zip(curves, curves[1:]):
-        if cur.date <= prev.date:
-            raise ValidationError(f"history dates not strictly increasing at {cur.date}")
-        if cur.tenors != prev.tenors:
-            raise ValidationError(f"tenor grid changes on {cur.date}")
+    check_history(curves)
     if config.start is not None:
         curves = [c for c in curves if c.date >= config.start]
     if config.end is not None:

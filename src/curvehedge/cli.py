@@ -28,9 +28,9 @@ from .backtest import (
     run_backtest,
     tenor_correlations,
 )
-from .bonds import curve_analytics
+from .bonds import Bond, curve_analytics
 from .curve import ShockSpec, YieldCurve
-from .errors import CurveHedgeError, ValidationError
+from .errors import CurveHedgeError, ExtrapolationError, ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
     correlations_csv,
@@ -88,6 +88,16 @@ def _parse_shock(text: str) -> ShockSpec:
     return ShockSpec.parametric(values["a"], values["b"], values["c"])
 
 
+def _named(fn, bond: Bond, *args, **kwargs):
+    """fn(bond, ...), with an ExtrapolationError naming the bond once."""
+    try:
+        return fn(bond, *args, **kwargs)
+    except ExtrapolationError as exc:
+        if str(exc).startswith(f"bond {bond.id!r}"):  # spot mode names it already
+            raise
+        raise ExtrapolationError(f"bond {bond.id!r}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if not out:
         sys.stdout.write(text)
@@ -113,7 +123,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     header = f"{'id':<8}{'maturity':>10}{'price':>16}{'ytm':>14}{'duration':>14}{'convexity':>14}"
     lines = [f"# analytics off curve {curve.date}, mode={args.mode}", header]
     for bond in universe.values():
-        a = curve_analytics(bond, curve, mode=args.mode)
+        a = _named(curve_analytics, bond, curve, mode=args.mode)
         lines.append(
             f"{bond.id:<8}{fmt_num(bond.maturity):>10}{fmt_num(a.price):>16}"
             f"{fmt_num(a.ytm):>14}{fmt_num(a.modified_duration):>14}{fmt_num(a.convexity):>14}"
@@ -130,8 +140,8 @@ def cmd_hedge(args: argparse.Namespace) -> int:
     unknown = [i for i in [args.target, *ids] if i not in universe]
     if unknown:
         raise ValidationError(f"unknown bond id(s) {unknown}")
-    target = snapshot(universe[args.target], curve, amount=args.amount)
-    legs = [snapshot(universe[i], curve) for i in ids]
+    target = _named(snapshot, universe[args.target], curve, amount=args.amount)
+    legs = [_named(snapshot, universe[i], curve) for i in ids]
     plan = build_plan(strategy, target, legs, args.allow_extrapolation)
     data = plan_to_dict(plan)
     data["legs"] = [{"id": l["id"], "amount": _round10(l["amount"])} for l in data["legs"]]
@@ -200,8 +210,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     report = run_backtest(history, universe, config)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    in_range = [c for c in history if (config.start is None or c.date >= config.start)
-                and (config.end is None or c.date <= config.end)]
+    window = set(report.dates)
+    in_range = [c for c in history if c.date in window]
     corr = None
     try:
         corr = tenor_correlations(in_range, on="diffs" if args.diff else "levels")

@@ -13,18 +13,20 @@ twist:
     dY(T) = a + b Y'(T) + c Y''(T)
 
 where a shifts the level, b scales the slope and c scales the curvature of
-the fitted segment. Applying such a shock to the knot grid produces a new
-curve; knots outside the fitted span move by the nearest endpoint's dY.
+the fitted segment. A shock moves the whole knot grid in one array
+expression; knots outside the fitted span move by the nearest endpoint's dY.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSpanError, ExtrapolationError, FitError
+from .errors import DegenerateSpanError, ExtrapolationError, FitError, ValidationError
 
 MIN_SEGMENT_SPAN = 1.0 / 365.0
 FIT_CONDITION_LIMIT = 1e12
@@ -41,24 +43,22 @@ class YieldCurve:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.tenors, dtype=float)
-        r = np.asarray(self.rates, dtype=float)
-        if t.ndim != 1 or t.shape != r.shape:
+        # plain Python: at this size NumPy costs more than the checks
+        t, r = self.tenors, self.rates
+        if len(t) != len(r):
             raise ValueError("tenors and rates must be 1-d sequences of equal length")
-        if t.size < 2:
-            raise ValueError(f"curve needs at least 2 knots, got {t.size}")
-        if np.any(t <= 0):
+        if len(t) < 2:
+            raise ValueError(f"curve needs at least 2 knots, got {len(t)}")
+        if not all(map(math.isfinite, t)):
+            raise ValueError("tenors must be finite")
+        if min(t) <= 0:
             raise ValueError("tenors must be positive")
-        if np.any(np.diff(t) <= 0):
+        if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("tenors must be strictly increasing")
-        if not np.all(np.isfinite(r)):
+        if not all(map(math.isfinite, r)):
             raise ValueError("spot rates must be finite")
-        rates = tuple(float(x) for x in r)
-        # min over the Python floats: far cheaper than a NumPy reduction at this size
-        if min(rates) <= -1.0:
+        if min(r) <= -1.0:
             raise ValueError("spot rates must be greater than -100%")
-        object.__setattr__(self, "tenors", tuple(float(x) for x in t))
-        object.__setattr__(self, "rates", rates)
 
     @classmethod
     def from_points(cls, date: dt.date, points) -> "YieldCurve":
@@ -143,12 +143,21 @@ def spot(curve: YieldCurve, maturity: float) -> float:
     Raises ExtrapolationError outside [min_tenor, max_tenor]; there is no
     silent flat extension.
     """
-    t = np.asarray(curve.tenors)
+    t = curve.tenors
     if maturity < t[0] - _SPAN_TOL or maturity > t[-1] + _SPAN_TOL:
         raise ExtrapolationError(
             f"maturity {maturity} outside curve range [{t[0]}, {t[-1]}] on {curve.date}"
         )
-    return float(np.interp(maturity, t, np.asarray(curve.rates)))
+    return float(np.interp(maturity, t, curve.rates))
+
+
+def check_history(curves: Sequence[YieldCurve]) -> None:
+    """Raise ValidationError unless dates strictly increase on one tenor grid."""
+    for prev, cur in zip(curves, curves[1:]):
+        if cur.date <= prev.date:
+            raise ValidationError(f"history dates not strictly increasing at {cur.date}")
+        if cur.tenors != prev.tenors:
+            raise ValidationError(f"tenor grid changes on {cur.date}")
 
 
 def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> PolynomialSegment:
@@ -185,18 +194,16 @@ def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> Pol
     return PolynomialSegment(t_lo=float(t_lo), t_hi=float(t_hi), coefficients=padded, fit_kind=kind)
 
 
-def _check_span(seg: PolynomialSegment, maturity: float) -> None:
-    if maturity < seg.t_lo - _SPAN_TOL or maturity > seg.t_hi + _SPAN_TOL:
+def derivatives(seg: PolynomialSegment, maturity: float | np.ndarray) -> tuple:
+    """(value, first, second derivative) of the segment at one maturity or an
+    array of them; ExtrapolationError names the first maturity off the span."""
+    t = np.asarray(maturity, dtype=float)
+    outside = (t < seg.t_lo - _SPAN_TOL) | (t > seg.t_hi + _SPAN_TOL)
+    if outside.any():
         raise ExtrapolationError(
-            f"maturity {maturity} outside segment span [{seg.t_lo}, {seg.t_hi}]"
+            f"maturity {t[outside].flat[0]} outside segment span [{seg.t_lo}, {seg.t_hi}]"
         )
-
-
-def derivatives(seg: PolynomialSegment, maturity: float) -> tuple[float, float, float]:
-    """(value, first derivative, second derivative) of the segment polynomial."""
-    _check_span(seg, maturity)
     a0, a1, a2, a3 = seg.coefficients
-    t = maturity
     f = a0 + t * (a1 + t * (a2 + t * a3))
     f1 = a1 + t * (2.0 * a2 + t * 3.0 * a3)
     f2 = 2.0 * a2 + 6.0 * a3 * t
@@ -209,8 +216,8 @@ def curvature(seg: PolynomialSegment, maturity: float) -> float:
     return f2 / (1.0 + f1 * f1) ** 1.5
 
 
-def delta_y(seg: PolynomialSegment, shock: ShockSpec, maturity: float) -> float:
-    """Rate change a + b Y'(T) + c Y''(T) at one maturity, for a parametric shock."""
+def delta_y(seg: PolynomialSegment, shock: ShockSpec, maturity: float | np.ndarray):
+    """Rate change a + b Y'(T) + c Y''(T) of a parametric shock, at one maturity or an array."""
     if not shock.is_parametric:
         raise ValueError("delta_y needs a parametric shock; apply custom vectors with apply_shock")
     _, f1, f2 = derivatives(seg, maturity)
@@ -226,17 +233,14 @@ def apply_shock(
     segment they refer to; knots outside its span move by the dY of the
     nearest span endpoint.
     """
-    t = np.asarray(curve.tenors)
     if not shock.is_parametric:
-        vec = np.asarray(shock.custom)
-        if vec.size != t.size:
+        shifts = np.asarray(shock.custom)
+        if shifts.size != len(curve.tenors):
             raise ValueError(
-                f"custom shock has {vec.size} values for a curve with {t.size} knots"
+                f"custom shock has {shifts.size} values for a curve with {len(curve.tenors)} knots"
             )
-        shifts = vec
     else:
         if seg is None:
             raise ValueError("parametric shock requires the fitted segment it refers to")
-        clipped = np.clip(t, seg.t_lo, seg.t_hi)
-        shifts = np.array([delta_y(seg, shock, ti) for ti in clipped])
-    return YieldCurve(curve.date, curve.tenors, tuple(np.asarray(curve.rates) + shifts))
+        shifts = delta_y(seg, shock, np.clip(curve.tenors, seg.t_lo, seg.t_hi))
+    return YieldCurve(curve.date, curve.tenors, tuple((np.asarray(curve.rates) + shifts).tolist()))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import os
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,7 +21,7 @@ import numpy as np
 
 from .backtest import BacktestReport, UNHEDGED
 from .bonds import Bond
-from .curve import YieldCurve
+from .curve import YieldCurve, check_history
 from .errors import ValidationError
 from .hedging import HedgeLeg, HedgePlan, Strategy
 
@@ -76,6 +77,8 @@ def parse_curve_csv(path) -> list[YieldCurve]:
     if not errors:
         if len(tenors) < 2:
             errors.append(f"line {header_ln}: need at least 2 tenor columns")
+        elif not all(map(math.isfinite, tenors)):
+            errors.append(f"line {header_ln}: tenors must be finite")
         elif any(b <= a for a, b in zip(tenors, tenors[1:])):
             errors.append(f"line {header_ln}: tenor columns must be strictly increasing")
     if errors:
@@ -124,10 +127,8 @@ def _is_float(v: str) -> bool:
 
 def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     """Write a history in the same format parse_curve_csv reads."""
+    check_history(curves)
     grid = curves[0].tenors
-    for c in curves:
-        if c.tenors != grid:
-            raise ValidationError(f"tenor grid changes on {c.date}; cannot write one file")
     lines = [RATE_COMMENT, "date," + ",".join(_tenor_header(t) for t in grid)]
     for c in curves:
         lines.append(c.date.isoformat() + "," + ",".join(fmt_num(r) for r in c.rates))

@@ -2,8 +2,8 @@
 
 Real multi-year spot histories are proprietary, so tests and examples run
 on generated ones. The generator starts from a smooth polynomial base
-curve, fits its cubic segment once, and then walks the knot grid with
-daily shocks drawn from the translation / rotation / twist family:
+curve, fits its cubic segment once, and then walks the knot grid on
+weekdays with shocks drawn from the translation / rotation / twist family:
 
     dY_t(T) = a_t + b_t Y'(T) + c_t Y''(T) + idio noise per knot
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bonds import Bond
-from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment
+from .curve import PolynomialSegment, YieldCurve, derivatives, fit_segment
 
 DEFAULT_TENORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
 # gently rising base curve with real curvature and twist over the grid
@@ -33,14 +33,12 @@ class SynthConfig:
     days: int = 250
     start: dt.date = dt.date(2024, 1, 2)
     tenors: tuple[float, ...] = DEFAULT_TENORS
-    base_coefficients: tuple[float, float, float, float] = DEFAULT_BASE_COEFFS
     sigma_level: float = 6e-4
     sigma_slope: float = 0.08
     sigma_twist: float = 0.05
     sigma_idio: float = 0.0
     ar: float = 0.3
     seed: int = 42
-    weekdays_only: bool = True
 
     def __post_init__(self):
         if self.days < 2:
@@ -60,11 +58,11 @@ class ShockDraws:
     segment: PolynomialSegment
 
 
-def _trading_dates(start: dt.date, days: int, weekdays_only: bool) -> list[dt.date]:
+def _trading_dates(start: dt.date, days: int) -> list[dt.date]:
     dates = []
     d = start
     while len(dates) < days:
-        if not weekdays_only or d.weekday() < 5:
+        if d.weekday() < 5:
             dates.append(d)
         d += dt.timedelta(days=1)
     return dates
@@ -84,12 +82,13 @@ def _ar1(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:
 def generate_history(cfg: SynthConfig) -> tuple[list[YieldCurve], ShockDraws]:
     """Daily curves walked by the shock family, plus the draws that made them."""
     tenors = np.asarray(cfg.tenors, dtype=float)
-    a0, a1, a2, a3 = cfg.base_coefficients
-    base = a0 + tenors * (a1 + tenors * (a2 + tenors * a3))
-    dates = _trading_dates(cfg.start, cfg.days, cfg.weekdays_only)
+    a0, a1, a2, a3 = DEFAULT_BASE_COEFFS
+    rates = a0 + tenors * (a1 + tenors * (a2 + tenors * a3))
+    dates = _trading_dates(cfg.start, cfg.days)
 
-    curve = YieldCurve(dates[0], tuple(tenors), tuple(base))
-    seg = fit_segment(curve, curve.min_tenor, curve.max_tenor, 3)
+    grid = tuple(tenors.tolist())
+    curves = [YieldCurve(dates[0], grid, tuple(rates.tolist()))]
+    seg = fit_segment(curves[0], grid[0], grid[-1], 3)
 
     rng = np.random.default_rng(cfg.seed)
     n_steps = cfg.days - 1
@@ -98,12 +97,12 @@ def generate_history(cfg: SynthConfig) -> tuple[list[YieldCurve], ShockDraws]:
     c = cfg.sigma_twist * _ar1(rng, n_steps, cfg.ar)
     idio = cfg.sigma_idio * rng.standard_normal((n_steps, tenors.size))
 
-    curves = [curve]
+    # the segment spans the whole grid, so every knot moves by its own dY
+    _, f1, f2 = derivatives(seg, tenors)
+    move = a[:, None] + b[:, None] * f1 + c[:, None] * f2
     for k in range(n_steps):
-        shocked = apply_shock(curve, ShockSpec.parametric(a[k], b[k], c[k]), seg)
-        rates = np.asarray(shocked.rates) + idio[k]
-        curve = YieldCurve(dates[k + 1], curve.tenors, tuple(rates))
-        curves.append(curve)
+        rates = (rates + move[k]) + idio[k]
+        curves.append(YieldCurve(dates[k + 1], grid, tuple(rates.tolist())))
     return curves, ShockDraws(a=a, b=b, c=c, idio=idio, segment=seg)
 
 

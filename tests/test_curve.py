@@ -12,12 +12,14 @@ from curvehedge import (
     FitError,
     PolynomialSegment,
     ShockSpec,
+    SynthConfig,
     YieldCurve,
     apply_shock,
     curvature,
     delta_y,
     derivatives,
     fit_segment,
+    generate_history,
     spot,
 )
 
@@ -48,6 +50,10 @@ def test_curve_validation():
         YieldCurve(D, (1.0, 2.0), (0.03, -1.0))
     with pytest.raises(ValueError, match="equal length"):
         YieldCurve(D, (1.0, 2.0), (0.03,))
+    with pytest.raises(ValueError, match="tenors must be finite"):
+        YieldCurve(D, (float("nan"), 1.0), (0.03, 0.04))
+    with pytest.raises(ValueError, match="tenors must be finite"):
+        YieldCurve(D, (0.5, 5.0, float("inf")), (0.03, 0.031, 0.032))
 
 
 def test_spot_linear_midpoint():
@@ -306,3 +312,43 @@ def test_apply_parametric_clips_outside_span(curve):
     assert shifts[1.0] == pytest.approx(delta_y(seg, shock, 2.0), abs=1e-15)
     assert shifts[10.0] == pytest.approx(delta_y(seg, shock, 8.0), abs=1e-15)
     assert shifts[5.0] == pytest.approx(delta_y(seg, shock, 5.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("t_lo,t_hi,degree", [(0.5, 10.0, 3), (2.0, 8.0, 2)])
+def test_apply_shock_equals_per_knot_delta_y(curve, t_lo, t_hi, degree):
+    """The one array expression moves each knot exactly as delta_y at its
+    clipped maturity does, for a full and for a partial segment."""
+    seg = fit_segment(curve, t_lo, t_hi, degree)
+    shock = ShockSpec.parametric(0.0007, -0.06, 0.04)
+    out = apply_shock(curve, shock, seg)
+    want = tuple(
+        r + delta_y(seg, shock, min(max(t, t_lo), t_hi))
+        for t, r in zip(curve.tenors, curve.rates)
+    )
+    assert out.rates == want
+    assert out.tenors == curve.tenors
+
+
+def test_derivatives_take_an_array_and_name_the_bad_maturity():
+    seg = fit_segment(poly_curve((0.02, 0.003, -2e-4, 1e-5), (1, 2, 4, 6, 8)), 1.0, 8.0, 3)
+    t = np.array([1.0, 2.5, 8.0])
+    for got, want in zip(derivatives(seg, t), zip(*(derivatives(seg, x) for x in t))):
+        assert tuple(got) == want
+    with pytest.raises(ExtrapolationError, match=r"maturity 9.5 outside segment span"):
+        derivatives(seg, np.array([2.0, 9.5, 0.5]))
+
+
+@pytest.mark.parametrize("sigma_idio", [0.0, 4e-4])
+def test_generate_history_equals_per_day_shock_replay(sigma_idio):
+    """Each synthetic day is the previous one under apply_shock with that
+    day's (a, b, c) on the day-zero segment, plus its idio noise, bit for bit."""
+    curves, draws = generate_history(SynthConfig(days=40, seed=5, sigma_idio=sigma_idio))
+    assert len(curves) == 40
+    curve = curves[0]
+    for k, got in enumerate(curves[1:]):
+        shock = ShockSpec.parametric(draws.a[k], draws.b[k], draws.c[k])
+        shocked = apply_shock(curve, shock, draws.segment)
+        curve = YieldCurve(got.date, curve.tenors,
+                           tuple((np.asarray(shocked.rates) + draws.idio[k]).tolist()))
+        assert got.rates == curve.rates
+        assert got.tenors == curve.tenors

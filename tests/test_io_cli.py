@@ -18,6 +18,7 @@ from curvehedge import (
     quadratic_hedge,
     run_backtest,
     snapshot,
+    tenor_correlations,
 )
 from curvehedge.cli import main
 from curvehedge.io import (
@@ -96,6 +97,12 @@ def test_parse_curve_bad_tenor_columns(tmp_path):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_5,tenor_1\n2024-01-02,1,2\n"))
     with pytest.raises(ValidationError, match="at least 2 tenor"):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_5\n2024-01-02,0.03\n"))
+    for col in ("tenor_nan", "tenor_inf"):
+        path = write(tmp_path, "c.csv", f"date,tenor_0.5,tenor_5,{col}\n"
+                     "2024-01-02,0.03,0.031,0.032\n2024-01-03,0.03,0.031,0.032\n")
+        with pytest.raises(ValidationError) as err:
+            parse_curve_csv(path)
+        assert str(err.value) == f"{path}: line 1: tenors must be finite"
 
 
 def test_parse_curve_wrong_field_count(tmp_path):
@@ -160,6 +167,17 @@ def test_write_curve_rejects_mixed_grids(tmp_path):
     b = YieldCurve(dt.date(2024, 1, 3), (1.0, 7.0), (0.03, 0.035))
     with pytest.raises(ValidationError, match="grid"):
         write_curve_csv([a, b], tmp_path / "c.csv")
+
+
+def test_history_writers_reject_out_of_order_dates(tmp_path):
+    curves, _ = generate_history(SynthConfig(days=5))
+    shuffled = [curves[0], curves[1], curves[3], curves[2], curves[4]]
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValidationError, match=f"not strictly increasing at {curves[2].date}"):
+        write_curve_csv(shuffled, path)
+    assert not path.exists()
+    with pytest.raises(ValidationError, match=f"not strictly increasing at {curves[2].date}"):
+        tenor_correlations(shuffled)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +382,25 @@ def test_cli_analyze_spot_mode_short_coupon(cli_files, capsys):
     rc = main(["analyze", "--bonds", str(bonds), "--curve", str(cli_files["curve"]),
                "--mode", "spot"])
     assert rc == 2
-    assert "bond 'Q': cashflow at t=0.25" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bond 'Q': cashflow at t=0.25" in err
+    assert err.count("bond 'Q'") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["analyze", "--mode", "spot"],
+    ["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "L"],
+    ["hedge", "--strategy", "duration", "--target", "L", "--instruments", "B3"],
+])
+def test_cli_names_a_bond_past_the_last_knot(cli_files, capsys, argv):
+    bonds = cli_files["tmp"] / "long.json"
+    write_bonds_json([*default_bond_universe(), Bond("L", 100.0, 0.04, 1, 12.0)], bonds)
+    rc = main(argv + ["--bonds", str(bonds), "--curve", str(cli_files["curve"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: bond 'L': maturity 12.0 outside curve range [0.5, 10.0] "
+                   "on 2024-01-02\n")
 
 
 def test_cli_analyze_to_file(cli_files):

@@ -1,12 +1,13 @@
 """The benchmark's layer tracer looks up every traced function by name, so a
 change that deletes or renames one must fail here, not only in the
-benchmark. Also pins the backtest's per-layer work on a short window."""
+benchmark. Also pins the per-layer work of a backtest on a short window and
+of the curve layer: one curve per synthetic day, one delta_y per shock."""
 
 import sys
 from pathlib import Path
 
 import curvehedge
-from curvehedge import BacktestConfig, Strategy, SynthConfig, generate_history
+from curvehedge import BacktestConfig, ShockSpec, Strategy, SynthConfig, generate_history
 from curvehedge.synth import default_bond_universe
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -37,3 +38,19 @@ def test_tracer_wraps_every_name_and_counts_backtest_work():
     assert tracer.stat("backtest", "run_backtest").calls == 1
     assert tracer.stat("bonds", "price").calls <= len(universe) * steps
     assert tracer.stat("hedging", "snapshot").calls <= len(universe) * len(curves)
+
+
+def test_tracer_counts_one_curve_per_day_and_one_delta_y_per_shock():
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        curves, draws = curvehedge.generate_history(SynthConfig(days=20))
+        history_curves = tracer.stat("curve", "__post_init__").calls
+        before = tracer.stat("curve", "delta_y").calls
+        curvehedge.apply_shock(curves[0], ShockSpec.parametric(1e-3, 0.05, 0.02), draws.segment)
+    finally:
+        tracer.uninstall()
+    assert len(curves) == 20
+    assert history_curves == 20
+    assert tracer.stat("curve", "apply_shock").calls == 1
+    assert tracer.stat("curve", "delta_y").calls - before <= 1
