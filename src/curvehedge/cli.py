@@ -43,7 +43,7 @@ from .io import (
     write_bonds_json,
     write_curve_csv,
 )
-from .scenario import default_segment, run_scenario
+from .scenario import run_scenarios
 from .synth import SynthConfig, default_bond_universe, generate_history
 
 
@@ -153,16 +153,16 @@ def cmd_hedge(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    if args.sweep < 0:
+        raise ValidationError(f"--sweep must be a count of scales >= 0, got {args.sweep}")
     plan = parse_plan_json(args.plan)
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)
     shock = _parse_shock(args.shock)
-    segment = default_segment(curve)
     scales = [0.5 ** k for k in range(args.sweep)] if args.sweep else [1.0]
-    lines = []
-    for scale in scales:
-        result = run_scenario(plan, universe, curve, shock.scaled(scale), segment=segment)
-        lines.append(json.dumps({
+    results = run_scenarios(plan, universe, curve, [shock.scaled(scale) for scale in scales])
+    lines = [
+        json.dumps({
             "scale": scale,
             "shock": {"a": result.shock.a, "b": result.shock.b, "c": result.shock.c},
             "unhedged_pnl": _round10(result.unhedged_pnl),
@@ -171,7 +171,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             "per_instrument": [
                 {"id": i, "pnl": _round10(p)} for i, p in result.per_instrument_pnl
             ],
-        }))
+        })
+        for scale, result in zip(scales, results)
+    ]
     _emit("\n".join(lines), args.out)
     return 0
 

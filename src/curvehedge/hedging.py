@@ -193,13 +193,14 @@ def _plan(
     target: InstrumentSnapshot,
     legs: Sequence[InstrumentSnapshot],
     amounts: Sequence[float],
+    constraints: Sequence[Constraint],
 ) -> HedgePlan:
     return HedgePlan(
         strategy=strategy,
         target_id=target.id,
         target_amount=target.amount,
         legs=tuple(HedgeLeg(inst.id, float(n)) for inst, n in zip(legs, amounts)),
-        constraints=_achieved(target, legs, amounts, STRATEGIES[strategy].constraints),
+        constraints=_achieved(target, legs, amounts, constraints),
     )
 
 
@@ -241,7 +242,7 @@ def _lagrange_hedge(
             if j != i:
                 basis *= (t - tj) / (ts[i] - tj)
         amounts.append(-npd * basis / (inst.price * inst.modified_duration))
-    return _plan(strategy, target, insts, amounts)
+    return _plan(strategy, target, insts, amounts, STRATEGIES[strategy].constraints)
 
 
 def duration_hedge(target: InstrumentSnapshot, inst_a: InstrumentSnapshot) -> HedgePlan:
@@ -297,7 +298,8 @@ def convexity_hedge(
     d, c = target.modified_duration, target.convexity
     n_a = np_ * (b.convexity * d - c * b.modified_duration) / (a.price * det)
     n_b = np_ * (-a.convexity * d + a.modified_duration * c) / (b.price * det)
-    return _plan(Strategy.CONVEXITY, target, (a, b), (n_a, n_b))
+    return _plan(Strategy.CONVEXITY, target, (a, b), (n_a, n_b),
+                 STRATEGIES[Strategy.CONVEXITY].constraints)
 
 
 def cubic_hedge(
@@ -385,13 +387,7 @@ def solve_constraint_hedge(
             f"{_most_parallel_pair(m, constraints)}"
         )
     amounts = np.linalg.solve(m, rhs)
-    return HedgePlan(
-        strategy=strategy,
-        target_id=target.id,
-        target_amount=target.amount,
-        legs=tuple(HedgeLeg(inst.id, float(n)) for inst, n in zip(instruments, amounts)),
-        constraints=_achieved(target, instruments, amounts, constraints),
-    )
+    return _plan(strategy, target, instruments, amounts, constraints)
 
 
 def _most_parallel_pair(m: np.ndarray, constraints: Sequence[Constraint]) -> str:

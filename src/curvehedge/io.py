@@ -79,6 +79,8 @@ def parse_curve_csv(path) -> list[YieldCurve]:
             errors.append(f"line {header_ln}: need at least 2 tenor columns")
         elif not all(map(math.isfinite, tenors)):
             errors.append(f"line {header_ln}: tenors must be finite")
+        elif min(tenors) <= 0:
+            errors.append(f"line {header_ln}: tenors must be positive")
         elif any(b <= a for a, b in zip(tenors, tenors[1:])):
             errors.append(f"line {header_ln}: tenor columns must be strictly increasing")
     if errors:

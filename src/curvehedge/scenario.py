@@ -7,10 +7,11 @@ truncation anywhere. Shocks are always applied to the knot grid and
 instruments repriced off the shocked knots, never off a fitted polynomial,
 so the check stays independent of the fitting step it audits.
 
-residual_scaling shrinks a shock dyadically and records the hedged residual
-at each size; the log-log slope of that series is the effective order of
-the immunization (2 for a first-order hedge, 3 when convexity is matched
-too).
+run_scenarios is the one engine, called by run_scenario, residual_scaling
+and the CLI; it prices the base curve once per call. residual_scaling
+shrinks a shock dyadically and records the hedged residual at each size;
+the log-log slope of that series is the effective order of the
+immunization (2 for a first-order hedge, 3 when convexity is matched too).
 """
 
 from __future__ import annotations
@@ -48,37 +49,42 @@ def default_segment(curve: YieldCurve) -> PolynomialSegment:
     return fit_segment(curve, curve.min_tenor, curve.max_tenor, degree)
 
 
-def run_scenario(
+def run_scenarios(
     plan: HedgePlan,
     universe: Mapping[str, Bond],
     curve: YieldCurve,
-    shock: ShockSpec,
+    shocks: Sequence[ShockSpec],
     segment: PolynomialSegment | None = None,
-) -> ScenarioResult:
-    """Apply one shock, reprice target and legs exactly, and sum the P&L.
+) -> list[ScenarioResult]:
+    """Apply each shock, reprice target and legs exactly, and sum the P&L.
 
-    Parametric shocks are evaluated against `segment` (fitted over the full
-    curve range when not given); custom shock vectors ignore it.
+    Each bond is priced once off the base curve. Parametric shocks are
+    evaluated against `segment` (fitted once over the full curve range when
+    not given); custom shock vectors ignore it.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
     if missing:
         raise ValueError(f"unknown instrument id(s) in plan: {missing}")
-    if shock.is_parametric and segment is None:
+    if segment is None and any(s.is_parametric for s in shocks):
         segment = default_segment(curve)
-    shocked = apply_shock(curve, shock, segment)
+    amounts = [plan.target_amount] + [leg.amount for leg in plan.legs]
+    bonds = [universe[i] for i in ids]
+    base = [price(b, spot(curve, b.maturity)) for b in bonds]
+    results = []
+    for shock in shocks:
+        shocked = apply_shock(curve, shock, segment)
+        per = [n * (price(b, spot(shocked, b.maturity)) - p0)
+               for n, b, p0 in zip(amounts, bonds, base)]
+        per_instrument = tuple(zip(ids, map(float, per)))
+        results.append(ScenarioResult(shock, float(per[0]), float(sum(per)), per_instrument))
+    return results
 
-    per = [(plan.target_id, plan.target_amount * reprice_pnl(universe[plan.target_id], curve, shocked))]
-    for leg in plan.legs:
-        per.append((leg.id, leg.amount * reprice_pnl(universe[leg.id], curve, shocked)))
-    unhedged = per[0][1]
-    hedged = float(sum(p for _, p in per))
-    return ScenarioResult(
-        shock=shock,
-        unhedged_pnl=float(unhedged),
-        hedged_pnl=hedged,
-        per_instrument_pnl=tuple((i, float(p)) for i, p in per),
-    )
+
+def run_scenario(plan: HedgePlan, universe: Mapping[str, Bond], curve: YieldCurve,
+                 shock: ShockSpec, segment: PolynomialSegment | None = None) -> ScenarioResult:
+    """run_scenarios for one shock."""
+    return run_scenarios(plan, universe, curve, [shock], segment)[0]
 
 
 def residual_scaling(
@@ -97,14 +103,10 @@ def residual_scaling(
     """
     if steps < 3:
         raise ValueError(f"need at least 3 scales to estimate an order, got {steps}")
-    if shock_family.is_parametric and segment is None:
-        segment = default_segment(curve)
-    out = []
-    for k in range(steps):
-        scale = 0.5**k
-        res = run_scenario(plan, universe, curve, shock_family.scaled(scale), segment)
-        out.append((scale, abs(res.hedged_pnl)))
-    return out
+    scales = [0.5**k for k in range(steps)]
+    shocks = [shock_family.scaled(scale) for scale in scales]
+    results = run_scenarios(plan, universe, curve, shocks, segment)
+    return [(scale, abs(r.hedged_pnl)) for scale, r in zip(scales, results)]
 
 
 def estimate_order(scaling: Sequence[tuple[float, float]]) -> float:

@@ -413,6 +413,14 @@ def test_build_plan_properties(case, order, scale):
     for name, value in plan.constraints:
         assert abs(value) <= 1e-9 * npd, name
 
+    # a leg that comes out of a cancellation is measured against the amount
+    # that would offset the target's whole dollar duration, as the benchmark does
+    solved = solve_constraint_hedge(target, legs, STRATEGIES[strategy].constraints).amounts()
+    by_id = {s.id: s for s in legs}
+    for leg in plan.legs:
+        full = npd / (by_id[leg.id].price * by_id[leg.id].modified_duration)
+        assert abs(solved[leg.id] - leg.amount) <= 1e-12 * max(abs(leg.amount), full), leg.id
+
     shuffled = list(legs)
     order.shuffle(shuffled)
     assert build_plan(strategy, target, shuffled).legs == plan.legs

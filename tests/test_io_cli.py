@@ -97,12 +97,13 @@ def test_parse_curve_bad_tenor_columns(tmp_path):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_5,tenor_1\n2024-01-02,1,2\n"))
     with pytest.raises(ValidationError, match="at least 2 tenor"):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_5\n2024-01-02,0.03\n"))
-    for col in ("tenor_nan", "tenor_inf"):
+    for col, problem in (("tenor_nan", "finite"), ("tenor_inf", "finite"),
+                         ("tenor_0", "positive"), ("tenor_-1", "positive")):
         path = write(tmp_path, "c.csv", f"date,tenor_0.5,tenor_5,{col}\n"
                      "2024-01-02,0.03,0.031,0.032\n2024-01-03,0.03,0.031,0.032\n")
         with pytest.raises(ValidationError) as err:
             parse_curve_csv(path)
-        assert str(err.value) == f"{path}: line 1: tenors must be finite"
+        assert str(err.value) == f"{path}: line 1: tenors must be {problem}"
 
 
 def test_parse_curve_wrong_field_count(tmp_path):
@@ -485,6 +486,22 @@ def test_cli_scenario_sweep(cli_files, capsys):
         assert len(r["per_instrument"]) == 4  # target + 3 legs
     # second order: quartering the shock cuts the residual ~16x
     assert abs(rows[2]["hedged_pnl"]) < abs(rows[0]["hedged_pnl"]) / 8
+
+
+def test_cli_scenario_rejects_negative_sweep(cli_files, capsys):
+    plan_path = cli_files["tmp"] / "plan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2",
+                 "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(plan_path)]) == 0
+    argv = ["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+            "--curve", str(cli_files["curve"]), "--shock", "a=0.001", "--sweep"]
+    assert main(argv + ["-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sweep" in captured.err and "-3" in captured.err
+    assert main(argv + ["0"]) == 0  # zero still means one unscaled shock
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["scale"] for r in rows] == [1.0]
 
 
 def test_cli_scenario_tolerance_flips_flag(cli_files, capsys):

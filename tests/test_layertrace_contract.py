@@ -1,7 +1,8 @@
 """The benchmark's layer tracer looks up every traced function by name, so a
 change that deletes or renames one must fail here, not only in the
-benchmark. Also pins the per-layer work of a backtest on a short window and
-of the curve layer: one curve per synthetic day, one delta_y per shock."""
+benchmark. Also pins the per-layer work of a backtest on a short window, of
+the curve layer (one curve per synthetic day, one delta_y per shock) and of a
+residual sweep (the base curve priced once)."""
 
 import sys
 from pathlib import Path
@@ -54,3 +55,22 @@ def test_tracer_counts_one_curve_per_day_and_one_delta_y_per_shock():
     assert history_curves == 20
     assert tracer.stat("curve", "apply_shock").calls == 1
     assert tracer.stat("curve", "delta_y").calls - before <= 1
+
+
+def test_tracer_counts_one_base_pricing_per_sweep():
+    curves, _ = generate_history(SynthConfig(days=2, seed=3))
+    curve = curves[0]
+    universe = {b.id: b for b in default_bond_universe()}
+    snaps = {i: curvehedge.snapshot(b, curve, amount=100.0 if i == "B2" else 0.0)
+             for i, b in universe.items()}
+    plan = curvehedge.cubic_hedge(snaps["B2"], snaps["B3"], snaps["B1"], snaps["B4"])
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        curvehedge.residual_scaling(plan, universe, curve,
+                                    ShockSpec.parametric(1e-3, 0.05, 0.02), steps=4)
+    finally:
+        tracer.uninstall()
+    assert tracer.stat("bonds", "price").calls <= 4 + 4 * 4  # 4 bonds: base, then each shock
+    assert tracer.stat("curve", "fit_segment").calls == 1
+    assert tracer.stat("curve", "apply_shock").calls == 4

@@ -19,8 +19,9 @@ from curvehedge import (
     reprice_pnl,
     residual_scaling,
     run_scenario,
+    run_scenarios,
 )
-from curvehedge.scenario import default_segment
+from curvehedge.scenario import ScenarioResult, default_segment
 
 
 def parallel(curve: YieldCurve, eps: float) -> ShockSpec:
@@ -139,6 +140,36 @@ def test_scenario_custom_equals_parametric(plans, universe, curve):
         for (i1, p1), (i2, p2) in zip(res_p.per_instrument_pnl, res_c.per_instrument_pnl):
             assert i1 == i2
             assert p1 == pytest.approx(p2, abs=1e-12)
+
+
+def _replay(plan, universe, curve, shock, segment):
+    """One shock at a time, each bond repriced off both curves, target first."""
+    if shock.is_parametric and segment is None:
+        segment = default_segment(curve)
+    shocked = apply_shock(curve, shock, segment)
+    per = [(plan.target_id,
+            plan.target_amount * reprice_pnl(universe[plan.target_id], curve, shocked))]
+    per += [(leg.id, leg.amount * reprice_pnl(universe[leg.id], curve, shocked))
+            for leg in plan.legs]
+    return ScenarioResult(shock, float(per[0][1]), float(sum(p for _, p in per)),
+                          tuple((i, float(p)) for i, p in per))
+
+
+def test_run_scenarios_equals_per_shock_replay(plans, universe, curve):
+    """Pricing the base curve once changes no bit of any result."""
+    twist = ShockSpec.parametric(0.0008, 0.05, 0.02)
+    dyadic = [twist.scaled(0.5**k) for k in range(4)]
+    shocks = dyadic + [quad_in_t(curve, 0.001, 0.0002, 0.00003), parallel(curve, 0.0),
+                       ShockSpec.parametric()]
+    narrow = fit_segment(curve, 1.0, 7.0, 3)
+    for plan in plans.values():
+        for segment in (None, narrow):
+            want = [_replay(plan, universe, curve, s, segment) for s in shocks]
+            assert run_scenarios(plan, universe, curve, shocks, segment) == want
+            assert [run_scenario(plan, universe, curve, s, segment) for s in shocks] == want
+            scaling = residual_scaling(plan, universe, curve, twist, steps=4, segment=segment)
+            assert scaling == [(0.5**k, abs(r.hedged_pnl)) for k, r in enumerate(want[:4])]
+        assert run_scenarios(plan, universe, curve, []) == []
 
 
 def test_default_segment_degree(curve):
