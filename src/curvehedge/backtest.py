@@ -6,14 +6,18 @@ replay runs in three phases:
 
 * mark table: each bond the config names lives for as many steps as it
   stays at or above the curve's shortest tenor through the next mark. Over
-  that life it is rolled and snapshotted once per day, and the snapshot's
-  price is the day's mark: the rolled bond priced off that day's curve. It
-  also gets one carry price per step, the bond rolled to day d+1 priced off
-  day d's curve. A bond that cannot be priced fails here, by name, before
-  any strategy runs.
+  that life it gets one cashflow table (bonds._roll_table), built from the
+  window's rates as one (days, knots) matrix: row d is the bond rolled to
+  day d, its mark the price off day d's curve and its carry price the price
+  off day d-1's curve. The rows are summed in blocks of days with the same
+  live-flow count, a pro-rata first coupon (accrual offset) sits in its
+  row, and every number is equal to the scalar price/analytics path. A
+  bond that cannot be priced fails here, by name and first failing day,
+  before any strategy runs.
 * plans: a strategy lives as long as the shortest life among its bonds. On
   every rebalance_days-th step its plan is rebuilt from that day's
-  snapshots, and the leg amounts are held until the next rebalance.
+  snapshots (one per bond and day, read off the table), and the leg
+  amounts are held until the next rebalance.
 * P&L: exact repricing, summed as arrays over the holdings (target first,
   then the plan's legs): amount times (mark on day d+1 minus mark on day d).
 
@@ -32,12 +36,13 @@ unhedged series last.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, price
+from .bonds import Bond, _roll_table, price
 from .curve import YieldCurve, check_history, spot
 from .errors import ValidationError
 from .hedging import STRATEGIES, InstrumentSnapshot, Strategy, build_plan, snapshot
@@ -60,6 +65,8 @@ class BacktestConfig:
     allow_extrapolation: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.target_amount):
+            raise ValueError(f"target_amount must be finite, got {self.target_amount}")
         if self.rebalance_days < 1:
             raise ValueError("rebalance_days must be >= 1")
         for strat in self.strategies:
@@ -157,27 +164,16 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
     return corr
 
 
-def _mark(
-    bond: Bond, curves: Sequence[YieldCurve], elapsed: Sequence[float], life: int
-) -> tuple[list[InstrumentSnapshot], np.ndarray, np.ndarray]:
-    """A bond's daily snapshots over its life, its marks and its carry prices.
-
-    The mark on day d is the price of the bond rolled to day d off day d's
-    curve (the snapshot's price); the carry price of step d is the bond
-    rolled to day d+1 priced off day d's curve.
-    """
-    snaps: list[InstrumentSnapshot] = []
-    carry: list[float] = []
+def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray, k: int):
+    """Raise the error the scalar path meets on day k, naming the bond and the day."""
     try:
-        # a bond gone before the first mark is never priced
-        for k in range(life + 1 if life else 0):
-            b = bond.rolled(elapsed[k])
-            snaps.append(snapshot(b, curves[k]))
-            if k:
-                carry.append(price(b, spot(curves[k - 1], b.maturity)))
+        b = bond.rolled(float(elapsed[k]))
+        snapshot(b, curves[k])
+        if k:
+            price(b, spot(curves[k - 1], b.maturity))
     except ValueError as exc:
         raise type(exc)(f"bond {bond.id!r} cannot be priced on {curves[k].date}: {exc}") from exc
-    return snaps, np.array([s.price for s in snaps]), np.array(carry)
+    raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {curves[k].date}")
 
 
 def _pnl(
@@ -216,18 +212,26 @@ def run_backtest(
     # mark table: a bond lives while it stays at or above the shortest tenor
     # through the next mark
     dates = [c.date for c in curves]
-    elapsed = [year_fraction(dates[0], d) for d in dates]
+    elapsed = np.array([year_fraction(dates[0], d) for d in dates])
+    rates = np.array([c.rates for c in curves], dtype=float)
     steps = len(curves) - 1
-    min_tenor = curves[0].min_tenor
     life, snaps, marks, carry = {}, {}, {}, {}
     for bond_id in sorted(needed):
-        maturity = universe[bond_id].maturity
-        life[bond_id] = next(
-            (k for k in range(steps) if maturity - elapsed[k + 1] < min_tenor), steps
+        bond = universe[bond_id]
+        below = np.flatnonzero(bond.maturity - elapsed[1:] < curves[0].min_tenor)
+        life[bond_id] = n = int(below[0]) if below.size else steps
+        rows = n + 1 if n else 0  # a bond gone before the first mark is never priced
+        m, p, d, c, carry[bond_id], bad = _roll_table(
+            bond, elapsed[:rows], curves[0].tenors, rates[:rows]
         )
-        snaps[bond_id], marks[bond_id], carry[bond_id] = _mark(
-            universe[bond_id], curves, elapsed, life[bond_id]
-        )
+        invalid = np.flatnonzero((p <= 0) | (d <= 0))  # InstrumentSnapshot's rules
+        if invalid.size or bad is not None:
+            _raise_on_day(bond, curves, elapsed, int(invalid[0]) if invalid.size else bad)
+        marks[bond_id] = p
+        snaps[bond_id] = [
+            InstrumentSnapshot(bond_id, *row)
+            for row in zip(p.tolist(), m.tolist(), d.tolist(), c.tolist())
+        ]
 
     target, amount = config.target_id, config.target_amount
     series: dict[str, StrategySeries] = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import YieldCurve, spot
+from .curve import _SPAN_TOL, YieldCurve, spot
 from .errors import ExtrapolationError
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
@@ -128,6 +128,73 @@ def _pv_moments(bond: Bond, ytm: float) -> tuple[float, float, float]:
     t, cf = _flow_arrays(bond)
     pv = cf * (1.0 + ytm) ** (-t)
     return float(np.sum(pv)), float(np.sum(t * pv)), float(np.sum(t * (t + 1.0) * pv))
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[r], xp, fp[r]) for every row r, bit for bit (finite fp)."""
+    last = len(xp) - 1
+    j = np.searchsorted(xp, x, side="right") - 1
+    jc = np.clip(j, 0, last - 1)
+    rows = np.arange(len(x))
+    lo, hi = fp[rows, jc], fp[rows, jc + 1]
+    inner = (hi - lo) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + lo
+    inner = np.where(x == xp[jc], lo, inner)
+    return np.where(j < 0, fp[:, 0], np.where(j >= last, fp[:, last], inner))
+
+
+def _roll_table(bond: Bond, elapsed: np.ndarray, tenors, rates: np.ndarray):
+    """Flat-mode marks of `bond` rolled by each elapsed[k], off row k of rates.
+
+    Row k holds what the scalar path gives for bond.rolled(elapsed[k]):
+    analytics at the spot rate of curve k at its maturity and, from row 1,
+    the carry price at the spot rate of curve k-1. Flows are summed per run
+    of rows with the same live-flow count, so each row sums the array
+    cashflows() builds (plus exact zeros for a zero-coupon bond's coupons,
+    which it drops), and every float is equal to the scalar one.
+
+    Returns (maturity, price, duration, convexity, carry, bad): bad is the
+    first row the scalar path cannot price (maturity outside the tenor span,
+    a yield at or below -100%, no live flow, an accrual start not before the
+    first coupon), or None; the arrays stop before it (carry one shorter).
+    """
+    step = 1.0 / bond.coupon_frequency
+    coupon = bond.face * bond.coupon_rate / bond.coupon_frequency
+    xp = np.asarray(tenors, dtype=float)
+    m = bond.maturity - elapsed
+    n = np.ceil(m * bond.coupon_frequency - _TIME_TOL).astype(int)
+    y = _interp_rows(m, xp, rates)
+    # row k's carry yield: curve k-1 at row k's maturity (row 0 has no
+    # carry; its own curve stands in)
+    carry_y = _interp_rows(m, xp, np.concatenate((rates[:1], rates[:-1])))
+    fails = (m < xp[0] - _SPAN_TOL) | (m > xp[-1] + _SPAN_TOL) | (n < 1)
+    fails |= (y <= -1.0) | (carry_y <= -1.0)
+    offset = bond.issue_or_first_coupon_offset
+    if offset is not None:
+        accrual = np.minimum((m - (n - 1) * step) - (offset - elapsed), step)
+        fails |= accrual <= _TIME_TOL
+    bad = int(np.argmax(fails)) if fails.any() else None
+    rows = len(m) if bad is None else bad
+    p, tpv, ttpv, carry = (np.empty(rows) for _ in range(4))
+    # live flows only drop as the bond rolls, so equal counts form runs
+    cuts = np.flatnonzero(np.diff(n[:rows], prepend=0, append=0)).tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        k = int(n[a])
+        t = m[a:b, None] - np.arange(k - 1, -1, -1) * step
+        cf = np.full((b - a, k), coupon)
+        if offset is not None:
+            acc = accrual[a:b]
+            cf[:, 0] = np.where(acc < step - _TIME_TOL, bond.face * bond.coupon_rate * acc, coupon)
+        cf[:, -1] += bond.face
+        pv = cf * (1.0 + y[a:b, None]) ** (-t)
+        p[a:b] = pv.sum(axis=1)
+        tpv[a:b] = (t * pv).sum(axis=1)
+        ttpv[a:b] = (t * (t + 1.0) * pv).sum(axis=1)
+        carry[a:b] = (cf * (1.0 + carry_y[a:b, None]) ** (-t)).sum(axis=1)
+    g = 1.0 + y[:rows]
+    # Python's float ** (libm pow), as analytics() takes it: NumPy squares
+    # differ from it in the last bit
+    g2 = np.array([v**2 for v in g.tolist()])
+    return m[:rows], p, tpv / p / g, ttpv / (p * g2), carry[1:], bad
 
 
 def modified_duration(bond: Bond, ytm: float) -> float:

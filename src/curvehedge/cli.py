@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,11 @@ def _pick_curve(curves: list[YieldCurve], date: str | None) -> YieldCurve:
     raise ValidationError(f"date {want} not present in the curve file")
 
 
+def _finite(option: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{option} must be finite, got {value}")
+
+
 def _parse_shock(text: str) -> ShockSpec:
     """Parse 'a=0.001,b=0,c=0' (missing keys default to 0)."""
     values = {"a": 0.0, "b": 0.0, "c": 0.0}
@@ -85,6 +91,7 @@ def _parse_shock(text: str) -> ShockSpec:
             values[key] = float(raw)
         except ValueError:
             raise ValidationError(f"non-numeric shock value {raw!r} for {key!r}") from None
+        _finite(f"--shock component {key!r}", values[key])
     return ShockSpec.parametric(values["a"], values["b"], values["c"])
 
 
@@ -133,6 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_hedge(args: argparse.Namespace) -> int:
+    _finite("--amount", args.amount)
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)
     strategy = Strategy(args.strategy)
@@ -155,6 +163,7 @@ def cmd_hedge(args: argparse.Namespace) -> int:
 def cmd_scenario(args: argparse.Namespace) -> int:
     if args.sweep < 0:
         raise ValidationError(f"--sweep must be a count of scales >= 0, got {args.sweep}")
+    _finite("--tolerance", args.tolerance)
     plan = parse_plan_json(args.plan)
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)

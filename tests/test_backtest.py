@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvehedge import (
     BacktestConfig,
@@ -31,6 +32,7 @@ from curvehedge import (
     year_fraction,
 )
 from curvehedge.backtest import UNHEDGED
+from curvehedge.bonds import _roll_table
 
 GRID = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
 
@@ -366,6 +368,12 @@ def test_config_validation():
                        strategies=(Strategy.DURATION, Strategy.DURATION))
 
 
+@pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_target_amount(amount):
+    with pytest.raises(ValueError, match=f"target_amount must be finite, got {amount}"):
+        standard_config(target_amount=amount)
+
+
 def test_cumulative_is_prefix_sum(universe):
     rng = np.random.default_rng(27)
     shifts = 3e-4 * rng.standard_normal((10, len(GRID)))
@@ -493,3 +501,82 @@ def test_unpriceable_bond_named_before_any_strategy(universe):
                        match=r"bond 'L' cannot be priced on 2024-01-02: maturity 12.0 "
                              r"outside curve range \[0.5, 10.0\]"):
         run_backtest(hist, uni, config)
+
+
+@st.composite
+def roll_windows(draw):
+    """A bond, a window of elapsed year fractions and one curve per day.
+
+    Maturities start on a knot (the last one included) or just inside
+    spot's tolerance past either end; quarter-year days (elapsed k/4) roll a
+    maturity a quarter past a knot exactly onto it; 30- and 91-day gaps roll
+    across coupon dates at every frequency."""
+    freq = draw(st.sampled_from([1, 2, 4, 12]))
+    rate = draw(st.sampled_from([0.0, 0.025]) | st.floats(0.0, 0.12, allow_subnormal=False))
+    quarters = draw(st.booleans())
+    if quarters:
+        maturity = draw(st.sampled_from(GRID)) + 0.25 * draw(st.integers(0, 3))
+        counts = np.cumsum([0] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=24)))
+        elapsed = counts / 4.0
+    else:
+        # also just inside spot's tolerance beyond either end of the grid
+        edges = st.sampled_from([GRID[0] - 5e-10, GRID[-1] + 5e-10])
+        maturity = draw(st.sampled_from(GRID) | edges | st.floats(0.4, 10.5))
+        gaps = draw(st.lists(st.sampled_from([1, 7, 30, 91]), min_size=1, max_size=40))
+        elapsed = np.cumsum([0] + gaps) / 365.0
+    offset = None
+    if draw(st.booleans()):
+        # accrual from up to one and a half periods before the first coupon,
+        # or from on or after it (unpriceable)
+        first = maturity - (math.ceil(maturity * freq - 1e-9) - 1) / freq
+        offset = first - draw(st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5)) / freq
+    bond = Bond("R", 100.0, rate, freq, maturity, issue_or_first_coupon_offset=offset)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.asarray(base_rates()) + 0.01 * rng.standard_normal((len(elapsed), len(GRID)))
+    return bond, elapsed, rates
+
+
+@given(roll_windows())
+@settings(max_examples=300, deadline=None)
+def test_roll_table_equals_scalar_path(window):
+    """The backtest's mark table is == to the scalar snapshot and carry price
+    of the rolled bond on every day, and its first unpriceable day is the one
+    on which the scalar path raises."""
+    bond, elapsed, rates = window
+    day0 = dt.date(2024, 1, 2)
+    curves = [YieldCurve(day0 + dt.timedelta(days=k), GRID, tuple(r))
+              for k, r in enumerate(rates.tolist())]
+    m, p, d, c, carry, bad = _roll_table(bond, elapsed, GRID, rates)
+    rows = len(elapsed) if bad is None else bad
+    assert len(m) == len(p) == len(d) == len(c) == rows and len(carry) == max(rows - 1, 0)
+    for k in range(rows):
+        b = bond.rolled(float(elapsed[k]))
+        s = snapshot(b, curves[k])
+        assert (m[k], p[k], d[k], c[k]) == (
+            b.maturity, s.price, s.modified_duration, s.convexity), k
+        if k:
+            assert carry[k - 1] == price(b, spot(curves[k - 1], b.maturity)), k
+    if bad is not None:
+        with pytest.raises(ValueError):
+            b = bond.rolled(float(elapsed[bad]))
+            snapshot(b, curves[bad])
+            if bad:
+                price(b, spot(curves[bad - 1], b.maturity))
+
+
+def test_roll_table_flags_a_yield_at_or_below_minus_100pct():
+    """The table's yield checks stand in for price()'s, which no validated
+    curve can reach: a row whose own yield, or whose carry yield off the
+    previous curve, is at or below -100% is the first unpriceable one."""
+    bond = Bond("Y", 100.0, 0.03, 2, 5.0)
+    elapsed = np.arange(4) / 365.0
+    rates = np.tile(base_rates(), (4, 1))
+    own = rates.copy()
+    own[2] = -1.0
+    # day 0 prices on the 5y knot; day 1's carry reads day 0's 4y-5y span
+    carry = rates.copy()
+    carry[0, GRID.index(4.0)] = -400.0
+    for bad_rates, row in ((own, 2), (carry, 1)):
+        *arrays, bad = _roll_table(bond, elapsed, GRID, bad_rates)
+        assert bad == row
+        assert [len(a) for a in arrays] == [row] * 4 + [row - 1]

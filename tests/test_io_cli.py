@@ -518,6 +518,45 @@ def test_cli_scenario_tolerance_flips_flag(cli_files, capsys):
     assert json.loads(capsys.readouterr().out)["within_tolerance"] is True
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--shock", "a=nan"], "--shock component 'a' must be finite, got nan"),
+    (["--shock", "a=0.001,c=inf"], "--shock component 'c' must be finite, got inf"),
+    (["--shock", "a=0.001", "--tolerance", "nan"], "--tolerance must be finite, got nan"),
+])
+def test_cli_scenario_rejects_non_finite_numbers(cli_files, capsys, extra, message):
+    plan_path = cli_files["tmp"] / "plan_nan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2",
+                 "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(plan_path)]) == 0
+    assert main(["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_hedge_rejects_non_finite_amount(cli_files, capsys):
+    argv = ["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+            "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"])]
+    for amount in ("nan", "inf"):
+        assert main(argv + ["--amount", amount]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--amount must be finite, got {amount}" in captured.err
+
+
+def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
+    path = cli_files["tmp"] / "nan_amount.json"
+    config = json.loads(cli_files["config"].read_text())
+    config["target"]["amount"] = float("nan")
+    path.write_text(json.dumps(config))  # written as `"amount": NaN`
+    out = cli_files["tmp"] / "nan_report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
+    assert "target_amount must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_seed_only_on_synth(cli_files):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--bonds", str(cli_files["bonds"]),
