@@ -14,10 +14,10 @@ replay runs in three phases:
   row, and every number is equal to the scalar price/analytics path. A
   bond that cannot be priced fails here, by name and first failing day,
   before any strategy runs.
-* plans: a strategy lives as long as the shortest life among its bonds. On
-  every rebalance_days-th step its plan is rebuilt from that day's
-  snapshots (one per bond and day, read off the table), and the leg
-  amounts are held until the next rebalance.
+* plans: a strategy lives as long as the shortest life among its bonds. One
+  call of the hedging kernel solves its ratios, with a single plan's checks,
+  on every rebalance_days-th row of the table (the first failing day is
+  named), and each day's amounts are held until the next rebalance.
 * P&L: exact repricing, summed as arrays over the holdings (target first,
   then the plan's legs): amount times (mark on day d+1 minus mark on day d).
 
@@ -45,7 +45,7 @@ import numpy as np
 from .bonds import Bond, _roll_table, price
 from .curve import YieldCurve, check_history, spot
 from .errors import ValidationError
-from .hedging import STRATEGIES, InstrumentSnapshot, Strategy, build_plan, snapshot
+from .hedging import STRATEGIES, Strategy, _ratios, snapshot
 
 UNHEDGED = "unhedged"
 
@@ -215,7 +215,7 @@ def run_backtest(
     elapsed = np.array([year_fraction(dates[0], d) for d in dates])
     rates = np.array([c.rates for c in curves], dtype=float)
     steps = len(curves) - 1
-    life, snaps, marks, carry = {}, {}, {}, {}
+    life, table, carry = {}, {}, {}
     for bond_id in sorted(needed):
         bond = universe[bond_id]
         below = np.flatnonzero(bond.maturity - elapsed[1:] < curves[0].min_tenor)
@@ -227,41 +227,32 @@ def run_backtest(
         invalid = np.flatnonzero((p <= 0) | (d <= 0))  # InstrumentSnapshot's rules
         if invalid.size or bad is not None:
             _raise_on_day(bond, curves, elapsed, int(invalid[0]) if invalid.size else bad)
-        marks[bond_id] = p
-        snaps[bond_id] = [
-            InstrumentSnapshot(bond_id, *row)
-            for row in zip(p.tolist(), m.tolist(), d.tolist(), c.tolist())
-        ]
+        table[bond_id] = (p, m, d, c)
 
     target, amount = config.target_id, config.target_amount
     series: dict[str, StrategySeries] = {}
     ends: list[tuple[int, int, str]] = []  # (step, series position, warning)
     for pos, strat in enumerate(config.strategies):
-        name, ids = strat.value, [target, *config.instruments[strat]]
-        n = min(life[i] for i in ids)
+        name, legs = strat.value, config.instruments[strat]
+        n = min(life[i] for i in (target, *legs))
         if n < steps:
-            dead = [i for i in ids if life[i] == n]
+            dead = [i for i in (target, *legs) if life[i] == n]
             ends.append((n, pos, f"{name}: series truncated at {dates[n]}: {dead} matured "
                         "or rolled below the curve's shortest tenor"))
-        # plan legs come sorted by maturity, which rolling keeps, so every
-        # plan lists them in the same order
-        held: dict[str, list[float]] = {}
-        for k in range(0, n, config.rebalance_days):
-            try:
-                plan = build_plan(
-                    strat,
-                    snaps[target][k].with_amount(amount),
-                    [snaps[i][k] for i in config.instruments[strat]],
-                    config.allow_extrapolation,
-                )
-            except ValueError as exc:
-                raise type(exc)(f"{name} failed on {dates[k]}: {exc}") from exc
-            for leg in plan.legs:
-                held.setdefault(leg.id, []).append(leg.amount)
+        # one plan per rebalance day, all solved at once, each held until the
+        # next; held[j] is leg j's amount (config order) on each of those days
+        days = slice(0, n, config.rebalance_days)
+        on_days = np.array([[x[days] for x in table[i]] for i in legs]).swapaxes(0, 1)
+        order, amounts = _ratios(strat, legs, (amount, *(x[days] for x in table[target])),
+                                 on_days, config.allow_extrapolation, dates[days])
+        held = np.take_along_axis(amounts, np.argsort(order, axis=0), axis=0)
         gross, net = np.zeros(n), np.zeros(n)
-        holdings = [(i, np.repeat(a, config.rebalance_days)[:n]) for i, a in held.items()]
+        # target first, then the legs in the maturity order the first plan
+        # lists them in (no legs if the series never starts)
+        holdings = [(legs[j], np.repeat(held[j], config.rebalance_days)[:n])
+                    for j in order[:, :1].ravel()]
         for bond_id, a in [(target, amount), *holdings]:
-            g, g_net = _pnl(a, marks[bond_id], carry[bond_id], n)
+            g, g_net = _pnl(a, table[bond_id][0], carry[bond_id], n)
             gross += g
             net += g_net
         series[name] = StrategySeries(name, dates[1 : n + 1], gross, net)
@@ -270,7 +261,7 @@ def run_backtest(
     if n < steps:
         ends.append((n, len(config.strategies),
                      f"{UNHEDGED}: series truncated at {dates[n]}: target matured"))
-    gross, net = _pnl(amount, marks[target], carry[target], n)
+    gross, net = _pnl(amount, table[target][0], carry[target], n)
     series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross, net)
 
     summary = {

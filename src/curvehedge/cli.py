@@ -164,6 +164,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if args.sweep < 0:
         raise ValidationError(f"--sweep must be a count of scales >= 0, got {args.sweep}")
     _finite("--tolerance", args.tolerance)
+    if args.tolerance < 0:
+        raise ValidationError(f"--tolerance must be >= 0, got {args.tolerance}")
     plan = parse_plan_json(args.plan)
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(parse_curve_csv(args.curve), args.date)
@@ -187,6 +189,14 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+def _typed(raw: dict, key: str, kind: type, default, what: str):
+    """raw[key] (default if absent), which must be a JSON value of the given kind."""
+    value = raw.get(key, default)
+    if type(value) is not kind:  # a bool is no integer here
+        raise TypeError(f"{key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _backtest_config(path) -> BacktestConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -202,11 +212,11 @@ def _backtest_config(path) -> BacktestConfig:
             target_amount=float(raw["target"].get("amount", 100.0)),
             instruments=instruments,
             strategies=strategies,
-            rebalance_days=int(raw.get("rebalance_days", 1)),
+            rebalance_days=_typed(raw, "rebalance_days", int, 1, "an integer"),
             start=dt.date.fromisoformat(raw["start"]) if "start" in raw else None,
             end=dt.date.fromisoformat(raw["end"]) if "end" in raw else None,
-            net_carry=bool(raw.get("net_carry", False)),
-            allow_extrapolation=bool(raw.get("allow_extrapolation", False)),
+            net_carry=_typed(raw, "net_carry", bool, False, "true or false"),
+            allow_extrapolation=_typed(raw, "allow_extrapolation", bool, False, "true or false"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc

@@ -19,7 +19,11 @@ STRATEGIES is the one table of these facts, and build_plan dispatches on it.
 Duration, quadratic and cubic are one formula, polynomial interpolation:
 with n legs, leg i takes the target's dollar duration times the Lagrange
 basis polynomial l_i(T) over the n leg maturities, which zeroes
-sum N_i P_i D_i T_i^k for k < n. Convexity is a 2x2 solve of its own. A
+sum N_i P_i D_i T_i^k for k < n. Convexity is a 2x2 solve (Cramer's rule).
+Both closed forms live in one kernel, _ratios, which takes the target and
+the legs on one date or as arrays over many, sorts the legs by maturity
+and checks them on every date at once. The four builders are its one-date
+case; the backtest solves each strategy's rebalance days in one call. A
 generic square-system solver reproduces every closed form and extends to
 arbitrary constraint sets.
 """
@@ -78,11 +82,6 @@ class InstrumentSnapshot:
             raise ValueError(f"instrument {self.id!r}: maturity must be positive")
         if self.modified_duration <= 0:
             raise ValueError(f"instrument {self.id!r}: duration must be positive")
-
-    def with_amount(self, amount: float) -> "InstrumentSnapshot":
-        return InstrumentSnapshot(
-            self.id, self.price, self.maturity, self.modified_duration, self.convexity, amount
-        )
 
 
 @dataclass(frozen=True)
@@ -169,25 +168,6 @@ def snapshot(bond: Bond, curve: YieldCurve, amount: float = 0.0, mode: str = "fl
     )
 
 
-def _dollar_duration(s: InstrumentSnapshot) -> float:
-    return s.amount * s.price * s.modified_duration
-
-
-def _achieved(
-    target: InstrumentSnapshot,
-    legs: Sequence[InstrumentSnapshot],
-    amounts: Sequence[float],
-    constraints: Sequence[Constraint],
-) -> tuple[tuple[str, float], ...]:
-    out = []
-    for con in constraints:
-        total = target.amount * target.price * con.weight(target)
-        for inst, n in zip(legs, amounts):
-            total += n * inst.price * con.weight(inst)
-        out.append((con.name, float(total)))
-    return tuple(out)
-
-
 def _plan(
     strategy: Strategy,
     target: InstrumentSnapshot,
@@ -195,59 +175,93 @@ def _plan(
     amounts: Sequence[float],
     constraints: Sequence[Constraint],
 ) -> HedgePlan:
-    return HedgePlan(
-        strategy=strategy,
-        target_id=target.id,
-        target_amount=target.amount,
-        legs=tuple(HedgeLeg(inst.id, float(n)) for inst, n in zip(legs, amounts)),
-        constraints=_achieved(target, legs, amounts, constraints),
-    )
+    """The plan holding amounts of legs, with each constraint's achieved sum."""
+    achieved = []
+    for con in constraints:
+        total = target.amount * target.price * con.weight(target)
+        for inst, n in zip(legs, amounts):
+            total += n * inst.price * con.weight(inst)
+        achieved.append((con.name, float(total)))
+    return HedgePlan(strategy, target.id, target.amount,
+                     tuple(HedgeLeg(inst.id, float(n)) for inst, n in zip(legs, amounts)),
+                     tuple(achieved))
 
 
-def _check_interior(
-    t: float, lo: float, hi: float, allow_extrapolation: bool
-) -> None:
-    if allow_extrapolation:
-        return
-    if t < lo - _BOUNDS_TOL or t > hi + _BOUNDS_TOL:
-        raise ExtrapolationError(
-            f"target maturity {t} outside hedging span [{lo}, {hi}]; "
-            "pass allow_extrapolation=True to override"
-        )
+def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequence,
+            allow_extrapolation: bool = False, dates: Sequence | None = None):
+    """Closed-form leg amounts of a table strategy, on one date or on many.
 
-
-def _lagrange_hedge(
-    strategy: Strategy,
-    target: InstrumentSnapshot,
-    insts: Sequence[InstrumentSnapshot],
-    allow_extrapolation: bool,
-) -> HedgePlan:
-    """Legs N_i P_i D_i = -N P D l_i(T), l_i the Lagrange basis over the leg maturities."""
-    insts = sorted(insts, key=lambda s: s.maturity)
-    for lo, hi in zip(insts, insts[1:]):
-        if hi.maturity - lo.maturity < MIN_MATURITY_SPAN:
-            raise DegenerateSpanError(
-                f"instruments {lo.id!r} and {hi.id!r} have maturities {lo.maturity} "
-                f"and {hi.maturity}, closer than {MIN_MATURITY_SPAN:.3e} years"
-            )
-    ts = [s.maturity for s in insts]
-    if STRATEGIES[strategy].interior:
-        _check_interior(target.maturity, ts[0], ts[-1], allow_extrapolation)
-    npd = _dollar_duration(target)
-    t = target.maturity
-    amounts = []
-    for i, inst in enumerate(insts):
+    target is (N, P, T, D, C) and legs (P, T, D, C), one row per leg in ids
+    order, each value a float (one date) or an array over dates. Per date
+    the legs are sorted by maturity, stably, and checked; the first failing
+    date raises, prefixed "<strategy> failed on <date>: " if dates are given.
+    Returns (order, amounts): maturity place j holds leg ids[order[j]] at
+    amounts[j], each equal to its float computation on its date.
+    """
+    amount, price, t, d, c = target
+    legs = np.asarray(legs, dtype=float)
+    order = np.argsort(legs[1], axis=0, kind="stable")
+    p_, t_, d_, c_ = (legs[:, order].tolist() if legs.ndim == 2  # one date: Python floats
+                      else np.take_along_axis(legs, order[None], axis=1))
+    if strategy is Strategy.CONVEXITY:
+        det = c_[0] * d_[1] - c_[1] * d_[0]
+        scale = np.maximum(abs(c_[0] * d_[1]), abs(c_[1] * d_[0]))
+        fails = [abs(det) <= DET_RELATIVE_TOL * scale]
+    else:
+        fails = [hi - lo < MIN_MATURITY_SPAN for lo, hi in zip(t_, t_[1:])]
+        if STRATEGIES[strategy].interior and not allow_extrapolation:
+            fails.append((t < t_[0] - _BOUNDS_TOL) | (t > t_[-1] + _BOUNDS_TOL))
+    bad = np.logical_or.reduce(fails)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        check = next(j for j, fail in enumerate(fails) if np.ravel(fail)[k])
+        leg_ids = [ids[i] for i in np.reshape(order, (len(ids), -1))[:, k]]
+        ts = [np.ravel(x)[k].item() for x in t_]
+        if strategy is Strategy.CONVEXITY:
+            exc = CollinearInstrumentError(
+                f"instruments {leg_ids[0]!r} and {leg_ids[1]!r} have proportional duration/convexity "
+                f"(C_A D_B - C_B D_A = {np.ravel(det)[k]:.3e})")
+        elif check < len(ts) - 1:
+            exc = DegenerateSpanError(
+                f"instruments {leg_ids[check]!r} and {leg_ids[check + 1]!r} have maturities "
+                f"{ts[check]} and {ts[check + 1]}, closer than {MIN_MATURITY_SPAN:.3e} years")
+        else:
+            exc = ExtrapolationError(
+                f"target maturity {np.ravel(t)[k].item()} outside hedging span "
+                f"[{ts[0]}, {ts[-1]}]; pass allow_extrapolation=True to override")
+        if dates is not None:
+            exc = type(exc)(f"{strategy.value} failed on {dates[k]}: {exc}")
+        raise exc
+    if strategy is Strategy.CONVEXITY:
+        np_ = amount * price
+        return order, np.array([np_ * (c_[1] * d - c * d_[1]) / (p_[0] * det),
+                                np_ * (-c_[0] * d + d_[0] * c) / (p_[1] * det)])
+    # N_i P_i D_i = -N P D l_i(T), l_i the Lagrange basis over the leg maturities
+    npd = amount * price * d
+    cols = []
+    for i, ti in enumerate(t_):
         basis = 1.0
-        for j, tj in enumerate(ts):
+        for j, tj in enumerate(t_):
             if j != i:
-                basis *= (t - tj) / (ts[i] - tj)
-        amounts.append(-npd * basis / (inst.price * inst.modified_duration))
-    return _plan(strategy, target, insts, amounts, STRATEGIES[strategy].constraints)
+                basis *= (t - tj) / (ti - tj)
+        cols.append(-npd * basis / (p_[i] * d_[i]))
+    return order, np.array(cols)
+
+
+def _closed_form(strategy: Strategy, target: InstrumentSnapshot,
+                 legs: Sequence[InstrumentSnapshot], allow_extrapolation: bool = False):
+    """The one-date case of _ratios, as a plan listing the legs by maturity."""
+    fields = ("price", "maturity", "modified_duration", "convexity")
+    order, amounts = _ratios(
+        strategy, [s.id for s in legs], (target.amount, *(getattr(target, f) for f in fields)),
+        [[getattr(s, f) for s in legs] for f in fields], allow_extrapolation)
+    return _plan(strategy, target, [legs[i] for i in order.tolist()], amounts.tolist(),
+                 STRATEGIES[strategy].constraints)
 
 
 def duration_hedge(target: InstrumentSnapshot, inst_a: InstrumentSnapshot) -> HedgePlan:
     """Single-instrument hedge N_A = -N P D / (P_A D_A); kills dollar duration."""
-    return _lagrange_hedge(Strategy.DURATION, target, (inst_a,), False)
+    return _closed_form(Strategy.DURATION, target, (inst_a,))
 
 
 def quadratic_hedge(
@@ -266,7 +280,7 @@ def quadratic_hedge(
 
     zeroing both sum N_i P_i D_i and sum N_i P_i D_i T_i.
     """
-    return _lagrange_hedge(Strategy.QUADRATIC, target, (inst_a, inst_b), allow_extrapolation)
+    return _closed_form(Strategy.QUADRATIC, target, (inst_a, inst_b), allow_extrapolation)
 
 
 def convexity_hedge(
@@ -283,23 +297,7 @@ def convexity_hedge(
     (D, C) pairs are proportional: they then carry the same risk shape and
     the system is singular.
     """
-    a, b = sorted((inst_a, inst_b), key=lambda s: s.maturity)
-    det = a.convexity * b.modified_duration - b.convexity * a.modified_duration
-    scale = max(
-        abs(a.convexity * b.modified_duration),
-        abs(b.convexity * a.modified_duration),
-    )
-    if abs(det) <= DET_RELATIVE_TOL * scale:
-        raise CollinearInstrumentError(
-            f"instruments {a.id!r} and {b.id!r} have proportional duration/convexity "
-            f"(C_A D_B - C_B D_A = {det:.3e})"
-        )
-    np_ = target.amount * target.price
-    d, c = target.modified_duration, target.convexity
-    n_a = np_ * (b.convexity * d - c * b.modified_duration) / (a.price * det)
-    n_b = np_ * (-a.convexity * d + a.modified_duration * c) / (b.price * det)
-    return _plan(Strategy.CONVEXITY, target, (a, b), (n_a, n_b),
-                 STRATEGIES[Strategy.CONVEXITY].constraints)
+    return _closed_form(Strategy.CONVEXITY, target, (inst_a, inst_b))
 
 
 def cubic_hedge(
@@ -321,7 +319,7 @@ def cubic_hedge(
     are sorted by maturity internally, so the result does not depend on the
     order they are passed in.
     """
-    return _lagrange_hedge(
+    return _closed_form(
         Strategy.CUBIC, target, (inst_a, inst_b, inst_c), allow_extrapolation
     )
 

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from curvehedge import (
     BacktestConfig,
     Bond,
+    CollinearInstrumentError,
+    DegenerateSpanError,
     ExtrapolationError,
     ShockSpec,
     Strategy,
@@ -372,6 +374,33 @@ def test_config_validation():
 def test_config_rejects_non_finite_target_amount(amount):
     with pytest.raises(ValueError, match=f"target_amount must be finite, got {amount}"):
         standard_config(target_amount=amount)
+
+
+@pytest.mark.parametrize("strategy, target, legs, error, message", [
+    (Strategy.QUADRATIC, "B1", ("B3", "B2"), ExtrapolationError,
+     "target maturity 7.0 outside hedging span [4.0, 5.0]; "
+     "pass allow_extrapolation=True to override"),
+    (Strategy.QUADRATIC, "B2", ("B3X", "B3"), DegenerateSpanError,
+     "instruments 'B3X' and 'B3' have maturities 4.0 and 4.0, closer than 2.740e-03 years"),
+    (Strategy.CONVEXITY, "B2", ("B3X", "B3"), CollinearInstrumentError,
+     "instruments 'B3X' and 'B3' have proportional duration/convexity "
+     "(C_A D_B - C_B D_A = 0.000e+00)"),
+])
+def test_plan_failure_names_strategy_and_rebalance_date(universe, strategy, target, legs,
+                                                        error, message):
+    """A plan that cannot be built fails the run with the builder's own error,
+    prefixed by the strategy and the window's date (not the history's first)."""
+    uni = {**universe, "B3X": dataclasses.replace(universe["B3"], id="B3X")}
+    hist = history_from_shifts(base_rates(), [np.zeros(len(GRID))] * 5)
+    config = BacktestConfig(
+        target_id=target,
+        instruments={Strategy.DURATION: ("B4",), strategy: legs},
+        strategies=(Strategy.DURATION, strategy),
+        start=hist[2].date,
+    )
+    with pytest.raises(error) as info:
+        run_backtest(hist, uni, config)
+    assert str(info.value) == f"{strategy.value} failed on 2024-01-04: {message}"
 
 
 def test_cumulative_is_prefix_sum(universe):

@@ -1,6 +1,8 @@
 """Hedge ratios: spec'd worked examples, independent linear-system oracles,
 algebraic invariants (collapse, permutation, homogeneity, shock kills)."""
 
+import dataclasses
+import datetime as dt
 import itertools
 
 import numpy as np
@@ -30,6 +32,7 @@ from curvehedge.hedging import (
     DURATION_MATURITY_SQ,
     STRATEGIES,
     Constraint,
+    _ratios,
 )
 
 
@@ -359,7 +362,7 @@ def test_cubic_kills_quadratic_shocks():
 
 def test_homogeneity_in_target_amount():
     base = snap("T", 95.76, 5.0, 4.53, 25.6, amount=100.0)
-    doubled = base.with_amount(200.0)
+    doubled = dataclasses.replace(base, amount=200.0)
     insts2 = [snap("A", 96.67, 4.0, 3.70, 17.6), snap("B", 94.48, 7.0, 6.06, 44.9)]
     insts3 = insts2 + [snap("C", 95.52, 5.5, 4.89, 29.8)]
     pairs = [
@@ -425,7 +428,8 @@ def test_build_plan_properties(case, order, scale):
     order.shuffle(shuffled)
     assert build_plan(strategy, target, shuffled).legs == plan.legs
 
-    scaled = build_plan(strategy, target.with_amount(scale * target.amount), legs)
+    scaled = build_plan(strategy, dataclasses.replace(target, amount=scale * target.amount),
+                        legs)
     for leg, ref in zip(scaled.legs, plan.legs):
         assert leg.id == ref.id
         assert leg.amount == pytest.approx(scale * ref.amount, rel=1e-12)
@@ -436,6 +440,97 @@ def test_build_plan_rejects_custom_and_wrong_leg_count(snaps):
         build_plan(Strategy.CUSTOM, snaps["B2"], [snaps["B3"]])
     with pytest.raises(ValueError, match="needs 2 instruments, got 1"):
         build_plan(Strategy.QUADRATIC, snaps["B2"], [snaps["B3"]])
+
+
+# ---------------------------------------------------------------------------
+# the closed forms over many dates at once
+# ---------------------------------------------------------------------------
+
+FIELDS = ("price", "maturity", "modified_duration", "convexity")
+
+
+def float_ratios(strategy, target, legs):
+    """The closed forms in Python floats on one date, legs sorted by maturity."""
+    legs = sorted(legs, key=lambda s: s.maturity)
+    if strategy is Strategy.CONVEXITY:
+        a, b = legs
+        det = a.convexity * b.modified_duration - b.convexity * a.modified_duration
+        np_, d, c = target.amount * target.price, target.modified_duration, target.convexity
+        return [(a.id, np_ * (b.convexity * d - c * b.modified_duration) / (a.price * det)),
+                (b.id, np_ * (-a.convexity * d + a.modified_duration * c) / (b.price * det))]
+    npd = target.amount * target.price * target.modified_duration
+    out = []
+    for leg in legs:
+        basis = 1.0
+        for other in legs:
+            if other is not leg:
+                basis *= (target.maturity - other.maturity) / (leg.maturity - other.maturity)
+        out.append((leg.id, -npd * basis / (leg.price * leg.modified_duration)))
+    return out
+
+
+@st.composite
+def ratio_dates(draw):
+    """A table strategy, a target amount and 1-6 dates of target and legs.
+
+    On the dates of a drawn subset one flaw is planted: two legs within a
+    day of each other (or on the same maturity), the target outside the
+    legs' span (or just inside its tolerance), or proportional (D, C) pairs.
+    Legs come in any maturity order."""
+    strategy = draw(st.sampled_from(list(STRATEGIES)))
+    n = STRATEGIES[strategy].legs
+    count = draw(st.integers(1, 6))
+    checked = "collinear" if strategy is Strategy.CONVEXITY else "outside"
+    flaw = draw(st.sampled_from([None, "span", checked]))
+    flawed = draw(st.sets(st.integers(0, count - 1))) if flaw else set()
+    amount = draw(st.floats(1.0, 500.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    rows = []
+    for k in range(count):
+        ts = draw(st.lists(st.floats(0.5, 30.0), min_size=n, max_size=n))
+        if k in flawed and flaw == "span" and n > 1:
+            ts[-1] = ts[0] + draw(st.sampled_from([0.0, 1e-4, 1.0 / 365.0]))
+        legs = [_risk_snap(draw, f"L{i}", t) for i, t in enumerate(ts)]
+        if k in flawed and flaw == "collinear":
+            ratio = draw(st.sampled_from([1.0, 2.0, 0.3]))
+            legs[1] = snap("L1", legs[1].price, legs[1].maturity,
+                           ratio * legs[0].modified_duration, ratio * legs[0].convexity)
+        lo, hi = min(ts), max(ts)
+        if k in flawed and flaw == "outside":
+            t = draw(st.sampled_from([hi + 5e-13, hi + 1e-3, max(lo - 0.25, 0.1), hi + 2.0]))
+        else:
+            t = lo + draw(st.floats(0.0, 1.0)) * (hi - lo) if n > 1 else draw(st.floats(0.5, 30.0))
+        rows.append((_risk_snap(draw, "TGT", t, amount), legs))
+    return strategy, amount, rows, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ratio_dates())
+def test_ratios_over_dates_equal_the_builders(case):
+    """The kernel over many dates gives each date's builder amounts and leg
+    order exactly, and the builders give the float closed forms; a failing
+    date raises the builder's error for the first one, naming that date."""
+    strategy, amount, rows, allow = case
+    n = STRATEGIES[strategy].legs
+    ids = [f"L{i}" for i in range(n)]
+    dates = [dt.date(2024, 1, 2) + dt.timedelta(days=k) for k in range(len(rows))]
+    target = (amount, *(np.array([getattr(tgt, f) for tgt, _ in rows]) for f in FIELDS))
+    legs = np.array([[[getattr(ls[i], f) for _, ls in rows] for i in range(n)] for f in FIELDS])
+
+    plans = []
+    for k, (tgt, ls) in enumerate(rows):
+        try:
+            plans.append(build_plan(strategy, tgt, ls, allow))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as info:
+                _ratios(strategy, ids, target, legs, allow, dates)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == f"{strategy.value} failed on {dates[k]}: {exc}"
+            return
+    order, amounts = _ratios(strategy, ids, target, legs, allow, dates)
+    assert order.shape == amounts.shape == (n, len(rows))
+    for k, ((tgt, ls), plan) in enumerate(zip(rows, plans)):
+        got = [(ids[i], a) for i, a in zip(order[:, k].tolist(), amounts[:, k].tolist())]
+        assert got == [(leg.id, leg.amount) for leg in plan.legs] == float_ratios(strategy, tgt, ls)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +659,7 @@ def test_aggregate_rejects_empty_and_zero_net():
 def test_aggregate_feeds_hedge(snaps):
     """A two-bond portfolio hedged as one synthetic instrument."""
     port = aggregate_portfolio([(60.0, snaps["B2"]), (40.0, snaps["B4"])])
-    plan = quadratic_hedge(port.with_amount(port.amount), snaps["B3"], snaps["B1"])
+    plan = quadratic_hedge(dataclasses.replace(port, amount=port.amount), snaps["B3"], snaps["B1"])
     npd = port.amount * port.price * port.modified_duration
     for _, value in plan.constraints:
         assert abs(value) <= 1e-9 * npd

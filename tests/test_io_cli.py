@@ -535,6 +535,21 @@ def test_cli_scenario_rejects_non_finite_numbers(cli_files, capsys, extra, messa
     assert message in captured.err
 
 
+def test_cli_scenario_rejects_negative_tolerance(cli_files, capsys):
+    plan_path = cli_files["tmp"] / "plan_tol.json"
+    assert main(["hedge", "--strategy", "cubic", "--target", "B2",
+                 "--instruments", "B3,B1,B4", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(plan_path)]) == 0
+    argv = ["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+            "--curve", str(cli_files["curve"]), "--shock", "a=0", "--tolerance"]
+    assert main(argv + ["-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --tolerance must be >= 0, got -1.0" in captured.err
+    assert main(argv + ["0"]) == 0  # a zero P&L is within a zero tolerance
+    assert json.loads(capsys.readouterr().out)["within_tolerance"] is True
+
+
 def test_cli_hedge_rejects_non_finite_amount(cli_files, capsys):
     argv = ["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
             "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"])]
@@ -554,6 +569,27 @@ def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
     assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
                  str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
     assert "target_amount must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("net_carry", "false", 'net_carry must be true or false, got "false"'),
+    ("net_carry", 0, "net_carry must be true or false, got 0"),
+    ("allow_extrapolation", "yes", 'allow_extrapolation must be true or false, got "yes"'),
+    ("rebalance_days", 2.7, "rebalance_days must be an integer, got 2.7"),
+    ("rebalance_days", True, "rebalance_days must be an integer, got true"),
+    ("rebalance_days", "5", 'rebalance_days must be an integer, got "5"'),
+], ids=["net_carry-str", "net_carry-int", "allow_extrapolation-str", "rebalance_days-float",
+        "rebalance_days-bool", "rebalance_days-str"])
+def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, message):
+    path = cli_files["tmp"] / "typed.json"
+    config = json.loads(cli_files["config"].read_text())
+    config[key] = value
+    path.write_text(json.dumps(config))
+    out = cli_files["tmp"] / "typed_report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
+    assert f"malformed backtest config: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

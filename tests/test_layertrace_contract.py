@@ -1,7 +1,7 @@
 """The benchmark's layer tracer looks up every traced function by name, so a
 change that deletes or renames one must fail here, not only in the
-benchmark. Also pins the per-layer work of a backtest on a short window (one
-plan per strategy and step, no per-day pricing or snapshot call), of
+benchmark. Also pins the per-layer work of a backtest on a short window (no
+plan builder, pricing or snapshot call per day), of
 the curve layer (one curve per synthetic day, one delta_y per shock) and of a
 residual sweep (the base curve priced once)."""
 
@@ -36,7 +36,8 @@ def test_tracer_wraps_every_name_and_counts_backtest_work():
         tracer.uninstall()
     steps = len(curves) - 1
     assert all(len(s.dates) == steps for s in report.series.values())
-    assert tracer.plan_stat().calls == 4 * steps
+    # each strategy's ratios are solved as arrays over its rebalance days
+    assert tracer.plan_stat().calls == 0
     assert tracer.stat("backtest", "run_backtest").calls == 1
     # marks come from one cashflow table per bond, not from per-day pricing
     assert tracer.stat("bonds", "price").calls == 0
