@@ -47,6 +47,10 @@ class Bond:
     issue_or_first_coupon_offset: float | None = None
 
     def __post_init__(self):
+        for name in ("face", "coupon_rate", "maturity", "issue_or_first_coupon_offset"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"bond {self.id!r}: {name} must be finite, got {x}")
         if self.face <= 0:
             raise ValueError(f"bond {self.id!r}: face must be positive, got {self.face}")
         if self.coupon_rate < 0:

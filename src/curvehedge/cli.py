@@ -34,6 +34,8 @@ from .curve import ShockSpec, YieldCurve
 from .errors import CurveHedgeError, ExtrapolationError, ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
+    _read_history,
+    _typed,
     correlations_csv,
     emit_report,
     fmt_num,
@@ -59,14 +61,17 @@ def _check_inputs(args: argparse.Namespace) -> None:
         raise ValidationError("; ".join(problems))
 
 
-def _pick_curve(curves: list[YieldCurve], date: str | None) -> YieldCurve:
-    if date is None:
-        return curves[0]
-    want = dt.date.fromisoformat(date)
-    for c in curves:
-        if c.date == want:
-            return c
-    raise ValidationError(f"date {want} not present in the curve file")
+def _pick_curve(path, date: str | None) -> YieldCurve:
+    """The curve on `date` (default: the first row) of a whole checked history file."""
+    dates, grid, block = _read_history(path)
+    i = 0
+    if date is not None:
+        want = dt.date.fromisoformat(date)
+        try:
+            i = dates.index(want)
+        except ValueError:
+            raise ValidationError(f"date {want} not present in the curve file") from None
+    return YieldCurve(dates[i], grid, tuple(block[i].tolist()))
 
 
 def _finite(option: str, value: float) -> None:
@@ -126,7 +131,7 @@ def _round10(x: float) -> float:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     universe = parse_bonds_json(args.bonds)
-    curve = _pick_curve(parse_curve_csv(args.curve), args.date)
+    curve = _pick_curve(args.curve, args.date)
     header = f"{'id':<8}{'maturity':>10}{'price':>16}{'ytm':>14}{'duration':>14}{'convexity':>14}"
     lines = [f"# analytics off curve {curve.date}, mode={args.mode}", header]
     for bond in universe.values():
@@ -142,7 +147,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_hedge(args: argparse.Namespace) -> int:
     _finite("--amount", args.amount)
     universe = parse_bonds_json(args.bonds)
-    curve = _pick_curve(parse_curve_csv(args.curve), args.date)
+    curve = _pick_curve(args.curve, args.date)
     strategy = Strategy(args.strategy)
     ids = [s.strip() for s in args.instruments.split(",") if s.strip()]
     unknown = [i for i in [args.target, *ids] if i not in universe]
@@ -168,7 +173,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         raise ValidationError(f"--tolerance must be >= 0, got {args.tolerance}")
     plan = parse_plan_json(args.plan)
     universe = parse_bonds_json(args.bonds)
-    curve = _pick_curve(parse_curve_csv(args.curve), args.date)
+    curve = _pick_curve(args.curve, args.date)
     shock = _parse_shock(args.shock)
     scales = [0.5 ** k for k in range(args.sweep)] if args.sweep else [1.0]
     results = run_scenarios(plan, universe, curve, [shock.scaled(scale) for scale in scales])
@@ -189,14 +194,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _typed(raw: dict, key: str, kind: type, default, what: str):
-    """raw[key] (default if absent), which must be a JSON value of the given kind."""
-    value = raw.get(key, default)
-    if type(value) is not kind:  # a bool is no integer here
-        raise TypeError(f"{key} must be {what}, got {json.dumps(value)}")
-    return value
-
-
 def _backtest_config(path) -> BacktestConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -207,18 +204,20 @@ def _backtest_config(path) -> BacktestConfig:
         instruments = {
             Strategy(k): tuple(str(i) for i in v) for k, v in raw["instruments"].items()
         }
+        target = raw["target"]
         return BacktestConfig(
-            target_id=str(raw["target"]["id"]),
-            target_amount=float(raw["target"].get("amount", 100.0)),
+            target_id=_typed(target["id"], "target.id", "a string"),
+            target_amount=float(_typed(target.get("amount", 100.0), "target.amount", "a number")),
             instruments=instruments,
             strategies=strategies,
-            rebalance_days=_typed(raw, "rebalance_days", int, 1, "an integer"),
+            rebalance_days=_typed(raw.get("rebalance_days", 1), "rebalance_days", "an integer"),
             start=dt.date.fromisoformat(raw["start"]) if "start" in raw else None,
             end=dt.date.fromisoformat(raw["end"]) if "end" in raw else None,
-            net_carry=_typed(raw, "net_carry", bool, False, "true or false"),
-            allow_extrapolation=_typed(raw, "allow_extrapolation", bool, False, "true or false"),
+            net_carry=_typed(raw.get("net_carry", False), "net_carry", "true or false"),
+            allow_extrapolation=_typed(raw.get("allow_extrapolation", False),
+                                       "allow_extrapolation", "true or false"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
 
 

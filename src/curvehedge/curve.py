@@ -151,6 +151,42 @@ def spot(curve: YieldCurve, maturity: float) -> float:
     return float(np.interp(maturity, t, curve.rates))
 
 
+def _check_block(dates: Sequence[dt.date], grid: tuple[float, ...], block: np.ndarray) -> None:
+    """YieldCurve's checks on every row of a (days, knots) rates block.
+
+    The grid and the first row go through YieldCurve itself once; the other
+    rows are checked all at once (finite, above -100%), and the first
+    failing one raises the ValueError YieldCurve raises for it.
+    """
+    if not len(dates):
+        return
+    YieldCurve(dates[0], grid, tuple(block[0].tolist()))
+    bad = ~(np.isfinite(block) & (block > -1.0)).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        YieldCurve(dates[i], grid, tuple(block[i].tolist()))
+
+
+def _curves(
+    dates: Sequence[dt.date], grid: tuple[float, ...], block: np.ndarray
+) -> list[YieldCurve]:
+    """One YieldCurve per row of a (days, knots) rates block, checked as a block.
+
+    After _check_block the curves are set up the way a frozen dataclass sets
+    its fields, without running __post_init__ again for each row.
+    """
+    _check_block(dates, grid, block)
+    new, put = object.__new__, object.__setattr__
+    curves = []
+    for date, rates in zip(dates, block.tolist()):
+        c = new(YieldCurve)
+        put(c, "date", date)
+        put(c, "tenors", grid)
+        put(c, "rates", tuple(rates))
+        curves.append(c)
+    return curves
+
+
 def check_history(curves: Sequence[YieldCurve]) -> None:
     """Raise ValidationError unless dates strictly increase on one tenor grid."""
     for prev, cur in zip(curves, curves[1:]):

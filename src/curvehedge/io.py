@@ -5,6 +5,11 @@ every emitted file repeats that in a leading # comment. Numbers are written
 with 10 significant digits, so identical inputs always produce byte-
 identical outputs. Report emission writes temp files first and renames at
 the end, so a failing run never leaves a half-written report behind.
+
+A curve history is read as one (days, knots) block: each check runs over
+the whole file at once, and only a file that fails one is walked row by
+row, to report every error with its line. Numbers in JSON inputs must be
+finite JSON numbers; a bool or a string is refused, not converted.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import csv
 import datetime as dt
 import json
 import math
+import operator
 import os
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,7 +27,7 @@ import numpy as np
 
 from .backtest import BacktestReport, UNHEDGED
 from .bonds import Bond
-from .curve import YieldCurve, check_history
+from .curve import YieldCurve, _check_block, _curves, check_history
 from .errors import ValidationError
 from .hedging import HedgeLeg, HedgePlan, Strategy
 
@@ -30,6 +36,31 @@ PNL_COMMENT = "# profit and loss in currency units; cumulative is the running su
 
 BOND_REQUIRED_FIELDS = ("id", "face", "coupon_rate", "coupon_frequency", "maturity")
 BOND_OPTIONAL_FIELDS = ("issue_or_first_coupon_offset",)
+
+
+# the Python types json.loads gives for each kind of JSON value
+_JSON_KINDS = {"true or false": (bool,), "an integer": (int,), "a number": (int, float),
+               "a string": (str,)}
+
+
+def _typed(value, name: str, what: str):
+    """value, which must be the kind of JSON value `what` names (a bool is no number)."""
+    kinds = _JSON_KINDS[what]
+    if not isinstance(value, kinds) or (type(value) is bool and bool not in kinds):
+        raise TypeError(f"{name} must be {what}, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float."""
+    _typed(value, name, "a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {json.dumps(value)}")
+    return x
 
 
 def fmt_num(x: float) -> str:
@@ -53,11 +84,22 @@ def parse_curve_csv(path) -> list[YieldCurve]:
     duplicates. Every failure is collected and reported with its line
     number before raising.
     """
+    return _curves(*_read_history(path))
+
+
+def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
+    """The dates, tenor grid and (days, knots) rates block of a checked history.
+
+    Each check (field counts, dates, their order, the float cells, then
+    YieldCurve's checks on the block) runs over the whole file at once; on
+    the first failure the rows are collected one by one again, only to
+    build the message parse_curve_csv has always given.
+    """
     path = Path(path)
     errors: list[str] = []
     with path.open(newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
-    rows = [(ln, row) for ln, row in rows if row and not row[0].lstrip().startswith("#")]
+        rows = [(ln, row) for ln, row in enumerate(csv.reader(fh), 1)
+                if row and not row[0].lstrip().startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty curve file")
 
@@ -86,11 +128,31 @@ def parse_curve_csv(path) -> list[YieldCurve]:
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
 
-    curves: list[YieldCurve] = []
+    grid = tuple(tenors)
+    try:
+        body = [row for _, row in rows[1:]]
+        if set(map(len, body)) - {len(header)}:
+            raise ValueError("field count")
+        dates = [dt.date.fromisoformat(row[0].strip()) for row in body]
+        if not all(map(operator.lt, dates, dates[1:])):
+            raise ValueError("date order")
+        block = np.array([float(v) for row in body for v in row[1:]])
+        block = block.reshape(len(dates), len(grid))
+        _check_block(dates, grid, block)
+    except ValueError:
+        _raise_row_errors(path, grid, rows[1:], len(header))
+    if not dates:
+        raise ValidationError(f"{path}: no data rows")
+    return dates, grid, block
+
+
+def _raise_row_errors(path: Path, grid: tuple[float, ...], rows: list, width: int):
+    """Check the data rows one by one and raise every failure with its line."""
+    errors: list[str] = []
     last_date: dt.date | None = None
-    for ln, row in rows[1:]:
-        if len(row) != len(header):
-            errors.append(f"line {ln}: expected {len(header)} fields, got {len(row)}")
+    for ln, row in rows:
+        if len(row) != width:
+            errors.append(f"line {ln}: expected {width} fields, got {len(row)}")
             continue
         try:
             date = dt.date.fromisoformat(row[0].strip())
@@ -109,14 +171,12 @@ def parse_curve_csv(path) -> list[YieldCurve]:
             continue
         last_date = date
         try:
-            curves.append(YieldCurve(date, tuple(tenors), tuple(rates)))
+            YieldCurve(date, grid, tuple(rates))
         except ValueError as exc:
             errors.append(f"line {ln}: {exc}")
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
-    if not curves:
-        raise ValidationError(f"{path}: no data rows")
-    return curves
+    raise RuntimeError(f"{path}: block and row checks of the curve history disagree")
 
 
 def _is_float(v: str) -> bool:
@@ -129,6 +189,8 @@ def _is_float(v: str) -> bool:
 
 def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     """Write a history in the same format parse_curve_csv reads."""
+    if not curves:
+        raise ValidationError("curve history is empty: nothing to write")
     check_history(curves)
     grid = curves[0].tenors
     lines = [RATE_COMMENT, "date," + ",".join(_tenor_header(t) for t in grid)]
@@ -167,17 +229,17 @@ def parse_bonds_json(path) -> dict[str, Bond]:
             errors.append(f"{label}: unknown field(s) {unknown}")
         if missing or unknown:
             continue
+        offset = entry.get("issue_or_first_coupon_offset")
         try:
             bond = Bond(
                 id=str(entry["id"]),
-                face=float(entry["face"]),
-                coupon_rate=float(entry["coupon_rate"]),
-                coupon_frequency=int(entry["coupon_frequency"]),
-                maturity=float(entry["maturity"]),
+                face=_number(entry["face"], "face"),
+                coupon_rate=_number(entry["coupon_rate"], "coupon_rate"),
+                coupon_frequency=_typed(entry["coupon_frequency"], "coupon_frequency",
+                                        "an integer"),
+                maturity=_number(entry["maturity"], "maturity"),
                 issue_or_first_coupon_offset=(
-                    float(entry["issue_or_first_coupon_offset"])
-                    if entry.get("issue_or_first_coupon_offset") is not None
-                    else None
+                    None if offset is None else _number(offset, "issue_or_first_coupon_offset")
                 ),
             )
         except (TypeError, ValueError) as exc:
@@ -224,13 +286,21 @@ def plan_to_dict(plan: HedgePlan) -> dict:
 
 
 def plan_from_dict(data: Mapping) -> HedgePlan:
+    """The plan in a dict as plan_to_dict writes it; amounts and values must be finite numbers."""
     try:
         return HedgePlan(
             strategy=Strategy(data["strategy"]),
-            target_id=str(data["target"]["id"]),
-            target_amount=float(data["target"]["amount"]),
-            legs=tuple(HedgeLeg(str(l["id"]), float(l["amount"])) for l in data["legs"]),
-            constraints=tuple((str(c["name"]), float(c["value"])) for c in data["constraints"]),
+            target_id=_typed(data["target"]["id"], "target.id", "a string"),
+            target_amount=_number(data["target"]["amount"], "target.amount"),
+            legs=tuple(
+                HedgeLeg(_typed(l["id"], f"legs[{k}].id", "a string"),
+                         _number(l["amount"], f"legs[{k}].amount"))
+                for k, l in enumerate(data["legs"])
+            ),
+            constraints=tuple(
+                (str(c["name"]), _number(c["value"], f"constraints[{k}].value"))
+                for k, c in enumerate(data["constraints"])
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed hedge plan: {exc}") from exc

@@ -10,7 +10,9 @@ weekdays with shocks drawn from the translation / rotation / twist family:
 The (a, b, c) draws are AR(1)-smoothed Gaussians, so consecutive days
 move coherently. Keeping the day-zero segment fixed makes the history an
 exact linear factor model, which the correlation fixtures rely on: the
-level factor's variance share is computable directly from the draws.
+level factor's variance share is computable directly from the draws. The
+walk is one running sum down a (days, knots) block, and the curves are
+built from that block in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bonds import Bond
-from .curve import PolynomialSegment, YieldCurve, derivatives, fit_segment
+from .curve import PolynomialSegment, YieldCurve, _curves, derivatives, fit_segment
 
 DEFAULT_TENORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
 # gently rising base curve with real curvature and twist over the grid
@@ -87,8 +89,7 @@ def generate_history(cfg: SynthConfig) -> tuple[list[YieldCurve], ShockDraws]:
     dates = _trading_dates(cfg.start, cfg.days)
 
     grid = tuple(tenors.tolist())
-    curves = [YieldCurve(dates[0], grid, tuple(rates.tolist()))]
-    seg = fit_segment(curves[0], grid[0], grid[-1], 3)
+    seg = fit_segment(YieldCurve(dates[0], grid, tuple(rates.tolist())), grid[0], grid[-1], 3)
 
     rng = np.random.default_rng(cfg.seed)
     n_steps = cfg.days - 1
@@ -100,10 +101,13 @@ def generate_history(cfg: SynthConfig) -> tuple[list[YieldCurve], ShockDraws]:
     # the segment spans the whole grid, so every knot moves by its own dY
     _, f1, f2 = derivatives(seg, tenors)
     move = a[:, None] + b[:, None] * f1 + c[:, None] * f2
-    for k in range(n_steps):
-        rates = (rates + move[k]) + idio[k]
-        curves.append(YieldCurve(dates[k + 1], grid, tuple(rates.tolist())))
-    return curves, ShockDraws(a=a, b=b, c=c, idio=idio, segment=seg)
+    # day k + 1 is (day k + move[k]) + idio[k]: a running sum over the base
+    # row and the interleaved moves and noise adds in that order, so its
+    # even partial sums are the days
+    steps = np.empty((2 * n_steps + 1, tenors.size))
+    steps[0], steps[1::2], steps[2::2] = rates, move, idio
+    block = np.cumsum(steps, axis=0)[::2]
+    return _curves(dates, grid, block), ShockDraws(a=a, b=b, c=c, idio=idio, segment=seg)
 
 
 def default_bond_universe() -> list[Bond]:

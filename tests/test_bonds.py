@@ -93,6 +93,17 @@ def test_bond_validation():
         Bond("x", 100.0, 0.03, 3, 5.0)
 
 
+@pytest.mark.parametrize("field", ["face", "coupon_rate", "maturity",
+                                   "issue_or_first_coupon_offset"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_bond_rejects_non_finite_numbers(field, value):
+    fields = dict(id="x", face=100.0, coupon_rate=0.03, coupon_frequency=1, maturity=5.0)
+    fields[field] = value
+    with pytest.raises(ValueError) as err:
+        Bond(**fields)
+    assert str(err.value) == f"bond 'x': {field} must be finite, got {value}"
+
+
 # ---------------------------------------------------------------------------
 # pricing
 # ---------------------------------------------------------------------------

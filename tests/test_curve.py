@@ -22,6 +22,7 @@ from curvehedge import (
     generate_history,
     spot,
 )
+from curvehedge.curve import _curves
 
 D = dt.date(2024, 1, 2)
 
@@ -352,3 +353,63 @@ def test_generate_history_equals_per_day_shock_replay(sigma_idio):
                            tuple((np.asarray(shocked.rates) + draws.idio[k]).tolist()))
         assert got.rates == curve.rates
         assert got.tenors == curve.tenors
+
+
+def _row_by_row(dates, grid, block):
+    """YieldCurve(...) on each row in turn: the curves, or the first error."""
+    try:
+        return [YieldCurve(d, grid, tuple(r)) for d, r in zip(dates, block.tolist())]
+    except ValueError as exc:
+        return exc
+
+
+def _check_same_as_rows(dates, grid, block):
+    want = _row_by_row(dates, grid, block)
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError) as err:
+            _curves(dates, grid, block)
+        assert (type(err.value), str(err.value)) == (type(want), str(want))
+        return
+    got = _curves(dates, grid, block)
+    assert got == want
+    for g, w in zip(got, want):
+        assert [x.hex() for x in g.rates] == [x.hex() for x in w.rates]
+        assert type(g.rates) is tuple and all(type(x) is float for x in g.rates)
+
+
+@given(
+    days=st.integers(1, 8),
+    grid=st.sampled_from([(0.5, 1.0, 5.0), (1.0, 2.0), (0.25, 3.0, 7.0, 30.0), (1.0,),
+                          (2.0, 1.0), (0.0, 1.0), (1.0, 1.0, 2.0), (1.0, float("inf"))]),
+    values=st.lists(st.floats(-0.999, 0.5, allow_subnormal=True), min_size=32, max_size=32),
+    planted=st.dictionaries(st.integers(0, 7), st.sampled_from(
+        (float("nan"), float("inf"), -float("inf"), -1.0, -1.5, -1e300, -0.9999999999)),
+        max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_constructor_equals_yield_curve_per_row(days, grid, values, planted):
+    """The batch constructor gives the curves YieldCurve gives row by row,
+    or raises the error YieldCurve raises for the first failing row."""
+    block = np.array(values[: days * len(grid)]).reshape(days, len(grid))
+    for i, bad in planted.items():
+        if i < days:
+            block[i, i % len(grid)] = bad
+    dates = [D + dt.timedelta(k) for k in range(days)]
+    _check_same_as_rows(dates, grid, block)
+
+
+def test_block_constructor_walk_across_minus_100pct():
+    grid = (0.5, 1.0, 5.0)
+    walk = -0.95 - 0.01 * np.arange(10.0)[:, None] + np.array([0.0, 0.02, 0.04])
+    dates = [D + dt.timedelta(k) for k in range(10)]
+    _check_same_as_rows(dates, grid, walk)
+    with pytest.raises(ValueError, match="greater than -100%"):
+        _curves(dates, grid, walk)
+    _check_same_as_rows(dates[:5], grid, walk[:5])  # stops short of -1
+    _check_same_as_rows(dates, grid, np.zeros((10, 2)))  # grid and rows differ in length
+    assert _curves([], grid, np.empty((0, 3))) == []
+
+
+def test_generate_history_walk_across_minus_100pct_raises_per_day_error():
+    with pytest.raises(ValueError, match="spot rates must be greater than -100%"):
+        generate_history(SynthConfig(days=400, sigma_level=0.2, seed=1))

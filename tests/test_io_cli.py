@@ -1,10 +1,12 @@
 """File formats and the command-line surface: parsing errors carry line
 numbers, writers round-trip, emission is deterministic, exit codes are 0/2."""
 
+import csv
 import datetime as dt
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curvehedge import (
     BacktestConfig,
@@ -151,6 +153,159 @@ def test_parse_curve_collects_all_row_errors(tmp_path):
         assert frag in msg
 
 
+def _row_reader(path) -> list[YieldCurve]:
+    """Reference reader: the per-row loop parse_curve_csv ran before histories
+    were read as blocks, kept here to pin its curves and messages."""
+    errors = []
+    with open(path, newline="") as fh:
+        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
+    rows = [(ln, row) for ln, row in rows if row and not row[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValidationError(f"{path}: empty curve file")
+    header_ln, header = rows[0]
+    if not header or header[0].strip() != "date":
+        raise ValidationError(f"{path}:{header_ln}: header must start with 'date'")
+    tenors = tuple(float(col.strip()[len("tenor_"):]) for col in header[1:])
+    curves, last_date = [], None
+    for ln, row in rows[1:]:
+        if len(row) != len(header):
+            errors.append(f"line {ln}: expected {len(header)} fields, got {len(row)}")
+            continue
+        try:
+            date = dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            errors.append(f"line {ln}: bad date {row[0]!r} (expected ISO-8601)")
+            continue
+        try:
+            rates = [float(v) for v in row[1:]]
+        except ValueError:
+            bad = next(v for v in row[1:] if not _floats(v))
+            errors.append(f"line {ln}: non-numeric rate {bad!r}")
+            continue
+        if last_date is not None and date <= last_date:
+            kind = "duplicate" if date == last_date else "out-of-order"
+            errors.append(f"line {ln}: {kind} date {date}")
+            continue
+        last_date = date
+        try:
+            curves.append(YieldCurve(date, tenors, tuple(rates)))
+        except ValueError as exc:
+            errors.append(f"line {ln}: {exc}")
+    if errors:
+        raise ValidationError(f"{path}: " + "; ".join(errors))
+    if not curves:
+        raise ValidationError(f"{path}: no data rows")
+    return curves
+
+
+def _floats(v: str) -> bool:
+    try:
+        float(v)
+        return True
+    except ValueError:
+        return False
+
+
+def _outcome(read, path):
+    """The curves a reader returns, rates as float.hex, or its error text."""
+    try:
+        curves = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [(c.date, c.tenors, tuple(map(float.hex, c.rates))) for c in curves]
+
+
+FLAWS = ("fields", "date", "text", "duplicate", "back", "nan", "inf", "low")
+
+
+@st.composite
+def history_texts(draw):
+    """A history CSV with comments, blank lines, padded and quoted cells, LF
+    or CRLF endings, and on some rows one planted flaw of each kind."""
+    tenors = sorted(draw(st.lists(st.sampled_from((0.25, 0.5, 1, 2, 3, 5, 7, 10, 30)),
+                                  min_size=2, max_size=5, unique=True)))
+    n = draw(st.integers(0, 12))
+    day = dt.date(2023, 12, 25) + dt.timedelta(draw(st.integers(0, 30)))
+    rate = st.floats(-0.999, 0.5, allow_subnormal=True)
+    fmt = st.sampled_from(("{!r}", "{:.10g}", "{:.17g}", "{:e}", ' {!r}', "{!r}  ", '"{!r}"'))
+    lines = ["date," + ",".join(f"tenor_{t:g}" for t in tenors)]
+    dates = []
+    for k in range(n):
+        day += dt.timedelta(draw(st.integers(1, 4)))
+        dates.append(day)
+        cells = [draw(fmt).format(draw(rate)) for _ in tenors]
+        date = day.isoformat()
+        flaw = draw(st.sampled_from(FLAWS)) if draw(st.integers(0, 5)) == 0 else None
+        if flaw == "fields":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0.01"]
+        elif flaw == "date":
+            date = draw(st.sampled_from(("2024/01/02", "Jan 2 2024", "2024-13-01", "")))
+        elif flaw == "text":
+            bad = draw(st.sampled_from(("oops", '"1,5"', "1.2.3")))
+            cells[draw(st.integers(0, len(cells) - 1))] = bad
+        elif flaw in ("duplicate", "back") and k:
+            date = (dates[k - 1] - dt.timedelta(flaw == "back")).isoformat()
+        elif flaw in ("nan", "inf", "low"):
+            bad = {"nan": ("nan", "NaN"), "inf": ("inf", "-inf", "1e999"),
+                   "low": ("-1", "-1.0", "-1.5", "-7e3")}[flaw]
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(bad))
+        lines.append(" " * draw(st.integers(0, 1)) + date + "," + ",".join(cells))
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from(("# a comment", "  # indented, comment", "", "#")))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + eol * draw(st.integers(0, 1))
+
+
+@given(text=history_texts())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_curve_equals_row_reader(tmp_path, text):
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode())
+    got = _outcome(parse_curve_csv, path)
+    assert got == _outcome(_row_reader, path)
+    if not isinstance(got, str):
+        assert parse_curve_csv(path) == _row_reader(path)
+
+
+H = "date,tenor_1,tenor_5\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (H + "2024-01-02,0.03\n2024-01-03,0.03,0.035,0.04\n",
+     "line 2: expected 3 fields, got 2; line 3: expected 3 fields, got 4"),
+    (H + "Jan 2 2024,0.03,0.035\n", "line 2: bad date 'Jan 2 2024' (expected ISO-8601)"),
+    (H + "2024-01-02,0.03,0.035\n2024-01-03,oops,0.036\n", "line 3: non-numeric rate 'oops'"),
+    (H + "2024-01-03,0.03,0.035\n2024-01-03,0.03,0.035\n", "line 3: duplicate date 2024-01-03"),
+    (H + "2024-01-03,0.03,0.035\n2024-01-02,0.03,0.035\n", "line 3: out-of-order date 2024-01-02"),
+    (H + "2024-01-02,nan,0.035\n", "line 2: spot rates must be finite"),
+    (H + "2024-01-02,0.03,-inf\n", "line 2: spot rates must be finite"),
+    (H + "2024-01-02,0.03,0.035\n2024-01-03,-1,0.035\n",
+     "line 3: spot rates must be greater than -100%"),
+    ("# c\n" + H, "no data rows"),
+    (H + "2024-01-05,0.03,0.035\n2024-01-04,0.03,0.035\n2024-01-08,0.03\n"
+     "2024-13-01,0.03,0.035\n2024-01-08,x,\n2024-01-08,nan,0.035\n"
+     "2024-01-08,0.03,0.035\n2024-01-09,-2,inf\n",
+     "line 3: out-of-order date 2024-01-04; line 4: expected 3 fields, got 2; "
+     "line 5: bad date '2024-13-01' (expected ISO-8601); line 6: non-numeric rate 'x'; "
+     "line 7: spot rates must be finite; line 8: duplicate date 2024-01-08; "
+     "line 9: spot rates must be finite"),
+], ids=["fields", "date", "text", "duplicate", "back", "nan", "inf", "low", "no-rows", "mixed"])
+def test_parse_curve_error_corpus(tmp_path, text, message):
+    path = write(tmp_path, "c.csv", text)
+    with pytest.raises(ValidationError) as err:
+        parse_curve_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_write_curve_rejects_empty_history(tmp_path):
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValidationError, match="curve history is empty"):
+        write_curve_csv([], path)
+    assert not path.exists()
+
+
 def test_curve_roundtrip(tmp_path):
     curves, _ = generate_history(SynthConfig(days=5, sigma_idio=1e-4))
     path = tmp_path / "hist.csv"
@@ -208,6 +363,30 @@ def test_bonds_error_names_bond(tmp_path):
     path = write(tmp_path, "b.json", json.dumps(data))
     with pytest.raises(ValidationError, match="bond 'BAD'"):
         parse_bonds_json(path)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("coupon_frequency", 2.7, "coupon_frequency must be an integer, got 2.7"),
+    ("coupon_frequency", True, "coupon_frequency must be an integer, got true"),
+    ("coupon_frequency", "2", 'coupon_frequency must be an integer, got "2"'),
+    ("face", True, "face must be a number, got true"),
+    ("maturity", "5", 'maturity must be a number, got "5"'),
+    ("coupon_rate", float("nan"), "coupon_rate must be finite, got NaN"),
+    ("maturity", float("inf"), "maturity must be finite, got Infinity"),
+    ("face", 10 ** 400, f"face must be finite, got {10 ** 400}"),
+    ("issue_or_first_coupon_offset", False,
+     "issue_or_first_coupon_offset must be a number, got false"),
+    ("issue_or_first_coupon_offset", float("-inf"),
+     "issue_or_first_coupon_offset must be finite, got -Infinity"),
+], ids=["freq-float", "freq-bool", "freq-str", "face-bool", "maturity-str", "rate-nan",
+        "maturity-inf", "face-huge", "offset-bool", "offset-inf"])
+def test_bonds_require_finite_json_numbers(tmp_path, field, value, message):
+    good = {"id": "OK", "face": 100, "coupon_rate": 0.03, "coupon_frequency": 1, "maturity": 5}
+    bad = {**good, "id": "B1", field: value}
+    path = write(tmp_path, "b.json", json.dumps([good, bad]))  # NaN/Infinity as JSON allows
+    with pytest.raises(ValidationError) as err:
+        parse_bonds_json(path)
+    assert str(err.value) == f"{path}: bond 'B1': {message}"
 
 
 def test_bonds_duplicate_id(tmp_path):
@@ -277,6 +456,32 @@ def test_plan_malformed(tmp_path):
     path = write(tmp_path, "plan.json", "{broken")
     with pytest.raises(ValidationError, match="invalid JSON"):
         parse_plan_json(path)
+
+
+@pytest.mark.parametrize("where,value,message", [
+    ("target", True, "target.amount must be a number, got true"),
+    ("target", "100", 'target.amount must be a number, got "100"'),
+    ("target", float("nan"), "target.amount must be finite, got NaN"),
+    ("leg", float("inf"), "legs[1].amount must be finite, got Infinity"),
+    ("leg", None, "legs[1].amount must be a number, got null"),
+    ("constraint", "0", 'constraints[0].value must be a number, got "0"'),
+], ids=["target-bool", "target-str", "target-nan", "leg-inf", "leg-null", "constraint-str"])
+def test_plan_requires_finite_json_numbers(tmp_path, universe, curve, where, value, message):
+    data = plan_to_dict(plan_fixture(universe, curve))
+    {"target": data["target"], "leg": data["legs"][1],
+     "constraint": data["constraints"][0]}[where]["value" if where == "constraint"
+                                                  else "amount"] = value
+    path = write(tmp_path, "plan.json", json.dumps(data))
+    with pytest.raises(ValidationError) as err:
+        parse_plan_json(path)
+    assert str(err.value) == f"malformed hedge plan: {message}"
+
+
+def test_plan_ids_must_be_strings(universe, curve):
+    data = plan_to_dict(plan_fixture(universe, curve))
+    data["target"]["id"] = ["B2"]
+    with pytest.raises(ValidationError, match=r'target.id must be a string, got \["B2"\]'):
+        plan_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +796,40 @@ def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, mes
                  str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
     assert f"malformed backtest config: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target,message", [
+    ({"id": "B2", "amount": True}, "target.amount must be a number, got true"),
+    ({"id": "B2", "amount": "100"}, 'target.amount must be a number, got "100"'),
+    ({"id": ["B2"], "amount": 100.0}, 'target.id must be a string, got ["B2"]'),
+    ({"id": 2, "amount": 100.0}, "target.id must be a string, got 2"),
+    ({"id": "B2", "amount": 10 ** 400}, "int too large to convert to float"),
+], ids=["amount-bool", "amount-str", "id-list", "id-int", "amount-huge"])
+def test_cli_backtest_rejects_mistyped_target(cli_files, capsys, target, message):
+    path = cli_files["tmp"] / "target.json"
+    config = json.loads(cli_files["config"].read_text())
+    config["target"] = target
+    path.write_text(json.dumps(config))
+    out = cli_files["tmp"] / "target_report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
+    assert f"malformed backtest config: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_scenario_rejects_nan_plan_amount(cli_files, capsys):
+    plan_path = cli_files["tmp"] / "plan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+                 "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
+                 "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    plan["legs"][0]["amount"] = float("nan")
+    plan_path.write_text(json.dumps(plan))
+    assert main(["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--shock", "a=0.001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed hedge plan: legs[0].amount must be finite, got NaN\n"
 
 
 def test_cli_seed_only_on_synth(cli_files):
