@@ -115,23 +115,21 @@ def _flow_arrays(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     return np.array([f[0] for f in flows]), np.array([f[1] for f in flows])
 
 
-def _check_yield(ytm: float) -> None:
-    if ytm <= -1.0:
-        raise ValueError(f"yield must be greater than -100%, got {ytm}")
+def _pv(bond: Bond, ytm: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow times and present values cf·(1+y)^-t at one yield, or at a
+    (K, 1) column of yields (one row of values per yield)."""
+    low = ytm.min(initial=np.inf) if isinstance(ytm, np.ndarray) else ytm
+    if low <= -1.0:
+        raise ValueError(f"yield must be greater than -100%, got {low}")
+    t, cf = _flow_arrays(bond)
+    # one exponent per value, laid out in full: NumPy takes an exponent of -1
+    # broadcast over a column as a reciprocal, which can differ from pow
+    return t, cf * (1.0 + ytm) ** (-t * np.ones_like(ytm))
 
 
 def price(bond: Bond, ytm: float) -> float:
     """Present value of all cashflows at a single annually-compounded yield."""
-    _check_yield(ytm)
-    t, cf = _flow_arrays(bond)
-    return float(np.sum(cf * (1.0 + ytm) ** (-t)))
-
-
-def _pv_moments(bond: Bond, ytm: float) -> tuple[float, float, float]:
-    """(sum PV, sum t PV, sum t(t+1) PV) of the cashflows at one yield."""
-    t, cf = _flow_arrays(bond)
-    pv = cf * (1.0 + ytm) ** (-t)
-    return float(np.sum(pv)), float(np.sum(t * pv)), float(np.sum(t * (t + 1.0) * pv))
+    return float(_pv(bond, ytm)[1].sum())
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -213,8 +211,8 @@ def convexity(bond: Bond, ytm: float) -> float:
 
 def analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """Price, duration and convexity in one pass over the cashflows."""
-    _check_yield(ytm)
-    p, tpv, ttpv = _pv_moments(bond, ytm)
+    t, pv = _pv(bond, ytm)
+    p, tpv, ttpv = float(pv.sum()), float((t * pv).sum()), float((t * (t + 1.0) * pv).sum())
     return BondAnalytics(
         price=p,
         ytm=ytm,

@@ -61,12 +61,20 @@ def _check_inputs(args: argparse.Namespace) -> None:
         raise ValidationError("; ".join(problems))
 
 
+def _iso_date(text: str, name: str) -> dt.date:
+    """A date from an ISO-8601 string; the error names `name` and the value."""
+    try:
+        return dt.date.fromisoformat(_typed(text, name, "a string"))
+    except ValueError as exc:
+        raise ValidationError(f"{name} must be an ISO date (YYYY-MM-DD), got {text!r}: {exc}") from None
+
+
 def _pick_curve(path, date: str | None) -> YieldCurve:
     """The curve on `date` (default: the first row) of a whole checked history file."""
     dates, grid, block = _read_history(path)
     i = 0
     if date is not None:
-        want = dt.date.fromisoformat(date)
+        want = _iso_date(date, "--date")
         try:
             i = dates.index(want)
         except ValueError:
@@ -211,8 +219,8 @@ def _backtest_config(path) -> BacktestConfig:
             instruments=instruments,
             strategies=strategies,
             rebalance_days=_typed(raw.get("rebalance_days", 1), "rebalance_days", "an integer"),
-            start=dt.date.fromisoformat(raw["start"]) if "start" in raw else None,
-            end=dt.date.fromisoformat(raw["end"]) if "end" in raw else None,
+            start=_iso_date(raw["start"], "start") if "start" in raw else None,
+            end=_iso_date(raw["end"], "end") if "end" in raw else None,
             net_carry=_typed(raw.get("net_carry", False), "net_carry", "true or false"),
             allow_extrapolation=_typed(raw.get("allow_extrapolation", False),
                                        "allow_extrapolation", "true or false"),
@@ -253,7 +261,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValidationError("synth requires --out <csv>")
     synth_cfg = SynthConfig(
         days=args.days,
-        start=dt.date.fromisoformat(args.start),
+        start=_iso_date(args.start, "--start"),
         sigma_level=args.sigma_level,
         sigma_slope=args.sigma_slope,
         sigma_twist=args.sigma_twist,

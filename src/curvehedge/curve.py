@@ -13,8 +13,10 @@ twist:
     dY(T) = a + b Y'(T) + c Y''(T)
 
 where a shifts the level, b scales the slope and c scales the curvature of
-the fitted segment. A shock moves the whole knot grid in one array
-expression; knots outside the fitted span move by the nearest endpoint's dY.
+the fitted segment. A sweep of K shocks moves the knot grid as one
+(K, knots) block, with Y' and Y'' taken once, and apply_shock is its
+one-shock case; knots outside the fitted span move by the nearest
+endpoint's dY.
 """
 
 from __future__ import annotations
@@ -59,15 +61,6 @@ class YieldCurve:
             raise ValueError("spot rates must be finite")
         if min(r) <= -1.0:
             raise ValueError("spot rates must be greater than -100%")
-
-    @classmethod
-    def from_points(cls, date: dt.date, points) -> "YieldCurve":
-        pts = list(points)
-        return cls(date, tuple(p[0] for p in pts), tuple(p[1] for p in pts))
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.tenors, self.rates))
 
     @property
     def min_tenor(self) -> float:
@@ -151,6 +144,11 @@ def spot(curve: YieldCurve, maturity: float) -> float:
     return float(np.interp(maturity, t, curve.rates))
 
 
+def _bad_rows(block: np.ndarray) -> np.ndarray:
+    """Rows of a (rows, knots) rates block that YieldCurve would reject."""
+    return ~(np.isfinite(block) & (block > -1.0)).all(axis=1)
+
+
 def _check_block(dates: Sequence[dt.date], grid: tuple[float, ...], block: np.ndarray) -> None:
     """YieldCurve's checks on every row of a (days, knots) rates block.
 
@@ -161,7 +159,7 @@ def _check_block(dates: Sequence[dt.date], grid: tuple[float, ...], block: np.nd
     if not len(dates):
         return
     YieldCurve(dates[0], grid, tuple(block[0].tolist()))
-    bad = ~(np.isfinite(block) & (block > -1.0)).all(axis=1)
+    bad = _bad_rows(block)
     if bad.any():
         i = int(bad.argmax())
         YieldCurve(dates[i], grid, tuple(block[i].tolist()))
@@ -260,6 +258,31 @@ def delta_y(seg: PolynomialSegment, shock: ShockSpec, maturity: float | np.ndarr
     return shock.a + shock.b * f1 + shock.c * f2
 
 
+def _shock_block(
+    curve: YieldCurve, shocks: Sequence[ShockSpec], seg: PolynomialSegment | None
+) -> np.ndarray:
+    """(shocks, knots) rates: row k is the curve's knots moved by shocks[k].
+
+    Y' and Y'' are taken once at the knots clipped to the segment's span, so
+    parametric rows are a + b Y' + c Y'' in delta_y's operation order; a
+    custom row is its vector (a custom shock's a, b, c are 0). A vector of
+    the wrong length gives a row of NaN, which the curve checks reject;
+    apply_shock names it.
+    """
+    n = len(curve.tenors)
+    shifts = np.zeros((len(shocks), n))
+    if any(s.is_parametric for s in shocks):
+        if seg is None:
+            raise ValueError("parametric shock requires the fitted segment it refers to")
+        _, f1, f2 = derivatives(seg, np.clip(curve.tenors, seg.t_lo, seg.t_hi))
+        a, b, c = np.array([(s.a, s.b, s.c) for s in shocks], dtype=float).T[..., None]
+        shifts = a + b * f1 + c * f2
+    for k, s in enumerate(shocks):
+        if not s.is_parametric:
+            shifts[k] = s.custom if len(s.custom) == n else np.nan
+    return np.asarray(curve.rates) + shifts
+
+
 def apply_shock(
     curve: YieldCurve, shock: ShockSpec, seg: PolynomialSegment | None = None
 ) -> YieldCurve:
@@ -267,16 +290,10 @@ def apply_shock(
 
     Custom shocks need one value per knot. Parametric shocks need the fitted
     segment they refer to; knots outside its span move by the dY of the
-    nearest span endpoint.
+    nearest span endpoint. This is the one-shock case of _shock_block.
     """
-    if not shock.is_parametric:
-        shifts = np.asarray(shock.custom)
-        if shifts.size != len(curve.tenors):
-            raise ValueError(
-                f"custom shock has {shifts.size} values for a curve with {len(curve.tenors)} knots"
-            )
-    else:
-        if seg is None:
-            raise ValueError("parametric shock requires the fitted segment it refers to")
-        shifts = delta_y(seg, shock, np.clip(curve.tenors, seg.t_lo, seg.t_hi))
-    return YieldCurve(curve.date, curve.tenors, tuple((np.asarray(curve.rates) + shifts).tolist()))
+    n = len(curve.tenors)
+    if not shock.is_parametric and len(shock.custom) != n:
+        raise ValueError(f"custom shock has {len(shock.custom)} values for a curve with {n} knots")
+    (rates,) = _shock_block(curve, [shock], seg)
+    return YieldCurve(curve.date, curve.tenors, tuple(rates.tolist()))

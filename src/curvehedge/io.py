@@ -194,8 +194,9 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     check_history(curves)
     grid = curves[0].tenors
     lines = [RATE_COMMENT, "date," + ",".join(_tenor_header(t) for t in grid)]
+    row = ",".join(["%.10g"] * len(grid))  # fmt_num's format, one template per row
     for c in curves:
-        lines.append(c.date.isoformat() + "," + ",".join(fmt_num(r) for r in c.rates))
+        lines.append(c.date.isoformat() + "," + row % c.rates)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

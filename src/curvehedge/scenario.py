@@ -8,7 +8,9 @@ instruments repriced off the shocked knots, never off a fitted polynomial,
 so the check stays independent of the fitting step it audits.
 
 run_scenarios is the one engine, called by run_scenario, residual_scaling
-and the CLI; it prices the base curve once per call. residual_scaling
+and the CLI. It prices the base curve once, stacks the K shocked curves as
+one (K, knots) block, and prices each bond once over all K of them, every
+float equal to the one-shock path (apply_shock, spot, price). residual_scaling
 shrinks a shock dyadically and records the hedged residual at each size;
 the log-log slope of that series is the effective order of the
 immunization (2 for a first-order hedge, 3 when convexity is matched too).
@@ -21,8 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, price
+from .bonds import Bond, _interp_rows, _pv, price
 from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment, spot
+from .curve import _bad_rows, _shock_block
 from .hedging import HedgePlan
 
 
@@ -58,9 +61,12 @@ def run_scenarios(
 ) -> list[ScenarioResult]:
     """Apply each shock, reprice target and legs exactly, and sum the P&L.
 
-    Each bond is priced once off the base curve. Parametric shocks are
-    evaluated against `segment` (fitted once over the full curve range when
-    not given); custom shock vectors ignore it.
+    Each bond is priced once off the base curve, then once over all the
+    shocked curves, stacked as one (shocks, knots) block. Parametric shocks
+    are evaluated against `segment` (fitted once over the full curve range
+    when not given); custom shock vectors ignore it. A shock whose curve
+    cannot be built raises what apply_shock raises for it, the first such
+    shock in sweep order.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
@@ -68,17 +74,24 @@ def run_scenarios(
         raise ValueError(f"unknown instrument id(s) in plan: {missing}")
     if segment is None and any(s.is_parametric for s in shocks):
         segment = default_segment(curve)
-    amounts = [plan.target_amount] + [leg.amount for leg in plan.legs]
+    amounts = np.array([plan.target_amount] + [leg.amount for leg in plan.legs])
     bonds = [universe[i] for i in ids]
-    base = [price(b, spot(curve, b.maturity)) for b in bonds]
-    results = []
-    for shock in shocks:
-        shocked = apply_shock(curve, shock, segment)
-        per = [n * (price(b, spot(shocked, b.maturity)) - p0)
-               for n, b, p0 in zip(amounts, bonds, base)]
-        per_instrument = tuple(zip(ids, map(float, per)))
-        results.append(ScenarioResult(shock, float(per[0]), float(sum(per)), per_instrument))
-    return results
+    base = np.array([price(b, spot(curve, b.maturity)) for b in bonds])
+    rates = _shock_block(curve, shocks, segment)
+    bad = _bad_rows(rates)
+    if bad.any():  # the first shocked curve that fails its checks: apply_shock names it
+        shock = shocks[int(bad.argmax())]
+        apply_shock(curve, shock, segment)
+        raise RuntimeError(f"shock block and apply_shock disagree on {shock}")
+    # each bond's yield on each shocked curve, at its maturity as spot takes it
+    mats = np.repeat([b.maturity for b in bonds], len(shocks))
+    ys = _interp_rows(mats, np.asarray(curve.tenors), np.tile(rates, (len(bonds), 1)))
+    ys = ys.reshape(len(bonds), len(shocks), 1)
+    prices = np.array([_pv(b, y)[1].sum(axis=1) for b, y in zip(bonds, ys)])
+    pnl = amounts[:, None] * (prices - base[:, None])  # (instruments, shocks)
+    # the hedged sum is Python's, from 0 and target first, as per shock
+    return [ScenarioResult(shock, per[0], sum(per), tuple(zip(ids, per)))
+            for shock, per in zip(shocks, pnl.T.tolist())]
 
 
 def run_scenario(plan: HedgePlan, universe: Mapping[str, Bond], curve: YieldCurve,

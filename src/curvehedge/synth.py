@@ -18,6 +18,7 @@ built from that block in one pass.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ class SynthConfig:
             raise ValueError("need at least 2 days of history")
         if not 0.0 <= self.ar < 1.0:
             raise ValueError("ar must be in [0, 1)")
+        for name in ("sigma_level", "sigma_slope", "sigma_twist", "sigma_idio"):
+            x = getattr(self, name)
+            if not math.isfinite(x) or x < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {x}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +66,14 @@ class ShockDraws:
 
 
 def _trading_dates(start: dt.date, days: int) -> list[dt.date]:
-    dates = []
-    d = start
-    while len(dates) < days:
-        if d.weekday() < 5:
-            dates.append(d)
-        d += dt.timedelta(days=1)
-    return dates
+    """The first `days` weekdays from `start` on."""
+    first = np.datetime64(start, "D")
+    # every 7 calendar days hold 5 weekdays
+    span = np.arange(first, first + days * 7 // 5 + 7)
+    dates = span[np.is_busday(span)][:days]
+    if dates[-1] > np.datetime64(dt.date.max):
+        raise ValueError(f"{days} weekdays from {start} run past {dt.date.max}")
+    return dates.tolist()
 
 
 def _ar1(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:

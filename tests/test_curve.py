@@ -23,6 +23,7 @@ from curvehedge import (
     spot,
 )
 from curvehedge.curve import _curves
+from curvehedge.synth import _trading_dates
 
 D = dt.date(2024, 1, 2)
 
@@ -70,6 +71,7 @@ def test_spot_exact_at_knots():
 
 def test_spot_refuses_extrapolation():
     c = YieldCurve(D, (0.5, 2.0), (0.03, 0.05))
+    assert c.min_tenor == 0.5 and c.max_tenor == 2.0
     with pytest.raises(ExtrapolationError):
         spot(c, 0.25)
     with pytest.raises(ExtrapolationError):
@@ -80,13 +82,6 @@ def test_spot_continuous_at_interior_knots(curve):
     eps = 1e-9
     for t in curve.tenors[1:-1]:
         assert abs(spot(curve, t - eps) - spot(curve, t + eps)) < 1e-10
-
-
-def test_from_points_round_trip():
-    pts = [(0.5, 0.02), (1.0, 0.025), (3.0, 0.03)]
-    c = YieldCurve.from_points(D, pts)
-    assert c.points == pts
-    assert c.min_tenor == 0.5 and c.max_tenor == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +408,30 @@ def test_block_constructor_walk_across_minus_100pct():
 def test_generate_history_walk_across_minus_100pct_raises_per_day_error():
     with pytest.raises(ValueError, match="spot rates must be greater than -100%"):
         generate_history(SynthConfig(days=400, sigma_level=0.2, seed=1))
+
+
+@pytest.mark.parametrize("field", ["sigma_level", "sigma_slope", "sigma_twist", "sigma_idio"])
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_synth_config_rejects_bad_sigma(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0, got {value}$"):
+        SynthConfig(**{field: value})
+
+
+def _weekday_walk(start: dt.date, days: int) -> list[dt.date]:
+    dates, d = [], start
+    while len(dates) < days:
+        if d.weekday() < 5:
+            dates.append(d)
+        d += dt.timedelta(days=1)
+    return dates
+
+
+@pytest.mark.parametrize("days", [2, 2500])
+def test_trading_dates_equal_a_weekday_walk(days):
+    for k in range(7):  # a start on every day of the week
+        start = dt.date(2024, 1, 1) + dt.timedelta(k)
+        got = _trading_dates(start, days)
+        assert got == _weekday_walk(start, days)
+        assert all(type(d) is dt.date for d in got)
+    with pytest.raises(ValueError, match="run past 9999-12-31"):
+        _trading_dates(dt.date(9999, 12, 1), 300)

@@ -316,6 +316,8 @@ def test_curve_roundtrip(tmp_path):
     for orig, rt in zip(curves, back):
         for a, b in zip(orig.rates, rt.rates):
             assert b == pytest.approx(a, rel=1e-9)  # 10 significant digits
+    rows = path.read_text().splitlines()[2:]
+    assert rows == [f"{c.date},{','.join(fmt_num(r) for r in c.rates)}" for c in curves]
 
 
 def test_write_curve_rejects_mixed_grids(tmp_path):
@@ -784,8 +786,11 @@ def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
     ("rebalance_days", 2.7, "rebalance_days must be an integer, got 2.7"),
     ("rebalance_days", True, "rebalance_days must be an integer, got true"),
     ("rebalance_days", "5", 'rebalance_days must be an integer, got "5"'),
+    ("start", "2024-02-30",
+     "start must be an ISO date (YYYY-MM-DD), got '2024-02-30': day is out of range for month"),
+    ("end", 20240301, "end must be a string, got 20240301"),
 ], ids=["net_carry-str", "net_carry-int", "allow_extrapolation-str", "rebalance_days-float",
-        "rebalance_days-bool", "rebalance_days-str"])
+        "rebalance_days-bool", "rebalance_days-str", "start-bad-day", "end-int"])
 def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, message):
     path = cli_files["tmp"] / "typed.json"
     config = json.loads(cli_files["config"].read_text())
@@ -837,6 +842,32 @@ def test_cli_seed_only_on_synth(cli_files):
         main(["analyze", "--bonds", str(cli_files["bonds"]),
               "--curve", str(cli_files["curve"]), "--seed", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "hedge", "scenario"])
+def test_cli_bad_date_names_option_and_value(cli_files, capsys, command):
+    plan_path = cli_files["tmp"] / "plan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+                 "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
+                 "--out", str(plan_path)]) == 0
+    argv = {"analyze": [],
+            "hedge": ["--strategy", "duration", "--target", "B2", "--instruments", "B3"],
+            "scenario": ["--plan", str(plan_path), "--shock", "a=0.001"]}[command]
+    rc = main([command, *argv, "--bonds", str(cli_files["bonds"]),
+               "--curve", str(cli_files["curve"]), "--date", "2024-13-01"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --date must be an ISO date (YYYY-MM-DD), got '2024-13-01': "
+                            "month must be in 1..12\n")
+
+
+def test_cli_synth_bad_start_names_option_and_value(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert main(["synth", "--start", "2024-02-30", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --start must be an ISO date (YYYY-MM-DD), got "
+                                       "'2024-02-30': day is out of range for month\n")
+    assert not out.exists()
 
 
 def test_cli_scenario_bad_shock(cli_files, capsys):

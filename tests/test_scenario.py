@@ -1,12 +1,18 @@
 """Exact-repricing scenarios: closed-form oracles, second-order residual
 accounting, and the dyadic scaling law behind the order estimates."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvehedge import (
     Bond,
+    HedgeLeg,
+    HedgePlan,
     ShockSpec,
+    Strategy,
     YieldCurve,
     apply_shock,
     convexity_hedge,
@@ -170,6 +176,88 @@ def test_run_scenarios_equals_per_shock_replay(plans, universe, curve):
             scaling = residual_scaling(plan, universe, curve, twist, steps=4, segment=segment)
             assert scaling == [(0.5**k, abs(r.hedged_pnl)) for k, r in enumerate(want[:4])]
         assert run_scenarios(plan, universe, curve, []) == []
+
+
+_amounts = st.floats(-500.0, 500.0).filter(lambda x: abs(x) > 1e-3) | st.just(0.0)
+
+
+@st.composite
+def _sweeps(draw):
+    """A random curve, a universe on it (frequencies 1-12, zero coupons), a
+    plan with signed amounts, and a mix of parametric, custom and zero shocks."""
+    tenors = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0,
+                                                  15.0, 20.0, 30.0]), min_size=4)))
+    rates = draw(st.lists(st.floats(-0.01, 0.12), min_size=len(tenors), max_size=len(tenors)))
+    curve = YieldCurve(dt.date(2024, 1, 2), tuple(tenors), tuple(rates))
+    n = draw(st.integers(1, 5))
+    bonds = [Bond(f"X{i}", draw(st.sampled_from([100.0, 1000.0])),
+                  draw(st.sampled_from([0.0, 0.0125, 0.03, 0.071])),
+                  draw(st.sampled_from([1, 2, 4, 12])),
+                  draw(st.sampled_from(tenors) | st.floats(tenors[0], tenors[-1])))
+             for i in range(n)]
+    plan = HedgePlan(Strategy.CUSTOM, "X0", draw(_amounts),
+                     tuple(HedgeLeg(b.id, draw(_amounts)) for b in bonds[1:]), ())
+    size = st.floats(-2e-3, 2e-3)
+    shock = st.one_of(
+        st.builds(ShockSpec.parametric, size, st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        st.lists(size, min_size=len(tenors), max_size=len(tenors)).map(ShockSpec.from_vector),
+        st.just(ShockSpec.parametric()),
+        st.just(ShockSpec.from_vector([0.0] * len(tenors))),
+    )
+    shocks = draw(st.lists(shock, max_size=12))
+    segment = None
+    if draw(st.booleans()):
+        lo, hi = draw(st.lists(st.sampled_from(tenors), min_size=2, max_size=2, unique=True))
+        inside = [t for t in tenors if min(lo, hi) <= t <= max(lo, hi)]
+        if len(inside) >= 4:
+            segment = fit_segment(curve, min(lo, hi), max(lo, hi), 3)
+    return plan, {b.id: b for b in bonds}, curve, shocks, segment
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweeps())
+def test_run_scenarios_property_equals_per_shock_replay(sweep):
+    """Every float of the block sweep, zero signs included, is the one-shock path's."""
+    plan, universe, curve, shocks, segment = sweep
+    want = [_replay(plan, universe, curve, s, segment) for s in shocks]
+    assert repr(run_scenarios(plan, universe, curve, shocks, segment)) == repr(want)
+
+
+def test_run_scenarios_zero_shock_negative_amounts_give_positive_zero(universe, curve):
+    """A zero shock reprices every bond to its base price bit for bit, also a
+    one-flow bond whose flow sits at t = 1 (exponent -1) at a yield where
+    1/(1+y) and pow(1+y, -1) can differ in the last bit."""
+    curve = YieldCurve(curve.date, curve.tenors, (0.031,) * len(curve.tenors))
+    universe = {**universe, "Z": Bond("Z", 100.0, 0.0, 1, 1.0)}
+    plan = HedgePlan(Strategy.CUSTOM, "Z", -100.0, (HedgeLeg("B3", -40.0),), ())
+    for shocks in ([ShockSpec.parametric()], [parallel(curve, 0.0)] * 3):
+        for res in run_scenarios(plan, universe, curve, shocks):
+            assert repr(res.hedged_pnl) == "0.0"
+            assert [repr(p) for _, p in res.per_instrument_pnl] == ["-0.0", "-0.0"]
+
+
+def _error(fn):
+    with pytest.raises(ValueError) as exc:
+        fn()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_run_scenarios_raises_the_first_failing_shocks_error(plans, universe, curve, position):
+    """A bad shock anywhere in a sweep raises what apply_shock raises for it."""
+    seg = default_segment(curve)
+    short = ShockSpec.from_vector([0.001, 0.002])
+    sunk = ShockSpec.from_vector([0.0] * (len(curve.tenors) - 1) + [-1.2])
+    sunk_par = ShockSpec.parametric(a=-1.5)
+    good = [ShockSpec.parametric(1e-3, 0.05, 0.02), parallel(curve, 1e-3)] * 3
+    for bad in (short, sunk, sunk_par):
+        want = _error(lambda: apply_shock(curve, bad, seg))
+        shocks = good[:position] + [bad] + good[position:]
+        assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, shocks, seg)) == want
+        # only the first failing shock in sweep order is named
+        for later in (short, sunk, sunk_par):
+            mixed = shocks + good[:1] + [later]
+            assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, mixed)) == want
 
 
 def test_default_segment_degree(curve):
