@@ -7,10 +7,17 @@ Conventions used throughout the toolkit:
 * modified duration = Macaulay duration / (1 + y);
 * all times are ACT/365 year fractions measured from the valuation date.
 
+One flow table holds the coupon schedule (_flows): the times and amounts
+of a bond rolled by any number of elapsed times, a row each. cashflows,
+price and analytics read its one row for the bond as it stands, the
+backtest's mark table (_roll_table) reads it over a window of rolled rows,
+and every pricing discounts it as cf·(1+y)^-t (_pv).
+
 Each bond is priced off a single yield. When that yield comes from a curve
 the default is the interpolated spot rate at the bond's own maturity
-("flat" mode); "spot" mode discounts every cashflow at its own tenor's
-spot rate instead.
+("flat" mode); "spot" mode discounts every flow of the table at its own
+tenor's spot rate instead, read off the curve in one interpolation at the
+table's flow times (_spot_marks).
 """
 
 from __future__ import annotations
@@ -83,6 +90,48 @@ class BondAnalytics:
     convexity: float
 
 
+def _counts(bond: Bond, elapsed):
+    """Maturity and live-flow count (a whole float) of `bond` rolled by
+    elapsed (a float or an array of rows)."""
+    m = bond.maturity - elapsed
+    return m, np.ceil(m * bond.coupon_frequency - _TIME_TOL)
+
+
+def _flows(bond: Bond, elapsed, k: int):
+    """Flow times t and amounts cf of `bond` rolled by elapsed, for rows with
+    k live flows: (k,) for a float elapsed, (rows, k) for an array. Flows
+    fall at m - j*step for j < k; the earliest pays pro rata when its accrual
+    period is short and the last also returns the face. late marks the rows
+    whose accrual start is not before their first coupon."""
+    step = 1.0 / bond.coupon_frequency
+    coupon = bond.face * bond.coupon_rate / bond.coupon_frequency
+    t = np.subtract.outer(bond.maturity - elapsed, np.arange(k - 1, -1, -1) * step)
+    cf = np.full(t.shape, coupon)
+    late, start = False, bond.issue_or_first_coupon_offset
+    # .T[0] and .T[-1] are every row's first and last flow (scalars for one row)
+    if start is not None:
+        accrual = t.T[0] - (start - elapsed)
+        late = accrual <= _TIME_TOL
+        cf.T[0] = np.where(accrual < step - _TIME_TOL, bond.face * bond.coupon_rate * accrual, coupon)
+    cf.T[-1] += bond.face
+    return t, cf, late
+
+
+def _bond_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
+    """The one-row table of the bond as it stands, zero flows dropped; a
+    ValueError names the bond if it has no live flow or a late accrual start."""
+    k = int(_counts(bond, 0.0)[1])
+    if k < 1:
+        raise ValueError(f"bond {bond.id!r}: maturity {bond.maturity} leaves no cashflow to price")
+    t, cf, late = _flows(bond, 0.0, k)
+    if late:
+        raise ValueError(f"bond {bond.id!r}: accrual start {bond.issue_or_first_coupon_offset} "
+                         f"is not before first coupon {t[0].item()}")
+    if cf[0] != 0.0:  # else a zero-coupon bond's coupons (or a vanishing pro-rata one)
+        return t, cf
+    return t[cf != 0.0], cf[cf != 0.0]
+
+
 def cashflows(bond: Bond) -> list[tuple[float, float]]:
     """Future cashflows as (time, amount) pairs, strictly increasing in time.
 
@@ -90,53 +139,33 @@ def cashflows(bond: Bond) -> list[tuple[float, float]]:
     final flow additionally returns the face. Zero-amount coupons are
     dropped, so a zero-coupon bond has a single flow.
     """
-    step = 1.0 / bond.coupon_frequency
-    coupon = bond.face * bond.coupon_rate / bond.coupon_frequency
-    n = int(math.ceil(bond.maturity * bond.coupon_frequency - _TIME_TOL))
-    times = [bond.maturity - k * step for k in range(n)][::-1]
-
-    flows = [(t, coupon) for t in times]
-    start = bond.issue_or_first_coupon_offset
-    if start is not None and flows:
-        first_t = flows[0][0]
-        accrual = min(first_t - start, step)
-        if accrual <= _TIME_TOL:
-            raise ValueError(
-                f"bond {bond.id!r}: accrual start {start} is not before first coupon {first_t}"
-            )
-        if accrual < step - _TIME_TOL:
-            flows[0] = (first_t, bond.face * bond.coupon_rate * accrual)
-    flows[-1] = (flows[-1][0], flows[-1][1] + bond.face)
-    return [(t, cf) for t, cf in flows if cf != 0.0]
+    t, cf = _bond_flows(bond)
+    return list(zip(t.tolist(), cf.tolist()))
 
 
-def _flow_arrays(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
-    flows = cashflows(bond)
-    return np.array([f[0] for f in flows]), np.array([f[1] for f in flows])
-
-
-def _pv(bond: Bond, ytm: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flow times and present values cf·(1+y)^-t at one yield, or at a
-    (K, 1) column of yields (one row of values per yield)."""
+def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray) -> np.ndarray:
+    """Present values cf·(1+y)^-t of a flow table at one yield, a column of
+    yields (one per row) or one yield per flow."""
     low = ytm.min(initial=np.inf) if isinstance(ytm, np.ndarray) else ytm
     if low <= -1.0:
         raise ValueError(f"yield must be greater than -100%, got {low}")
-    t, cf = _flow_arrays(bond)
-    # one exponent per value, laid out in full: NumPy takes an exponent of -1
-    # broadcast over a column as a reciprocal, which can differ from pow
-    return t, cf * (1.0 + ytm) ** (-t * np.ones_like(ytm))
+    # one exponent per value: where the yields add rows to the table it is
+    # laid out in full, as NumPy takes an exponent of -1 broadcast over a
+    # column as a reciprocal, which can differ from pow
+    e = -t if np.shape(ytm)[:-1] == t.shape[:-1] else -t * np.ones_like(ytm)
+    return cf * (1.0 + ytm) ** e
 
 
 def price(bond: Bond, ytm: float) -> float:
     """Present value of all cashflows at a single annually-compounded yield."""
-    return float(_pv(bond, ytm)[1].sum())
+    return float(_pv(*_bond_flows(bond), ytm).sum())
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(x[r], xp, fp[r]) for every row r, bit for bit (finite fp)."""
     last = len(xp) - 1
     j = np.searchsorted(xp, x, side="right") - 1
-    jc = np.clip(j, 0, last - 1)
+    jc = np.minimum(np.maximum(j, 0), last - 1)  # np.clip costs more at this size
     rows = np.arange(len(x))
     lo, hi = fp[rows, jc], fp[rows, jc + 1]
     inner = (hi - lo) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + lo
@@ -150,53 +179,45 @@ def _roll_table(bond: Bond, elapsed: np.ndarray, tenors, rates: np.ndarray):
     Row k holds what the scalar path gives for bond.rolled(elapsed[k]):
     analytics at the spot rate of curve k at its maturity and, from row 1,
     the carry price at the spot rate of curve k-1. Flows are summed per run
-    of rows with the same live-flow count, so each row sums the array
-    cashflows() builds (plus exact zeros for a zero-coupon bond's coupons,
-    which it drops), and every float is equal to the scalar one.
+    of rows with the same live-flow count, so each row sums its row of the
+    cashflow table (with exact zeros for a zero-coupon bond's coupons, which
+    the scalar path drops), and every float is equal to the scalar one.
 
     Returns (maturity, price, duration, convexity, carry, bad): bad is the
     first row the scalar path cannot price (maturity outside the tenor span,
     a yield at or below -100%, no live flow, an accrual start not before the
     first coupon), or None; the arrays stop before it (carry one shorter).
     """
-    step = 1.0 / bond.coupon_frequency
-    coupon = bond.face * bond.coupon_rate / bond.coupon_frequency
     xp = np.asarray(tenors, dtype=float)
-    m = bond.maturity - elapsed
-    n = np.ceil(m * bond.coupon_frequency - _TIME_TOL).astype(int)
+    m, n = _counts(bond, elapsed)
     y = _interp_rows(m, xp, rates)
     # row k's carry yield: curve k-1 at row k's maturity (row 0 has no
     # carry; its own curve stands in)
     carry_y = _interp_rows(m, xp, np.concatenate((rates[:1], rates[:-1])))
     fails = (m < xp[0] - _SPAN_TOL) | (m > xp[-1] + _SPAN_TOL) | (n < 1)
     fails |= (y <= -1.0) | (carry_y <= -1.0)
-    offset = bond.issue_or_first_coupon_offset
-    if offset is not None:
-        accrual = np.minimum((m - (n - 1) * step) - (offset - elapsed), step)
-        fails |= accrual <= _TIME_TOL
-    bad = int(np.argmax(fails)) if fails.any() else None
-    rows = len(m) if bad is None else bad
-    p, tpv, ttpv, carry = (np.empty(rows) for _ in range(4))
+    rows = int(np.argmax(fails)) if fails.any() else len(m)
+    p, d, c, carry, late = np.empty((5, rows))
     # live flows only drop as the bond rolls, so equal counts form runs
     cuts = np.flatnonzero(np.diff(n[:rows], prepend=0, append=0)).tolist()
     for a, b in zip(cuts, cuts[1:]):
-        k = int(n[a])
-        t = m[a:b, None] - np.arange(k - 1, -1, -1) * step
-        cf = np.full((b - a, k), coupon)
-        if offset is not None:
-            acc = accrual[a:b]
-            cf[:, 0] = np.where(acc < step - _TIME_TOL, bond.face * bond.coupon_rate * acc, coupon)
-        cf[:, -1] += bond.face
-        pv = cf * (1.0 + y[a:b, None]) ** (-t)
-        p[a:b] = pv.sum(axis=1)
-        tpv[a:b] = (t * pv).sum(axis=1)
-        ttpv[a:b] = (t * (t + 1.0) * pv).sum(axis=1)
-        carry[a:b] = (cf * (1.0 + carry_y[a:b, None]) ** (-t)).sum(axis=1)
-    g = 1.0 + y[:rows]
-    # Python's float ** (libm pow), as analytics() takes it: NumPy squares
-    # differ from it in the last bit
-    g2 = np.array([v**2 for v in g.tolist()])
-    return m[:rows], p, tpv / p / g, ttpv / (p * g2), carry[1:], bad
+        t, cf, late[a:b] = _flows(bond, elapsed[a:b], int(n[a]))
+        p[a:b], d[a:b], c[a:b] = _flat_marks(t, _pv(t, cf, y[a:b, None]), y[a:b])
+        carry[a:b] = _pv(t, cf, carry_y[a:b, None]).sum(axis=1)
+    rows = int(np.argmax(late)) if late.any() else rows
+    bad = rows if rows < len(m) else None
+    return m[:rows], p[:rows], d[:rows], c[:rows], carry[1:rows], bad
+
+
+def _flat_marks(t: np.ndarray, pv: np.ndarray, y):
+    """Price, duration and convexity of each row of present values taken at
+    one yield per row (a float for one row, else an array)."""
+    p, tpv, ttpv = pv.sum(axis=-1), (t * pv).sum(axis=-1), (t * (t + 1.0) * pv).sum(axis=-1)
+    g = 1.0 + y
+    # Python's float ** (libm pow) on each yield: NumPy squares differ from
+    # it in the last bit
+    g2 = g**2 if isinstance(g, float) else np.array([v**2 for v in g.tolist()])
+    return p, tpv / p / g, ttpv / (p * g2)
 
 
 def modified_duration(bond: Bond, ytm: float) -> float:
@@ -211,14 +232,9 @@ def convexity(bond: Bond, ytm: float) -> float:
 
 def analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """Price, duration and convexity in one pass over the cashflows."""
-    t, pv = _pv(bond, ytm)
-    p, tpv, ttpv = float(pv.sum()), float((t * pv).sum()), float((t * (t + 1.0) * pv).sum())
-    return BondAnalytics(
-        price=p,
-        ytm=ytm,
-        modified_duration=tpv / p / (1.0 + ytm),
-        convexity=ttpv / (p * (1.0 + ytm) ** 2),
-    )
+    t, cf = _bond_flows(bond)
+    p, d, c = _flat_marks(t, _pv(t, cf, ytm), ytm)
+    return BondAnalytics(price=float(p), ytm=ytm, modified_duration=float(d), convexity=float(c))
 
 
 def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAnalytics:
@@ -239,26 +255,34 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
     if mode != "spot":
         raise ValueError(f"unknown pricing mode {mode!r} (expected 'flat' or 'spot')")
 
-    t, cf = _flow_arrays(bond)
-    try:
-        rates = np.array([spot(curve, ti) for ti in t])
-    except ExtrapolationError as exc:
-        # spot at the maturity passed above, so it is the earliest flow
-        # that lies before the shortest tenor
+    t, cf = _bond_flows(bond)
+    if t[0] < curve.min_tenor - _SPAN_TOL:
         raise ExtrapolationError(
             f"bond {bond.id!r}: cashflow at t={t[0]} lies before the curve's shortest "
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
-        ) from exc
-    pv = cf * (1.0 + rates) ** (-t)
-    p = float(np.sum(pv))
-    # sensitivities to bumping every spot rate by the same epsilon
-    d = float(np.sum(t * pv / (1.0 + rates))) / p
-    cx = float(np.sum(t * (t + 1.0) * pv / (1.0 + rates) ** 2)) / p
-    return BondAnalytics(price=p, ytm=y, modified_duration=d, convexity=cx)
+        )
+    (p,), (d,), (cx,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
+    return BondAnalytics(price=float(p), ytm=y, modified_duration=float(d), convexity=float(cx))
+
+
+def _spot_marks(t: np.ndarray, cf: np.ndarray, tenors, rates: np.ndarray):
+    """Price, duration and convexity of each row of a (rows, k) flow table,
+    every flow discounted at its own spot rate on that row's curve (rates is
+    (rows, knots)); duration and convexity are the sensitivities to bumping
+    every rate by the same epsilon."""
+    rows, k = t.shape
+    r = _interp_rows(t.ravel(), np.asarray(tenors), np.repeat(rates, k, axis=0)).reshape(rows, k)
+    pv = _pv(t, cf, r)
+    p = pv.sum(axis=1)
+    tpv, ttpv = (t * pv / (1.0 + r)).sum(axis=1), (t * (t + 1.0) * pv / (1.0 + r) ** 2).sum(axis=1)
+    return p, tpv / p, ttpv / p
 
 
 def pnl_approx(price: float, duration: float, convexity: float, dy: float) -> float:
     """Second-order price change P * (-D dy + 0.5 C dy^2) for a yield move dy."""
+    for name, x in (("price", price), ("duration", duration), ("convexity", convexity), ("dy", dy)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if price <= 0:
         raise ValueError(f"price must be positive, got {price}")
     return price * (-duration * dy + 0.5 * convexity * dy * dy)

@@ -8,9 +8,9 @@ instruments repriced off the shocked knots, never off a fitted polynomial,
 so the check stays independent of the fitting step it audits.
 
 run_scenarios is the one engine, called by run_scenario, residual_scaling
-and the CLI. It prices the base curve once, stacks the K shocked curves as
-one (K, knots) block, and prices each bond once over all K of them, every
-float equal to the one-shock path (apply_shock, spot, price). residual_scaling
+and the CLI. It stacks the K shocked curves as one (K, knots) block and
+prices each bond once over the base curve and all K of them, every float
+equal to the one-shock path (apply_shock, spot, price). residual_scaling
 shrinks a shock dyadically and records the hedged residual at each size;
 the log-log slope of that series is the effective order of the
 immunization (2 for a first-order hedge, 3 when convexity is matched too).
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, _interp_rows, _pv, price
+from .bonds import Bond, _bond_flows, _interp_rows, _pv, price
 from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment, spot
 from .curve import _bad_rows, _shock_block
 from .hedging import HedgePlan
@@ -61,12 +61,12 @@ def run_scenarios(
 ) -> list[ScenarioResult]:
     """Apply each shock, reprice target and legs exactly, and sum the P&L.
 
-    Each bond is priced once off the base curve, then once over all the
-    shocked curves, stacked as one (shocks, knots) block. Parametric shocks
-    are evaluated against `segment` (fitted once over the full curve range
-    when not given); custom shock vectors ignore it. A shock whose curve
-    cannot be built raises what apply_shock raises for it, the first such
-    shock in sweep order.
+    Each bond's flows are built once and priced in one block over the base
+    curve and all the shocked curves, stacked as one (shocks, knots) block.
+    Parametric shocks are evaluated against `segment` (fitted once over the
+    full curve range when not given); custom shock vectors ignore it. A
+    shock whose curve cannot be built raises what apply_shock raises for
+    it, the first such shock in sweep order.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
@@ -76,7 +76,8 @@ def run_scenarios(
         segment = default_segment(curve)
     amounts = np.array([plan.target_amount] + [leg.amount for leg in plan.legs])
     bonds = [universe[i] for i in ids]
-    base = np.array([price(b, spot(curve, b.maturity)) for b in bonds])
+    # an off-curve or unpriceable bond fails here, bond by bond, before any shock
+    base = [(spot(curve, b.maturity), *_bond_flows(b)) for b in bonds]
     rates = _shock_block(curve, shocks, segment)
     bad = _bad_rows(rates)
     if bad.any():  # the first shocked curve that fails its checks: apply_shock names it
@@ -86,9 +87,10 @@ def run_scenarios(
     # each bond's yield on each shocked curve, at its maturity as spot takes it
     mats = np.repeat([b.maturity for b in bonds], len(shocks))
     ys = _interp_rows(mats, np.asarray(curve.tenors), np.tile(rates, (len(bonds), 1)))
-    ys = ys.reshape(len(bonds), len(shocks), 1)
-    prices = np.array([_pv(b, y)[1].sum(axis=1) for b, y in zip(bonds, ys)])
-    pnl = amounts[:, None] * (prices - base[:, None])  # (instruments, shocks)
+    # row 0 of each bond's block is the base curve
+    prices = np.array([_pv(t, cf, np.append(y0, y)[:, None]).sum(axis=1)
+                       for (y0, t, cf), y in zip(base, ys.reshape(len(bonds), len(shocks)))])
+    pnl = amounts[:, None] * (prices[:, 1:] - prices[:, :1])  # (instruments, shocks)
     # the hedged sum is Python's, from 0 and target first, as per shock
     return [ScenarioResult(shock, per[0], sum(per), tuple(zip(ids, per)))
             for shock, per in zip(shocks, pnl.T.tolist())]

@@ -1,14 +1,19 @@
 """Bond analytics: schedule generation, pricing, duration/convexity with
-finite-difference oracles, and the second-order P&L approximation."""
+finite-difference oracles, spot-mode pricing against the per-flow loop it
+replaced, and the second-order P&L approximation."""
 
+import datetime as dt
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvehedge import (
     Bond,
+    BondAnalytics,
+    ExtrapolationError,
+    YieldCurve,
     analytics,
     cashflows,
     convexity,
@@ -16,7 +21,9 @@ from curvehedge import (
     modified_duration,
     pnl_approx,
     price,
+    spot,
 )
+from curvehedge.bonds import _counts, _flows, _spot_marks
 
 FD_STEP = 1e-6
 # second differences amplify roundoff by 1/h^2; eps^(1/4) balances that
@@ -73,6 +80,84 @@ def test_stub_coupon_pro_rata():
 def test_offset_beyond_first_coupon_rejected():
     with pytest.raises(ValueError, match="accrual"):
         cashflows(Bond("bad", 100.0, 0.04, 2, 1.0, issue_or_first_coupon_offset=0.6))
+
+
+def listed_cashflows(bond: Bond) -> list[tuple[float, float]]:
+    """The schedule as Python lists, the way cashflows() used to build it:
+    the oracle for the flow table."""
+    step = 1.0 / bond.coupon_frequency
+    coupon = bond.face * bond.coupon_rate / bond.coupon_frequency
+    n = int(math.ceil(bond.maturity * bond.coupon_frequency - 1e-9))
+    times = [bond.maturity - k * step for k in range(n)][::-1]
+
+    flows = [(t, coupon) for t in times]
+    start = bond.issue_or_first_coupon_offset
+    if start is not None and flows:
+        first_t = flows[0][0]
+        accrual = min(first_t - start, step)
+        if accrual <= 1e-9:
+            raise ValueError(
+                f"bond {bond.id!r}: accrual start {start} is not before first coupon {first_t}"
+            )
+        if accrual < step - 1e-9:
+            flows[0] = (first_t, bond.face * bond.coupon_rate * accrual)
+    flows[-1] = (flows[-1][0], flows[-1][1] + bond.face)  # IndexError with no flow
+    return [(t, cf) for t, cf in flows if cf != 0.0]
+
+
+@st.composite
+def scheduled_bonds(draw):
+    """Frequencies 1, 2, 4 and 12, zero coupons, maturities on a coupon date
+    and within 2e-9 of one (either side of the live-flow tolerance), and
+    accrual offsets from up to one and a half periods before the first
+    coupon to half a period after it (unpriceable), some within 2e-9 of the
+    first coupon or of a full period before it."""
+    freq = draw(st.sampled_from([1, 2, 4, 12]))
+    rate = draw(st.sampled_from([0.0, 0.04]) | st.floats(0.0, 0.2))
+    if draw(st.booleans()):
+        nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9]))
+        maturity = draw(st.integers(0, 40)) / freq + nudge
+        assume(maturity > 0.0)
+    else:
+        maturity = draw(st.floats(1e-10, 15.0))
+    offset = None
+    if draw(st.booleans()):
+        first = maturity - (math.ceil(maturity * freq - 1e-9) - 1) / freq
+        back = draw(st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5))
+        offset = first - back / freq - draw(st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]))
+    face = draw(st.sampled_from([100.0]) | st.floats(0.01, 1e6))
+    return Bond("h", face, rate, freq, maturity, issue_or_first_coupon_offset=offset)
+
+
+@given(scheduled_bonds())
+@settings(max_examples=500, deadline=None)
+def test_cashflows_equal_the_listed_schedule(bond):
+    """cashflows() reads the flow table: the same pairs as the list code, and
+    its errors with the same type and message; a bond with no live flow,
+    where the list code failed on an empty list, is a ValueError naming it."""
+    try:
+        want = repr(listed_cashflows(bond))
+    except IndexError:
+        want = ValueError(f"bond 'h': maturity {bond.maturity} leaves no cashflow to price")
+    except ValueError as exc:
+        want = exc
+    try:
+        got = repr(cashflows(bond))
+    except ValueError as exc:
+        got = exc
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_bond_with_no_live_flow_names_the_bond():
+    tiny = Bond("tiny", 100.0, 0.05, 2, 1e-10)
+    for call in (lambda: cashflows(tiny), lambda: price(tiny, 0.03),
+                 lambda: analytics(tiny, 0.03)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "bond 'tiny': maturity 1e-10 leaves no cashflow to price"
 
 
 def test_rolled_shortens_maturity():
@@ -266,6 +351,110 @@ def test_curve_analytics_spot_mode_short_coupon_names_bond(curve):
     assert curve_analytics(q, curve).price > 0.0  # flat mode only needs the maturity
 
 
+def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
+    """Spot-mode analytics the way curve_analytics used to take them, one
+    spot() lookup per flow: the oracle for the table's one-row case."""
+    y = spot(curve, bond.maturity)
+    flows = listed_cashflows(bond)
+    t, cf = np.array([f[0] for f in flows]), np.array([f[1] for f in flows])
+    try:
+        rates = np.array([spot(curve, ti) for ti in t])
+    except ExtrapolationError as exc:
+        raise ExtrapolationError(
+            f"bond {bond.id!r}: cashflow at t={t[0]} lies before the curve's shortest "
+            f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
+        ) from exc
+    pv = cf * (1.0 + rates) ** (-t)
+    p = float(np.sum(pv))
+    d = float(np.sum(t * pv / (1.0 + rates))) / p
+    cx = float(np.sum(t * (t + 1.0) * pv / (1.0 + rates) ** 2)) / p
+    return BondAnalytics(price=p, ytm=y, modified_duration=d, convexity=cx)
+
+
+def outcome(call):
+    """repr of a call's result, or its error's type and message."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def spot_curves(draw, last=None):
+    """Curves whose first knot lies from a day to a year out, with knots on
+    and between coupon dates, up to 16 years (or ending at `last`)."""
+    first = draw(st.sampled_from([1 / 365, 0.05, 0.25, 0.5]) | st.floats(1 / 365, 1.0))
+    inner = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0])
+                          | st.floats(first, 16.0), min_size=1, max_size=9))
+    tenors = tuple(sorted({first, *inner} if last is None else {first, *inner, last}))
+    assume(len(tenors) >= 2)
+    rates = draw(st.lists(st.floats(-0.02, 0.15), min_size=len(tenors), max_size=len(tenors)))
+    return YieldCurve(dt.date(2024, 1, 2), tenors, tuple(rates))
+
+
+@given(scheduled_bonds(), spot_curves(), st.sampled_from([None, 0.0, 5e-10, -5e-10, 2e-9]))
+@settings(max_examples=500, deadline=None)
+def test_spot_mode_equals_the_per_flow_loop(bond, curve, nudge):
+    """Spot mode reads its rates from one interpolation at the table's flow
+    times: every float, and every error, as the per-flow spot() loop gave.
+    With a nudge the first knot sits that far past the earliest flow, on
+    either side of spot's tolerance."""
+    try:
+        first = listed_cashflows(bond)[0][0]
+    except (IndexError, ValueError):
+        first = None
+    if nudge is not None and first is not None and 0 < first + nudge < curve.tenors[1]:
+        curve = YieldCurve(curve.date, (first + nudge, *curve.tenors[1:]), curve.rates)
+    assert outcome(lambda: curve_analytics(bond, curve, mode="spot")) == outcome(
+        lambda: looped_spot(bond, curve))
+
+
+@given(scheduled_bonds(), spot_curves(last=16.0),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7]))
+@settings(max_examples=20, deadline=None)
+def test_spot_marks_over_rolled_rows_equal_curve_analytics(bond, curve, seed, gap):
+    """Up to 2500 rolled rows, each off its own curve, priced as one flow
+    table per run of equal live-flow counts: each row is == to spot-mode
+    curve_analytics on the rolled bond, which raises exactly on the rows
+    whose accrual start is not before the first coupon or whose earliest
+    (non-zero) flow lies before the shortest tenor."""
+    elapsed = np.arange(2500) * gap / 365.0
+    m = bond.maturity - elapsed
+    elapsed = elapsed[(m >= curve.min_tenor) & (m <= curve.max_tenor)]  # spot's own span
+    assume(len(elapsed))
+    rng = np.random.default_rng(seed)
+    rates = np.asarray(curve.rates) + 0.005 * rng.standard_normal((len(elapsed), len(curve.tenors)))
+    rates = np.maximum(rates, -0.5)
+    m, n = _counts(bond, elapsed)
+    cuts = np.flatnonzero(np.diff(n, prepend=0, append=0)).tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        t, cf, late = _flows(bond, elapsed[a:b], int(n[a]))
+        p, d, c = _spot_marks(t, cf, curve.tenors, rates[a:b])
+        first = np.where(cf != 0.0, t, np.inf).min(axis=1)
+        for r in range(b - a):
+            k = a + r
+            rolled = bond.rolled(float(elapsed[k]))
+            row_curve = YieldCurve(curve.date, curve.tenors, tuple(rates[k].tolist()))
+            got = outcome(lambda: curve_analytics(rolled, row_curve, mode="spot"))
+            if np.broadcast_to(late, (b - a,))[r]:
+                assert got[0] is ValueError and "accrual start" in got[1], k
+            elif first[r] < curve.min_tenor - 1e-9:
+                assert got[0] is ExtrapolationError, k
+            else:
+                y = spot(row_curve, rolled.maturity)
+                assert got == repr(BondAnalytics(float(p[r]), y, float(d[r]), float(c[r]))), k
+
+
+def test_spot_mode_never_looks_up_a_zero_coupon_bonds_coupon_dates(curve):
+    """A 5.3y semiannual zero has coupon dates at 0.3y, 0.8y, ... but pays
+    only at maturity, so it prices in spot mode on a curve starting at 0.5y."""
+    zero = Bond("Z", 100.0, 0.0, 2, 5.3)
+    assert curve.min_tenor == 0.5
+    a = curve_analytics(zero, curve, mode="spot")
+    assert repr(a) == repr(looped_spot(zero, curve))
+    assert a.price == pytest.approx(100.0 * (1.0 + spot(curve, 5.3)) ** -5.3, rel=1e-14)
+
+
 def test_curve_analytics_unknown_mode(universe, curve):
     with pytest.raises(ValueError, match="mode"):
         curve_analytics(universe["B2"], curve, mode="banana")
@@ -287,6 +476,15 @@ def test_pnl_approx_zero_shock():
 def test_pnl_approx_requires_positive_price():
     with pytest.raises(ValueError, match="price"):
         pnl_approx(0.0, 4.0, 20.0, 0.01)
+    nan, inf = float("nan"), float("inf")
+    for args, name, bad in (((nan, 4.0, 20.0, 0.01), "price", nan),
+                            ((inf, 4.0, 20.0, 0.01), "price", inf),
+                            ((100.0, nan, 20.0, 0.01), "duration", nan),
+                            ((100.0, 4.0, -inf, 0.01), "convexity", -inf),
+                            ((100.0, 4.0, 20.0, nan), "dy", nan)):
+        with pytest.raises(ValueError) as err:
+            pnl_approx(*args)
+        assert str(err.value) == f"{name} must be finite, got {bad}"
 
 
 @pytest.mark.parametrize("dy", [0.02, 0.01, 0.005])

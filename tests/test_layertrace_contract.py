@@ -4,7 +4,7 @@ benchmark. Also pins the per-layer work of a backtest on a short window (no
 plan builder, pricing or snapshot call per day), of
 the curve layer (one curve per synthetic day, checked as one block, one
 delta_y per shock) and of a
-residual sweep (the base curve priced once, the shocked curves as one block)."""
+residual sweep (the base curve and the shocked curves priced as one block)."""
 
 import sys
 from pathlib import Path
@@ -75,7 +75,9 @@ def test_tracer_counts_one_base_pricing_per_sweep():
                                     ShockSpec.parametric(1e-3, 0.05, 0.02), steps=4)
     finally:
         tracer.uninstall()
-    # 4 bonds priced off the base curve; the shocked curves are one block
-    assert tracer.stat("bonds", "price").calls == 4
+    # 4 bonds looked up on the base curve once, each priced over the base
+    # and the shocked curves in one block, not by price()
+    assert tracer.stat("curve", "spot").calls == 4
+    assert tracer.stat("bonds", "price").calls == 0
     assert tracer.stat("curve", "fit_segment").calls == 1
     assert tracer.stat("curve", "apply_shock").calls == 0
