@@ -143,12 +143,17 @@ def cashflows(bond: Bond) -> list[tuple[float, float]]:
     return list(zip(t.tolist(), cf.tolist()))
 
 
+def _yield(ytm: float) -> float:
+    """A caller's yield, which must be above -100%."""
+    if ytm <= -1.0:
+        raise ValueError(f"yield must be greater than -100%, got {ytm}")
+    return ytm
+
+
 def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray) -> np.ndarray:
     """Present values cf·(1+y)^-t of a flow table at one yield, a column of
-    yields (one per row) or one yield per flow."""
-    low = ytm.min(initial=np.inf) if isinstance(ytm, np.ndarray) else ytm
-    if low <= -1.0:
-        raise ValueError(f"yield must be greater than -100%, got {low}")
+    yields (one per row) or one yield per flow; every yield is above -100%
+    (a checked curve's, or a caller's through _yield)."""
     # one exponent per value: where the yields add rows to the table it is
     # laid out in full, as NumPy takes an exponent of -1 broadcast over a
     # column as a reciprocal, which can differ from pow
@@ -158,7 +163,7 @@ def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray) -> np.ndarray:
 
 def price(bond: Bond, ytm: float) -> float:
     """Present value of all cashflows at a single annually-compounded yield."""
-    return float(_pv(*_bond_flows(bond), ytm).sum())
+    return float(_pv(*_bond_flows(bond), _yield(ytm)).sum())
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -233,7 +238,7 @@ def convexity(bond: Bond, ytm: float) -> float:
 def analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """Price, duration and convexity in one pass over the cashflows."""
     t, cf = _bond_flows(bond)
-    p, d, c = _flat_marks(t, _pv(t, cf, ytm), ytm)
+    p, d, c = _flat_marks(t, _pv(t, cf, _yield(ytm)), ytm)
     return BondAnalytics(price=float(p), ytm=ytm, modified_duration=float(d), convexity=float(c))
 
 

@@ -11,7 +11,7 @@ Subcommands:
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
-validation error.
+validation error, an output that cannot be written included.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .errors import CurveHedgeError, ExtrapolationError, ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
     _read_history,
+    _read_json,
     _typed,
+    _write,
     correlations_csv,
     emit_report,
     fmt_num,
@@ -67,6 +69,12 @@ def _iso_date(text: str, name: str) -> dt.date:
         return dt.date.fromisoformat(_typed(text, name, "a string"))
     except ValueError as exc:
         raise ValidationError(f"{name} must be an ISO date (YYYY-MM-DD), got {text!r}: {exc}") from None
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    """A JSON array of strings as a tuple; the error names the array or the item."""
+    items = _typed(value, name, "an array")
+    return tuple(_typed(s, f"{name}[{k}]", "a string") for k, s in enumerate(items))
 
 
 def _pick_curve(path, date: str | None) -> YieldCurve:
@@ -119,14 +127,11 @@ def _named(fn, bond: Bond, *args, **kwargs):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not out:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    text = text if text.endswith("\n") else text + "\n"
+    if out:
+        _write([(out, text)])
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _round10(x: float) -> float:
@@ -203,16 +208,14 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _backtest_config(path) -> BacktestConfig:
+    raw = _read_json(path)
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        strategies = tuple(Strategy(s) for s in raw.get("strategies", [s.value for s in ALL_STRATEGIES]))
-        instruments = {
-            Strategy(k): tuple(str(i) for i in v) for k, v in raw["instruments"].items()
-        }
-        target = raw["target"]
+        _typed(raw, "the config", "an object")
+        names = _strings(raw.get("strategies", [s.value for s in ALL_STRATEGIES]), "strategies")
+        strategies = tuple(map(Strategy, names))
+        instruments = {Strategy(k): _strings(v, f"instruments.{k}")
+                       for k, v in _typed(raw["instruments"], "instruments", "an object").items()}
+        target = _typed(raw["target"], "target", "an object")
         return BacktestConfig(
             target_id=_typed(target["id"], "target.id", "a string"),
             target_amount=float(_typed(target.get("amount", 100.0), "target.amount", "a number")),

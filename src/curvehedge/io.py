@@ -3,8 +3,9 @@
 All rates in files are decimal fractions per year (0.0312, never 3.12);
 every emitted file repeats that in a leading # comment. Numbers are written
 with 10 significant digits, so identical inputs always produce byte-
-identical outputs. Report emission writes temp files first and renames at
-the end, so a failing run never leaves a half-written report behind.
+identical outputs. One function renders every CSV (_csv), one reads every
+JSON file (_read_json) and one writes every file (_write), all of a call's
+files or none: a failing run never leaves a half-written output behind.
 
 A curve history is read as one (days, knots) block: each check runs over
 the whole file at once, and only a file that fails one is walked row by
@@ -15,6 +16,7 @@ finite JSON numbers; a bool or a string is refused, not converted.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -40,7 +42,7 @@ BOND_OPTIONAL_FIELDS = ("issue_or_first_coupon_offset",)
 
 # the Python types json.loads gives for each kind of JSON value
 _JSON_KINDS = {"true or false": (bool,), "an integer": (int,), "a number": (int, float),
-               "a string": (str,)}
+               "a string": (str,), "an object": (dict,), "an array": (list,)}
 
 
 def _typed(value, name: str, what: str):
@@ -70,6 +72,45 @@ def fmt_num(x: float) -> str:
 
 def _tenor_header(t: float) -> str:
     return f"tenor_{t:g}"
+
+
+def _csv(comment: str, header: str, rows) -> str:
+    """CSV text: the comment, the header, then one line per (label, numbers)
+    row with as many numbers as the header names after its first column."""
+    line = ",".join(["%.10g"] * header.count(","))  # fmt_num's format, one template per row
+    lines = [comment, header, *(label + "," + line % tuple(nums) for label, nums in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _write(files) -> None:
+    """Write (path, text) pairs, parent directories created: each text goes to
+    a .tmp beside its path and all are renamed only once all are written. An
+    OSError removes the temp files and is a ValidationError naming the path."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path, text in files:
+            path = Path(path)
+            tmp = path.with_name(path.name + ".tmp")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w") as fh:
+                staged.append((tmp, path))
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        # the path asked for, or the directory in its way when that failed
+        name = path if exc.filename in (None, str(tmp)) else exc.filename
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise ValidationError(f"cannot write {name}: {exc.strerror or exc}") from exc
+
+
+def _read_json(path):
+    """The JSON value in the file at path; invalid JSON or undecodable text names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +233,8 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     check_history(curves)
-    grid = curves[0].tenors
-    lines = [RATE_COMMENT, "date," + ",".join(_tenor_header(t) for t in grid)]
-    row = ",".join(["%.10g"] * len(grid))  # fmt_num's format, one template per row
-    for c in curves:
-        lines.append(c.date.isoformat() + "," + row % c.rates)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "date," + ",".join(map(_tenor_header, curves[0].tenors))
+    _write([(path, _csv(RATE_COMMENT, header, ((c.date.isoformat(), c.rates) for c in curves)))])
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +244,7 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
 def parse_bonds_json(path) -> dict[str, Bond]:
     """Read a JSON array of bond definitions, keyed by id after validation."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: expected a JSON array of bonds")
     errors: list[str] = []
@@ -258,19 +292,8 @@ def parse_bonds_json(path) -> dict[str, Bond]:
 
 
 def write_bonds_json(bonds: Sequence[Bond], path) -> None:
-    entries = []
-    for b in bonds:
-        e = {
-            "id": b.id,
-            "face": b.face,
-            "coupon_rate": b.coupon_rate,
-            "coupon_frequency": b.coupon_frequency,
-            "maturity": b.maturity,
-        }
-        if b.issue_or_first_coupon_offset is not None:
-            e["issue_or_first_coupon_offset"] = b.issue_or_first_coupon_offset
-        entries.append(e)
-    Path(path).write_text(json.dumps(entries, indent=2) + "\n")
+    entries = [{k: v for k, v in dataclasses.asdict(b).items() if v is not None} for b in bonds]
+    _write([(path, json.dumps(entries, indent=2) + "\n")])
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +331,7 @@ def plan_from_dict(data: Mapping) -> HedgePlan:
 
 
 def parse_plan_json(path) -> HedgePlan:
-    try:
-        return plan_from_dict(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    return plan_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +340,8 @@ def parse_plan_json(path) -> HedgePlan:
 
 def correlations_csv(correlations: np.ndarray, tenors: Sequence[float]) -> str:
     """The tenor correlation matrix as CSV text, labelled by tenor."""
-    lines = [RATE_COMMENT, "tenor," + ",".join(_tenor_header(t) for t in tenors)]
-    for i, t in enumerate(tenors):
-        lines.append(f"{t:g}," + ",".join(fmt_num(v) for v in correlations[i]))
-    return "\n".join(lines) + "\n"
+    header = "tenor," + ",".join(map(_tenor_header, tenors))
+    return _csv(RATE_COMMENT, header, zip((f"{t:g}" for t in tenors), correlations.tolist()))
 
 
 def emit_report(
@@ -332,51 +350,27 @@ def emit_report(
     correlations: np.ndarray | None = None,
     tenors: Sequence[float] | None = None,
 ) -> list[Path]:
-    """Write pnl_<strategy>.csv per series, summary.csv and correlations.csv.
-
-    Everything is written to temp files first and renamed once all writes
-    succeeded. Returns the final paths.
-    """
+    """Write pnl_<strategy>.csv per series, summary.csv and correlations.csv,
+    all or nothing (see _write). Returns the final paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     net = report.config.net_carry
-    staged: list[tuple[Path, str]] = []
-
     order = [s.value for s in report.config.strategies]
     if order:
         order.append(UNHEDGED)
+    files = []
     for name in order:
-        series = report.series.get(name)
-        if series is None:
-            continue
-        lines = [PNL_COMMENT, "date,daily_pnl,cumulative_pnl"]
-        for date, pnl, cum in zip(
-            series.dates, series.pnl(net), series.cumulative(net)
-        ):
-            lines.append(f"{date.isoformat()},{fmt_num(pnl)},{fmt_num(cum)}")
-        staged.append((out / f"pnl_{name}.csv", "\n".join(lines) + "\n"))
-
-    lines = [PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day"]
-    for name in order:
-        stats = report.summary.get(name)
-        if stats is None:
-            continue
-        lines.append(
-            f"{name},{fmt_num(stats.mean)},{fmt_num(stats.stdev)},"
-            f"{fmt_num(stats.max_drawdown)},{fmt_num(stats.worst_day)}"
-        )
-    staged.append((out / "summary.csv", "\n".join(lines) + "\n"))
-
+        if name in report.series:
+            s = report.series[name]
+            rows = zip(map(dt.date.isoformat, s.dates), zip(s.pnl(net), s.cumulative(net)))
+            files.append((out / f"pnl_{name}.csv",
+                          _csv(PNL_COMMENT, "date,daily_pnl,cumulative_pnl", rows)))
+    stats = [(name, dataclasses.astuple(report.summary[name])) for name in order
+             if name in report.summary]
+    files.append((out / "summary.csv",
+                  _csv(PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day", stats)))
     if correlations is not None:
         if tenors is None:
             raise ValueError("correlations need the tenor grid for labelling")
-        staged.append((out / "correlations.csv", correlations_csv(correlations, tenors)))
-
-    tmp_paths = []
-    for final, text in staged:
-        tmp = final.with_name(final.name + ".tmp")
-        tmp.write_text(text)
-        tmp_paths.append((tmp, final))
-    for tmp, final in tmp_paths:
-        os.replace(tmp, final)
-    return [final for final, _ in staged]
+        files.append((out / "correlations.csv", correlations_csv(correlations, tenors)))
+    _write(files)
+    return [path for path, _ in files]

@@ -4,7 +4,9 @@ numbers, writers round-trip, emission is deterministic, exit codes are 0/2."""
 import csv
 import datetime as dt
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +26,9 @@ from curvehedge import (
 )
 from curvehedge.cli import main
 from curvehedge.io import (
+    PNL_COMMENT,
+    RATE_COMMENT,
+    _csv,
     emit_report,
     fmt_num,
     parse_bonds_json,
@@ -425,6 +430,15 @@ def test_bonds_invalid_json(tmp_path):
         parse_bonds_json(path)
 
 
+def test_undecodable_json_inputs_name_the_file(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_bytes(b"\xff\xfe[]")
+    for parse in (parse_bonds_json, parse_plan_json):
+        with pytest.raises(ValidationError) as err:
+            parse(path)
+        assert str(err.value).startswith(f"{path}: invalid JSON: ")
+
+
 def test_bonds_empty_array(tmp_path):
     path = write(tmp_path, "b.json", "[]")
     with pytest.raises(ValidationError, match="no bonds"):
@@ -536,6 +550,80 @@ def test_emit_report_correlations_need_tenors(tmp_path, small_report):
 
     with pytest.raises(ValueError, match="tenor grid"):
         emit_report(small_report, tmp_path, correlations=np.eye(2))
+
+
+def emitted_before(report, out_dir, correlations=None, tenors=None):
+    """emit_report as it rendered every file cell by cell, kept as the oracle."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    net = report.config.net_carry
+    order = [s.value for s in report.config.strategies]
+    if order:
+        order.append("unhedged")
+    staged = []
+    for name in order:
+        series = report.series.get(name)
+        if series is None:
+            continue
+        lines = [PNL_COMMENT, "date,daily_pnl,cumulative_pnl"]
+        for date, pnl, cum in zip(series.dates, series.pnl(net), series.cumulative(net)):
+            lines.append(f"{date.isoformat()},{fmt_num(pnl)},{fmt_num(cum)}")
+        staged.append((out / f"pnl_{name}.csv", "\n".join(lines) + "\n"))
+    lines = [PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day"]
+    for name in order:
+        stats = report.summary.get(name)
+        if stats is not None:
+            lines.append(f"{name},{fmt_num(stats.mean)},{fmt_num(stats.stdev)},"
+                         f"{fmt_num(stats.max_drawdown)},{fmt_num(stats.worst_day)}")
+    staged.append((out / "summary.csv", "\n".join(lines) + "\n"))
+    if correlations is not None:
+        lines = [RATE_COMMENT, "tenor," + ",".join(f"tenor_{t:g}" for t in tenors)]
+        for i, t in enumerate(tenors):
+            lines.append(f"{t:g}," + ",".join(fmt_num(v) for v in correlations[i]))
+        staged.append((out / "correlations.csv", "\n".join(lines) + "\n"))
+    for path, text in staged:
+        path.write_text(text)
+    return [path for path, _ in staged]
+
+
+@pytest.mark.parametrize("net", [True, False])
+@pytest.mark.parametrize("strategies", [(Strategy.DURATION, Strategy.QUADRATIC), ()])
+def test_emit_report_equals_the_cell_by_cell_emitter(tmp_path, universe, net, strategies):
+    # the short bond S rolls below the first knot on day 9, so duration truncates
+    universe = {**universe, "S": Bond("S", 100.0, 0.03, 2, 0.535)}
+    curves, _ = generate_history(SynthConfig(days=30, seed=5))
+    config = BacktestConfig(
+        target_id="B2",
+        instruments={Strategy.DURATION: ("S",), Strategy.QUADRATIC: ("B3", "B1")},
+        strategies=strategies, net_carry=net)
+    report = run_backtest(curves, universe, config)
+    assert not strategies or len(report.series["duration"].dates) < len(curves) - 1
+    corr = tenor_correlations(curves)
+    got = emit_report(report, tmp_path / "new", corr, curves[0].tenors)
+    want = emitted_before(report, tmp_path / "old", corr, curves[0].tenors)
+    assert [p.name for p in got] == [p.name for p in want]
+    for p, q in zip(got, want):
+        assert p.read_bytes() == q.read_bytes(), p.name
+
+
+_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 0.1]),
+    st.floats(allow_nan=True).map(np.float64),
+)
+
+
+@given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.text("abc-0123", max_size=6), st.lists(_cells, min_size=width, max_size=width)),
+    max_size=5).map(lambda rows: (width, rows))))
+@settings(max_examples=500, deadline=None)
+def test_csv_rows_equal_the_cell_by_cell_rendering(rows):
+    width, rows = rows
+    text = _csv("# c", "label" + ",x" * width, rows)
+    assert text.endswith("\n")
+    assert text.split("\n")[:-1] == ["# c", "label" + ",x" * width] + [
+        label + "," + ",".join(fmt_num(v) for v in nums) for label, nums in rows]
 
 
 def test_pnl_file_shape(tmp_path, small_report):
@@ -789,12 +877,21 @@ def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
     ("start", "2024-02-30",
      "start must be an ISO date (YYYY-MM-DD), got '2024-02-30': day is out of range for month"),
     ("end", 20240301, "end must be a string, got 20240301"),
+    (None, [1, 2], "the config must be an object, got [1, 2]"),
+    (None, "x", 'the config must be an object, got "x"'),
+    ("instruments", [], "instruments must be an object, got []"),
+    ("instruments", {"duration": [True]}, "instruments.duration[0] must be a string, got true"),
+    ("instruments", {"duration": "B3"}, 'instruments.duration must be an array, got "B3"'),
+    ("strategies", "duration", 'strategies must be an array, got "duration"'),
+    ("strategies", [1], "strategies[0] must be a string, got 1"),
 ], ids=["net_carry-str", "net_carry-int", "allow_extrapolation-str", "rebalance_days-float",
-        "rebalance_days-bool", "rebalance_days-str", "start-bad-day", "end-int"])
+        "rebalance_days-bool", "rebalance_days-str", "start-bad-day", "end-int", "config-array",
+        "config-str", "instruments-array", "instrument-bool", "instruments-str",
+        "strategies-str", "strategy-int"])
 def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, message):
     path = cli_files["tmp"] / "typed.json"
     config = json.loads(cli_files["config"].read_text())
-    config[key] = value
+    config = value if key is None else {**config, key: value}
     path.write_text(json.dumps(config))
     out = cli_files["tmp"] / "typed_report"
     assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
@@ -809,7 +906,8 @@ def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, mes
     ({"id": ["B2"], "amount": 100.0}, 'target.id must be a string, got ["B2"]'),
     ({"id": 2, "amount": 100.0}, "target.id must be a string, got 2"),
     ({"id": "B2", "amount": 10 ** 400}, "int too large to convert to float"),
-], ids=["amount-bool", "amount-str", "id-list", "id-int", "amount-huge"])
+    ("B2", 'target must be an object, got "B2"'),
+], ids=["amount-bool", "amount-str", "id-list", "id-int", "amount-huge", "target-str"])
 def test_cli_backtest_rejects_mistyped_target(cli_files, capsys, target, message):
     path = cli_files["tmp"] / "target.json"
     config = json.loads(cli_files["config"].read_text())
@@ -928,6 +1026,53 @@ def test_cli_backtest_deterministic(cli_files):
     assert main(args + ["--out", str(out2)]) == 0
     for p1 in sorted(out1.iterdir()):
         assert p1.read_bytes() == (out2 / p1.name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["synth", "synth-bonds", "stats", "analyze", "hedge",
+                                     "scenario", "backtest"])
+def test_cli_output_under_a_regular_file_exits_2(cli_files, capsys, command):
+    tmp, blocker = cli_files["tmp"], cli_files["tmp"] / "afile"
+    blocker.write_text("not a directory\n")
+    under = str(blocker / "out")
+    files = ["--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"])]
+    plan = tmp / "plan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+                 *files, "--out", str(plan)]) == 0
+    argv = {
+        "synth": ["synth", "--days", "5", "--out", under],
+        "synth-bonds": ["synth", "--days", "5", "--out", str(tmp / "h5.csv"),
+                        "--bonds-out", under],
+        "stats": ["stats", "--history", str(cli_files["curve"]), "--out", under],
+        "analyze": ["analyze", *files, "--out", under],
+        "hedge": ["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+                  *files, "--out", under],
+        "scenario": ["scenario", "--plan", str(plan), *files, "--shock", "a=0.001",
+                     "--out", under],
+        "backtest": ["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                     str(cli_files["bonds"]), "--config", str(cli_files["config"]),
+                     "--out", under],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    # the file in the way, or the report directory under it
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: cannot write {blocker}")
+    assert blocker.read_text() == "not a directory\n"
+    assert not list(tmp.rglob("*.tmp"))
+
+
+def test_cli_synth_creates_missing_directories(tmp_path):
+    path = tmp_path / "new" / "dir" / "h.csv"
+    assert main(["synth", "--days", "5", "--out", str(path)]) == 0
+    assert len(parse_curve_csv(path)) == 5
+
+
+def test_emit_report_writes_all_files_or_none(tmp_path, small_report):
+    out = tmp_path / "out"
+    (out / "summary.csv.tmp").mkdir(parents=True)  # the last file cannot be staged
+    with pytest.raises(ValidationError) as err:
+        emit_report(small_report, out)
+    assert str(err.value) == f"cannot write {out / 'summary.csv'}: Is a directory"
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv.tmp"]
 
 
 def test_cli_stats(cli_files, capsys):
