@@ -7,10 +7,12 @@ identical outputs. One function renders every CSV (_csv), one reads every
 JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
-A curve history is read as one (days, knots) block: each check runs over
-the whole file at once, and only a file that fails one is walked row by
-row, to report every error with its line. Numbers in JSON inputs must be
-finite JSON numbers; a bool or a string is refused, not converted.
+A curve history's text is read once and its rates as one (days, knots)
+block by one np.loadtxt call, each check running over the whole block.
+Only text with quotes, control or non-ASCII characters goes through csv;
+that text, and a file that fails a check, is walked row by row, to report
+every error with its line. Numbers in JSON inputs must be finite JSON
+numbers; a bool or a string is refused, not converted.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import operator
 import os
+from io import StringIO
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,6 +41,7 @@ PNL_COMMENT = "# profit and loss in currency units; cumulative is the running su
 
 BOND_REQUIRED_FIELDS = ("id", "face", "coupon_rate", "coupon_frequency", "maturity")
 BOND_OPTIONAL_FIELDS = ("issue_or_first_coupon_offset",)
+_PLAIN = bytes([9, 10, 13, 32, 33, *range(35, 127)])  # tab, line ends, printable ASCII but '"'
 
 
 # the Python types json.loads gives for each kind of JSON value
@@ -131,20 +135,28 @@ def parse_curve_csv(path) -> list[YieldCurve]:
 def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
     """The dates, tenor grid and (days, knots) rates block of a checked history.
 
-    Each check (field counts, dates, their order, the float cells, then
-    YieldCurve's checks on the block) runs over the whole file at once; on
-    the first failure the rows are collected one by one again, only to
-    build the message parse_curve_csv has always given.
+    The text is read once. Text of _PLAIN bytes is split at each line's first
+    comma, all its rates are read by one np.loadtxt call and each check runs
+    on the whole block. _walk_rows reads the rows one by one: csv's rows of
+    any other text, and those of a body that fails a check.
     """
     path = Path(path)
     errors: list[str] = []
-    with path.open(newline="") as fh:
-        rows = [(ln, row) for ln, row in enumerate(csv.reader(fh), 1)
-                if row and not row[0].lstrip().startswith("#")]
+    try:
+        with path.open(newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    fast = text.isascii() and not text.encode().translate(None, _PLAIN)
+    lines = text.splitlines() if fast else csv.reader(StringIO(text, newline=""))
+    # csv and splitlines end lines alike here; "#" starts a line iff it starts its first field
+    rows = [(ln, row) for ln, row in enumerate(lines, 1)
+            if row and not (row if fast else row[0]).lstrip().startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty curve file")
 
     header_ln, header = rows[0]
+    header = header.split(",") if fast else header
     if not header or header[0].strip() != "date":
         raise ValidationError(f"{path}:{header_ln}: header must start with 'date'")
     tenors: list[float] = []
@@ -169,28 +181,27 @@ def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
 
-    grid = tuple(tenors)
-    try:
-        body = [row for _, row in rows[1:]]
-        if set(map(len, body)) - {len(header)}:
-            raise ValueError("field count")
-        dates = [dt.date.fromisoformat(row[0].strip()) for row in body]
-        if not all(map(operator.lt, dates, dates[1:])):
-            raise ValueError("date order")
-        block = np.array([float(v) for row in body for v in row[1:]])
-        block = block.reshape(len(dates), len(grid))
-        _check_block(dates, grid, block)
-    except ValueError:
-        _raise_row_errors(path, grid, rows[1:], len(header))
-    if not dates:
-        raise ValidationError(f"{path}: no data rows")
-    return dates, grid, block
+    grid, body = tuple(tenors), rows[1:]
+    if fast and body:  # np.loadtxt warns on no data
+        try:
+            heads, _, rests = zip(*[line.partition(",") for _, line in body])
+            dates = [dt.date.fromisoformat(head.strip()) for head in heads]
+            if "" in rests or not all(map(operator.lt, dates, dates[1:])):
+                raise ValueError("field count or date order")
+            # one row per line, as no line is empty: the reshape checks the field counts
+            block = np.loadtxt(rests, delimiter=",", comments=None).reshape(len(dates), len(grid))
+            _check_block(dates, grid, block)
+            return dates, grid, block
+        except ValueError:
+            body = [(ln, line.split(",")) for ln, line in body]  # csv's rows of this text
+    return _walk_rows(path, grid, body, len(header))
 
 
-def _raise_row_errors(path: Path, grid: tuple[float, ...], rows: list, width: int):
-    """Check the data rows one by one and raise every failure with its line."""
+def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):
+    """_read_history's result from csv data rows read one by one, or every failure with its line."""
     errors: list[str] = []
-    last_date: dt.date | None = None
+    dates: list[dt.date] = []
+    block: list[list[float]] = []
     for ln, row in rows:
         if len(row) != width:
             errors.append(f"line {ln}: expected {width} fields, got {len(row)}")
@@ -206,18 +217,21 @@ def _raise_row_errors(path: Path, grid: tuple[float, ...], rows: list, width: in
             bad = next(v for v in row[1:] if not _is_float(v))
             errors.append(f"line {ln}: non-numeric rate {bad!r}")
             continue
-        if last_date is not None and date <= last_date:
-            kind = "duplicate" if date == last_date else "out-of-order"
+        if dates and date <= dates[-1]:
+            kind = "duplicate" if date == dates[-1] else "out-of-order"
             errors.append(f"line {ln}: {kind} date {date}")
             continue
-        last_date = date
+        dates.append(date)
+        block.append(rates)
         try:
             YieldCurve(date, grid, tuple(rates))
         except ValueError as exc:
             errors.append(f"line {ln}: {exc}")
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
-    raise RuntimeError(f"{path}: block and row checks of the curve history disagree")
+    if not dates:
+        raise ValidationError(f"{path}: no data rows")
+    return dates, grid, np.array(block)
 
 
 def _is_float(v: str) -> bool:

@@ -4,6 +4,7 @@ numbers, writers round-trip, emission is deterministic, exit codes are 0/2."""
 import csv
 import datetime as dt
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from curvehedge import (
     snapshot,
     tenor_correlations,
 )
+import curvehedge.io
 from curvehedge.cli import main
 from curvehedge.io import (
     PNL_COMMENT,
@@ -132,6 +134,38 @@ def test_parse_curve_empty_and_header_only(tmp_path):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_1,tenor_5\n"))
 
 
+def test_parse_curve_undecodable_names_the_file(tmp_path):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xffdate,tenor_1,tenor_5\n")
+    with pytest.raises(ValidationError) as err:
+        parse_curve_csv(path)
+    assert str(err.value).startswith(f"{path}: ") and "decode" in str(err.value)
+
+
+def test_parse_curve_reads_common_files_without_csv(tmp_path, monkeypatch):
+    """A history as write_curve_csv writes it, and its CRLF copy, are read
+    without csv.reader, to the same dates and the same rates bit for bit."""
+    curves, _ = generate_history(SynthConfig(days=2500, seed=11))
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_curve_csv(curves, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    expected = [_outcome(parse_curve_csv, p) for p in (lf, crlf)]
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(curvehedge.io.csv, "reader", no_csv)
+    assert [_outcome(parse_curve_csv, p) for p in (lf, crlf)] == expected
+    assert expected[0] == expected[1] and len(expected[0]) == 2500
+    # an empty body never reaches np.loadtxt, which warns on no data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header = "date,tenor_1,tenor_5\n"
+        for text, message in [(header, "no data rows"), (header + "2024-01-02\n", "expected 3 fields")]:
+            with pytest.raises(ValidationError, match=message):
+                parse_curve_csv(write(tmp_path, "c.csv", text))
+
+
 @pytest.mark.parametrize("cell,reason", [
     ("nan", "spot rates must be finite"),
     ("-1.5", "spot rates must be greater than -100%"),
@@ -223,10 +257,19 @@ def _outcome(read, path):
 FLAWS = ("fields", "date", "text", "duplicate", "back", "nan", "inf", "low")
 
 
+# respellings of a rate cell: padded with a tab or U+2003, with an underscore or
+# non-ASCII digits (float reads all four), and padded with one of the separators
+# \x1c-\x1f, which np.loadtxt reads as whitespace and float refuses
+RESPELT = (lambda c: f"\t{c}\t", lambda c: f"\u2003{c}", lambda c: c[:-1] + "_" + c[-1],
+           lambda c: c.replace("1", "\u0661"), lambda c: c + "\x1c", lambda c: "\x1d" + c,
+           lambda c: c + "\x1e", lambda c: "\x1f" + c)
+
+
 @st.composite
 def history_texts(draw):
-    """A history CSV with comments, blank lines, padded and quoted cells, LF
-    or CRLF endings, and on some rows one planted flaw of each kind."""
+    """A history CSV with comments, blank and whitespace-only lines, padded,
+    quoted and respelt cells, a bare CR inside some lines, LF, CRLF or mixed
+    endings, and on some rows one planted flaw of each kind."""
     tenors = sorted(draw(st.lists(st.sampled_from((0.25, 0.5, 1, 2, 3, 5, 7, 10, 30)),
                                   min_size=2, max_size=5, unique=True)))
     n = draw(st.integers(0, 12))
@@ -254,12 +297,21 @@ def history_texts(draw):
             bad = {"nan": ("nan", "NaN"), "inf": ("inf", "-inf", "1e999"),
                    "low": ("-1", "-1.0", "-1.5", "-7e3")}[flaw]
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(bad))
-        lines.append(" " * draw(st.integers(0, 1)) + date + "," + ",".join(cells))
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(st.integers(0, len(cells) - 1))
+            cells[i] = draw(st.sampled_from(RESPELT))(cells[i])
+        line = " " * draw(st.integers(0, 1)) + date + "," + ",".join(cells)
+        if draw(st.integers(0, 9)) == 0:
+            cut = draw(st.integers(0, len(line)))
+            line = line[:cut] + "\r" + line[cut:]
+        lines.append(line)
     for _ in range(draw(st.integers(0, 4))):
-        extra = draw(st.sampled_from(("# a comment", "  # indented, comment", "", "#")))
+        extra = draw(st.sampled_from(("# a comment", "  # indented, comment", "", "#", " \t ")))
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    eol = draw(st.sampled_from(("\n", "\r\n")))
-    return eol.join(lines) + eol * draw(st.integers(0, 1))
+    eol = draw(st.sampled_from(("\n", "\r\n", None)))  # None: each line picks its own
+    ends = [eol or draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    ends[-1] *= draw(st.integers(0, 1))
+    return "".join(map(str.__add__, lines, ends))
 
 
 @given(text=history_texts())
@@ -1082,6 +1134,17 @@ def test_cli_stats(cli_files, capsys):
     assert lines[0].startswith("#")
     assert lines[1].startswith("tenor,tenor_0.5,")
     assert len(lines) == 2 + len(cli_files["curves"][0].tenors)
+
+
+@pytest.mark.parametrize("command", ["stats", "analyze"])
+def test_cli_undecodable_history_names_the_file(cli_files, capsys, command):
+    path = cli_files["tmp"] / "bin.csv"
+    path.write_bytes(b"\xff" + cli_files["curve"].read_bytes())
+    argv = {"stats": ["--history", str(path)],
+            "analyze": ["--bonds", str(cli_files["bonds"]), "--curve", str(path)]}[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "decode" in err
 
 
 def test_cli_synth_determinism(tmp_path):
