@@ -31,7 +31,7 @@ from .backtest import (
 )
 from .bonds import Bond, curve_analytics
 from .curve import ShockSpec, YieldCurve
-from .errors import CurveHedgeError, ExtrapolationError, ValidationError
+from .errors import ExtrapolationError, ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
     _read_history,
@@ -361,10 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_inputs(args)
         return args.func(args)
-    except CurveHedgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # every CurveHedgeError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,9 @@ files or none: a failing run never leaves a half-written output behind.
 A curve history's text is read once and its rates as one (days, knots)
 block by one np.loadtxt call, each check running over the whole block.
 Only text with quotes, control or non-ASCII characters goes through csv;
-that text, and a file that fails a check, is walked row by row, to report
-every error with its line. Numbers in JSON inputs must be finite JSON
-numbers; a bool or a string is refused, not converted.
+that text, and a file that fails a check, is walked row by row, its rates
+checked as one block, to report every error with its line. Numbers in JSON
+inputs must be finite JSON numbers; a bool or a string is refused, not converted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .backtest import BacktestReport, UNHEDGED
 from .bonds import Bond
-from .curve import YieldCurve, _check_block, _curves, check_history
+from .curve import YieldCurve, _bad_rows, _check_block, _curves, check_history
 from .errors import ValidationError
 from .hedging import HedgeLeg, HedgePlan, Strategy
 
@@ -150,8 +150,11 @@ def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
     fast = text.isascii() and not text.encode().translate(None, _PLAIN)
     lines = text.splitlines() if fast else csv.reader(StringIO(text, newline=""))
     # csv and splitlines end lines alike here; "#" starts a line iff it starts its first field
-    rows = [(ln, row) for ln, row in enumerate(lines, 1)
-            if row and not (row if fast else row[0]).lstrip().startswith("#")]
+    try:
+        rows = [(ln, row) for ln, row in enumerate(lines, 1)
+                if row and not (row if fast else row[0]).lstrip().startswith("#")]
+    except csv.Error as exc:  # only csv's reader raises, e.g. on a field over its size limit
+        raise ValidationError(f"{path}: line {lines.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty curve file")
 
@@ -198,48 +201,45 @@ def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
 
 
 def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):
-    """_read_history's result from csv data rows read one by one, or every failure with its line."""
-    errors: list[str] = []
-    dates: list[dt.date] = []
-    block: list[list[float]] = []
+    """_read_history's result from csv data rows read one by one, or every failure with
+    its line. The rates of rows that pass the per-row checks are checked as one block by
+    _bad_rows; only a failing row becomes a YieldCurve, to word its message."""
+    errors: list[tuple[int, str]] = []  # at most one per row
+    lines, dates, rates = [], [], []
     for ln, row in rows:
         if len(row) != width:
-            errors.append(f"line {ln}: expected {width} fields, got {len(row)}")
+            errors.append((ln, f"expected {width} fields, got {len(row)}"))
             continue
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError:
-            errors.append(f"line {ln}: bad date {row[0]!r} (expected ISO-8601)")
+            errors.append((ln, f"bad date {row[0]!r} (expected ISO-8601)"))
             continue
         try:
-            rates = [float(v) for v in row[1:]]
+            cells = []
+            for cell in row[1:]:
+                cells.append(float(cell))
         except ValueError:
-            bad = next(v for v in row[1:] if not _is_float(v))
-            errors.append(f"line {ln}: non-numeric rate {bad!r}")
+            errors.append((ln, f"non-numeric rate {cell!r}"))
             continue
         if dates and date <= dates[-1]:
             kind = "duplicate" if date == dates[-1] else "out-of-order"
-            errors.append(f"line {ln}: {kind} date {date}")
+            errors.append((ln, f"{kind} date {date}"))
             continue
+        lines.append(ln)
         dates.append(date)
-        block.append(rates)
+        rates.append(cells)
+    block = np.array(rates).reshape(-1, len(grid))
+    for i in np.flatnonzero(_bad_rows(block)):
         try:
-            YieldCurve(date, grid, tuple(rates))
+            YieldCurve(dates[i], grid, tuple(rates[i]))
         except ValueError as exc:
-            errors.append(f"line {ln}: {exc}")
+            errors.append((lines[i], str(exc)))
     if errors:
-        raise ValidationError(f"{path}: " + "; ".join(errors))
+        raise ValidationError(f"{path}: " + "; ".join(f"line {ln}: {m}" for ln, m in sorted(errors)))
     if not dates:
         raise ValidationError(f"{path}: no data rows")
-    return dates, grid, np.array(block)
-
-
-def _is_float(v: str) -> bool:
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False
+    return dates, grid, block
 
 
 def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:

@@ -356,6 +356,52 @@ def test_parse_curve_error_corpus(tmp_path, text, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+def _quoted(text: str) -> str:
+    """A history's text with every rate cell in double quotes."""
+    def quote(line):
+        if line.startswith(("#", "date")):
+            return line
+        date, *cells = line.split(",")
+        return ",".join([date, *(f'"{c}"' for c in cells)])
+    return "".join(quote(line) + "\n" for line in text.splitlines())
+
+
+def test_walk_rows_builds_curves_only_for_failing_rows(tmp_path, monkeypatch):
+    """Quoted cells send a history through the row walk; its rates are checked
+    as one block, so a valid file builds no YieldCurve per row and a failing
+    row builds one only to word its message, in line order with the others."""
+    built = []
+    post_init = YieldCurve.__post_init__
+    monkeypatch.setattr(YieldCurve, "__post_init__",
+                        lambda self: built.append(self.date) or post_init(self))
+    curves, _ = generate_history(SynthConfig(days=2500, seed=11))
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_curve_csv(curves, plain)
+    quoted.write_text(_quoted(plain.read_text()))
+    expected = _outcome(parse_curve_csv, plain)
+    built.clear()
+    assert _outcome(parse_curve_csv, quoted) == expected and len(expected) == 2500
+    assert len(built) <= 1
+
+    rows = [f"2024-01-{d:02d},0.03,0.035" for d in range(2, 11)]
+    rows[5], rows[6], rows[7] = "2024-01-07,nan,0.035", "2024-01-08,x,0.035", "2024-01-09,-1.5,0.04"
+    path = write(tmp_path, "bad.csv", _quoted(H + "\n".join(rows) + "\n"))
+    built.clear()
+    with pytest.raises(ValidationError) as err:
+        parse_curve_csv(path)
+    assert str(err.value) == (f"{path}: line 7: spot rates must be finite; line 8: non-numeric "
+                              "rate 'x'; line 9: spot rates must be greater than -100%")
+    assert len(built) == 2
+
+
+def test_parse_curve_field_over_csv_limit_names_file_and_line(tmp_path):
+    big = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    path = write(tmp_path, "big.csv", f"date,tenor_1,tenor_5\n2024-01-02,{big},0.03\n")
+    with pytest.raises(ValidationError) as err:
+        parse_curve_csv(path)
+    assert str(err.value) == f"{path}: line 2: field larger than field limit ({csv.field_size_limit()})"
+
+
 def test_write_curve_rejects_empty_history(tmp_path):
     path = tmp_path / "c.csv"
     with pytest.raises(ValidationError, match="curve history is empty"):
@@ -1080,6 +1126,28 @@ def test_cli_backtest_deterministic(cli_files):
         assert p1.read_bytes() == (out2 / p1.name).read_bytes()
 
 
+def test_cli_backtest_warnings_on_stderr(cli_files, capsys):
+    """Truncated series are warned of in day order, unhedged last, and a
+    constant history skips its correlations with a warning."""
+    tmp = cli_files["tmp"]
+    args = ["--bonds", str(cli_files["bonds"]), "--config", str(cli_files["config"])]
+    long = tmp / "h2500.csv"
+    assert main(["synth", "--days", "2500", "--out", str(long)]) == 0
+    assert main(["backtest", "--history", str(long), *args, "--out", str(tmp / "bt")]) == 0
+    dead = "['B3'] matured or rolled below the curve's shortest tenor"
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"warning: {name}: series truncated at 2027-07-02: {dead}"
+          for name in ("duration", "quadratic", "convexity", "cubic")),
+        "warning: unhedged: series truncated at 2028-06-30: target matured",
+    ]
+    frozen = tmp / "frozen.csv"
+    write_curve_csv([YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(k), (1.0, 5.0, 10.0),
+                                (0.03, 0.035, 0.04)) for k in range(6)], frozen)
+    assert main(["backtest", "--history", str(frozen), *args, "--out", str(tmp / "bt6")]) == 0
+    assert capsys.readouterr().err == ("warning: correlations skipped: constant series at "
+                                       "tenor(s) [1.0, 5.0, 10.0]: correlation undefined\n")
+
+
 @pytest.mark.parametrize("command", ["synth", "synth-bonds", "stats", "analyze", "hedge",
                                      "scenario", "backtest"])
 def test_cli_output_under_a_regular_file_exits_2(cli_files, capsys, command):
@@ -1145,6 +1213,15 @@ def test_cli_undecodable_history_names_the_file(cli_files, capsys, command):
     assert main([command, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "decode" in err
+
+
+def test_cli_field_over_csv_limit_exits_2(cli_files, capsys):
+    path = cli_files["tmp"] / "big.csv"
+    big = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    path.write_text(f"date,tenor_1,tenor_5\n2024-01-02,{big},0.03\n")
+    assert main(["stats", "--history", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: field larger than field limit ({csv.field_size_limit()})\n")
 
 
 def test_cli_synth_determinism(tmp_path):
