@@ -132,6 +132,16 @@ def _bond_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     return t[cf != 0.0], cf[cf != 0.0]
 
 
+def _named(fn, bond: Bond, *args, **kwargs):
+    """fn(bond, ...), with an ExtrapolationError naming the bond once."""
+    try:
+        return fn(bond, *args, **kwargs)
+    except ExtrapolationError as exc:
+        if str(exc).startswith(f"bond {bond.id!r}"):  # spot mode names it already
+            raise
+        raise ExtrapolationError(f"bond {bond.id!r}: {exc}") from exc
+
+
 def cashflows(bond: Bond) -> list[tuple[float, float]]:
     """Future cashflows as (time, amount) pairs, strictly increasing in time.
 

@@ -9,17 +9,23 @@ Subcommands:
 * stats    — tenor correlation matrix only
 * synth    — seeded synthetic curve history generator for fixtures
 
+Each option is declared once (shared ones as argparse parent groups, defaults
+from SynthConfig and BacktestConfig), and one parser is built per process.
+
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
-validation error, an output that cannot be written included.
+validation error. Missing inputs, and outputs under a regular file, are
+reported before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -29,9 +35,9 @@ from .backtest import (
     run_backtest,
     tenor_correlations,
 )
-from .bonds import Bond, curve_analytics
+from .bonds import _named, curve_analytics
 from .curve import ShockSpec, YieldCurve
-from .errors import ExtrapolationError, ValidationError
+from .errors import ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
     _read_history,
@@ -51,14 +57,24 @@ from .io import (
 from .scenario import run_scenarios
 from .synth import SynthConfig, default_bond_universe, generate_history
 
+# the SynthConfig fields synth takes as options of the same name, "_" as "-"
+_SYNTH_OPTIONS = ("days", "seed", "sigma_level", "sigma_slope", "sigma_twist", "sigma_idio", "ar")
+
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """Fail-fast validation: every missing input is reported before any work."""
+    """Fail-fast validation: every missing input, and every output whose nearest
+    existing folder is not a directory, is reported before any work."""
     problems = []
     for attr in ("bonds", "curve", "history", "plan", "config"):
         value = getattr(args, attr, None)
         if value is not None and not Path(value).is_file():
             problems.append(f"--{attr}: no such file: {Path(value)}")
+    for value in filter(None, (args.out, getattr(args, "bonds_out", None))):
+        # backtest writes its reports into --out; every other output is a file
+        folder = Path(value) if args.command == "backtest" else Path(value).parent
+        found = next((p for p in (folder, *folder.parents) if os.path.exists(p)), None)
+        if found is not None and not os.path.isdir(found):
+            problems.append(f"cannot write {found}: Not a directory")
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -116,16 +132,6 @@ def _parse_shock(text: str) -> ShockSpec:
     return ShockSpec.parametric(values["a"], values["b"], values["c"])
 
 
-def _named(fn, bond: Bond, *args, **kwargs):
-    """fn(bond, ...), with an ExtrapolationError naming the bond once."""
-    try:
-        return fn(bond, *args, **kwargs)
-    except ExtrapolationError as exc:
-        if str(exc).startswith(f"bond {bond.id!r}"):  # spot mode names it already
-            raise
-        raise ExtrapolationError(f"bond {bond.id!r}: {exc}") from exc
-
-
 def _emit(text: str, out: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if out:
@@ -136,6 +142,41 @@ def _emit(text: str, out: str | None) -> None:
 
 def _round10(x: float) -> float:
     return float(fmt_num(x))
+
+
+# a backtest config's optional keys as paths into its object, with their readers; each
+# sets the BacktestConfig field its path joins with "_", and an absent key keeps its default
+_CONFIG_KEYS = {
+    ("strategies",): lambda value, name: tuple(map(Strategy, _strings(value, name))),
+    ("target", "amount"): lambda value, name: float(_typed(value, name, "a number")),
+    ("rebalance_days",): functools.partial(_typed, what="an integer"),
+    ("start",): _iso_date,
+    ("end",): _iso_date,
+    ("net_carry",): functools.partial(_typed, what="true or false"),
+    ("allow_extrapolation",): functools.partial(_typed, what="true or false"),
+}
+
+
+def _backtest_config(path) -> BacktestConfig:
+    """The backtest config in the JSON file at path; an unknown key is refused."""
+    raw = _read_json(path)
+    try:
+        _typed(raw, "the config", "an object")
+        instruments = {Strategy(k): _strings(v, f"instruments.{k}")
+                       for k, v in _typed(raw["instruments"], "instruments", "an object").items()}
+        target = _typed(raw["target"], "target", "an object")
+        given = {(k,): v for k, v in raw.items() if k != "target"}
+        given.update((("target", k), v) for k, v in target.items())
+        unknown = [".".join(key) for key in given
+                   if key not in _CONFIG_KEYS and key not in (("instruments",), ("target", "id"))]
+        if unknown:
+            raise ValueError(f"unknown field(s) {unknown}")
+        return BacktestConfig(
+            target_id=_typed(target["id"], "target.id", "a string"), instruments=instruments,
+            **{"_".join(key): read(given[key], ".".join(key))
+               for key, read in _CONFIG_KEYS.items() if key in given})
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -207,31 +248,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backtest_config(path) -> BacktestConfig:
-    raw = _read_json(path)
-    try:
-        _typed(raw, "the config", "an object")
-        names = _strings(raw.get("strategies", [s.value for s in ALL_STRATEGIES]), "strategies")
-        strategies = tuple(map(Strategy, names))
-        instruments = {Strategy(k): _strings(v, f"instruments.{k}")
-                       for k, v in _typed(raw["instruments"], "instruments", "an object").items()}
-        target = _typed(raw["target"], "target", "an object")
-        return BacktestConfig(
-            target_id=_typed(target["id"], "target.id", "a string"),
-            target_amount=float(_typed(target.get("amount", 100.0), "target.amount", "a number")),
-            instruments=instruments,
-            strategies=strategies,
-            rebalance_days=_typed(raw.get("rebalance_days", 1), "rebalance_days", "an integer"),
-            start=_iso_date(raw["start"], "start") if "start" in raw else None,
-            end=_iso_date(raw["end"], "end") if "end" in raw else None,
-            net_carry=_typed(raw.get("net_carry", False), "net_carry", "true or false"),
-            allow_extrapolation=_typed(raw.get("allow_extrapolation", False),
-                                       "allow_extrapolation", "true or false"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
-
-
 def cmd_backtest(args: argparse.Namespace) -> int:
     if not args.out:
         raise ValidationError("backtest requires --out <dir>")
@@ -262,17 +278,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not args.out:
         raise ValidationError("synth requires --out <csv>")
-    synth_cfg = SynthConfig(
-        days=args.days,
-        start=_iso_date(args.start, "--start"),
-        sigma_level=args.sigma_level,
-        sigma_slope=args.sigma_slope,
-        sigma_twist=args.sigma_twist,
-        sigma_idio=args.sigma_idio,
-        ar=args.ar,
-        seed=args.seed,
-    )
-    curves, _ = generate_history(synth_cfg)
+    config = SynthConfig(start=_iso_date(args.start, "--start"),
+                         **{name: getattr(args, name) for name in _SYNTH_OPTIONS})
+    curves, _ = generate_history(config)
     write_curve_csv(curves, args.out)
     if args.bonds_out:
         write_bonds_json(default_bond_universe(), args.bonds_out)
@@ -283,9 +291,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output file or directory")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file, or the report directory of backtest")
+    bonds = argparse.ArgumentParser(add_help=False)
+    bonds.add_argument("--bonds", required=True, help="bond universe JSON")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--curve", required=True, help="curve history CSV")
+    curve.add_argument("--date", help="ISO date row to use (default: first)")
+    history = argparse.ArgumentParser(add_help=False)
+    history.add_argument("--history", required=True, help="curve history CSV")
+    history.add_argument("--diff", action="store_true", help="correlate daily changes instead of levels")
 
     parser = argparse.ArgumentParser(
         prog="curvehedge",
@@ -294,70 +311,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="bond analytics table")
-    p.add_argument("--bonds", required=True, help="bond universe JSON")
-    p.add_argument("--curve", required=True, help="curve history CSV")
-    p.add_argument("--date", default=None, help="ISO date row to use (default: first)")
-    p.add_argument("--mode", choices=("flat", "spot"), default="flat")
-    p.set_defaults(func=cmd_analyze)
+    def command(func, name: str, help: str, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[out, *groups], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("hedge", parents=[common], help="build a hedge plan")
+    p = command(cmd_analyze, "analyze", "bond analytics table", bonds, curve)
+    p.add_argument("--mode", choices=("flat", "spot"), default="flat")
+
+    p = command(cmd_hedge, "hedge", "build a hedge plan", bonds, curve)
     p.add_argument("--strategy", required=True,
                    choices=[s.value for s in ALL_STRATEGIES])
     p.add_argument("--target", required=True, help="target bond id")
     p.add_argument("--instruments", required=True, help="comma-separated hedge bond ids")
-    p.add_argument("--bonds", required=True, help="bond universe JSON")
-    p.add_argument("--curve", required=True, help="curve history CSV")
-    p.add_argument("--date", default=None, help="ISO date row to use (default: first)")
-    p.add_argument("--amount", type=float, default=100.0, help="target amount (default 100)")
+    p.add_argument("--amount", type=float, default=BacktestConfig.target_amount,
+                   help="target amount (default %(default)s)")
     p.add_argument("--allow-extrapolation", action="store_true",
                    help="permit targets outside the hedge maturity span")
-    p.set_defaults(func=cmd_hedge)
 
-    p = sub.add_parser("scenario", parents=[common], help="shock and reprice a plan")
+    p = command(cmd_scenario, "scenario", "shock and reprice a plan", bonds, curve)
     p.add_argument("--plan", required=True, help="hedge plan JSON (from `hedge`)")
-    p.add_argument("--bonds", required=True, help="bond universe JSON")
-    p.add_argument("--curve", required=True, help="curve history CSV")
-    p.add_argument("--date", default=None, help="ISO date row to use (default: first)")
     p.add_argument("--shock", required=True, help="e.g. a=0.001,b=0,c=0")
     p.add_argument("--sweep", type=int, default=0,
                    help="run N dyadic scales of the shock instead of one")
     p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="absolute tolerance for within-tolerance flags (default 1e-9)")
-    p.set_defaults(func=cmd_scenario)
+                   help="absolute tolerance for within-tolerance flags (default %(default)s)")
 
-    p = sub.add_parser("backtest", parents=[common], help="replay a curve history")
-    p.add_argument("--history", required=True, help="curve history CSV")
-    p.add_argument("--bonds", required=True, help="bond universe JSON")
+    p = command(cmd_backtest, "backtest", "replay a curve history", history, bonds)
     p.add_argument("--config", required=True, help="backtest config JSON")
-    p.add_argument("--diff", action="store_true",
-                   help="correlations on daily changes instead of levels")
-    p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("stats", parents=[common], help="tenor correlation matrix")
-    p.add_argument("--history", required=True, help="curve history CSV")
-    p.add_argument("--diff", action="store_true",
-                   help="correlate daily changes instead of levels")
-    p.set_defaults(func=cmd_stats)
+    command(cmd_stats, "stats", "tenor correlation matrix", history)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic history")
-    p.add_argument("--days", type=int, default=250)
-    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    p.add_argument("--start", default="2024-01-02", help="first trading date")
-    p.add_argument("--sigma-level", type=float, default=SynthConfig.sigma_level)
-    p.add_argument("--sigma-slope", type=float, default=SynthConfig.sigma_slope)
-    p.add_argument("--sigma-twist", type=float, default=SynthConfig.sigma_twist)
-    p.add_argument("--sigma-idio", type=float, default=SynthConfig.sigma_idio)
-    p.add_argument("--ar", type=float, default=SynthConfig.ar)
-    p.add_argument("--bonds-out", default=None, help="also write the demo bond universe")
-    p.set_defaults(func=cmd_synth)
-
+    p = command(cmd_synth, "synth", "generate a synthetic history")
+    for name in _SYNTH_OPTIONS:
+        default = getattr(SynthConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                       help="default %(default)s")
+    p.add_argument("--start", default=SynthConfig.start.isoformat(), help="first trading date")
+    p.add_argument("--bonds-out", help="also write the demo bond universe")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_inputs(args)
         return args.func(args)

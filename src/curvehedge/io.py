@@ -13,6 +13,7 @@ Only text with quotes, control or non-ASCII characters goes through csv;
 that text, and a file that fails a check, is walked row by row, its rates
 checked as one block, to report every error with its line. Numbers in JSON
 inputs must be finite JSON numbers; a bool or a string is refused, not converted.
+A bond entry holds Bond's fields, those without a default required, and no other.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .hedging import HedgeLeg, HedgePlan, Strategy
 RATE_COMMENT = "# rates are decimal fractions per year (0.0312 means 3.12%)"
 PNL_COMMENT = "# profit and loss in currency units; cumulative is the running sum"
 
-BOND_REQUIRED_FIELDS = ("id", "face", "coupon_rate", "coupon_frequency", "maturity")
-BOND_OPTIONAL_FIELDS = ("issue_or_first_coupon_offset",)
+BOND_REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(Bond) if f.default is dataclasses.MISSING)
+BOND_OPTIONAL_FIELDS = tuple(f.name for f in dataclasses.fields(Bond) if f.name not in BOND_REQUIRED_FIELDS)
 _PLAIN = bytes([9, 10, 13, 32, 33, *range(35, 127)])  # tab, line ends, printable ASCII but '"'
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, _bond_flows, _interp_rows, _pv, price
+from .bonds import Bond, _bond_flows, _interp_rows, _named, _pv, price
 from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment, spot
 from .curve import _bad_rows, _shock_block
 from .hedging import HedgePlan
@@ -66,7 +66,8 @@ def run_scenarios(
     Parametric shocks are evaluated against `segment` (fitted once over the
     full curve range when not given); custom shock vectors ignore it. A
     shock whose curve cannot be built raises what apply_shock raises for
-    it, the first such shock in sweep order.
+    it, the first such shock in sweep order. A plan bond whose maturity is
+    off the base curve raises an ExtrapolationError that names the bond.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
@@ -76,8 +77,8 @@ def run_scenarios(
         segment = default_segment(curve)
     amounts = np.array([plan.target_amount] + [leg.amount for leg in plan.legs])
     bonds = [universe[i] for i in ids]
-    # an off-curve or unpriceable bond fails here, bond by bond, before any shock
-    base = [(spot(curve, b.maturity), *_bond_flows(b)) for b in bonds]
+    # an off-curve or unpriceable bond fails here, named, bond by bond, before any shock
+    base = [(_named(lambda b: spot(curve, b.maturity), b), *_bond_flows(b)) for b in bonds]
     rates = _shock_block(curve, shocks, segment)
     bad = _bad_rows(rates)
     if bad.any():  # the first shocked curve that fails its checks: apply_shock names it

@@ -1,9 +1,11 @@
 """File formats and the command-line surface: parsing errors carry line
 numbers, writers round-trip, emission is deterministic, exit codes are 0/2."""
 
+import argparse
 import csv
 import datetime as dt
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from curvehedge import (
     tenor_correlations,
 )
 import curvehedge.io
-from curvehedge.cli import main
+from curvehedge.cli import _backtest_config, build_parser, main
 from curvehedge.io import (
     PNL_COMMENT,
     RATE_COMMENT,
@@ -786,10 +788,15 @@ def test_cli_analyze_spot_mode_short_coupon(cli_files, capsys):
     ["analyze", "--mode", "spot"],
     ["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "L"],
     ["hedge", "--strategy", "duration", "--target", "L", "--instruments", "B3"],
+    ["scenario", "--plan", "plan_long.json", "--shock", "a=0.001"],
 ])
-def test_cli_names_a_bond_past_the_last_knot(cli_files, capsys, argv):
+def test_cli_names_a_bond_past_the_last_knot(cli_files, capsys, monkeypatch, argv):
     bonds = cli_files["tmp"] / "long.json"
     write_bonds_json([*default_bond_universe(), Bond("L", 100.0, 0.04, 1, 12.0)], bonds)
+    (cli_files["tmp"] / "plan_long.json").write_text(json.dumps({
+        "strategy": "duration", "target": {"id": "B2", "amount": 100.0},
+        "legs": [{"id": "L", "amount": -50.0}], "constraints": []}))
+    monkeypatch.chdir(cli_files["tmp"])
     rc = main(argv + ["--bonds", str(bonds), "--curve", str(cli_files["curve"])])
     assert rc == 2
     err = capsys.readouterr().err
@@ -982,10 +989,14 @@ def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
     ("instruments", {"duration": "B3"}, 'instruments.duration must be an array, got "B3"'),
     ("strategies", "duration", 'strategies must be an array, got "duration"'),
     ("strategies", [1], "strategies[0] must be a string, got 1"),
+    ("rebalance_day", 5, "unknown field(s) ['rebalance_day']"),
+    ("net_cary", True, "unknown field(s) ['net_cary']"),
+    ("target", {"id": "B2", "amout": 50.0}, "unknown field(s) ['target.amout']"),
 ], ids=["net_carry-str", "net_carry-int", "allow_extrapolation-str", "rebalance_days-float",
         "rebalance_days-bool", "rebalance_days-str", "start-bad-day", "end-int", "config-array",
         "config-str", "instruments-array", "instrument-bool", "instruments-str",
-        "strategies-str", "strategy-int"])
+        "strategies-str", "strategy-int", "rebalance_day-unknown", "net_cary-unknown",
+        "target.amout-unknown"])
 def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, message):
     path = cli_files["tmp"] / "typed.json"
     config = json.loads(cli_files["config"].read_text())
@@ -1016,6 +1027,103 @@ def test_cli_backtest_rejects_mistyped_target(cli_files, capsys, target, message
                  str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
     assert f"malformed backtest config: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+ALL_INSTRUMENTS = {"duration": ["B3"], "quadratic": ["B3", "B1"], "convexity": ["B3", "B1"],
+                   "cubic": ["B3", "B1", "B4"]}
+
+
+@pytest.mark.parametrize("config,want", [
+    ({"target": {"id": "B2"}, "instruments": ALL_INSTRUMENTS},
+     BacktestConfig(target_id="B2", target_amount=100.0,
+                    instruments={Strategy(k): tuple(v) for k, v in ALL_INSTRUMENTS.items()},
+                    strategies=(Strategy.DURATION, Strategy.QUADRATIC, Strategy.CONVEXITY,
+                                Strategy.CUBIC),
+                    rebalance_days=1, start=None, end=None, net_carry=False,
+                    allow_extrapolation=False)),
+    ({"target": {"id": "B1", "amount": 50}, "instruments": {"cubic": ["B3", "B2", "B4"]},
+      "strategies": ["cubic"], "rebalance_days": 5, "start": "2024-01-03", "end": "2024-01-10",
+      "net_carry": True, "allow_extrapolation": True},
+     BacktestConfig(target_id="B1", target_amount=50.0,
+                    instruments={Strategy.CUBIC: ("B3", "B2", "B4")},
+                    strategies=(Strategy.CUBIC,), rebalance_days=5, start=dt.date(2024, 1, 3),
+                    end=dt.date(2024, 1, 10), net_carry=True, allow_extrapolation=True)),
+], ids=["required-keys-only", "every-key-set"])
+def test_backtest_config_reads_every_key(tmp_path, config, want):
+    """An absent key takes BacktestConfig's default, and each key reads as it always has."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    got = _backtest_config(path)
+    assert got == want
+    assert type(got.target_amount) is float
+
+
+SUBCOMMAND_OPTIONS = {
+    "analyze": ({"bonds": "b.json", "curve": "h.csv"}, {"date": None, "mode": "flat"}),
+    "hedge": ({"bonds": "b.json", "curve": "h.csv", "strategy": "duration", "target": "B2",
+               "instruments": "B3"},
+              {"date": None, "amount": 100.0, "allow_extrapolation": False}),
+    "scenario": ({"bonds": "b.json", "curve": "h.csv", "plan": "p.json", "shock": "a=0"},
+                 {"date": None, "sweep": 0, "tolerance": 1e-9}),
+    "backtest": ({"history": "h.csv", "bonds": "b.json", "config": "c.json"}, {"diff": False}),
+    "stats": ({"history": "h.csv"}, {"diff": False}),
+    "synth": ({}, {"days": 250, "seed": 42, "start": "2024-01-02", "sigma_level": 6e-4,
+                   "sigma_slope": 0.08, "sigma_twist": 0.05, "sigma_idio": 0.0, "ar": 0.3,
+                   "bonds_out": None}),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_OPTIONS)
+def test_cli_options_and_defaults_are_pinned(command):
+    required, defaults = SUBCOMMAND_OPTIONS[command]
+    argv = [command, *(x for k, v in required.items() for x in (f"--{k}", v))]
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("func").__name__ == f"cmd_{command}"
+    assert args == {"command": command, "out": None, **required, **defaults}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_OPTIONS)
+def test_cli_help_lists_each_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    required, defaults = SUBCOMMAND_OPTIONS[command]
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--out",
+                      *("--" + k.replace("_", "-") for k in [*required, *defaults])}
+
+
+def test_cli_builds_one_parser_per_process(cli_files, monkeypatch):
+    argv = ["stats", "--history", str(cli_files["curve"]), "--out", str(cli_files["tmp"] / "c.csv")]
+    assert main(argv) == 0  # the first call in a process builds the parser
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for _ in range(3):
+        assert main(argv) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["synth-bonds", "backtest"])
+def test_cli_checks_outputs_before_any_work(cli_files, capsys, command):
+    """An output under a regular file fails before anything is written or warned of."""
+    tmp, blocker = cli_files["tmp"], cli_files["tmp"] / "afile"
+    blocker.write_text("not a directory\n")
+    frozen = tmp / "frozen.csv"  # a constant history: its backtest warns of skipped correlations
+    write_curve_csv([YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(k), (1.0, 5.0, 10.0),
+                                (0.03, 0.035, 0.04)) for k in range(6)], frozen)
+    argv = {"synth-bonds": ["synth", "--days", "5", "--out", str(tmp / "ok.csv"),
+                            "--bonds-out", str(blocker / "u.json")],
+            "backtest": ["backtest", "--history", str(frozen), "--bonds", str(cli_files["bonds"]),
+                         "--config", str(cli_files["config"]), "--out", str(blocker)]}[command]
+    before = sorted(tmp.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {blocker}: Not a directory\n"
+    assert sorted(tmp.rglob("*")) == before
 
 
 def test_cli_scenario_rejects_nan_plan_amount(cli_files, capsys):

@@ -236,6 +236,19 @@ def test_run_scenarios_zero_shock_negative_amounts_give_positive_zero(universe, 
             assert [repr(p) for _, p in res.per_instrument_pnl] == ["-0.0", "-0.0"]
 
 
+@pytest.mark.parametrize("role", ["target", "leg"])
+def test_run_scenarios_names_a_bond_off_the_base_curve(universe, curve, role):
+    """A plan bond past the last knot fails before any shock, naming the bond."""
+    from curvehedge import ExtrapolationError
+
+    universe = {**universe, "L": Bond("L", 100.0, 0.04, 1, 12.0)}
+    target, leg = ("L", "B3") if role == "target" else ("B2", "L")
+    plan = HedgePlan(Strategy.CUSTOM, target, 100.0, (HedgeLeg(leg, -50.0),), ())
+    with pytest.raises(ExtrapolationError) as exc:
+        run_scenarios(plan, universe, curve, [parallel(curve, 1e-3)])
+    assert str(exc.value) == "bond 'L': maturity 12.0 outside curve range [0.5, 10.0] on 2024-01-02"
+
+
 def _error(fn):
     with pytest.raises(ValueError) as exc:
         fn()
