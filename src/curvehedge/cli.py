@@ -14,8 +14,8 @@ from SynthConfig and BacktestConfig), and one parser is built per process.
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
-validation error. Missing inputs, and outputs under a regular file, are
-reported before any work.
+validation error. Missing inputs, outputs under a regular file, and file
+outputs that are directories are reported before any work.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ _SYNTH_OPTIONS = ("days", "seed", "sigma_level", "sigma_slope", "sigma_twist", "
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """Fail-fast validation: every missing input, and every output whose nearest
-    existing folder is not a directory, is reported before any work."""
+    """Fail-fast validation: every missing input, every output file that is a
+    directory, and every output whose nearest existing folder is not a
+    directory, is reported before any work."""
     problems = []
     for attr in ("bonds", "curve", "history", "plan", "config"):
         value = getattr(args, attr, None)
@@ -71,6 +72,9 @@ def _check_inputs(args: argparse.Namespace) -> None:
             problems.append(f"--{attr}: no such file: {Path(value)}")
     for value in filter(None, (args.out, getattr(args, "bonds_out", None))):
         # backtest writes its reports into --out; every other output is a file
+        if args.command != "backtest" and os.path.isdir(value):
+            problems.append(f"cannot write {Path(value)}: Is a directory")
+            continue
         folder = Path(value) if args.command == "backtest" else Path(value).parent
         found = next((p for p in (folder, *folder.parents) if os.path.exists(p)), None)
         if found is not None and not os.path.isdir(found):

@@ -13,10 +13,12 @@ twist:
     dY(T) = a + b Y'(T) + c Y''(T)
 
 where a shifts the level, b scales the slope and c scales the curvature of
-the fitted segment. A sweep of K shocks moves the knot grid as one
-(K, knots) block, with Y' and Y'' taken once, and apply_shock is its
-one-shock case; knots outside the fitted span move by the nearest
-endpoint's dY.
+the fitted segment. A translation moves every knot by exactly a, whatever
+the fit, so only rotation and twist read the segment. A sweep of K shocks
+moves the knot grid as one (1 + K, knots) block whose row 0 is the curve
+itself, with Y' and Y'' taken once and only when some shock has a b or c
+term; apply_shock is its one-shock case. Knots outside the fitted span
+move by the nearest endpoint's dY.
 """
 
 from __future__ import annotations
@@ -261,23 +263,24 @@ def delta_y(seg: PolynomialSegment, shock: ShockSpec, maturity: float | np.ndarr
 def _shock_block(
     curve: YieldCurve, shocks: Sequence[ShockSpec], seg: PolynomialSegment | None
 ) -> np.ndarray:
-    """(shocks, knots) rates: row k is the curve's knots moved by shocks[k].
+    """(1 + shocks, knots) rates: row 0 is the curve's own knots and row k + 1
+    those knots moved by shocks[k].
 
-    Y' and Y'' are taken once at the knots clipped to the segment's span, so
-    parametric rows are a + b Y' + c Y'' in delta_y's operation order; a
-    custom row is its vector (a custom shock's a, b, c are 0). A vector of
-    the wrong length gives a row of NaN, which the curve checks reject;
-    apply_shock names it.
+    A level shift moves every knot by a and reads no fit. Only when some
+    shock has a slope or twist term (b or c) are Y' and Y'' taken, once, at
+    the knots clipped to seg's span; every parametric row is then
+    a + b Y' + c Y'' in delta_y's operation order. A custom row is its
+    vector (a custom shock's a, b, c are 0). A vector of the wrong length
+    gives a row of NaN, which the curve checks reject; apply_shock names it.
     """
     n = len(curve.tenors)
-    shifts = np.zeros((len(shocks), n))
-    if any(s.is_parametric for s in shocks):
-        if seg is None:
-            raise ValueError("parametric shock requires the fitted segment it refers to")
+    a, b, c = np.array([(0.0, 0.0, 0.0)] + [(s.a, s.b, s.c) for s in shocks]).T[..., None]
+    if any(s.b or s.c for s in shocks):
         _, f1, f2 = derivatives(seg, np.clip(curve.tenors, seg.t_lo, seg.t_hi))
-        a, b, c = np.array([(s.a, s.b, s.c) for s in shocks], dtype=float).T[..., None]
         shifts = a + b * f1 + c * f2
-    for k, s in enumerate(shocks):
+    else:
+        shifts = np.repeat(a, n, axis=1)
+    for k, s in enumerate(shocks, 1):
         if not s.is_parametric:
             shifts[k] = s.custom if len(s.custom) == n else np.nan
     return np.asarray(curve.rates) + shifts
@@ -293,7 +296,9 @@ def apply_shock(
     nearest span endpoint. This is the one-shock case of _shock_block.
     """
     n = len(curve.tenors)
+    if shock.is_parametric and seg is None:
+        raise ValueError("parametric shock requires the fitted segment it refers to")
     if not shock.is_parametric and len(shock.custom) != n:
         raise ValueError(f"custom shock has {len(shock.custom)} values for a curve with {n} knots")
-    (rates,) = _shock_block(curve, [shock], seg)
+    rates = _shock_block(curve, [shock], seg)[1]
     return YieldCurve(curve.date, curve.tenors, tuple(rates.tolist()))

@@ -150,9 +150,12 @@ def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
         raise ValidationError(f"{path}: {exc}") from exc
     fast = text.isascii() and not text.encode().translate(None, _PLAIN)
     lines = text.splitlines() if fast else csv.reader(StringIO(text, newline=""))
-    # csv and splitlines end lines alike here; "#" starts a line iff it starts its first field
+    # csv and splitlines end lines alike here; a csv row is numbered by the text
+    # line it ends on, as a quoted cell may hold a line end
+    numbered = enumerate(lines, 1) if fast else ((lines.line_num, row) for row in lines)
     try:
-        rows = [(ln, row) for ln, row in enumerate(lines, 1)
+        # "#" starts a line iff it starts its first field
+        rows = [(ln, row) for ln, row in numbered
                 if row and not (row if fast else row[0]).lstrip().startswith("#")]
     except csv.Error as exc:  # only csv's reader raises, e.g. on a field over its size limit
         raise ValidationError(f"{path}: line {lines.line_num}: {exc}") from exc
@@ -282,7 +285,7 @@ def parse_bonds_json(path) -> dict[str, Bond]:
         offset = entry.get("issue_or_first_coupon_offset")
         try:
             bond = Bond(
-                id=str(entry["id"]),
+                id=_typed(entry["id"], "id", "a string"),
                 face=_number(entry["face"], "face"),
                 coupon_rate=_number(entry["coupon_rate"], "coupon_rate"),
                 coupon_frequency=_typed(entry["coupon_frequency"], "coupon_frequency",

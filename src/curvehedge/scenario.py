@@ -8,9 +8,12 @@ instruments repriced off the shocked knots, never off a fitted polynomial,
 so the check stays independent of the fitting step it audits.
 
 run_scenarios is the one engine, called by run_scenario, residual_scaling
-and the CLI. It stacks the K shocked curves as one (K, knots) block and
-prices each bond once over the base curve and all K of them, every float
-equal to the one-shock path (apply_shock, spot, price). residual_scaling
+and the CLI. It stacks the base curve and the K shocked curves as one
+(1 + K, knots) block, base curve in row 0, and discounts the plan bonds'
+flows, concatenated as one table, over the whole block at once, every float
+equal to the one-shock path (apply_shock, spot, price). A translation moves
+every knot by exactly a, so the curve is fitted only when some shock has a
+slope or twist term. residual_scaling
 shrinks a shock dyadically and records the hedged residual at each size;
 the log-log slope of that series is the effective order of the
 immunization (2 for a first-order hedge, 3 when convexity is matched too).
@@ -19,13 +22,14 @@ immunization (2 for a first-order hedge, 3 when convexity is matched too).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bonds import Bond, _bond_flows, _interp_rows, _named, _pv, price
 from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment, spot
-from .curve import _bad_rows, _shock_block
+from .curve import _SPAN_TOL, _bad_rows, _shock_block
 from .hedging import HedgePlan
 
 
@@ -61,36 +65,47 @@ def run_scenarios(
 ) -> list[ScenarioResult]:
     """Apply each shock, reprice target and legs exactly, and sum the P&L.
 
-    Each bond's flows are built once and priced in one block over the base
-    curve and all the shocked curves, stacked as one (shocks, knots) block.
-    Parametric shocks are evaluated against `segment` (fitted once over the
-    full curve range when not given); custom shock vectors ignore it. A
-    shock whose curve cannot be built raises what apply_shock raises for
-    it, the first such shock in sweep order. A plan bond whose maturity is
-    off the base curve raises an ExtrapolationError that names the bond.
+    The base curve and the shocked curves are one (1 + shocks, knots) rates
+    block, base first, and the plan bonds' flows one table, discounted over
+    the whole block at once. Slope and twist terms are evaluated against
+    `segment`, fitted over the full curve range when not given; a sweep of
+    level shifts and custom vectors fits nothing. A shock whose curve cannot
+    be built raises what apply_shock raises for it (with a fitted segment),
+    the first such shock in sweep order. A plan bond whose maturity is off
+    the base curve raises an ExtrapolationError that names the bond.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
     if missing:
         raise ValueError(f"unknown instrument id(s) in plan: {missing}")
-    if segment is None and any(s.is_parametric for s in shocks):
+    if segment is None and any(s.b or s.c for s in shocks):
         segment = default_segment(curve)
     amounts = np.array([plan.target_amount] + [leg.amount for leg in plan.legs])
     bonds = [universe[i] for i in ids]
-    # an off-curve or unpriceable bond fails here, named, bond by bond, before any shock
-    base = [(_named(lambda b: spot(curve, b.maturity), b), *_bond_flows(b)) for b in bonds]
+    lo, hi = curve.min_tenor - _SPAN_TOL, curve.max_tenor + _SPAN_TOL
+    flows = []
+    for b in bonds:  # an off-curve or unpriceable bond fails here, named, before any shock
+        if not lo <= b.maturity <= hi:
+            _named(lambda b: spot(curve, b.maturity), b)
+        flows.append(_bond_flows(b))
     rates = _shock_block(curve, shocks, segment)
     bad = _bad_rows(rates)
-    if bad.any():  # the first shocked curve that fails its checks: apply_shock names it
-        shock = shocks[int(bad.argmax())]
-        apply_shock(curve, shock, segment)
+    if bad.any():  # the first shocked curve that fails its checks, worded as apply_shock does
+        k = int(bad.argmax())
+        shock = shocks[k - 1]
+        if not shock.is_parametric:  # names a vector of the wrong length
+            apply_shock(curve, shock)
+        YieldCurve(curve.date, curve.tenors, tuple(rates[k].tolist()))
         raise RuntimeError(f"shock block and apply_shock disagree on {shock}")
-    # each bond's yield on each shocked curve, at its maturity as spot takes it
-    mats = np.repeat([b.maturity for b in bonds], len(shocks))
-    ys = _interp_rows(mats, np.asarray(curve.tenors), np.tile(rates, (len(bonds), 1)))
-    # row 0 of each bond's block is the base curve
-    prices = np.array([_pv(t, cf, np.append(y0, y)[:, None]).sum(axis=1)
-                       for (y0, t, cf), y in zip(base, ys.reshape(len(bonds), len(shocks)))])
+    # each bond's yield on each curve, at its maturity as spot takes it
+    mats = np.array([b.maturity for b in bonds] * len(rates))
+    ys = _interp_rows(mats, np.asarray(curve.tenors), np.repeat(rates, len(bonds), axis=0))
+    # one flow table: every flow discounted at its bond's yield on each curve
+    counts = [len(t) for t, _ in flows]
+    t, cf = (np.concatenate(x) for x in zip(*flows))
+    pv = _pv(t, cf, np.repeat(ys.reshape(len(rates), len(bonds)), counts, axis=1))
+    edges = [0, *accumulate(counts)]  # a bond's slice sums as its own table would
+    prices = np.array([pv[:, i:j].sum(axis=1) for i, j in zip(edges, edges[1:])])
     pnl = amounts[:, None] * (prices[:, 1:] - prices[:, :1])  # (instruments, shocks)
     # the hedged sum is Python's, from 0 and target first, as per shock
     return [ScenarioResult(shock, per[0], sum(per), tuple(zip(ids, per)))

@@ -196,10 +196,12 @@ def test_parse_curve_collects_all_row_errors(tmp_path):
 
 def _row_reader(path) -> list[YieldCurve]:
     """Reference reader: the per-row loop parse_curve_csv ran before histories
-    were read as blocks, kept here to pin its curves and messages."""
+    were read as blocks, kept here to pin its curves and messages. A row is
+    numbered by the text line it ends on (csv's line_num)."""
     errors = []
     with open(path, newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     rows = [(ln, row) for ln, row in rows if row and not row[0].lstrip().startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty curve file")
@@ -350,7 +352,10 @@ H = "date,tenor_1,tenor_5\n"
      "line 5: bad date '2024-13-01' (expected ISO-8601); line 6: non-numeric rate 'x'; "
      "line 7: spot rates must be finite; line 8: duplicate date 2024-01-08; "
      "line 9: spot rates must be finite"),
-], ids=["fields", "date", "text", "duplicate", "back", "nan", "inf", "low", "no-rows", "mixed"])
+    # a quoted cell holding a line end: later rows are named by their text line
+    (H + '2024-01-02,"0.03\n",0.03\n2024-01-03,oops,0.03\n', "line 4: non-numeric rate 'oops'"),
+], ids=["fields", "date", "text", "duplicate", "back", "nan", "inf", "low", "no-rows", "mixed",
+        "quoted-line-end"])
 def test_parse_curve_error_corpus(tmp_path, text, message):
     path = write(tmp_path, "c.csv", text)
     with pytest.raises(ValidationError) as err:
@@ -494,6 +499,15 @@ def test_bonds_require_finite_json_numbers(tmp_path, field, value, message):
     with pytest.raises(ValidationError) as err:
         parse_bonds_json(path)
     assert str(err.value) == f"{path}: bond 'B1': {message}"
+
+
+@pytest.mark.parametrize("value", [None, 7, ["B1"]], ids=["null", "number", "array"])
+def test_bonds_ids_must_be_strings(tmp_path, value):
+    good = {"id": "OK", "face": 100, "coupon_rate": 0.03, "coupon_frequency": 1, "maturity": 5}
+    path = write(tmp_path, "b.json", json.dumps([good, {**good, "id": value}]))
+    with pytest.raises(ValidationError) as err:
+        parse_bonds_json(path)
+    assert str(err.value) == f"{path}: bond #1: id must be a string, got {json.dumps(value)}"
 
 
 def test_bonds_duplicate_id(tmp_path):
@@ -1286,6 +1300,40 @@ def test_cli_output_under_a_regular_file_exits_2(cli_files, capsys, command):
     assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: cannot write {blocker}")
     assert blocker.read_text() == "not a directory\n"
     assert not list(tmp.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["synth", "synth-bonds", "stats", "analyze", "hedge",
+                                     "scenario"])
+def test_cli_output_that_is_a_directory_exits_2_before_any_work(cli_files, capsys, monkeypatch,
+                                                                 command):
+    tmp, adir = cli_files["tmp"], cli_files["tmp"] / "adir"
+    adir.mkdir()
+    files = ["--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"])]
+    plan = tmp / "plan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+                 *files, "--out", str(plan)]) == 0
+    argv = {
+        "synth": ["synth", "--days", "5", "--out", str(adir)],
+        "synth-bonds": ["synth", "--days", "5", "--out", str(tmp / "h5.csv"),
+                        "--bonds-out", str(adir)],
+        "stats": ["stats", "--history", str(cli_files["curve"]), "--out", str(adir)],
+        "analyze": ["analyze", *files, "--out", str(adir)],
+        "hedge": ["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B3",
+                  *files, "--out", str(adir)],
+        "scenario": ["scenario", "--plan", str(plan), *files, "--shock", "a=0.001",
+                     "--out", str(adir)],
+    }[command]
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_read_history", "parse_curve_csv", "generate_history"):
+        monkeypatch.setattr(curvehedge.cli, name, work)
+    before = sorted(tmp.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {adir}: Is a directory\n"
+    assert sorted(tmp.rglob("*")) == before
 
 
 def test_cli_synth_creates_missing_directories(tmp_path):

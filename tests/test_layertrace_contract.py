@@ -4,7 +4,8 @@ benchmark. Also pins the per-layer work of a backtest on a short window (no
 plan builder, pricing or snapshot call per day), of
 the curve layer (one curve per synthetic day, checked as one block, one
 delta_y per shock) and of a
-residual sweep (the base curve and the shocked curves priced as one block)."""
+residual sweep (the base curve and the shocked curves priced as one block,
+with a fit only for a slope or twist shock)."""
 
 import sys
 from pathlib import Path
@@ -75,9 +76,19 @@ def test_tracer_counts_one_base_pricing_per_sweep():
                                     ShockSpec.parametric(1e-3, 0.05, 0.02), steps=4)
     finally:
         tracer.uninstall()
-    # 4 bonds looked up on the base curve once, each priced over the base
-    # and the shocked curves in one block, not by price()
-    assert tracer.stat("curve", "spot").calls == 4
+    # the base curve is row 0 of the block, so no bond is looked up by
+    # spot(), and each is priced over the base and the shocked curves in one
+    # flow table, not by price()
+    assert tracer.stat("curve", "spot").calls == 0
     assert tracer.stat("bonds", "price").calls == 0
     assert tracer.stat("curve", "fit_segment").calls == 1
     assert tracer.stat("curve", "apply_shock").calls == 0
+    # a level shift reads no fit
+    level = layertrace.Tracer()
+    level.install()
+    try:
+        curvehedge.residual_scaling(plan, universe, curve, ShockSpec.parametric(1e-3), steps=4)
+    finally:
+        level.uninstall()
+    assert level.stat("curve", "fit_segment").calls == 0
+    assert level.stat("curve", "spot").calls == 0

@@ -184,7 +184,8 @@ _amounts = st.floats(-500.0, 500.0).filter(lambda x: abs(x) > 1e-3) | st.just(0.
 @st.composite
 def _sweeps(draw):
     """A random curve, a universe on it (frequencies 1-12, zero coupons), a
-    plan with signed amounts, and a mix of parametric, custom and zero shocks."""
+    plan with signed amounts, and a mix of parametric, custom and zero shocks;
+    half the sweeps hold only level shifts and custom vectors, with no segment."""
     tenors = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0,
                                                   15.0, 20.0, 30.0]), min_size=4)))
     rates = draw(st.lists(st.floats(-0.01, 0.12), min_size=len(tenors), max_size=len(tenors)))
@@ -198,13 +199,16 @@ def _sweeps(draw):
     plan = HedgePlan(Strategy.CUSTOM, "X0", draw(_amounts),
                      tuple(HedgeLeg(b.id, draw(_amounts)) for b in bonds[1:]), ())
     size = st.floats(-2e-3, 2e-3)
-    shock = st.one_of(
-        st.builds(ShockSpec.parametric, size, st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+    flat = st.one_of(
+        st.builds(ShockSpec.parametric, size),
         st.lists(size, min_size=len(tenors), max_size=len(tenors)).map(ShockSpec.from_vector),
         st.just(ShockSpec.parametric()),
         st.just(ShockSpec.from_vector([0.0] * len(tenors))),
     )
-    shocks = draw(st.lists(shock, max_size=12))
+    if draw(st.booleans()):  # level shifts and custom vectors with no segment: nothing is fitted
+        return plan, {b.id: b for b in bonds}, curve, draw(st.lists(flat, max_size=12)), None
+    bent = st.builds(ShockSpec.parametric, size, st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
+    shocks = draw(st.lists(bent | flat, max_size=12))
     segment = None
     if draw(st.booleans()):
         lo, hi = draw(st.lists(st.sampled_from(tenors), min_size=2, max_size=2, unique=True))
@@ -271,6 +275,30 @@ def test_run_scenarios_raises_the_first_failing_shocks_error(plans, universe, cu
         for later in (short, sunk, sunk_par):
             mixed = shocks + good[:1] + [later]
             assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, mixed)) == want
+
+
+def test_level_sweep_fits_nothing(universe):
+    """A level shift reads no fit, so a 2-knot curve, which default_segment
+    cannot fit, sweeps level shifts as it sweeps the same constant vectors."""
+    curve = YieldCurve(dt.date(2024, 1, 2), (0.5, 10.0), (0.031, 0.042))
+    plan = HedgePlan(Strategy.CUSTOM, "B2", 100.0, (HedgeLeg("B3", -40.0), HedgeLeg("B1", 7.5)), ())
+    sizes = [1e-3, -2.5e-3, 0.0, 4e-4]
+    level = run_scenarios(plan, universe, curve, [ShockSpec.parametric(a) for a in sizes])
+    vector = run_scenarios(plan, universe, curve, [parallel(curve, a) for a in sizes])
+    assert [r.per_instrument_pnl for r in level] == [r.per_instrument_pnl for r in vector]
+    assert [(r.unhedged_pnl, r.hedged_pnl) for r in level] == [
+        (r.unhedged_pnl, r.hedged_pnl) for r in vector]
+    assert run_scenario(plan, universe, curve, ShockSpec.parametric(1e-3)).per_instrument_pnl == \
+        level[0].per_instrument_pnl
+
+
+def test_level_sweep_without_segment_names_a_sunk_curve(plans, universe, curve):
+    """A level shift that sinks the curve raises what apply_shock raises for
+    it against a fitted segment, although the sweep fits none."""
+    sunk = ShockSpec.parametric(a=-1.5)
+    want = _error(lambda: apply_shock(curve, sunk, default_segment(curve)))
+    for shocks in ([sunk], [ShockSpec.parametric(1e-3), sunk, parallel(curve, 1e-3)]):
+        assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, shocks)) == want
 
 
 def test_default_segment_degree(curve):
