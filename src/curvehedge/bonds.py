@@ -8,9 +8,13 @@ Conventions used throughout the toolkit:
 * all times are ACT/365 year fractions measured from the valuation date.
 
 One flow table holds the coupon schedule (_flows): the times and amounts
-of a bond rolled by any number of elapsed times, a row each. cashflows,
-price and analytics read its one row for the bond as it stands, the
-backtest's mark table (_roll_table) reads it over a window of rolled rows,
+of a bond rolled by any number of elapsed times, a row each. Its one row
+for the bond as it stands is built once per Bond instance and held,
+read-only, on the bond (_bond_flows), so cashflows, price, analytics, spot
+mode and the scenario sweeps all read the same arrays however often the
+bond is priced; a rolled or replaced bond is a new instance and builds its
+own, and a bond that cannot be priced raises on every call. The backtest's
+mark table (_roll_table) reads the flow table over a window of rolled rows,
 and every pricing discounts it as cf·(1+y)^-t (_pv).
 
 Each bond is priced off a single yield. When that yield comes from a curve
@@ -118,8 +122,17 @@ def _flows(bond: Bond, elapsed, k: int):
 
 
 def _bond_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
-    """The one-row table of the bond as it stands, zero flows dropped; a
-    ValueError names the bond if it has no live flow or a late accrual start."""
+    """The one-row table of the bond as it stands, zero flows dropped, built
+    on first use and kept read-only on the bond (a rolled or replaced bond is
+    a new instance with its own). A ValueError names the bond, on every call,
+    if it has no live flow or a late accrual start: errors are not kept."""
+    table = bond.__dict__.get("_flow_table")
+    if table is None:
+        table = bond.__dict__["_flow_table"] = _build_flows(bond)
+    return table
+
+
+def _build_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     k = int(_counts(bond, 0.0)[1])
     if k < 1:
         raise ValueError(f"bond {bond.id!r}: maturity {bond.maturity} leaves no cashflow to price")
@@ -127,9 +140,11 @@ def _bond_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     if late:
         raise ValueError(f"bond {bond.id!r}: accrual start {bond.issue_or_first_coupon_offset} "
                          f"is not before first coupon {t[0].item()}")
-    if cf[0] != 0.0:  # else a zero-coupon bond's coupons (or a vanishing pro-rata one)
-        return t, cf
-    return t[cf != 0.0], cf[cf != 0.0]
+    if cf[0] == 0.0:  # a zero-coupon bond's coupons (or a vanishing pro-rata one)
+        t, cf = t[cf != 0.0], cf[cf != 0.0]
+    t.setflags(write=False)
+    cf.setflags(write=False)
+    return t, cf
 
 
 def _named(fn, bond: Bond, *args, **kwargs):

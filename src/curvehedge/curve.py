@@ -196,6 +196,15 @@ def check_history(curves: Sequence[YieldCurve]) -> None:
             raise ValidationError(f"tenor grid changes on {cur.date}")
 
 
+def _condition_number(m: np.ndarray) -> float:
+    """np.linalg.cond(m), bit for bit, from one SVD: s[0] / s[-1], and inf
+    where that is inf or nan, for a singular or non-finite m (np.linalg.svd
+    raises on a nan entry, as cond does)."""
+    s = np.linalg.svd(m, compute_uv=False).tolist()
+    cond = s[0] / s[-1] if s[-1] else math.inf
+    return cond if cond == cond else math.inf
+
+
 def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> PolynomialSegment:
     """Least-squares polynomial of the given degree over the knots in [t_lo, t_hi].
 
@@ -221,8 +230,8 @@ def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> Pol
         )
     vand = np.vander(t[mask], degree + 1, increasing=True)
     normal = vand.T @ vand
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > FIT_CONDITION_LIMIT:
+    cond = _condition_number(normal)
+    if cond > FIT_CONDITION_LIMIT:  # inf when singular
         raise FitError(f"normal equations condition number {cond:.3e} exceeds {FIT_CONDITION_LIMIT:.0e}")
     coef = np.linalg.solve(normal, vand.T @ r[mask])
     padded = tuple(float(c) for c in coef) + (0.0,) * (3 - degree)

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bonds import Bond, curve_analytics
-from .curve import YieldCurve
+from .curve import YieldCurve, _condition_number
 from .errors import (
     CollinearInstrumentError,
     DegenerateSpanError,
@@ -378,8 +378,8 @@ def solve_constraint_hedge(
     scale[scale == 0.0] = 1.0
     m = m / scale[:, None]
     rhs = rhs / scale
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > SOLVE_CONDITION_LIMIT:
+    cond = _condition_number(m)
+    if cond > SOLVE_CONDITION_LIMIT:  # inf when singular
         raise SingularSystemError(
             f"constraint system condition number {cond:.3e}; nearest to dependent: "
             f"{_most_parallel_pair(m, constraints)}"

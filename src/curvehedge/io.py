@@ -165,7 +165,7 @@ def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
     header_ln, header = rows[0]
     header = header.split(",") if fast else header
     if not header or header[0].strip() != "date":
-        raise ValidationError(f"{path}:{header_ln}: header must start with 'date'")
+        raise ValidationError(f"{path}: line {header_ln}: header must start with 'date'")
     tenors: list[float] = []
     for col in header[1:]:
         col = col.strip()

@@ -17,10 +17,16 @@ slope or twist term. residual_scaling
 shrinks a shock dyadically and records the hedged residual at each size;
 the log-log slope of that series is the effective order of the
 immunization (2 for a first-order hedge, 3 when convexity is matched too).
+estimate_order takes that slope in closed form, the least-squares
+sum(dx*dy) / sum(dx*dx) about the means of log scale and log residual, in
+Python floats; residuals are floored at 1e-300 before the log, and it
+refuses (ValueError) an empty series, a scale that is not finite and
+positive, and a series with fewer than two distinct scales.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -145,9 +151,22 @@ def estimate_order(scaling: Sequence[tuple[float, float]]) -> float:
 
     Residuals at or below double-precision noise are floored rather than
     passed to log, so a perfectly killed shock reports a huge order instead
-    of crashing.
+    of crashing. The slope is the closed form sum(dx*dy) / sum(dx*dx) about
+    the means, in Python floats. A ValueError names the fault when there is
+    no point, a scale is not finite and positive, or fewer than two scales
+    are distinct.
     """
-    scales = np.array([s for s, _ in scaling])
-    residuals = np.maximum(np.array([r for _, r in scaling]), 1e-300)
-    slope = np.polyfit(np.log(scales), np.log(residuals), 1)[0]
-    return float(slope)
+    xs, ys = [], []
+    for scale, residual in scaling:
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"scales must be finite and positive, got {scale}")
+        xs.append(math.log(scale))
+        ys.append(math.log(max(residual, 1e-300)))
+    if not xs:
+        raise ValueError("need at least two scales to estimate an order, got no points")
+    distinct = len(set(xs))
+    if distinct < 2:
+        raise ValueError(f"need at least two distinct scales to estimate an order, got {distinct}")
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    dxs = [x - mx for x in xs]
+    return sum(dx * (y - my) for dx, y in zip(dxs, ys)) / sum(dx * dx for dx in dxs)

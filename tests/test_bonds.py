@@ -2,6 +2,7 @@
 finite-difference oracles, spot-mode pricing against the per-flow loop it
 replaced, and the second-order P&L approximation."""
 
+import dataclasses
 import datetime as dt
 import math
 
@@ -13,17 +14,25 @@ from curvehedge import (
     Bond,
     BondAnalytics,
     ExtrapolationError,
+    ShockSpec,
     YieldCurve,
     analytics,
     cashflows,
     convexity,
+    convexity_hedge,
+    cubic_hedge,
     curve_analytics,
+    duration_hedge,
     modified_duration,
     pnl_approx,
     price,
+    quadratic_hedge,
+    residual_scaling,
+    snapshot,
     spot,
 )
-from curvehedge.bonds import _counts, _flows, _spot_marks
+import curvehedge.bonds as bonds_module
+from curvehedge.bonds import _bond_flows, _counts, _flows, _spot_marks
 
 FD_STEP = 1e-6
 # second differences amplify roundoff by 1/h^2; eps^(1/4) balances that
@@ -165,6 +174,61 @@ def test_rolled_shortens_maturity():
     r = b.rolled(1.5)
     assert r.maturity == pytest.approx(3.5)
     assert r.id == b.id and r.coupon_rate == b.coupon_rate
+
+
+def test_flow_table_is_built_once_per_bond(monkeypatch):
+    """An audit-style set: five snapshots, four plans, then a level sweep of
+    every plan and a twist sweep of the quadratic and cubic plans."""
+    builds = []
+
+    def counted(bond, *args):
+        builds.append(bond.id)
+        return _flows(bond, *args)
+
+    monkeypatch.setattr(bonds_module, "_flows", counted)
+    tenors = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0, 15.0)
+    curve = YieldCurve(dt.date(2024, 1, 2), tenors,
+                       tuple(0.02 + 0.004 * t - 0.0002 * t * t for t in tenors))
+    hedges = [Bond("H0", 100.0, 0.03, 2, 1.7), Bond("H1", 100.0, 0.045, 1, 3.9),
+              Bond("H2", 100.0, 0.02, 2, 6.4), Bond("H3", 100.0, 0.055, 1, 9.3)]
+    target = Bond("T", 100.0, 0.04, 1, 5.1)
+    s0, s1, s2, s3 = (snapshot(b, curve) for b in hedges)
+    t = snapshot(target, curve, amount=120.0)
+    plans = [duration_hedge(t, s2), quadratic_hedge(t, s0, s3),
+             convexity_hedge(t, s1, s2), cubic_hedge(t, s0, s1, s3)]
+    universe = {b.id: b for b in [*hedges, target]}
+    for plan in plans:
+        residual_scaling(plan, universe, curve, ShockSpec.parametric(a=0.002), steps=4)
+    for plan in (plans[1], plans[3]):
+        residual_scaling(plan, universe, curve, ShockSpec.parametric(c=1.0), steps=4)
+    assert sorted(builds) == ["H0", "H1", "H2", "H3", "T"]
+
+
+def test_flow_table_is_read_only_and_per_instance():
+    bond = Bond("b", 100.0, 0.04, 2, 3.3)
+    t, cf = _bond_flows(bond)
+    assert _bond_flows(bond)[0] is t
+    for arr in (t, cf):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    rolled = bond.rolled(0.25)
+    rt, rcf = _bond_flows(rolled)
+    assert rt is not t and rt.tolist() == pytest.approx((t - 0.25).tolist())
+    assert rcf.tolist() == cf.tolist()
+    fresh = Bond("b", 100.0, 0.04, 2, bond.maturity - 0.25)
+    assert analytics(rolled, 0.03) == analytics(fresh, 0.03)
+    richer = dataclasses.replace(bond, coupon_rate=0.06)
+    assert _bond_flows(richer)[1][0] == 3.0 and cf[0] == 2.0
+
+
+@pytest.mark.parametrize("bond,message", [
+    (Bond("tiny", 100.0, 0.05, 2, 1e-10), "leaves no cashflow"),
+    (Bond("late", 100.0, 0.04, 2, 1.0, issue_or_first_coupon_offset=0.6), "accrual start"),
+])
+def test_unpriceable_bond_raises_on_every_call(bond, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            price(bond, 0.03)
 
 
 def test_bond_validation():

@@ -22,7 +22,7 @@ from curvehedge import (
     generate_history,
     spot,
 )
-from curvehedge.curve import _curves
+from curvehedge.curve import _condition_number, _curves
 from curvehedge.synth import _trading_dates
 
 D = dt.date(2024, 1, 2)
@@ -132,6 +132,52 @@ def test_fit_needs_enough_knots():
     c = poly_curve((0.02, 0.001, 0.0, 0.0), (1, 2, 3, 4, 5))
     with pytest.raises(FitError, match="at least 4"):
         fit_segment(c, 1.0, 3.0, 3)  # only 3 knots in range
+
+
+@pytest.mark.parametrize("tenors,degree", [
+    ((1e3, 1e3 + 0.01, 1e3 + 0.02, 1e3 + 0.03), 3),
+    ((100.0, 100.5, 101.0, 101.5, 102.0), 3),
+    ((500.0, 500.5, 501.0), 2),
+])
+def test_fit_ill_conditioned_message(tenors, degree):
+    c = YieldCurve(D, tenors, (0.02,) * len(tenors))
+    vand = np.vander(np.array(tenors), degree + 1, increasing=True)
+    cond = np.linalg.cond(vand.T @ vand)
+    with pytest.raises(FitError) as err:
+        fit_segment(c, tenors[0], tenors[-1], degree)
+    assert str(err.value) == f"normal equations condition number {cond:.3e} exceeds 1e+12"
+
+
+@st.composite
+def _square_systems(draw):
+    """1x1-4x4 matrices, a third of them made singular: a zero row, a row
+    a multiple of another, or all zeros."""
+    n = draw(st.integers(1, 4))
+    m = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n)
+    kind = draw(st.sampled_from(["any", "any", "zero_row", "multiple", "zeros"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "zero_row":
+        m[i] = 0.0
+    elif kind == "multiple":
+        m[i] = m[j] * draw(st.floats(-10.0, 10.0))
+    elif kind == "zeros":
+        m[:] = 0.0
+    return m
+
+
+@settings(max_examples=500, deadline=None)
+@given(_square_systems())
+def test_condition_number_equals_numpy_cond(m):
+    assert _condition_number(m) == np.linalg.cond(m)
+
+
+def test_condition_number_non_finite():
+    assert _condition_number(np.array([[np.inf, 1.0], [1.0, 2.0]])) == np.linalg.cond(
+        np.array([[np.inf, 1.0], [1.0, 2.0]])) == np.inf
+    for fn in (_condition_number, np.linalg.cond):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(np.array([[np.nan, 1.0], [1.0, 2.0]]))
 
 
 def test_fit_rejects_degenerate_span():

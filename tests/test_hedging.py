@@ -576,6 +576,29 @@ def test_solver_singular_system_names_pair():
         solve_constraint_hedge(t, insts, [DOLLAR_DURATION, twin])
 
 
+def test_solver_singular_system_messages():
+    t = snap("T", 100.0, 5.0, 5.0, 30.0, amount=100.0)
+    insts = [snap("A", 100.0, 4.0, 4.0, 20.0), snap("B", 100.0, 7.0, 7.0, 55.0)]
+    twin = Constraint("dollar_duration_twin", lambda s: s.modified_duration)
+    nothing = Constraint("nothing", lambda s: 0.0)
+    # the equilibrated system of [DOLLAR_DURATION, twin]: two equal rows
+    m = np.array([[100.0 * 4.0, 100.0 * 7.0]] * 2)
+    m = m / np.max(np.abs(m), axis=1)[:, None]
+    cases = [
+        (insts, [DOLLAR_DURATION, twin],
+         f"constraint system condition number {np.linalg.cond(m):.3e}; nearest to dependent: "
+         "'dollar_duration' and 'dollar_duration_twin' (|cos| = 1.000000)"),
+        (insts[:1], [nothing], "constraint system condition number inf; nearest to dependent: "
+         "constraint 'nothing' has (near-)zero weights"),
+        (insts, [DOLLAR_DURATION, nothing], "constraint system condition number inf; "
+         "nearest to dependent: 'dollar_duration' and 'nothing' (|cos| = 0.000000)"),
+    ]
+    for instruments, constraints, message in cases:
+        with pytest.raises(SingularSystemError) as err:
+            solve_constraint_hedge(t, instruments, constraints)
+        assert str(err.value) == message
+
+
 def test_solver_count_mismatch():
     t = snap("T", 100.0, 5.0, 5.0, 30.0, amount=100.0)
     with pytest.raises(ValueError, match="as many"):

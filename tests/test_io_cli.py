@@ -207,7 +207,7 @@ def _row_reader(path) -> list[YieldCurve]:
         raise ValidationError(f"{path}: empty curve file")
     header_ln, header = rows[0]
     if not header or header[0].strip() != "date":
-        raise ValidationError(f"{path}:{header_ln}: header must start with 'date'")
+        raise ValidationError(f"{path}: line {header_ln}: header must start with 'date'")
     tenors = tuple(float(col.strip()[len("tenor_"):]) for col in header[1:])
     curves, last_date = [], None
     for ln, row in rows[1:]:
@@ -1378,6 +1378,15 @@ def test_cli_field_over_csv_limit_exits_2(cli_files, capsys):
     assert main(["stats", "--history", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: line 2: field larger than field limit ({csv.field_size_limit()})\n")
+
+
+def test_cli_bad_header_names_its_line(cli_files, capsys):
+    path = cli_files["tmp"] / "h.csv"
+    path.write_text("# a comment\nwhen,tenor_1,tenor_5\n2024-01-02,0.02,0.03\n")
+    assert main(["stats", "--history", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 2: header must start with 'date'\n"
 
 
 def test_cli_synth_determinism(tmp_path):

@@ -318,6 +318,60 @@ def test_estimate_order_exact_powers():
     assert estimate_order([(1.0, 1.0), (0.5, 0.5), (0.25, 0.25)]) == pytest.approx(1.0)
     assert estimate_order([(1.0, 1.0), (0.5, 0.25), (0.25, 0.0625)]) == pytest.approx(2.0)
     assert estimate_order([(1.0, 8.0), (0.5, 1.0), (0.25, 0.125)]) == pytest.approx(3.0)
+    # a (points, 2) array works as the list of pairs does
+    assert estimate_order(np.array([[1.0, 1.0], [0.5, 0.25], [0.25, 0.0625]])) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("scaling,message", [
+    ([], "got no points"),
+    ([(1.0, 1.0)], "at least two distinct scales to estimate an order, got 1"),
+    ([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)], "at least two distinct scales to estimate an order, got 1"),
+    ([(1.0, 1.0), (0.0, 1.0)], "scales must be finite and positive, got 0.0"),
+    ([(1.0, 1.0), (-0.5, 1.0)], "scales must be finite and positive, got -0.5"),
+    ([(float("nan"), 1.0), (0.5, 1.0)], "scales must be finite and positive, got nan"),
+    ([(1.0, 1.0), (float("inf"), 1.0)], "scales must be finite and positive, got inf"),
+])
+def test_estimate_order_names_bad_input(scaling, message, capfd):
+    with pytest.raises(ValueError) as err:
+        estimate_order(scaling)
+    assert type(err.value) is ValueError and message in str(err.value)
+    assert capfd.readouterr() == ("", "")  # nothing from LAPACK
+
+
+def _polyfit_order(scaling) -> float:
+    """Reference: the np.polyfit slope estimate_order took before its closed form."""
+    scales = np.array([s for s, _ in scaling])
+    residuals = np.maximum(np.array([r for _, r in scaling]), 1e-300)
+    return float(np.polyfit(np.log(scales), np.log(residuals), 1)[0])
+
+
+@st.composite
+def _order_sweeps(draw):
+    """3-8 distinct scales in (0, 1] with residuals C * s^p * noise, some of
+    them zero (floored), dyadic as residual_scaling makes them or random."""
+    n = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        scales = [0.5**k for k in range(n)]
+    else:
+        scales = draw(st.lists(st.floats(1e-4, 1.0), min_size=n, max_size=n, unique=True))
+    p = draw(st.floats(0.0, 6.0))
+    c = draw(st.floats(1e-12, 1e3))
+    noise = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    zeros = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [(s, 0.0 if z else c * s**p * e) for s, e, z in zip(scales, noise, zeros)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_order_sweeps())
+def test_estimate_order_equals_polyfit(scaling):
+    ref = _polyfit_order(scaling)
+    # either slope rounds at about eps * |log r| / (log-scale span), which
+    # outgrows a slope near 0 (all residuals floored, say), so agreement is
+    # relative to the larger of the two
+    xs = np.log([s for s, _ in scaling])
+    ys = np.log(np.maximum([r for _, r in scaling], 1e-300))
+    size = max(abs(ref), np.max(np.abs(ys)) / (xs.max() - xs.min()))
+    assert abs(estimate_order(scaling) - ref) <= 1e-12 * size
 
 
 def test_residual_scaling_needs_three_steps(plans, universe, curve):
