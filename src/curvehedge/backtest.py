@@ -5,21 +5,22 @@ start of the window, so analytics on day d use the shortened bond. The
 replay runs in three phases:
 
 * mark table: each bond the config names lives for as many steps as it
-  stays at or above the curve's shortest tenor through the next mark. Over
-  that life it gets one cashflow table (bonds._roll_table), built from the
-  window's rates as one (days, knots) matrix: row d is the bond rolled to
-  day d, its mark the price off day d's curve and its carry price the price
-  off day d-1's curve. The rows are summed in blocks of days with the same
-  live-flow count, a pro-rata first coupon (accrual offset) sits in its
-  row, and every number is equal to the scalar price/analytics path. A
-  bond that cannot be priced fails here, by name and first failing day,
-  before any strategy runs.
+  stays at or above the curve's shortest tenor through the next mark. One
+  table holds the whole book over its lives (bonds._roll_table), built
+  from the window's rates as one (days, knots) matrix: row d of a bond is
+  the bond rolled to day d, its mark the price off day d's curve and its
+  carry price the price off day d-1's curve. Each bond's rows are summed in
+  blocks of days with the same live-flow count, a pro-rata first coupon
+  (accrual offset) sits in its row, and every number is equal to the
+  scalar price/analytics path. A bond that cannot be priced fails here, by
+  name and first failing day, before any strategy runs.
 * plans: a strategy lives as long as the shortest life among its bonds. One
   call of the hedging kernel solves its ratios, with a single plan's checks,
   on every rebalance_days-th row of the table (the first failing day is
   named), and each day's amounts are held until the next rebalance.
 * P&L: exact repricing, summed as arrays over the holdings (target first,
-  then the plan's legs): amount times (mark on day d+1 minus mark on day d).
+  then the plan's legs): amount times each bond's mark change (mark on day
+  d+1 minus mark on day d), taken once per bond for every series.
 
 Gross P&L includes pull-to-par carry. The carry-netted series subtracts
 the deterministic price drift the position would have shown on an
@@ -37,7 +38,9 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,8 +70,11 @@ class BacktestConfig:
     def __post_init__(self):
         if not math.isfinite(self.target_amount):
             raise ValueError(f"target_amount must be finite, got {self.target_amount}")
-        if self.rebalance_days < 1:
-            raise ValueError("rebalance_days must be >= 1")
+        try:
+            if operator.index(self.rebalance_days) < 1:
+                raise ValueError("rebalance_days must be >= 1")
+        except TypeError:
+            raise ValueError(f"rebalance_days must be an integer, got {self.rebalance_days!r}") from None
         for strat in self.strategies:
             if self.strategies.count(strat) > 1:
                 raise ValueError(f"{strat.value} is listed more than once in strategies")
@@ -78,6 +84,8 @@ class BacktestConfig:
             ids = self.instruments.get(strat)
             if ids is None:
                 raise ValueError(f"no hedging instruments configured for {strat.value}")
+            if isinstance(ids, str):
+                raise ValueError(f"instruments for {strat.value} must be a list of ids, not {ids!r}")
             if len(ids) != spec.legs:
                 raise ValueError(f"{strat.value} needs {spec.legs} instruments, got {len(ids)}")
             if self.target_id in ids:
@@ -124,18 +132,24 @@ def year_fraction(d0: dt.date, d1: dt.date) -> float:
 
 def summary_stats(series: Sequence[float]) -> SummaryStats:
     """Mean, sample stdev, max drawdown of the cumulative series, worst day."""
-    x = np.asarray(series, dtype=float)
+    x = np.asarray(series, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("cannot summarize an empty series")
-    cum = np.cumsum(x)
-    drawdown = float(np.max(np.maximum.accumulate(cum) - cum))
-    stdev = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
-    return SummaryStats(
-        mean=float(np.mean(x)),
-        stdev=stdev,
-        max_drawdown=drawdown,
-        worst_day=float(np.min(x)),
-    )
+    return _summaries([x])[0]
+
+
+def _summaries(series: Sequence[np.ndarray]) -> list[SummaryStats]:
+    """summary_stats of each non-empty series, as one (series, days) block per
+    length: each row is reduced on its own, so every float is the same."""
+    stats = {}
+    for n in {len(x) for x in series}:
+        at = [i for i, x in enumerate(series) if len(x) == n]
+        x = np.array([series[i] for i in at])
+        cum = np.cumsum(x, axis=1)
+        cols = (np.mean(x, axis=1), np.std(x, axis=1, ddof=1) if n > 1 else np.zeros(len(at)),
+                np.max(np.maximum.accumulate(cum, axis=1) - cum, axis=1), np.min(x, axis=1))
+        stats.update(zip(at, (SummaryStats(*v) for v in zip(*(c.tolist() for c in cols)))))
+    return [stats[i] for i in range(len(series))]
 
 
 def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.ndarray:
@@ -176,15 +190,6 @@ def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray,
     raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {curves[k].date}")
 
 
-def _pnl(
-    amount: float | np.ndarray, marks: np.ndarray, carry: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gross P&L of holding `amount` over n steps, and its carry-netted part."""
-    gross = amount * (marks[1 : n + 1] - marks[:n])
-    # deterministic pull-to-par on an unchanged curve
-    return gross, gross - amount * (carry[:n] - marks[:n])
-
-
 def run_backtest(
     history: Sequence[YieldCurve],
     universe: Mapping[str, Bond],
@@ -209,25 +214,29 @@ def run_backtest(
     if missing:
         raise ValidationError(f"bond universe is missing instrument(s) {missing}")
 
-    # mark table: a bond lives while it stays at or above the shortest tenor
-    # through the next mark
+    # mark table, one row per bond in id order: a bond lives while it stays
+    # at or above the shortest tenor through the next mark
     dates = [c.date for c in curves]
-    elapsed = np.array([year_fraction(dates[0], d) for d in dates])
-    rates = np.array([c.rates for c in curves], dtype=float)
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), float, len(dates))
+    elapsed = (ordinals - ordinals[0]) / 365.0  # == year_fraction
+    rates = np.fromiter(chain.from_iterable(c.rates for c in curves), float,
+                        len(curves) * len(curves[0].tenors)).reshape(len(curves), -1)
     steps = len(curves) - 1
-    life, table, carry = {}, {}, {}
-    for bond_id in sorted(needed):
-        bond = universe[bond_id]
-        below = np.flatnonzero(bond.maturity - elapsed[1:] < curves[0].min_tenor)
-        life[bond_id] = n = int(below[0]) if below.size else steps
-        rows = n + 1 if n else 0  # a bond gone before the first mark is never priced
-        m, p, d, c, carry[bond_id], bad = _roll_table(
-            bond, elapsed[:rows], curves[0].tenors, rates[:rows]
-        )
-        invalid = np.flatnonzero((p <= 0) | (d <= 0))  # InstrumentSnapshot's rules
-        if invalid.size or bad is not None:
-            _raise_on_day(bond, curves, elapsed, int(invalid[0]) if invalid.size else bad)
-        table[bond_id] = (p, m, d, c)
+    ids = sorted(needed)
+    bonds = [universe[i] for i in ids]
+    below = np.subtract.outer([b.maturity for b in bonds], elapsed[1:]) < curves[0].min_tenor
+    lives = np.where(below.any(axis=1), below.argmax(axis=1), steps)
+    rows = np.where(lives > 0, lives + 1, 0)  # a bond gone before the first mark is never priced
+    table, stop = _roll_table(bonds, rows, elapsed, curves[0].tenors, rates)
+    bad = np.flatnonzero(stop < rows)
+    if bad.size:  # the first unpriceable bond in id order
+        _raise_on_day(bonds[bad[0]], curves, elapsed, int(stop[bad[0]]))
+    row = {bond_id: i for i, bond_id in enumerate(ids)}
+    life = dict(zip(ids, lives.tolist()))
+    # each bond's mark change and carry drift (carry price minus mark: the
+    # pull-to-par on an unchanged curve), shared by every series holding it
+    change = table[0, :, 1:] - table[0, :, :-1]
+    drift = table[4, :, 1:] - table[0, :, :-1]
 
     target, amount = config.target_id, config.target_amount
     series: dict[str, StrategySeries] = {}
@@ -239,34 +248,36 @@ def run_backtest(
             dead = [i for i in (target, *legs) if life[i] == n]
             ends.append((n, pos, f"{name}: series truncated at {dates[n]}: {dead} matured "
                         "or rolled below the curve's shortest tenor"))
-        # one plan per rebalance day, all solved at once, each held until the
-        # next; held[j] is leg j's amount (config order) on each of those days
+        # one plan per rebalance day, all solved at once
         days = slice(0, n, config.rebalance_days)
-        on_days = np.array([[x[days] for x in table[i]] for i in legs]).swapaxes(0, 1)
-        order, amounts = _ratios(strat, legs, (amount, *(x[days] for x in table[target])),
-                                 on_days, config.allow_extrapolation, dates[days])
-        held = np.take_along_axis(amounts, np.argsort(order, axis=0), axis=0)
-        gross, net = np.zeros(n), np.zeros(n)
-        # target first, then the legs in the maturity order the first plan
-        # lists them in (no legs if the series never starts)
-        holdings = [(legs[j], np.repeat(held[j], config.rebalance_days)[:n])
-                    for j in order[:, :1].ravel()]
-        for bond_id, a in [(target, amount), *holdings]:
-            g, g_net = _pnl(a, table[bond_id][0], carry[bond_id], n)
-            gross += g
-            net += g_net
-        series[name] = StrategySeries(name, dates[1 : n + 1], gross, net)
+        order, amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
+                                 table[:4, [row[i] for i in legs], days],
+                                 config.allow_extrapolation, dates[days])
+        # row j: leg j's amount on each rebalance day (config order), then the target's
+        by_leg = np.full((len(legs) + 1, amounts.shape[1]), amount, dtype=float)
+        by_leg[order, np.arange(amounts.shape[1])] = amounts
+        # held each day: the target, then the legs in the maturity order the
+        # first plan lists them in (no legs if the series never starts)
+        place = [len(legs), *order[:, :1].ravel().tolist()]
+        held = by_leg[np.array(place)[:, None], np.arange(n) // config.rebalance_days]
+        holds = [row[i] for i in (*legs, target)]
+        holds = [holds[j] for j in place]
+        gross = held * change[holds, :n]
+        net = gross - held * drift[holds, :n]
+        # summed in holding order from 0.0, as a running total would
+        series[name] = StrategySeries(name, dates[1 : n + 1], *np.add.reduce(
+            (gross, net), axis=1, initial=0.0))
 
     n = life[target]
     if n < steps:
         ends.append((n, len(config.strategies),
                      f"{UNHEDGED}: series truncated at {dates[n]}: target matured"))
-    gross, net = _pnl(amount, table[target][0], carry[target], n)
-    series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross, net)
+    gross = amount * change[row[target], :n]
+    series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross,
+                                      gross - amount * drift[row[target], :n])
 
-    summary = {
-        name: summary_stats(s.pnl(config.net_carry)) for name, s in series.items() if s.dates
-    }
+    started = {name: s.pnl(config.net_carry) for name, s in series.items() if s.dates}
+    summary = dict(zip(started, _summaries(list(started.values()))))
     return BacktestReport(
         config=config,
         dates=dates,

@@ -14,8 +14,8 @@ read-only, on the bond (_bond_flows), so cashflows, price, analytics, spot
 mode and the scenario sweeps all read the same arrays however often the
 bond is priced; a rolled or replaced bond is a new instance and builds its
 own, and a bond that cannot be priced raises on every call. The backtest's
-mark table (_roll_table) reads the flow table over a window of rolled rows,
-and every pricing discounts it as cf·(1+y)^-t (_pv).
+mark table (_roll_table) reads the flow table for a whole book over a
+window of rolled rows, and every pricing discounts it as cf·(1+y)^-t (_pv).
 
 Each bond is priced off a single yield. When that yield comes from a curve
 the default is the interpolated spot rate at the bond's own maturity
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -94,11 +96,11 @@ class BondAnalytics:
     convexity: float
 
 
-def _counts(bond: Bond, elapsed):
-    """Maturity and live-flow count (a whole float) of `bond` rolled by
-    elapsed (a float or an array of rows)."""
-    m = bond.maturity - elapsed
-    return m, np.ceil(m * bond.coupon_frequency - _TIME_TOL)
+def _counts(maturity, frequency, elapsed):
+    """Maturity and live-flow count (a whole float) of a bond with that
+    maturity and coupon frequency rolled by elapsed; arrays broadcast."""
+    m = maturity - elapsed
+    return m, np.ceil(m * frequency - _TIME_TOL)
 
 
 def _flows(bond: Bond, elapsed, k: int):
@@ -133,7 +135,7 @@ def _bond_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
-    k = int(_counts(bond, 0.0)[1])
+    k = int(_counts(bond.maturity, bond.coupon_frequency, 0.0)[1])
     if k < 1:
         raise ValueError(f"bond {bond.id!r}: maturity {bond.maturity} leaves no cashflow to price")
     t, cf, late = _flows(bond, 0.0, k)
@@ -192,61 +194,72 @@ def price(bond: Bond, ytm: float) -> float:
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(x[r], xp, fp[r]) for every row r, bit for bit (finite fp)."""
+    """np.interp(x[..., r], xp, fp[r]) for every row r of fp, bit for bit
+    (finite fp); x is (rows,) or a stack of (rows,) arrays."""
     last = len(xp) - 1
     j = np.searchsorted(xp, x, side="right") - 1
     jc = np.minimum(np.maximum(j, 0), last - 1)  # np.clip costs more at this size
-    rows = np.arange(len(x))
-    lo, hi = fp[rows, jc], fp[rows, jc + 1]
-    inner = (hi - lo) / (xp[jc + 1] - xp[jc]) * (x - xp[jc]) + lo
-    inner = np.where(x == xp[jc], lo, inner)
+    at = jc + np.arange(x.shape[-1]) * fp.shape[1]  # flat index of fp[r, jc]
+    lo, hi, xl = fp.take(at), fp.take(at + 1), xp[jc]
+    inner = (hi - lo) / (xp[jc + 1] - xl) * (x - xl) + lo
+    inner = np.where(x == xl, lo, inner)
     return np.where(j < 0, fp[:, 0], np.where(j >= last, fp[:, last], inner))
 
 
-def _roll_table(bond: Bond, elapsed: np.ndarray, tenors, rates: np.ndarray):
-    """Flat-mode marks of `bond` rolled by each elapsed[k], off row k of rates.
+def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray, tenors,
+                rates: np.ndarray):
+    """Flat-mode marks of a book: row k of bond i, for k < rows[i], is what
+    the scalar path gives for bonds[i].rolled(elapsed[k]), its snapshot off
+    curve k (row k of rates) and from row 1 its carry price off curve k-1.
+    One interpolation gives every yield; each bond's flows are summed per
+    run of rows with the same live-flow count (a zero-coupon bond's coupons
+    as exact zeros), so every float is equal to the scalar one.
 
-    Row k holds what the scalar path gives for bond.rolled(elapsed[k]):
-    analytics at the spot rate of curve k at its maturity and, from row 1,
-    the carry price at the spot rate of curve k-1. Flows are summed per run
-    of rows with the same live-flow count, so each row sums its row of the
-    cashflow table (with exact zeros for a zero-coupon bond's coupons, which
-    the scalar path drops), and every float is equal to the scalar one.
-
-    Returns (maturity, price, duration, convexity, carry, bad): bad is the
-    first row the scalar path cannot price (maturity outside the tenor span,
-    a yield at or below -100%, no live flow, an accrual start not before the
-    first coupon), or None; the arrays stop before it (carry one shorter).
+    Returns (table, stop): table is (price, maturity, duration, convexity,
+    carry) over (bonds, len(elapsed)); stop[i] is rows[i] or bond i's first
+    row the scalar path refuses (maturity off the tenor span, a yield at or
+    below -100%, no live flow, a late accrual start, a price or duration
+    not positive), from which on all but maturity are NaN.
     """
     xp = np.asarray(tenors, dtype=float)
-    m, n = _counts(bond, elapsed)
-    y = _interp_rows(m, xp, rates)
-    # row k's carry yield: curve k-1 at row k's maturity (row 0 has no
-    # carry; its own curve stands in)
-    carry_y = _interp_rows(m, xp, np.concatenate((rates[:1], rates[:-1])))
-    fails = (m < xp[0] - _SPAN_TOL) | (m > xp[-1] + _SPAN_TOL) | (n < 1)
-    fails |= (y <= -1.0) | (carry_y <= -1.0)
-    rows = int(np.argmax(fails)) if fails.any() else len(m)
-    p, d, c, carry, late = np.empty((5, rows))
-    # live flows only drop as the bond rolls, so equal counts form runs
-    cuts = np.flatnonzero(np.diff(n[:rows], prepend=0, append=0)).tolist()
-    for a, b in zip(cuts, cuts[1:]):
-        t, cf, late[a:b] = _flows(bond, elapsed[a:b], int(n[a]))
-        p[a:b], d[a:b], c[a:b] = _flat_marks(t, _pv(t, cf, y[a:b, None]), y[a:b])
-        carry[a:b] = _pv(t, cf, carry_y[a:b, None]).sum(axis=1)
-    rows = int(np.argmax(late)) if late.any() else rows
-    bad = rows if rows < len(m) else None
-    return m[:rows], p[:rows], d[:rows], c[:rows], carry[1:rows], bad
-
-
-def _flat_marks(t: np.ndarray, pv: np.ndarray, y):
-    """Price, duration and convexity of each row of present values taken at
-    one yield per row (a float for one row, else an array)."""
-    p, tpv, ttpv = pv.sum(axis=-1), (t * pv).sum(axis=-1), (t * (t + 1.0) * pv).sum(axis=-1)
-    g = 1.0 + y
+    m, n = _counts(np.array([[b.maturity] for b in bonds]),
+                   np.array([[b.coupon_frequency] for b in bonds]), elapsed)
+    days, after = len(elapsed), np.arange(len(elapsed))
+    # row k's carry yield is off curve k-1 (row 0 has none: its own stands in)
+    ys = _interp_rows(np.concatenate((m, m), axis=1), xp, np.concatenate(
+        (rates, rates[:1], rates[:-1]))).reshape(len(bonds), 2, days)
+    fails = (m < xp[0] - _SPAN_TOL) | (m > xp[-1] + _SPAN_TOL) | (n < 1) | (ys <= -1.0).any(axis=1)
+    fails |= after >= np.asarray(rows)[:, None]
+    stop = np.where(fails.any(axis=1), fails.argmax(axis=1), days)
+    g = 1.0 + ys[:, 0]
     # Python's float ** (libm pow) on each yield: NumPy squares differ from
     # it in the last bit
-    g2 = g**2 if isinstance(g, float) else np.array([v**2 for v in g.tolist()])
+    g2 = np.fromiter(map(math.pow, g.ravel().tolist(), repeat(2.0)), float, g.size).reshape(g.shape)
+    table, late = np.full((5, *m.shape), np.nan), np.zeros(m.shape, dtype=bool)
+    table[1] = m
+    # live flows only drop as a bond rolls, so equal counts form runs: a cut
+    # opens each run, and one more closes each bond's last
+    live = np.zeros((len(bonds), days + 2))
+    np.copyto(live[:, 1:-1], n, where=after < stop[:, None])
+    bond_of, cuts = (x.tolist() for x in np.nonzero(live[:, 1:] != live[:, :-1]))
+    for i, j, a, b in zip(bond_of, bond_of[1:], cuts, cuts[1:]):
+        if i == j:
+            t, cf, late[i, a:b] = _flows(bonds[i], elapsed[a:b], int(n[i, a]))
+            pv = _pv(t, cf, ys[i, :, a:b, None])  # the mark and carry blocks as one
+            table[[0, 2, 3], i, a:b] = _flat_marks(t, pv[0], g[i, a:b], g2[i, a:b])
+            table[4, i, a:b] = pv[1].sum(axis=-1)
+    bad = late | (table[0] <= 0) | (table[2] <= 0)  # NaN is neither
+    if bad.any():
+        stop = np.where(bad.any(axis=1), bad.argmax(axis=1), stop)
+        table[[0, 2, 3, 4]] = np.where(after < stop[:, None], table[[0, 2, 3, 4]], np.nan)
+    return table, stop
+
+
+def _flat_marks(t: np.ndarray, pv: np.ndarray, g, g2):
+    """Price, duration and convexity of each row of present values taken at
+    one yield y per row, given g = 1 + y and g2 its libm square (floats for
+    one row, else arrays)."""
+    p, tpv, ttpv = pv.sum(axis=-1), (t * pv).sum(axis=-1), (t * (t + 1.0) * pv).sum(axis=-1)
     return p, tpv / p / g, ttpv / (p * g2)
 
 
@@ -263,7 +276,8 @@ def convexity(bond: Bond, ytm: float) -> float:
 def analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """Price, duration and convexity in one pass over the cashflows."""
     t, cf = _bond_flows(bond)
-    p, d, c = _flat_marks(t, _pv(t, cf, _yield(ytm)), ytm)
+    g = 1.0 + _yield(ytm)
+    p, d, c = _flat_marks(t, _pv(t, cf, ytm), g, g**2)
     return BondAnalytics(price=float(p), ytm=ytm, modified_duration=float(d), convexity=float(c))
 
 

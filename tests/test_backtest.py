@@ -4,6 +4,7 @@ matrices and summary statistics."""
 import dataclasses
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from curvehedge import (
     tenor_correlations,
     year_fraction,
 )
-from curvehedge.backtest import UNHEDGED
+from curvehedge import bonds as bonds_module
+from curvehedge.backtest import UNHEDGED, SummaryStats, _summaries
 from curvehedge.bonds import _roll_table
 
 GRID = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
@@ -106,6 +108,29 @@ def test_summary_stats_single_point():
 def test_summary_stats_empty_rejected():
     with pytest.raises(ValueError):
         summary_stats([])
+
+
+def reference_summary(x):
+    """summary_stats computed on its own, one series at a time."""
+    x = np.asarray(x, dtype=float)
+    cum = np.cumsum(x)
+    return SummaryStats(
+        mean=float(np.mean(x)),
+        stdev=float(np.std(x, ddof=1)) if x.size > 1 else 0.0,
+        max_drawdown=float(np.max(np.maximum.accumulate(cum) - cum)),
+        worst_day=float(np.min(x)),
+    )
+
+
+@given(st.lists(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]), min_size=1,
+                         max_size=40), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_summary_block_equals_one_series_at_a_time(series):
+    """A report's summaries, taken as one block per series length, are == to
+    the summary of each series on its own."""
+    arrays = [np.array(x) for x in series]
+    assert _summaries(arrays) == [reference_summary(x) for x in arrays]
+    assert [summary_stats(x) for x in series] == [reference_summary(x) for x in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +395,43 @@ def test_config_validation():
                        strategies=(Strategy.DURATION, Strategy.DURATION))
 
 
+@pytest.mark.parametrize("days", [2.5, 1.0, "3", None])
+def test_config_rejects_a_rebalance_days_that_is_not_an_integer(days):
+    with pytest.raises(ValueError, match=re.escape(f"rebalance_days must be an integer, got {days!r}")):
+        standard_config(rebalance_days=days)
+
+
+def test_config_takes_a_numpy_integer_rebalance_days(universe):
+    hist = history_from_shifts(base_rates(), 1e-4 * np.random.default_rng(3).standard_normal(
+        (10, len(GRID))))
+    want = run_backtest(hist, universe, standard_config(rebalance_days=3))
+    got = run_backtest(hist, universe, standard_config(rebalance_days=np.int64(3)))
+    for name, s in want.series.items():
+        assert got.series[name].gross.tolist() == s.gross.tolist(), name
+
+
+@pytest.mark.parametrize("strategy, ids", [(Strategy.QUADRATIC, "B3"), (Strategy.DURATION, "B")])
+def test_config_rejects_a_string_instruments_entry(strategy, ids):
+    """A bare string is not a list of ids, even when its length matches the
+    leg count."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"instruments for {strategy.value} must be a list of ids, not {ids!r}")):
+        BacktestConfig(target_id="B2", instruments={strategy: ids}, strategies=(strategy,))
+
+
+def test_integer_target_amount_equals_its_float(universe):
+    """An int target amount hedges the same as the equal float: the legs'
+    float amounts are not cut to the amount's type."""
+    hist = history_from_shifts(base_rates(), 1e-4 * np.random.default_rng(5).standard_normal(
+        (12, len(GRID))))
+    want = run_backtest(hist, universe, standard_config(target_amount=100.0, rebalance_days=4))
+    got = run_backtest(hist, universe, standard_config(target_amount=100, rebalance_days=4))
+    for name, s in want.series.items():
+        assert got.series[name].gross.tolist() == s.gross.tolist(), name
+        assert got.series[name].net.tolist() == s.net.tolist(), name
+    assert repr(got.summary) == repr(want.summary)
+
+
 @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_target_amount(amount):
     with pytest.raises(ValueError, match=f"target_amount must be finite, got {amount}"):
@@ -532,6 +594,15 @@ def test_unpriceable_bond_named_before_any_strategy(universe):
         run_backtest(hist, uni, config)
 
 
+def roll_table(bond, elapsed, tenors, rates):
+    """The one-bond case of the book's mark table, as (maturity, price,
+    duration, convexity, carry, bad): the arrays stop before bad, the first
+    unpriceable row (None if every row prices), and carry starts at row 1."""
+    table, (stop,) = _roll_table([bond], [len(elapsed)], elapsed, tenors, rates)
+    p, m, d, c, carry = table[:, 0, :stop]
+    return m, p, d, c, carry[1:], (int(stop) if stop < len(elapsed) else None)
+
+
 @st.composite
 def roll_windows(draw):
     """A bond, a window of elapsed year fractions and one curve per day.
@@ -575,7 +646,7 @@ def test_roll_table_equals_scalar_path(window):
     day0 = dt.date(2024, 1, 2)
     curves = [YieldCurve(day0 + dt.timedelta(days=k), GRID, tuple(r))
               for k, r in enumerate(rates.tolist())]
-    m, p, d, c, carry, bad = _roll_table(bond, elapsed, GRID, rates)
+    m, p, d, c, carry, bad = roll_table(bond, elapsed, GRID, rates)
     rows = len(elapsed) if bad is None else bad
     assert len(m) == len(p) == len(d) == len(c) == rows and len(carry) == max(rows - 1, 0)
     for k in range(rows):
@@ -593,6 +664,109 @@ def test_roll_table_equals_scalar_path(window):
                 price(b, spot(curves[bad - 1], b.maturity))
 
 
+@st.composite
+def books(draw):
+    """A window of elapsed year fractions, one curve per day and a book of
+    1-6 bonds, each with the rows it is marked on (up to the whole window,
+    or none). Coupons are paid 1, 2, 4 or 12 times a year, some bonds are
+    zero-coupon, some accrue from an offset (on or after the first coupon
+    makes the first row unpriceable), and a short maturity rolls below the
+    curve's first knot mid-window."""
+    gaps = draw(st.lists(st.sampled_from([1, 7, 30, 91]), min_size=1, max_size=30))
+    elapsed = np.cumsum([0] + gaps) / 365.0
+    days = len(elapsed)
+    bonds, rows = [], []
+    for i in range(draw(st.integers(1, 6))):
+        freq = draw(st.sampled_from([1, 2, 4, 12]))
+        rate = draw(st.sampled_from([0.0, 0.03]) | st.floats(0.0, 0.12, allow_subnormal=False))
+        short = GRID[0] + elapsed[-1] * draw(st.floats(0.1, 0.9))
+        maturity = draw(st.sampled_from(GRID) | st.just(short) | st.floats(0.4, 10.5))
+        offset = None
+        if draw(st.booleans()):
+            first = maturity - (math.ceil(maturity * freq - 1e-9) - 1) / freq
+            offset = first - draw(st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5)) / freq
+        bonds.append(Bond(f"X{i}", 100.0, rate, freq, maturity, issue_or_first_coupon_offset=offset))
+        rows.append(draw(st.sampled_from([0, days]) | st.integers(0, days)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.asarray(base_rates()) + 0.01 * rng.standard_normal((days, len(GRID)))
+    return bonds, rows, elapsed, rates
+
+
+@given(books())
+@settings(max_examples=200, deadline=None)
+def test_book_table_equals_one_bond_tables_and_scalar_path(book):
+    """Every bond's slice of the book's mark table, and its first unpriceable
+    row, is == to its one-bond table and to the scalar snapshot and carry
+    price on each of its rows; the scalar path raises on the first row the
+    table cannot price."""
+    bonds, rows, elapsed, rates = book
+    day0 = dt.date(2024, 1, 2)
+    curves = [YieldCurve(day0 + dt.timedelta(days=k), GRID, tuple(r))
+              for k, r in enumerate(rates.tolist())]
+    table, stop = _roll_table(bonds, rows, elapsed, GRID, rates)
+    assert table.shape == (5, len(bonds), len(elapsed))
+    for i, (bond, n) in enumerate(zip(bonds, rows)):
+        one, (one_stop,) = _roll_table([bond], [n], elapsed, GRID, rates)
+        assert stop[i] == one_stop <= n, i
+        assert np.array_equal(table[:, i], one[:, 0], equal_nan=True), i
+        k = int(stop[i])
+        p, m, d, c, carry = table[:, i, :k]
+        assert np.isnan(table[[0, 2, 3, 4], i, k:]).all(), i
+        for row in range(k):
+            b = bond.rolled(float(elapsed[row]))
+            s = snapshot(b, curves[row])
+            assert (m[row], p[row], d[row], c[row]) == (
+                b.maturity, s.price, s.modified_duration, s.convexity), (i, row)
+            if row:
+                assert carry[row] == price(b, spot(curves[row - 1], b.maturity)), (i, row)
+        if k < n:
+            with pytest.raises(ValueError):
+                b = bond.rolled(float(elapsed[k]))
+                snapshot(b, curves[k])
+                if k:
+                    price(b, spot(curves[k - 1], b.maturity))
+
+
+def test_book_table_interpolates_once_and_builds_flows_once_per_run(monkeypatch, universe):
+    """A backtest marks its whole book with one interpolation (two per bond
+    when each bond had its own table) and builds each bond's flow table once
+    per run of days with the same live-flow count."""
+    calls = {"_interp_rows": 0, "_flows": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(bonds_module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bonds_module, name, counted)
+    hist, _ = generate_history(SynthConfig(days=400, seed=11))
+    config = standard_config()
+    report = run_backtest(hist, universe, config)
+    assert all(len(s.dates) == len(hist) - 1 for s in report.series.values())
+    elapsed = np.array([year_fraction(hist[0].date, c.date) for c in hist])
+    runs = 0
+    for bond_id in {"B2", "B3", "B1", "B4"}:
+        bond = universe[bond_id]
+        counts = np.ceil((bond.maturity - elapsed) * bond.coupon_frequency - 1e-9)
+        runs += len(set(counts.tolist()))
+    assert runs > 4  # a coupon date falls inside the window
+    assert calls == {"_interp_rows": 1, "_flows": runs}
+
+
+def test_roll_table_squares_with_libm_pow():
+    """Convexity divides by (1 + y)**2 as Python's float power gives it (libm
+    pow), not by a NumPy square or power: at this yield each differs from it
+    in the last bit, and so would the convexity."""
+    y = 0.042326
+    g = 1.0 + y
+    assert g * g != g**2  # NumPy 2.4's g ** np.full(1, 2.0) differs from g**2 as well
+    bond = Bond("P", 100.0, 0.05, 2, 5.0)
+    elapsed = np.array([0.0])
+    curve = YieldCurve(dt.date(2024, 1, 2), GRID, (y,) * len(GRID))
+    m, p, d, c, carry, bad = roll_table(bond, elapsed, GRID, np.full((1, len(GRID)), y))
+    s = snapshot(bond, curve)
+    assert bad is None
+    assert (p[0], d[0], c[0]) == (s.price, s.modified_duration, s.convexity)
+
+
 def test_roll_table_flags_a_yield_at_or_below_minus_100pct():
     """The table's yield checks stand in for price()'s, which no validated
     curve can reach: a row whose own yield, or whose carry yield off the
@@ -606,6 +780,6 @@ def test_roll_table_flags_a_yield_at_or_below_minus_100pct():
     carry = rates.copy()
     carry[0, GRID.index(4.0)] = -400.0
     for bad_rates, row in ((own, 2), (carry, 1)):
-        *arrays, bad = _roll_table(bond, elapsed, GRID, bad_rates)
+        *arrays, bad = roll_table(bond, elapsed, GRID, bad_rates)
         assert bad == row
         assert [len(a) for a in arrays] == [row] * 4 + [row - 1]

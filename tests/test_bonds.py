@@ -489,7 +489,7 @@ def test_spot_marks_over_rolled_rows_equal_curve_analytics(bond, curve, seed, ga
     rng = np.random.default_rng(seed)
     rates = np.asarray(curve.rates) + 0.005 * rng.standard_normal((len(elapsed), len(curve.tenors)))
     rates = np.maximum(rates, -0.5)
-    m, n = _counts(bond, elapsed)
+    m, n = _counts(bond.maturity, bond.coupon_frequency, elapsed)
     cuts = np.flatnonzero(np.diff(n, prepend=0, append=0)).tolist()
     for a, b in zip(cuts, cuts[1:]):
         t, cf, late = _flows(bond, elapsed[a:b], int(n[a]))

@@ -41,7 +41,7 @@ def test_tracer_wraps_every_name_and_counts_backtest_work():
     # each strategy's ratios are solved as arrays over its rebalance days
     assert tracer.plan_stat().calls == 0
     assert tracer.stat("backtest", "run_backtest").calls == 1
-    # marks come from one cashflow table per bond, not from per-day pricing
+    # marks come from one mark table for the whole book, not from per-day pricing
     assert tracer.stat("bonds", "price").calls == 0
     assert tracer.stat("hedging", "snapshot").calls == 0
 
