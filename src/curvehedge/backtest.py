@@ -17,10 +17,12 @@ replay runs in three phases:
 * plans: a strategy lives as long as the shortest life among its bonds. One
   call of the hedging kernel solves its ratios, with a single plan's checks,
   on every rebalance_days-th row of the table (the first failing day is
-  named), and each day's amounts are held until the next rebalance.
+  named). The legs roll by one elapsed time, so they keep one maturity
+  order, and the holdings are the amounts as solved: the target's row on
+  top, each rebalance day's column held until the next.
 * P&L: exact repricing, summed as arrays over the holdings (target first,
-  then the plan's legs): amount times each bond's mark change (mark on day
-  d+1 minus mark on day d), taken once per bond for every series.
+  then the legs by maturity): amount times each bond's mark change (mark on
+  day d+1 minus mark on day d), taken once per bond for every series.
 
 Gross P&L includes pull-to-par carry. The carry-netted series subtracts
 the deterministic price drift the position would have shown on an
@@ -253,15 +255,10 @@ def run_backtest(
         order, amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
                                  table[:4, [row[i] for i in legs], days],
                                  config.allow_extrapolation, dates[days])
-        # row j: leg j's amount on each rebalance day (config order), then the target's
-        by_leg = np.full((len(legs) + 1, amounts.shape[1]), amount, dtype=float)
-        by_leg[order, np.arange(amounts.shape[1])] = amounts
-        # held each day: the target, then the legs in the maturity order the
-        # first plan lists them in (no legs if the series never starts)
-        place = [len(legs), *order[:, :1].ravel().tolist()]
-        held = by_leg[np.array(place)[:, None], np.arange(n) // config.rebalance_days]
-        holds = [row[i] for i in (*legs, target)]
-        holds = [holds[j] for j in place]
+        # held each day: the target, then the legs in the plans' maturity order
+        held = np.vstack((np.full(amounts.shape[1], amount), amounts))[
+            :, np.arange(n) // config.rebalance_days]
+        holds = [row[target], *(row[legs[i]] for i in order.tolist())]
         gross = held * change[holds, :n]
         net = gross - held * drift[holds, :n]
         # summed in holding order from 0.0, as a running total would

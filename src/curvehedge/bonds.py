@@ -218,8 +218,8 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     Returns (table, stop): table is (price, maturity, duration, convexity,
     carry) over (bonds, len(elapsed)); stop[i] is rows[i] or bond i's first
     row the scalar path refuses (maturity off the tenor span, a yield at or
-    below -100%, no live flow, a late accrual start, a price or duration
-    not positive), from which on all but maturity are NaN.
+    below -100%, no live flow, a late accrual start, a price, duration or
+    convexity the snapshot refuses), from which on all but maturity are NaN.
     """
     xp = np.asarray(tenors, dtype=float)
     m, n = _counts(np.array([[b.maturity] for b in bonds]),
@@ -248,7 +248,9 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
             pv = _pv(t, cf, ys[i, :, a:b, None])  # the mark and carry blocks as one
             table[[0, 2, 3], i, a:b] = _flat_marks(t, pv[0], g[i, a:b], g2[i, a:b])
             table[4, i, a:b] = pv[1].sum(axis=-1)
-    bad = late | (table[0] <= 0) | (table[2] <= 0)  # NaN is neither
+    # the snapshot's rule, on the rows priced (from stop on they are NaN)
+    ok = (table[0] > 0) & (table[2] > 0) & np.isfinite(table[[0, 2, 3]]).all(axis=0)
+    bad = late | ~ok & (after < stop[:, None])
     if bad.any():
         stop = np.where(bad.any(axis=1), bad.argmax(axis=1), stop)
         table[[0, 2, 3, 4]] = np.where(after < stop[:, None], table[[0, 2, 3, 4]], np.nan)

@@ -135,11 +135,11 @@ class ShockSpec:
 def spot(curve: YieldCurve, maturity: float) -> float:
     """Piecewise-linear spot rate at `maturity`; exact at the knots.
 
-    Raises ExtrapolationError outside [min_tenor, max_tenor]; there is no
-    silent flat extension.
+    Raises ExtrapolationError outside [min_tenor, max_tenor] or at NaN; there
+    is no silent flat extension.
     """
     t = curve.tenors
-    if maturity < t[0] - _SPAN_TOL or maturity > t[-1] + _SPAN_TOL:
+    if not t[0] - _SPAN_TOL <= maturity <= t[-1] + _SPAN_TOL:
         raise ExtrapolationError(
             f"maturity {maturity} outside curve range [{t[0]}, {t[-1]}] on {curve.date}"
         )
@@ -241,9 +241,9 @@ def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> Pol
 
 def derivatives(seg: PolynomialSegment, maturity: float | np.ndarray) -> tuple:
     """(value, first, second derivative) of the segment at one maturity or an
-    array of them; ExtrapolationError names the first maturity off the span."""
+    array of them; ExtrapolationError names the first one off the span or NaN."""
     t = np.asarray(maturity, dtype=float)
-    outside = (t < seg.t_lo - _SPAN_TOL) | (t > seg.t_hi + _SPAN_TOL)
+    outside = ~((seg.t_lo - _SPAN_TOL <= t) & (t <= seg.t_hi + _SPAN_TOL))
     if outside.any():
         raise ExtrapolationError(
             f"maturity {t[outside].flat[0]} outside segment span [{seg.t_lo}, {seg.t_hi}]"

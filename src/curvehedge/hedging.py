@@ -21,15 +21,16 @@ with n legs, leg i takes the target's dollar duration times the Lagrange
 basis polynomial l_i(T) over the n leg maturities, which zeroes
 sum N_i P_i D_i T_i^k for k < n. Convexity is a 2x2 solve (Cramer's rule).
 Both closed forms live in one kernel, _ratios, which takes the target and
-the legs on one date or as arrays over many, sorts the legs by maturity
-and checks them on every date at once. The four builders are its one-date
-case; the backtest solves each strategy's rebalance days in one call. A
-generic square-system solver reproduces every closed form and extends to
-arbitrary constraint sets.
+the legs on one date or as arrays over many (legs that keep one maturity
+order, as the backtest's do), sorts the legs once and checks every date at
+once. The four builders are its one-date case; the backtest solves each
+strategy's rebalance days in one call. A generic square-system solver
+reproduces every closed form and extends to arbitrary constraint sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -65,7 +66,7 @@ class InstrumentSnapshot:
     """Price, maturity and risk numbers of one instrument on one date.
 
     amount is the signed position size; it only matters on the target (the
-    position being hedged), hedge candidates carry amount 0.
+    position being hedged), hedge candidates carry amount 0; every number is finite.
     """
 
     id: str
@@ -76,6 +77,9 @@ class InstrumentSnapshot:
     amount: float = 0.0
 
     def __post_init__(self):
+        for name in ("price", "maturity", "modified_duration", "convexity", "amount"):
+            if not math.isfinite(x := getattr(self, name)):
+                raise ValueError(f"instrument {self.id!r}: {name} must be finite, got {x}")
         if self.price <= 0:
             raise ValueError(f"instrument {self.id!r}: price must be positive")
         if self.maturity <= 0:
@@ -192,17 +196,20 @@ def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequ
     """Closed-form leg amounts of a table strategy, on one date or on many.
 
     target is (N, P, T, D, C) and legs (P, T, D, C), one row per leg in ids
-    order, each value a float (one date) or an array over dates. Per date
-    the legs are sorted by maturity, stably, and checked; the first failing
-    date raises, prefixed "<strategy> failed on <date>: " if dates are given.
+    order, each value a float (one date) or an array over dates. The legs
+    are sorted once, stably, by the first date's maturities, so over many
+    dates they must keep one maturity order (legs rolled by one elapsed
+    time do). Every date is checked; the first failing one raises, prefixed
+    "<strategy> failed on <date>: " if dates are given.
     Returns (order, amounts): maturity place j holds leg ids[order[j]] at
     amounts[j], each equal to its float computation on its date.
     """
     amount, price, t, d, c = target
     legs = np.asarray(legs, dtype=float)
-    order = np.argsort(legs[1], axis=0, kind="stable")
-    p_, t_, d_, c_ = (legs[:, order].tolist() if legs.ndim == 2  # one date: Python floats
-                      else np.take_along_axis(legs, order[None], axis=1))
+    # the first date's maturities (with no date, any order solves nothing)
+    first = legs[1] if legs.ndim == 2 else legs[1, :, 0] if legs.shape[2] else np.zeros(len(ids))
+    order = np.argsort(first, kind="stable")
+    p_, t_, d_, c_ = legs[:, order].tolist() if legs.ndim == 2 else legs[:, order]  # one date: floats
     if strategy is Strategy.CONVEXITY:
         det = c_[0] * d_[1] - c_[1] * d_[0]
         scale = np.maximum(abs(c_[0] * d_[1]), abs(c_[1] * d_[0]))
@@ -215,7 +222,7 @@ def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequ
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         check = next(j for j, fail in enumerate(fails) if np.ravel(fail)[k])
-        leg_ids = [ids[i] for i in np.reshape(order, (len(ids), -1))[:, k]]
+        leg_ids = [ids[i] for i in order]
         ts = [np.ravel(x)[k].item() for x in t_]
         if strategy is Strategy.CONVEXITY:
             exc = CollinearInstrumentError(
@@ -403,20 +410,16 @@ def _most_parallel_pair(m: np.ndarray, constraints: Sequence[Constraint]) -> str
     return f"{constraints[pair[0]].name!r} and {constraints[pair[1]].name!r} (|cos| = {best:.6f})"
 
 
-def aggregate_portfolio(
-    positions: Sequence[tuple[float, InstrumentSnapshot]],
-    value_weighted: bool = False,
-) -> InstrumentSnapshot:
+def aggregate_portfolio(positions: Sequence[tuple[float, InstrumentSnapshot]]) -> InstrumentSnapshot:
     """Collapse n positions into one synthetic instrument.
 
     Total value is sum n_i P_i, maturity is the longest position's, and
-    duration / convexity are amount-weighted means by default:
+    duration / convexity are amount-weighted means:
 
         D = sum n_i D_i / sum n_i,   C = sum n_i C_i / sum n_i
 
-    value_weighted=True switches both to sum n_i P_i D_i / sum n_i P_i
-    style weights. The synthetic amount is sum n_i and the price is the
-    total value divided by it.
+    The synthetic amount is sum n_i and the price is the total value
+    divided by it.
     """
     if not positions:
         raise ValueError("cannot aggregate an empty position list")
@@ -429,20 +432,11 @@ def aggregate_portfolio(
     total_amount = float(np.sum(n))
     if abs(total_amount) <= 1e-12 * max(1.0, float(np.sum(np.abs(n)))):
         raise ValueError("net portfolio amount is zero; synthetic price undefined")
-    total_value = float(np.sum(n * prices))
-    if value_weighted:
-        if abs(total_value) <= 1e-12 * max(1.0, float(np.sum(np.abs(n * prices)))):
-            raise ValueError("net portfolio value is zero; value weights undefined")
-        dur = float(np.sum(n * prices * durs) / total_value)
-        cx = float(np.sum(n * prices * cxs) / total_value)
-    else:
-        dur = float(np.sum(n * durs) / total_amount)
-        cx = float(np.sum(n * cxs) / total_amount)
     return InstrumentSnapshot(
         id="portfolio",
-        price=total_value / total_amount,
+        price=float(np.sum(n * prices)) / total_amount,
         maturity=float(np.max(mats)),
-        modified_duration=dur,
-        convexity=cx,
+        modified_duration=float(np.sum(n * durs) / total_amount),
+        convexity=float(np.sum(n * cxs) / total_amount),
         amount=total_amount,
     )

@@ -545,10 +545,13 @@ def scalar_replay(history, universe, config):
 def test_backtest_equals_scalar_replay(universe):
     """Bit-exact against the scalar replay: short bonds with an accrual
     offset and quarterly coupons, strategies truncating out of config
-    order, rebalancing every third step, a short target position."""
+    order, rebalancing every third step, a short target position; and the
+    same run with a series that never starts (a leg rolls below the
+    shortest tenor before the first mark)."""
     uni = dict(universe)
     uni["S13"] = Bond("S13", 100.0, 0.025, 2, 1.3, issue_or_first_coupon_offset=0.1)
     uni["Q21"] = Bond("Q21", 100.0, 0.04, 4, 2.1)
+    uni["S"] = Bond("S", 100.0, 0.03, 2, 0.5005)
     rng = np.random.default_rng(5)
     hist = history_from_shifts(base_rates(), 2e-4 * rng.standard_normal((90, len(GRID))),
                                spacing=7)
@@ -563,22 +566,31 @@ def test_backtest_equals_scalar_replay(universe):
         },
         rebalance_days=3,
     )
+    never = dataclasses.replace(config, instruments={**config.instruments,
+                                                     Strategy.CUBIC: ("B3", "S", "B2")})
     rows, warnings = scalar_replay(hist, uni, config)
     # S13 rolls below 0.5y first, then the target ends every remaining series
     assert [w.split(":")[0] for w in warnings] == [
         "quadratic", "cubic", "duration", "convexity", UNHEDGED]
     assert 0 < len(rows["quadratic"]) < len(rows["duration"]) < len(hist) - 1
+    never_rows, never_warnings = scalar_replay(hist, uni, never)
+    assert never_rows["cubic"] == [] and never_warnings[0].startswith(
+        f"cubic: series truncated at {hist[0].date}: ['S']")
 
-    for net_carry in (False, True):
-        report = run_backtest(hist, uni, dataclasses.replace(config, net_carry=net_carry))
-        assert report.warnings == warnings
-        assert list(report.series) == list(rows)
-        for name, want in rows.items():
-            s = report.series[name]
-            assert s.dates == [r[0] for r in want], name
-            assert s.gross.tolist() == [r[1] for r in want], name
-            assert s.net.tolist() == [r[2] for r in want], name
-            assert report.summary[name] == summary_stats(s.pnl(net_carry)), name
+    for cfg, rows, warnings in ((config, rows, warnings), (never, never_rows, never_warnings)):
+        for net_carry in (False, True):
+            report = run_backtest(hist, uni, dataclasses.replace(cfg, net_carry=net_carry))
+            assert report.warnings == warnings
+            assert list(report.series) == list(rows)
+            for name, want in rows.items():
+                s = report.series[name]
+                assert s.dates == [r[0] for r in want], name
+                assert s.gross.tolist() == [r[1] for r in want], name
+                assert s.net.tolist() == [r[2] for r in want], name
+                if want:
+                    assert report.summary[name] == summary_stats(s.pnl(net_carry)), name
+                else:
+                    assert name not in report.summary
 
 
 def test_unpriceable_bond_named_before_any_strategy(universe):
@@ -662,6 +674,22 @@ def test_roll_table_equals_scalar_path(window):
             snapshot(b, curves[bad])
             if bad:
                 price(b, spot(curves[bad - 1], b.maturity))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
+def test_roll_table_stops_where_the_snapshot_refuses_an_infinite_price():
+    """A yield just above -100% on a long grid prices a bond at inf: the
+    snapshot refuses it, so the table stops on that row too."""
+    grid = (0.5, 30.0)
+    rates = np.full((4, 2), 0.03)
+    rates[2] = -1.0 + 2.0**-52
+    bond = Bond("L", 100.0, 0.03, 1, 25.0)
+    elapsed = np.arange(4) / 365.0
+    m, p, d, c, carry, bad = roll_table(bond, elapsed, grid, rates)
+    assert bad == 2 and len(p) == 2
+    curve = YieldCurve(dt.date(2024, 1, 4), grid, tuple(rates[2].tolist()))
+    with pytest.raises(ValueError, match="instrument 'L': price must be finite, got inf"):
+        snapshot(bond.rolled(float(elapsed[2])), curve)
 
 
 @st.composite

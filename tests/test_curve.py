@@ -76,6 +76,8 @@ def test_spot_refuses_extrapolation():
         spot(c, 0.25)
     with pytest.raises(ExtrapolationError):
         spot(c, 2.5)
+    with pytest.raises(ExtrapolationError, match=r"maturity nan outside curve range"):
+        spot(c, float("nan"))
 
 
 def test_spot_continuous_at_interior_knots(curve):
@@ -241,6 +243,11 @@ def test_derivatives_out_of_span():
     seg = PolynomialSegment(1.0, 5.0, (0.02, 0.001, 0.0, 0.0))
     with pytest.raises(ExtrapolationError):
         derivatives(seg, 0.5)
+    # NaN is off the span too, for every reader of the derivatives
+    for fn in (derivatives, curvature, lambda s, t: delta_y(s, ShockSpec(a=0.01), t)):
+        for t in (float("nan"), np.array([2.0, np.nan])):
+            with pytest.raises(ExtrapolationError, match=r"maturity nan outside segment span"):
+                fn(seg, t)
 
 
 def test_curvature_closed_forms():

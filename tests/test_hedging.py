@@ -473,22 +473,27 @@ def float_ratios(strategy, target, legs):
 def ratio_dates(draw):
     """A table strategy, a target amount and 1-6 dates of target and legs.
 
-    On the dates of a drawn subset one flaw is planted: two legs within a
-    day of each other (or on the same maturity), the target outside the
-    legs' span (or just inside its tolerance), or proportional (D, C) pairs.
-    Legs come in any maturity order."""
+    The legs come in any maturity order on the first date and roll by one
+    common nondecreasing elapsed time, so they keep that order; their risk
+    numbers and the target are drawn per date. A span flaw (two legs within
+    a day of each other, or on the same maturity) is planted on every date;
+    the target outside the legs' span (or just inside its tolerance), or
+    proportional (D, C) pairs, on the dates of a drawn subset."""
     strategy = draw(st.sampled_from(list(STRATEGIES)))
     n = STRATEGIES[strategy].legs
     count = draw(st.integers(1, 6))
     checked = "collinear" if strategy is Strategy.CONVEXITY else "outside"
     flaw = draw(st.sampled_from([None, "span", checked]))
-    flawed = draw(st.sets(st.integers(0, count - 1))) if flaw else set()
+    flawed = draw(st.sets(st.integers(0, count - 1))) if flaw == checked else set()
     amount = draw(st.floats(1.0, 500.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    first = draw(st.lists(st.floats(0.5, 30.0), min_size=n, max_size=n))
+    if flaw == "span" and n > 1:
+        first[-1] = first[0] + draw(st.sampled_from([0.0, 1e-4, 1.0 / 365.0]))
+    elapsed = [0.0, *sorted(draw(st.lists(st.just(0.0) | st.floats(0.0, 0.9 * min(first)),
+                                          min_size=count - 1, max_size=count - 1)))]
     rows = []
-    for k in range(count):
-        ts = draw(st.lists(st.floats(0.5, 30.0), min_size=n, max_size=n))
-        if k in flawed and flaw == "span" and n > 1:
-            ts[-1] = ts[0] + draw(st.sampled_from([0.0, 1e-4, 1.0 / 365.0]))
+    for k, e in enumerate(elapsed):
+        ts = [t - e for t in first]
         legs = [_risk_snap(draw, f"L{i}", t) for i, t in enumerate(ts)]
         if k in flawed and flaw == "collinear":
             ratio = draw(st.sampled_from([1.0, 2.0, 0.3]))
@@ -527,10 +532,18 @@ def test_ratios_over_dates_equal_the_builders(case):
             assert str(info.value) == f"{strategy.value} failed on {dates[k]}: {exc}"
             return
     order, amounts = _ratios(strategy, ids, target, legs, allow, dates)
-    assert order.shape == amounts.shape == (n, len(rows))
+    assert order.shape == (n,) and amounts.shape == (n, len(rows))
     for k, ((tgt, ls), plan) in enumerate(zip(rows, plans)):
-        got = [(ids[i], a) for i, a in zip(order[:, k].tolist(), amounts[:, k].tolist())]
+        got = [(ids[i], a) for i, a in zip(order.tolist(), amounts[:, k].tolist())]
         assert got == [(leg.id, leg.amount) for leg in plan.legs] == float_ratios(strategy, tgt, ls)
+
+
+def test_ratios_over_no_dates():
+    """A series that never starts solves no date: every leg, no amounts."""
+    empty = np.empty(0)
+    order, amounts = _ratios(Strategy.CUBIC, ["A", "B", "C"], (100.0, *[empty] * 4),
+                             np.empty((4, 3, 0)), dates=[])
+    assert order.tolist() == [0, 1, 2] and amounts.shape == (3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +636,12 @@ def test_snapshot_validation():
         snap("X", 100.0, -1.0, 4.0, 20.0)
     with pytest.raises(ValueError, match="duration"):
         snap("X", 100.0, 5.0, 0.0, 20.0)
+    # a NaN or infinite number is refused by name, not carried into NaN legs
+    fields = dict(id="X", price=100.0, maturity=5.0, modified_duration=4.0, convexity=20.0)
+    for field in ("price", "maturity", "modified_duration", "convexity", "amount"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=rf"'X': {field} must be finite, got {value}"):
+                InstrumentSnapshot(**{**fields, field: value})
 
 
 def test_plan_leg_count_enforced():
@@ -653,14 +672,6 @@ def test_aggregate_maturity_is_max():
              snap("C", 100.0, 3.0, 2.8, 12.0)]
     agg = aggregate_portfolio([(1.0, s) for s in snaps])
     assert agg.maturity == 5.0
-
-
-def test_aggregate_value_weighted_mode():
-    s1 = snap("A", 80.0, 2.0, 2.0, 8.0)
-    s2 = snap("B", 120.0, 5.0, 4.0, 24.0)
-    agg = aggregate_portfolio([(10.0, s1), (10.0, s2)], value_weighted=True)
-    want_d = (10 * 80 * 2.0 + 10 * 120 * 4.0) / (10 * 80 + 10 * 120)
-    assert agg.modified_duration == pytest.approx(want_d)
 
 
 def test_aggregate_total_value():
