@@ -17,9 +17,9 @@ replay runs in three phases:
 * plans: a strategy lives as long as the shortest life among its bonds. One
   call of the hedging kernel solves its ratios, with a single plan's checks,
   on every rebalance_days-th row of the table (the first failing day is
-  named). The legs roll by one elapsed time, so they keep one maturity
-  order, and the holdings are the amounts as solved: the target's row on
-  top, each rebalance day's column held until the next.
+  named). Its legs are sorted by their first day's maturities (rolled by
+  one elapsed time, they keep that order), and the holdings are the amounts
+  as solved: the target on top, each rebalance day's held until the next.
 * P&L: exact repricing, summed as arrays over the holdings (target first,
   then the legs by maturity): amount times each bond's mark change (mark on
   day d+1 minus mark on day d), taken once per bond for every series.
@@ -250,15 +250,15 @@ def run_backtest(
             dead = [i for i in (target, *legs) if life[i] == n]
             ends.append((n, pos, f"{name}: series truncated at {dates[n]}: {dead} matured "
                         "or rolled below the curve's shortest tenor"))
-        # one plan per rebalance day, all solved at once
+        # one plan per rebalance day, all solved at once, the legs in their
+        # maturity order on the first day (rolled together, they keep it)
+        legs = sorted(legs, key=lambda i: table[1, row[i], 0])
+        holds = [row[target], *(row[i] for i in legs)]
         days = slice(0, n, config.rebalance_days)
-        order, amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
-                                 table[:4, [row[i] for i in legs], days],
-                                 config.allow_extrapolation, dates[days])
-        # held each day: the target, then the legs in the plans' maturity order
-        held = np.vstack((np.full(amounts.shape[1], amount), amounts))[
+        amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
+                          table[:4, holds[1:], days], config.allow_extrapolation, dates[days])
+        held = np.vstack((np.full_like(amounts[0], amount), *amounts))[
             :, np.arange(n) // config.rebalance_days]
-        holds = [row[target], *(row[legs[i]] for i in order.tolist())]
         gross = held * change[holds, :n]
         net = gross - held * drift[holds, :n]
         # summed in holding order from 0.0, as a running total would

@@ -21,11 +21,12 @@ with n legs, leg i takes the target's dollar duration times the Lagrange
 basis polynomial l_i(T) over the n leg maturities, which zeroes
 sum N_i P_i D_i T_i^k for k < n. Convexity is a 2x2 solve (Cramer's rule).
 Both closed forms live in one kernel, _ratios, which takes the target and
-the legs on one date or as arrays over many (legs that keep one maturity
-order, as the backtest's do), sorts the legs once and checks every date at
-once. The four builders are its one-date case; the backtest solves each
-strategy's rebalance days in one call. A generic square-system solver
-reproduces every closed form and extends to arbitrary constraint sets.
+the legs in maturity order, on one date or as arrays over many, and checks
+every date at once. The four builders (its one-date case) sort the legs
+they are given; the backtest solves each strategy's rebalance days in one
+call, its legs sorted by the first day's maturities. A generic square-system
+solver (Strategy.CUSTOM plans) reproduces every closed form and extends to
+arbitrary constraint sets.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ STRATEGIES: Mapping[Strategy, StrategySpec] = {
 
 def snapshot(bond: Bond, curve: YieldCurve, amount: float = 0.0, mode: str = "flat") -> InstrumentSnapshot:
     """Snapshot a bond off a curve (yield = spot at its maturity by default)."""
-    a = curve_analytics(bond, curve, mode=mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        a = curve_analytics(bond, curve, mode=mode)
     return InstrumentSnapshot(
         id=bond.id,
         price=a.price,
@@ -197,19 +199,13 @@ def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequ
 
     target is (N, P, T, D, C) and legs (P, T, D, C), one row per leg in ids
     order, each value a float (one date) or an array over dates. The legs
-    are sorted once, stably, by the first date's maturities, so over many
-    dates they must keep one maturity order (legs rolled by one elapsed
-    time do). Every date is checked; the first failing one raises, prefixed
-    "<strategy> failed on <date>: " if dates are given.
-    Returns (order, amounts): maturity place j holds leg ids[order[j]] at
-    amounts[j], each equal to its float computation on its date.
+    come in maturity order on every date (legs rolled by one elapsed time
+    keep their first date's). Every date is checked; the first failing one
+    raises, prefixed "<strategy> failed on <date>: " if dates are given.
+    Returns one amount per leg, each equal to its float computation.
     """
     amount, price, t, d, c = target
-    legs = np.asarray(legs, dtype=float)
-    # the first date's maturities (with no date, any order solves nothing)
-    first = legs[1] if legs.ndim == 2 else legs[1, :, 0] if legs.shape[2] else np.zeros(len(ids))
-    order = np.argsort(first, kind="stable")
-    p_, t_, d_, c_ = legs[:, order].tolist() if legs.ndim == 2 else legs[:, order]  # one date: floats
+    p_, t_, d_, c_ = legs
     if strategy is Strategy.CONVEXITY:
         det = c_[0] * d_[1] - c_[1] * d_[0]
         scale = np.maximum(abs(c_[0] * d_[1]), abs(c_[1] * d_[0]))
@@ -222,15 +218,14 @@ def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequ
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         check = next(j for j, fail in enumerate(fails) if np.ravel(fail)[k])
-        leg_ids = [ids[i] for i in order]
         ts = [np.ravel(x)[k].item() for x in t_]
         if strategy is Strategy.CONVEXITY:
             exc = CollinearInstrumentError(
-                f"instruments {leg_ids[0]!r} and {leg_ids[1]!r} have proportional duration/convexity "
+                f"instruments {ids[0]!r} and {ids[1]!r} have proportional duration/convexity "
                 f"(C_A D_B - C_B D_A = {np.ravel(det)[k]:.3e})")
         elif check < len(ts) - 1:
             exc = DegenerateSpanError(
-                f"instruments {leg_ids[check]!r} and {leg_ids[check + 1]!r} have maturities "
+                f"instruments {ids[check]!r} and {ids[check + 1]!r} have maturities "
                 f"{ts[check]} and {ts[check + 1]}, closer than {MIN_MATURITY_SPAN:.3e} years")
         else:
             exc = ExtrapolationError(
@@ -241,8 +236,8 @@ def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequ
         raise exc
     if strategy is Strategy.CONVEXITY:
         np_ = amount * price
-        return order, np.array([np_ * (c_[1] * d - c * d_[1]) / (p_[0] * det),
-                                np_ * (-c_[0] * d + d_[0] * c) / (p_[1] * det)])
+        return [np_ * (c_[1] * d - c * d_[1]) / (p_[0] * det),
+                np_ * (-c_[0] * d + d_[0] * c) / (p_[1] * det)]
     # N_i P_i D_i = -N P D l_i(T), l_i the Lagrange basis over the leg maturities
     npd = amount * price * d
     cols = []
@@ -252,18 +247,19 @@ def _ratios(strategy: Strategy, ids: Sequence[str], target: Sequence, legs: Sequ
             if j != i:
                 basis *= (t - tj) / (ti - tj)
         cols.append(-npd * basis / (p_[i] * d_[i]))
-    return order, np.array(cols)
+    return cols
 
 
 def _closed_form(strategy: Strategy, target: InstrumentSnapshot,
                  legs: Sequence[InstrumentSnapshot], allow_extrapolation: bool = False):
-    """The one-date case of _ratios, as a plan listing the legs by maturity."""
+    """The one-date case of _ratios, as a plan listing the legs by maturity
+    (a stable sort: legs of equal maturity keep the order passed)."""
+    legs = sorted(legs, key=lambda s: s.maturity)
     fields = ("price", "maturity", "modified_duration", "convexity")
-    order, amounts = _ratios(
+    amounts = _ratios(
         strategy, [s.id for s in legs], (target.amount, *(getattr(target, f) for f in fields)),
         [[getattr(s, f) for s in legs] for f in fields], allow_extrapolation)
-    return _plan(strategy, target, [legs[i] for i in order.tolist()], amounts.tolist(),
-                 STRATEGIES[strategy].constraints)
+    return _plan(strategy, target, legs, amounts, STRATEGIES[strategy].constraints)
 
 
 def duration_hedge(target: InstrumentSnapshot, inst_a: InstrumentSnapshot) -> HedgePlan:
@@ -357,7 +353,6 @@ def solve_constraint_hedge(
     target: InstrumentSnapshot,
     instruments: Sequence[InstrumentSnapshot],
     constraints: Sequence[Constraint],
-    strategy: Strategy = Strategy.CUSTOM,
 ) -> HedgePlan:
     """Solve the square system sum_i N_i P_i w_k(i) = -N P w_k(target).
 
@@ -392,7 +387,7 @@ def solve_constraint_hedge(
             f"{_most_parallel_pair(m, constraints)}"
         )
     amounts = np.linalg.solve(m, rhs)
-    return _plan(strategy, target, instruments, amounts, constraints)
+    return _plan(Strategy.CUSTOM, target, instruments, amounts, constraints)
 
 
 def _most_parallel_pair(m: np.ndarray, constraints: Sequence[Constraint]) -> str:

@@ -340,7 +340,8 @@ def plan_from_dict(data: Mapping) -> HedgePlan:
                 for k, l in enumerate(data["legs"])
             ),
             constraints=tuple(
-                (str(c["name"]), _number(c["value"], f"constraints[{k}].value"))
+                (_typed(c["name"], f"constraints[{k}].name", "a string"),
+                 _number(c["value"], f"constraints[{k}].value"))
                 for k, c in enumerate(data["constraints"])
             ),
         )

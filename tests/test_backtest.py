@@ -5,6 +5,7 @@ import dataclasses
 import datetime as dt
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -676,20 +677,29 @@ def test_roll_table_equals_scalar_path(window):
                 price(b, spot(curves[bad - 1], b.maturity))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
 def test_roll_table_stops_where_the_snapshot_refuses_an_infinite_price():
     """A yield just above -100% on a long grid prices a bond at inf: the
-    snapshot refuses it, so the table stops on that row too."""
+    snapshot refuses it, so the table stops on that row too and a backtest
+    names the bond and the day. NumPy's overflow warnings stay inside."""
     grid = (0.5, 30.0)
     rates = np.full((4, 2), 0.03)
     rates[2] = -1.0 + 2.0**-52
     bond = Bond("L", 100.0, 0.03, 1, 25.0)
     elapsed = np.arange(4) / 365.0
-    m, p, d, c, carry, bad = roll_table(bond, elapsed, grid, rates)
-    assert bad == 2 and len(p) == 2
-    curve = YieldCurve(dt.date(2024, 1, 4), grid, tuple(rates[2].tolist()))
-    with pytest.raises(ValueError, match="instrument 'L': price must be finite, got inf"):
-        snapshot(bond.rolled(float(elapsed[2])), curve)
+    curves = [YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(days=k), grid, tuple(r))
+              for k, r in enumerate(rates.tolist())]
+    universe = {"L": bond, "H": Bond("H", 100.0, 0.03, 1, 10.0)}
+    config = BacktestConfig("L", {Strategy.DURATION: ("H",)}, strategies=(Strategy.DURATION,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, p, d, c, carry, bad = roll_table(bond, elapsed, grid, rates)
+        assert bad == 2 and len(p) == 2
+        with pytest.raises(ValueError, match="instrument 'L': price must be finite, got inf"):
+            snapshot(bond.rolled(float(elapsed[2])), curves[2])
+        with pytest.raises(ValueError) as info:
+            run_backtest(curves, universe, config)
+    assert str(info.value) == ("bond 'L' cannot be priced on 2024-01-04: "
+                               "instrument 'L': price must be finite, got inf")
 
 
 @st.composite

@@ -511,15 +511,18 @@ def ratio_dates(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=ratio_dates())
 def test_ratios_over_dates_equal_the_builders(case):
-    """The kernel over many dates gives each date's builder amounts and leg
-    order exactly, and the builders give the float closed forms; a failing
-    date raises the builder's error for the first one, naming that date."""
+    """The kernel over many dates, given the legs sorted stably by their
+    first date's maturities as the backtest sorts them, gives each date's
+    builder amounts and leg order exactly, and the builders give the float
+    closed forms; a failing date raises the builder's error for the first
+    one, naming that date."""
     strategy, amount, rows, allow = case
     n = STRATEGIES[strategy].legs
-    ids = [f"L{i}" for i in range(n)]
+    order = sorted(range(n), key=lambda i: rows[0][1][i].maturity)
+    ids = [f"L{i}" for i in order]
     dates = [dt.date(2024, 1, 2) + dt.timedelta(days=k) for k in range(len(rows))]
     target = (amount, *(np.array([getattr(tgt, f) for tgt, _ in rows]) for f in FIELDS))
-    legs = np.array([[[getattr(ls[i], f) for _, ls in rows] for i in range(n)] for f in FIELDS])
+    legs = np.array([[[getattr(ls[i], f) for _, ls in rows] for i in order] for f in FIELDS])
 
     plans = []
     for k, (tgt, ls) in enumerate(rows):
@@ -531,19 +534,19 @@ def test_ratios_over_dates_equal_the_builders(case):
             assert type(info.value) is type(exc)
             assert str(info.value) == f"{strategy.value} failed on {dates[k]}: {exc}"
             return
-    order, amounts = _ratios(strategy, ids, target, legs, allow, dates)
-    assert order.shape == (n,) and amounts.shape == (n, len(rows))
+    amounts = _ratios(strategy, ids, target, legs, allow, dates)
+    assert len(amounts) == n and all(a.shape == (len(rows),) for a in amounts)
     for k, ((tgt, ls), plan) in enumerate(zip(rows, plans)):
-        got = [(ids[i], a) for i, a in zip(order.tolist(), amounts[:, k].tolist())]
+        got = [(i, a[k].item()) for i, a in zip(ids, amounts)]
         assert got == [(leg.id, leg.amount) for leg in plan.legs] == float_ratios(strategy, tgt, ls)
 
 
 def test_ratios_over_no_dates():
-    """A series that never starts solves no date: every leg, no amounts."""
+    """A series that never starts solves no date: one empty array per leg."""
     empty = np.empty(0)
-    order, amounts = _ratios(Strategy.CUBIC, ["A", "B", "C"], (100.0, *[empty] * 4),
-                             np.empty((4, 3, 0)), dates=[])
-    assert order.tolist() == [0, 1, 2] and amounts.shape == (3, 0)
+    amounts = _ratios(Strategy.CUBIC, ["A", "B", "C"], (100.0, *[empty] * 4),
+                      np.empty((4, 3, 0)), dates=[])
+    assert len(amounts) == 3 and all(a.shape == (0,) for a in amounts)
 
 
 # ---------------------------------------------------------------------------

@@ -608,10 +608,16 @@ def test_plan_requires_finite_json_numbers(tmp_path, universe, curve, where, val
 
 
 def test_plan_ids_must_be_strings(universe, curve):
-    data = plan_to_dict(plan_fixture(universe, curve))
-    data["target"]["id"] = ["B2"]
-    with pytest.raises(ValidationError, match=r'target.id must be a string, got \["B2"\]'):
-        plan_from_dict(data)
+    for where, key, value, message in [
+        ("target", "id", ["B2"], 'target.id must be a string, got ["B2"]'),
+        ("constraints", "name", None, "constraints[0].name must be a string, got null"),
+        ("constraints", "name", 7, "constraints[0].name must be a string, got 7"),
+    ]:
+        data = plan_to_dict(plan_fixture(universe, curve))
+        (data[where][0] if where == "constraints" else data[where])[key] = value
+        with pytest.raises(ValidationError) as err:
+            plan_from_dict(data)
+        assert str(err.value) == f"malformed hedge plan: {message}"
 
 
 # ---------------------------------------------------------------------------
