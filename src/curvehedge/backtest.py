@@ -1,13 +1,14 @@
 """Daily backtest: rebalance each strategy's hedge, mark to market, compare.
 
-Every bond's maturity rolls down by the ACT/365 fraction elapsed since the
-start of the window, so analytics on day d use the shortened bond. The
-replay runs in three phases:
+The start/end window is a slice of the history's rows (a CurveHistory).
+Every bond's maturity rolls down by the ACT/365 fraction elapsed since its
+first day, so analytics on day d use the shortened bond. The replay runs
+in three phases:
 
 * mark table: each bond the config names lives for as many steps as it
   stays at or above the curve's shortest tenor through the next mark. One
   table holds the whole book over its lives (bonds._roll_table), built
-  from the window's rates as one (days, knots) matrix: row d of a bond is
+  from the window's (days, knots) rates block: row d of a bond is
   the bond rolled to day d, its mark the price off day d's curve and its
   carry price the price off day d-1's curve. Each bond's rows are summed in
   blocks of days with the same live-flow count, a pro-rata first coupon
@@ -38,17 +39,17 @@ unhedged series last.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bonds import Bond, _roll_table, price
-from .curve import YieldCurve, check_history, spot
+from .curve import YieldCurve, _history, spot
 from .errors import ValidationError
 from .hedging import STRATEGIES, Strategy, _ratios, snapshot
 
@@ -127,11 +128,6 @@ class BacktestReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def year_fraction(d0: dt.date, d1: dt.date) -> float:
-    """ACT/365 year fraction between two dates."""
-    return (d1 - d0).days / 365.0
-
-
 def summary_stats(series: Sequence[float]) -> SummaryStats:
     """Mean, sample stdev, max drawdown of the cumulative series, worst day."""
     x = np.asarray(series, dtype=float).ravel()
@@ -165,13 +161,10 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
         raise ValueError(f"on must be 'levels' or 'diffs', got {on!r}")
     if len(history) < 3:
         raise ValueError(f"need at least 3 days of history, got {len(history)}")
-    check_history(history)
-    grid = history[0].tenors
-    levels = np.array([c.rates for c in history])
-    data = np.diff(levels, axis=0) if on == "diffs" else levels
+    history = _history(history)
+    data = np.diff(history.rates, axis=0) if on == "diffs" else history.rates
     # max-min is exact in floating point, unlike a computed stdev
-    spans = np.ptp(data, axis=0)
-    flat = [grid[i] for i in range(len(grid)) if spans[i] == 0.0]
+    flat = [t for t, span in zip(history.tenors, np.ptp(data, axis=0).tolist()) if span == 0.0]
     if flat:
         raise ValueError(f"constant series at tenor(s) {flat}: correlation undefined")
     corr = np.corrcoef(data, rowvar=False)
@@ -198,14 +191,12 @@ def run_backtest(
     config: BacktestConfig,
 ) -> BacktestReport:
     """Replay a curve history and monitor each strategy's daily P&L."""
-    curves = list(history)
-    if len(curves) < 2:
+    history = _history(history)
+    if len(history) < 2:
         raise ValidationError("backtest needs at least 2 days of history")
-    check_history(curves)
-    if config.start is not None:
-        curves = [c for c in curves if c.date >= config.start]
-    if config.end is not None:
-        curves = [c for c in curves if c.date <= config.end]
+    lo = 0 if config.start is None else bisect.bisect_left(history.dates, config.start)
+    hi = len(history) if config.end is None else bisect.bisect_right(history.dates, config.end)
+    curves = history[lo:hi]
     if len(curves) < 2:
         raise ValidationError("date range leaves fewer than 2 days of history")
 
@@ -218,18 +209,16 @@ def run_backtest(
 
     # mark table, one row per bond in id order: a bond lives while it stays
     # at or above the shortest tenor through the next mark
-    dates = [c.date for c in curves]
+    dates = list(curves.dates)
     ordinals = np.fromiter(map(dt.date.toordinal, dates), float, len(dates))
-    elapsed = (ordinals - ordinals[0]) / 365.0  # == year_fraction
-    rates = np.fromiter(chain.from_iterable(c.rates for c in curves), float,
-                        len(curves) * len(curves[0].tenors)).reshape(len(curves), -1)
+    elapsed = (ordinals - ordinals[0]) / 365.0  # ACT/365 year fractions
     steps = len(curves) - 1
     ids = sorted(needed)
     bonds = [universe[i] for i in ids]
-    below = np.subtract.outer([b.maturity for b in bonds], elapsed[1:]) < curves[0].min_tenor
+    below = np.subtract.outer([b.maturity for b in bonds], elapsed[1:]) < curves.tenors[0]
     lives = np.where(below.any(axis=1), below.argmax(axis=1), steps)
     rows = np.where(lives > 0, lives + 1, 0)  # a bond gone before the first mark is never priced
-    table, stop = _roll_table(bonds, rows, elapsed, curves[0].tenors, rates)
+    table, stop = _roll_table(bonds, rows, elapsed, curves.tenors, curves.rates)
     bad = np.flatnonzero(stop < rows)
     if bad.size:  # the first unpriceable bond in id order
         _raise_on_day(bonds[bad[0]], curves, elapsed, int(stop[bad[0]]))

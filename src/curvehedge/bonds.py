@@ -218,8 +218,9 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     Returns (table, stop): table is (price, maturity, duration, convexity,
     carry) over (bonds, len(elapsed)); stop[i] is rows[i] or bond i's first
     row the scalar path refuses (maturity off the tenor span, a yield at or
-    below -100%, no live flow, a late accrual start, a price, duration or
-    convexity the snapshot refuses), from which on all but maturity are NaN.
+    below -100% or too large to square, no live flow, a late accrual start,
+    a price, duration or convexity the snapshot refuses), from which on all
+    but maturity are NaN.
     """
     xp = np.asarray(tenors, dtype=float)
     m, n = _counts(np.array([[b.maturity] for b in bonds]),
@@ -234,7 +235,11 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     g = 1.0 + ys[:, 0]
     # Python's float ** (libm pow) on each yield: NumPy squares differ from
     # it in the last bit
-    g2 = np.fromiter(map(math.pow, g.ravel().tolist(), repeat(2.0)), float, g.size).reshape(g.shape)
+    flat = g.ravel().tolist()
+    try:
+        g2 = np.fromiter(map(math.pow, flat, repeat(2.0)), float, g.size).reshape(g.shape)
+    except OverflowError:  # where the scalar path's square raises, a NaN refuses the row below
+        g2 = np.array(list(map(_square, flat))).reshape(g.shape)
     table, late = np.full((5, *m.shape), np.nan), np.zeros(m.shape, dtype=bool)
     table[1] = m
     # live flows only drop as a bond rolls, so equal counts form runs: a cut
@@ -256,6 +261,14 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
         stop = np.where(bad.any(axis=1), bad.argmax(axis=1), stop)
         table[[0, 2, 3, 4]] = np.where(after < stop[:, None], table[[0, 2, 3, 4]], np.nan)
     return table, stop
+
+
+def _square(x: float) -> float:
+    """math.pow(x, 2.0), or NaN where that overflows."""
+    try:
+        return math.pow(x, 2.0)
+    except OverflowError:
+        return math.nan
 
 
 def _flat_marks(t: np.ndarray, pv: np.ndarray, g, g2):
@@ -298,7 +311,11 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
     """
     y = spot(curve, bond.maturity)
     if mode == "flat":
-        return analytics(bond, y)
+        try:
+            return analytics(bond, y)
+        except OverflowError:  # (1 + y)**2
+            raise ValueError(f"bond {bond.id!r}: yield {y} on {curve.date} overflows its "
+                             "convexity") from None
     if mode != "spot":
         raise ValueError(f"unknown pricing mode {mode!r} (expected 'flat' or 'spot')")
 

@@ -11,6 +11,8 @@ Subcommands:
 
 Each option is declared once (shared ones as argparse parent groups, defaults
 from SynthConfig and BacktestConfig), and one parser is built per process.
+A curve file is read as one CurveHistory: analyze, hedge and scenario take
+one day's curve from it, and backtest correlates the rows its report covers.
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
@@ -40,7 +42,6 @@ from .curve import ShockSpec, YieldCurve
 from .errors import ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
-    _read_history,
     _read_json,
     _typed,
     _write,
@@ -99,15 +100,11 @@ def _strings(value, name: str) -> tuple[str, ...]:
 
 def _pick_curve(path, date: str | None) -> YieldCurve:
     """The curve on `date` (default: the first row) of a whole checked history file."""
-    dates, grid, block = _read_history(path)
-    i = 0
-    if date is not None:
-        want = _iso_date(date, "--date")
-        try:
-            i = dates.index(want)
-        except ValueError:
-            raise ValidationError(f"date {want} not present in the curve file") from None
-    return YieldCurve(dates[i], grid, tuple(block[i].tolist()))
+    history = parse_curve_csv(path)
+    want = history.dates[0] if date is None else _iso_date(date, "--date")
+    if want not in history.dates:
+        raise ValidationError(f"date {want} not present in the curve file")
+    return history[history.dates.index(want)]
 
 
 def _finite(option: str, value: float) -> None:
@@ -261,21 +258,21 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     report = run_backtest(history, universe, config)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    window = set(report.dates)
-    in_range = [c for c in history if c.date in window]
+    first = history.dates.index(report.dates[0])
     corr = None
     try:
-        corr = tenor_correlations(in_range, on="diffs" if args.diff else "levels")
+        corr = tenor_correlations(history[first : first + len(report.dates)],
+                                  on="diffs" if args.diff else "levels")
     except ValueError as exc:
         print(f"warning: correlations skipped: {exc}", file=sys.stderr)
-    emit_report(report, args.out, correlations=corr, tenors=history[0].tenors)
+    emit_report(report, args.out, correlations=corr, tenors=history.tenors)
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     history = parse_curve_csv(args.history)
     corr = tenor_correlations(history, on="diffs" if args.diff else "levels")
-    _emit(correlations_csv(corr, history[0].tenors), args.out)
+    _emit(correlations_csv(corr, history.tenors), args.out)
     return 0
 
 

@@ -19,14 +19,17 @@ moves the knot grid as one (1 + K, knots) block whose row 0 is the curve
 itself, with Y' and Y'' taken once and only when some shock has a b or c
 term; apply_shock is its one-shock case. Knots outside the fitted span
 move by the nearest endpoint's dY.
+
+A daily history is one CurveHistory, a checked (days, knots) rates block
+that generate, parse, write, correlate and backtest all work on.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -151,40 +154,58 @@ def _bad_rows(block: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(block) & (block > -1.0)).all(axis=1)
 
 
-def _check_block(dates: Sequence[dt.date], grid: tuple[float, ...], block: np.ndarray) -> None:
-    """YieldCurve's checks on every row of a (days, knots) rates block.
+class CurveHistory(Sequence[YieldCurve]):
+    """Daily curves on one tenor grid: a read-only (days, knots) rates block,
+    row i the curve on dates[i], which strictly increase. The grid and row 0
+    go through YieldCurve's checks, the other rows all at once (finite, above
+    -100%), the first failing one raising YieldCurve's ValueError. h[i] builds
+    day i's curve from its row unchecked; h[a:b] is a history. Compared by identity."""
 
-    The grid and the first row go through YieldCurve itself once; the other
-    rows are checked all at once (finite, above -100%), and the first
-    failing one raises the ValueError YieldCurve raises for it.
-    """
-    if not len(dates):
-        return
-    YieldCurve(dates[0], grid, tuple(block[0].tolist()))
-    bad = _bad_rows(block)
-    if bad.any():
-        i = int(bad.argmax())
-        YieldCurve(dates[i], grid, tuple(block[i].tolist()))
+    __slots__ = ("dates", "tenors", "rates")
+
+    def __init__(self, dates: Sequence[dt.date], tenors: Sequence[float], rates) -> None:
+        dates, tenors, rates = tuple(dates), tuple(tenors), np.array(rates, dtype=float)
+        if rates.ndim != 2 or len(rates) != len(dates):
+            raise ValueError(f"need a (days, knots) block for {len(dates)} days, got {rates.shape}")
+        late = next((b for a, b in zip(dates, dates[1:]) if b <= a), None)
+        if late is not None:
+            raise ValidationError(f"history dates not strictly increasing at {late}")
+        bad = np.flatnonzero(_bad_rows(rates))
+        for i in (0, *bad[:1]) if dates else ():  # the grid and row 0, then the first bad row
+            YieldCurve(dates[i], tenors, tuple(rates[i].tolist()))
+        rates.setflags(write=False)
+        self.dates, self.tenors, self.rates = dates, tenors, rates
+
+    @classmethod
+    def _checked(cls, dates: tuple, tenors: tuple, rates: np.ndarray) -> CurveHistory:
+        """The history of rows checked already: a slice, or curves."""
+        history = object.__new__(cls)
+        rates.setflags(write=False)
+        history.dates, history.tenors, history.rates = dates, tenors, rates
+        return history
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CurveHistory._checked(self.dates[i], self.tenors, self.rates[i])
+        curve = object.__new__(YieldCurve)
+        curve.__dict__.update(date=self.dates[i], tenors=self.tenors,
+                              rates=tuple(self.rates[i].tolist()))
+        return curve
 
 
-def _curves(
-    dates: Sequence[dt.date], grid: tuple[float, ...], block: np.ndarray
-) -> list[YieldCurve]:
-    """One YieldCurve per row of a (days, knots) rates block, checked as a block.
-
-    After _check_block the curves are set up the way a frozen dataclass sets
-    its fields, without running __post_init__ again for each row.
-    """
-    _check_block(dates, grid, block)
-    new, put = object.__new__, object.__setattr__
-    curves = []
-    for date, rates in zip(dates, block.tolist()):
-        c = new(YieldCurve)
-        put(c, "date", date)
-        put(c, "tenors", grid)
-        put(c, "rates", tuple(rates))
-        curves.append(c)
-    return curves
+def _history(curves: Sequence[YieldCurve]) -> CurveHistory:
+    """The history of curves: a CurveHistory as it is, any other sequence
+    checked by check_history and its rates taken as one block."""
+    if isinstance(curves, CurveHistory):
+        return curves
+    curves = list(curves)
+    check_history(curves)
+    tenors = curves[0].tenors if curves else ()
+    rates = np.array([c.rates for c in curves], dtype=float).reshape(len(curves), len(tenors))
+    return CurveHistory._checked(tuple(c.date for c in curves), tenors, rates)
 
 
 def check_history(curves: Sequence[YieldCurve]) -> None:

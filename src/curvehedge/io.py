@@ -7,11 +7,11 @@ identical outputs. One function renders every CSV (_csv), one reads every
 JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
-A curve history's text is read once and its rates as one (days, knots)
-block by one np.loadtxt call, each check running over the whole block.
-Only text with quotes, control or non-ASCII characters goes through csv;
-that text, and a file that fails a check, is walked row by row, its rates
-checked as one block, to report every error with its line. Numbers in JSON
+A curve history's text is read once, its rates as one (days, knots) block
+by one np.loadtxt call that becomes the CurveHistory returned. Only text
+with quotes, control or non-ASCII characters goes through csv; that text,
+and a file that fails a check, is walked row by row, its rates checked as
+one block, to report every error with its line. Numbers in JSON
 inputs must be finite JSON numbers; a bool or a string is refused, not converted.
 A bond entry holds Bond's fields, those without a default required, and no other.
 """
@@ -23,7 +23,6 @@ import dataclasses
 import datetime as dt
 import json
 import math
-import operator
 import os
 from io import StringIO
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 
 from .backtest import BacktestReport, UNHEDGED
 from .bonds import Bond
-from .curve import YieldCurve, _bad_rows, _check_block, _curves, check_history
+from .curve import CurveHistory, YieldCurve, _bad_rows, _history
 from .errors import ValidationError
 from .hedging import HedgeLeg, HedgePlan, Strategy
 
@@ -122,24 +121,18 @@ def _read_json(path):
 # curve history CSV
 # ---------------------------------------------------------------------------
 
-def parse_curve_csv(path) -> list[YieldCurve]:
+def parse_curve_csv(path) -> CurveHistory:
     """Read a daily curve history.
 
     Expected header: date,tenor_0.5,tenor_1,... with tenors in years and
     strictly increasing. Rows must be in ascending date order with no
     duplicates. Every failure is collected and reported with its line
     number before raising.
-    """
-    return _curves(*_read_history(path))
-
-
-def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
-    """The dates, tenor grid and (days, knots) rates block of a checked history.
 
     The text is read once. Text of _PLAIN bytes is split at each line's first
-    comma, all its rates are read by one np.loadtxt call and each check runs
-    on the whole block. _walk_rows reads the rows one by one: csv's rows of
-    any other text, and those of a body that fails a check.
+    comma, all its rates are read by one np.loadtxt call and CurveHistory
+    checks the whole block. _walk_rows reads the rows one by one: csv's rows
+    of any other text, and those of a body that fails a check.
     """
     path = Path(path)
     errors: list[str] = []
@@ -193,19 +186,18 @@ def _read_history(path) -> tuple[list[dt.date], tuple[float, ...], np.ndarray]:
         try:
             heads, _, rests = zip(*[line.partition(",") for _, line in body])
             dates = [dt.date.fromisoformat(head.strip()) for head in heads]
-            if "" in rests or not all(map(operator.lt, dates, dates[1:])):
-                raise ValueError("field count or date order")
+            if "" in rests:
+                raise ValueError("a row without rates")
             # one row per line, as no line is empty: the reshape checks the field counts
             block = np.loadtxt(rests, delimiter=",", comments=None).reshape(len(dates), len(grid))
-            _check_block(dates, grid, block)
-            return dates, grid, block
-        except ValueError:
+            return CurveHistory(dates, grid, block)
+        except ValueError:  # a failed check: the walk words each error with its line
             body = [(ln, line.split(",")) for ln, line in body]  # csv's rows of this text
     return _walk_rows(path, grid, body, len(header))
 
 
 def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):
-    """_read_history's result from csv data rows read one by one, or every failure with
+    """parse_curve_csv's history from csv data rows read one by one, or every failure with
     its line. The rates of rows that pass the per-row checks are checked as one block by
     _bad_rows; only a failing row becomes a YieldCurve, to word its message."""
     errors: list[tuple[int, str]] = []  # at most one per row
@@ -243,16 +235,17 @@ def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):
         raise ValidationError(f"{path}: " + "; ".join(f"line {ln}: {m}" for ln, m in sorted(errors)))
     if not dates:
         raise ValidationError(f"{path}: no data rows")
-    return dates, grid, block
+    return CurveHistory(dates, grid, block)
 
 
 def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     """Write a history in the same format parse_curve_csv reads."""
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
-    check_history(curves)
-    header = "date," + ",".join(map(_tenor_header, curves[0].tenors))
-    _write([(path, _csv(RATE_COMMENT, header, ((c.date.isoformat(), c.rates) for c in curves)))])
+    history = _history(curves)
+    header = "date," + ",".join(map(_tenor_header, history.tenors))
+    rows = zip(map(dt.date.isoformat, history.dates), history.rates.tolist())
+    _write([(path, _csv(RATE_COMMENT, header, rows))])
 
 
 # ---------------------------------------------------------------------------

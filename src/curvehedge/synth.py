@@ -11,8 +11,8 @@ The (a, b, c) draws are AR(1)-smoothed Gaussians, so consecutive days
 move coherently. Keeping the day-zero segment fixed makes the history an
 exact linear factor model, which the correlation fixtures rely on: the
 level factor's variance share is computable directly from the draws. The
-walk is one running sum down a (days, knots) block, and the curves are
-built from that block in one pass.
+walk is one running sum down a (days, knots) block, and that block is the
+history: no curve is built for a day until it is asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bonds import Bond
-from .curve import PolynomialSegment, YieldCurve, _curves, derivatives, fit_segment
+from .curve import CurveHistory, PolynomialSegment, YieldCurve, derivatives, fit_segment
 
 DEFAULT_TENORS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 8.0, 10.0)
 # gently rising base curve with real curvature and twist over the grid
@@ -87,8 +87,8 @@ def _ar1(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:
     return out
 
 
-def generate_history(cfg: SynthConfig) -> tuple[list[YieldCurve], ShockDraws]:
-    """Daily curves walked by the shock family, plus the draws that made them."""
+def generate_history(cfg: SynthConfig) -> tuple[CurveHistory, ShockDraws]:
+    """A daily history walked by the shock family, plus the draws that made it."""
     tenors = np.asarray(cfg.tenors, dtype=float)
     a0, a1, a2, a3 = DEFAULT_BASE_COEFFS
     rates = a0 + tenors * (a1 + tenors * (a2 + tenors * a3))
@@ -113,7 +113,7 @@ def generate_history(cfg: SynthConfig) -> tuple[list[YieldCurve], ShockDraws]:
     steps = np.empty((2 * n_steps + 1, tenors.size))
     steps[0], steps[1::2], steps[2::2] = rates, move, idio
     block = np.cumsum(steps, axis=0)[::2]
-    return _curves(dates, grid, block), ShockDraws(a=a, b=b, c=c, idio=idio, segment=seg)
+    return CurveHistory(dates, grid, block), ShockDraws(a=a, b=b, c=c, idio=idio, segment=seg)
 
 
 def default_bond_universe() -> list[Bond]:

@@ -33,7 +33,6 @@ from curvehedge import (
     spot,
     summary_stats,
     tenor_correlations,
-    year_fraction,
 )
 from curvehedge import bonds as bonds_module
 from curvehedge.backtest import UNHEDGED, SummaryStats, _summaries
@@ -76,13 +75,8 @@ def standard_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# summary stats and year fractions
+# summary stats
 # ---------------------------------------------------------------------------
-
-def test_year_fraction_act365():
-    assert year_fraction(dt.date(2024, 1, 2), dt.date(2024, 1, 3)) == pytest.approx(1 / 365)
-    assert year_fraction(dt.date(2024, 1, 2), dt.date(2025, 1, 1)) == pytest.approx(365 / 365)
-
 
 def test_summary_stats_zero_series():
     s = summary_stats([0.0, 0.0, 0.0])
@@ -236,8 +230,8 @@ def test_constant_history_gross_is_pure_carry(universe):
     b = universe["B2"]
     for date, gross in zip(un.dates, un.gross):
         prev = date - dt.timedelta(days=1)
-        b_now = b.rolled(year_fraction(day0, prev))
-        b_next = b.rolled(year_fraction(day0, date))
+        b_now = b.rolled((prev - day0).days / 365.0)
+        b_next = b.rolled((date - day0).days / 365.0)
         want = 100.0 * (
             price(b_next, spot(hist[0], b_next.maturity))
             - price(b_now, spot(hist[0], b_now.maturity))
@@ -257,13 +251,13 @@ def test_backtest_matches_manual_replay(universe):
     day0 = hist[0].date
     for k in range(3):
         cur, nxt = hist[k], hist[k + 1]
-        tgt = snapshot(universe["B2"].rolled(year_fraction(day0, cur.date)), cur, amount=100.0)
-        leg = snapshot(universe["B3"].rolled(year_fraction(day0, cur.date)), cur)
+        tgt = snapshot(universe["B2"].rolled((cur.date - day0).days / 365.0), cur, amount=100.0)
+        leg = snapshot(universe["B3"].rolled((cur.date - day0).days / 365.0), cur)
         plan = duration_hedge(tgt, leg)
         want = 0.0
         for bond_id, amount in [("B2", 100.0), ("B3", plan.legs[0].amount)]:
-            b_now = universe[bond_id].rolled(year_fraction(day0, cur.date))
-            b_next = universe[bond_id].rolled(year_fraction(day0, nxt.date))
+            b_now = universe[bond_id].rolled((cur.date - day0).days / 365.0)
+            b_next = universe[bond_id].rolled((nxt.date - day0).days / 365.0)
             want += amount * (
                 price(b_next, spot(nxt, b_next.maturity))
                 - price(b_now, spot(cur, b_now.maturity))
@@ -312,14 +306,14 @@ def test_additivity_hedged_equals_target_plus_legs(universe):
     day0 = hist[0].date
     for k in range(5):
         cur, nxt = hist[k], hist[k + 1]
-        tgt = snapshot(universe["B2"].rolled(year_fraction(day0, cur.date)), cur, amount=100.0)
-        legs = [snapshot(universe[i].rolled(year_fraction(day0, cur.date)), cur)
+        tgt = snapshot(universe["B2"].rolled((cur.date - day0).days / 365.0), cur, amount=100.0)
+        legs = [snapshot(universe[i].rolled((cur.date - day0).days / 365.0), cur)
                 for i in ("B3", "B1")]
         plan = quadratic_hedge(tgt, *legs)
         leg_pnl = 0.0
         for leg in plan.legs:
-            b_now = universe[leg.id].rolled(year_fraction(day0, cur.date))
-            b_next = universe[leg.id].rolled(year_fraction(day0, nxt.date))
+            b_now = universe[leg.id].rolled((cur.date - day0).days / 365.0)
+            b_next = universe[leg.id].rolled((nxt.date - day0).days / 365.0)
             leg_pnl += leg.amount * (
                 price(b_next, spot(nxt, b_next.maturity))
                 - price(b_now, spot(cur, b_now.maturity))
@@ -362,6 +356,42 @@ def test_date_range_slicing(universe):
     assert report.dates[0] == hist[2].date
     assert report.dates[-1] == hist[7].date
     assert len(report.series[UNHEDGED].dates) == 5
+
+
+def _per_row(history):
+    """The history as today's list input: one YieldCurve per row."""
+    return [YieldCurve(d, history.tenors, tuple(r))
+            for d, r in zip(history.dates, history.rates.tolist())]
+
+
+@pytest.mark.parametrize("kw", [{}, {"net_carry": True, "rebalance_days": 3},
+                                {"start": dt.date(2024, 2, 1), "end": dt.date(2024, 4, 30)}])
+def test_reports_from_a_list_and_from_a_history_are_equal(universe, kw):
+    history, _ = generate_history(SynthConfig(days=120, sigma_idio=1e-4, seed=4))
+    curves = _per_row(history)
+    config = standard_config(**kw)
+    assert repr(run_backtest(history, universe, config)) == repr(
+        run_backtest(curves, universe, config))
+    for on in ("levels", "diffs"):
+        got, want = tenor_correlations(history, on=on), tenor_correlations(curves, on=on)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("start,end", [
+    (dt.date(2024, 1, 6), dt.date(2024, 2, 11)),  # a Saturday and a Sunday
+    (dt.date(2023, 12, 31), dt.date(2024, 1, 14)),  # before the first day, a Sunday
+    (dt.date(2024, 1, 21), None),
+    (None, dt.date(2024, 1, 27)),
+])
+def test_weekend_window_bounds_give_todays_date_filter(universe, start, end):
+    """A start or end on no trading day slices the rows the date filter kept."""
+    history, _ = generate_history(SynthConfig(days=40, seed=6))
+    config = standard_config(start=start, end=end)
+    kept = [c for c in history if (start is None or c.date >= start)
+            and (end is None or c.date <= end)]
+    report = run_backtest(history, universe, config)
+    assert report.dates == [c.date for c in kept]
+    assert repr(report) == repr(run_backtest(kept, universe, config))
 
 
 def test_backtest_validation_errors(universe):
@@ -501,7 +531,7 @@ def scalar_replay(history, universe, config):
     alive = dict.fromkeys(names, True)
     warnings, plans = [], {}
     for k, (cur, nxt) in enumerate(zip(history, history[1:])):
-        e_now, e_next = year_fraction(day0, cur.date), year_fraction(day0, nxt.date)
+        e_now, e_next = (cur.date - day0).days / 365.0, (nxt.date - day0).days / 365.0
 
         def step(bond_id, amount):
             b_now, b_next = universe[bond_id].rolled(e_now), universe[bond_id].rolled(e_next)
@@ -702,6 +732,27 @@ def test_roll_table_stops_where_the_snapshot_refuses_an_infinite_price():
                                "instrument 'L': price must be finite, got inf")
 
 
+def test_roll_table_stops_where_the_square_of_a_huge_yield_overflows():
+    """At a yield of 1e200, (1 + y)**2 overflows in the scalar path's libm
+    pow: the table refuses that row instead of raising, and a backtest names
+    the bond and the day."""
+    grid = (0.5, 30.0)
+    rates = np.full((4, 2), 0.03)
+    rates[2] = 1e200
+    bond = Bond("L", 100.0, 0.03, 1, 25.0)
+    elapsed = np.arange(4) / 365.0
+    curves = [YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(days=k), grid, tuple(r))
+              for k, r in enumerate(rates.tolist())]
+    universe = {"L": bond, "H": Bond("H", 100.0, 0.03, 1, 10.0)}
+    config = BacktestConfig("L", {Strategy.DURATION: ("H",)}, strategies=(Strategy.DURATION,))
+    m, p, d, c, carry, bad = roll_table(bond, elapsed, grid, rates)
+    assert bad == 2 and len(p) == 2
+    with pytest.raises(ValueError) as info:
+        run_backtest(curves, universe, config)
+    assert str(info.value) == ("bond 'H' cannot be priced on 2024-01-04: "
+                               "bond 'H': yield 1e+200 on 2024-01-04 overflows its convexity")
+
+
 @st.composite
 def books(draw):
     """A window of elapsed year fractions, one curve per day and a book of
@@ -779,7 +830,7 @@ def test_book_table_interpolates_once_and_builds_flows_once_per_run(monkeypatch,
     config = standard_config()
     report = run_backtest(hist, universe, config)
     assert all(len(s.dates) == len(hist) - 1 for s in report.series.values())
-    elapsed = np.array([year_fraction(hist[0].date, c.date) for c in hist])
+    elapsed = np.array([(c.date - hist[0].date).days / 365.0 for c in hist])
     runs = 0
     for bond_id in {"B2", "B3", "B1", "B4"}:
         bond = universe[bond_id]

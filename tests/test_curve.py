@@ -13,6 +13,7 @@ from curvehedge import (
     PolynomialSegment,
     ShockSpec,
     SynthConfig,
+    ValidationError,
     YieldCurve,
     apply_shock,
     curvature,
@@ -22,7 +23,7 @@ from curvehedge import (
     generate_history,
     spot,
 )
-from curvehedge.curve import _condition_number, _curves
+from curvehedge.curve import CurveHistory, _condition_number
 from curvehedge.synth import _trading_dates
 
 D = dt.date(2024, 1, 2)
@@ -415,10 +416,10 @@ def _check_same_as_rows(dates, grid, block):
     want = _row_by_row(dates, grid, block)
     if isinstance(want, ValueError):
         with pytest.raises(ValueError) as err:
-            _curves(dates, grid, block)
+            CurveHistory(dates, grid, block)
         assert (type(err.value), str(err.value)) == (type(want), str(want))
         return
-    got = _curves(dates, grid, block)
+    got = list(CurveHistory(dates, grid, block))
     assert got == want
     for g, w in zip(got, want):
         assert [x.hex() for x in g.rates] == [x.hex() for x in w.rates]
@@ -436,8 +437,8 @@ def _check_same_as_rows(dates, grid, block):
 )
 @settings(max_examples=200, deadline=None)
 def test_block_constructor_equals_yield_curve_per_row(days, grid, values, planted):
-    """The batch constructor gives the curves YieldCurve gives row by row,
-    or raises the error YieldCurve raises for the first failing row."""
+    """CurveHistory gives the curves YieldCurve gives row by row, or raises
+    the error YieldCurve raises for the first failing row."""
     block = np.array(values[: days * len(grid)]).reshape(days, len(grid))
     for i, bad in planted.items():
         if i < days:
@@ -452,10 +453,57 @@ def test_block_constructor_walk_across_minus_100pct():
     dates = [D + dt.timedelta(k) for k in range(10)]
     _check_same_as_rows(dates, grid, walk)
     with pytest.raises(ValueError, match="greater than -100%"):
-        _curves(dates, grid, walk)
+        CurveHistory(dates, grid, walk)
     _check_same_as_rows(dates[:5], grid, walk[:5])  # stops short of -1
     _check_same_as_rows(dates, grid, np.zeros((10, 2)))  # grid and rows differ in length
-    assert _curves([], grid, np.empty((0, 3))) == []
+    assert list(CurveHistory([], grid, np.empty((0, 3)))) == []
+
+
+def test_block_constructor_checks_shape_and_date_order():
+    grid = (0.5, 1.0, 5.0)
+    dates = [D + dt.timedelta(k) for k in range(3)]
+    with pytest.raises(ValueError, match=r"need a \(days, knots\) block for 3 days, got \(2, 3\)"):
+        CurveHistory(dates, grid, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"got \(9,\)"):
+        CurveHistory(dates, grid, np.zeros(9))
+    for late in ([dates[0], dates[2], dates[1]], [dates[0], dates[1], dates[1]]):
+        with pytest.raises(ValidationError, match=f"not strictly increasing at {dates[1]}$"):
+            CurveHistory(late, grid, np.zeros((3, 3)))
+
+
+def _per_row(history):
+    """Today's curves of a history: one YieldCurve per row, checked on its own."""
+    return [YieldCurve(d, history.tenors, tuple(r))
+            for d, r in zip(history.dates, history.rates.tolist())]
+
+
+def test_history_indexing_and_slicing_give_the_same_curves():
+    history, _ = generate_history(SynthConfig(days=30, sigma_idio=1e-4, seed=5))
+    want = _per_row(history)
+    assert len(history) == 30
+    assert [history[i] for i in range(30)] == want == list(history)
+    assert history[-1] == want[-1] and history[-30] == want[0]
+    for i in (30, -31):
+        with pytest.raises(IndexError):
+            history[i]
+    for part in (slice(3, 17), slice(None, None, 5), slice(-4, None), slice(20, 10)):
+        got = history[part]
+        assert isinstance(got, CurveHistory) and got.tenors == history.tenors
+        assert list(got) == want[part] and got.dates == history.dates[part]
+    assert history[4].rates == want[4].rates and type(history[4].rates[0]) is float
+
+
+def test_history_is_read_only_compares_by_identity_and_holds_a_copy():
+    block = np.full((3, 2), 0.03)
+    history = CurveHistory([D + dt.timedelta(k) for k in range(3)], (1.0, 5.0), block)
+    block[1, 0] = 0.5
+    assert history.rates[1, 0] == 0.03
+    for rates in (history.rates, history[1:].rates):
+        with pytest.raises(ValueError, match="read-only"):
+            rates[0, 0] = 0.04
+    assert history == history
+    assert history != CurveHistory(history.dates, history.tenors, history.rates)
+    assert history != list(history)
 
 
 def test_generate_history_walk_across_minus_100pct_raises_per_day_error():

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from curvehedge import (
     BacktestConfig,
     Bond,
+    CurveHistory,
     Strategy,
     SynthConfig,
     ValidationError,
@@ -327,7 +328,7 @@ def test_parse_curve_equals_row_reader(tmp_path, text):
     got = _outcome(parse_curve_csv, path)
     assert got == _outcome(_row_reader, path)
     if not isinstance(got, str):
-        assert parse_curve_csv(path) == _row_reader(path)
+        assert list(parse_curve_csv(path)) == _row_reader(path)
 
 
 H = "date,tenor_1,tenor_5\n"
@@ -428,6 +429,22 @@ def test_curve_roundtrip(tmp_path):
             assert b == pytest.approx(a, rel=1e-9)  # 10 significant digits
     rows = path.read_text().splitlines()[2:]
     assert rows == [f"{c.date},{','.join(fmt_num(r) for r in c.rates)}" for c in curves]
+
+
+def test_history_write_parse_round_trip_is_bit_for_bit(tmp_path):
+    """A history of 10-significant-digit rates (what the writer keeps) comes
+    back from its file as the same dates, grid and block, bit for bit, by the
+    block reader and by the row walk alike."""
+    history, _ = generate_history(SynthConfig(days=300, sigma_idio=1e-4, seed=8))
+    rates = [[float(fmt_num(x)) for x in row] for row in history.rates.tolist()]
+    history = CurveHistory(history.dates, history.tenors, rates)
+    path = tmp_path / "hist.csv"
+    write_curve_csv(history, path)
+    quoted = write(tmp_path, "quoted.csv", _quoted(path.read_text()))
+    for back in (parse_curve_csv(path), parse_curve_csv(quoted)):
+        assert isinstance(back, CurveHistory)
+        assert (back.dates, back.tenors) == (history.dates, history.tenors)
+        assert back.rates.tobytes() == history.rates.tobytes()
 
 
 def test_write_curve_rejects_mixed_grids(tmp_path):
@@ -822,6 +839,32 @@ def test_cli_names_a_bond_past_the_last_knot(cli_files, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err == ("error: bond 'L': maturity 12.0 outside curve range [0.5, 10.0] "
                    "on 2024-01-02\n")
+
+
+HUGE_RATE_CSV = """date,tenor_0.5,tenor_30
+2024-01-02,0.03,0.04
+2024-01-03,1e200,1e200
+2024-01-04,0.03,0.04
+"""
+
+
+def test_cli_analyze_names_the_bond_and_day_a_huge_rate_overflows(cli_files, capsys):
+    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
+    assert main(["analyze", "--bonds", str(cli_files["bonds"]), "--curve", str(history),
+                 "--date", "2024-01-03"]) == 2
+    assert capsys.readouterr().err == ("error: bond 'B1': yield 1e+200 on 2024-01-03 "
+                                       "overflows its convexity\n")
+
+
+def test_cli_backtest_names_the_bond_and_day_a_huge_rate_overflows(cli_files, capsys):
+    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
+    out = cli_files["tmp"] / "bt"
+    assert main(["backtest", "--history", str(history), "--bonds", str(cli_files["bonds"]),
+                 "--config", str(cli_files["config"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bond 'B1' cannot be priced on 2024-01-03: "
+        "bond 'B1': yield 1e+200 on 2024-01-03 overflows its convexity\n")
+    assert not out.exists()
 
 
 def test_cli_analyze_to_file(cli_files):
@@ -1333,7 +1376,7 @@ def test_cli_output_that_is_a_directory_exits_2_before_any_work(cli_files, capsy
     def work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("_read_history", "parse_curve_csv", "generate_history"):
+    for name in ("parse_curve_csv", "generate_history"):
         monkeypatch.setattr(curvehedge.cli, name, work)
     before = sorted(tmp.rglob("*"))
     capsys.readouterr()

@@ -5,12 +5,15 @@ plan builder, pricing or snapshot call per day), of
 the curve layer (one curve per synthetic day, checked as one block, one
 delta_y per shock) and of a
 residual sweep (the base curve and the shocked curves priced as one block,
-with a fit only for a slope or twist shock)."""
+with a fit only for a slope or twist shock), and of a history read: no
+curve built to backtest or correlate one, and a CLI file read booked to io."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
 import curvehedge
+from curvehedge import cli
 from curvehedge import BacktestConfig, ShockSpec, Strategy, SynthConfig, generate_history
 from curvehedge.synth import default_bond_universe
 
@@ -44,6 +47,47 @@ def test_tracer_wraps_every_name_and_counts_backtest_work():
     # marks come from one mark table for the whole book, not from per-day pricing
     assert tracer.stat("bonds", "price").calls == 0
     assert tracer.stat("hedging", "snapshot").calls == 0
+
+
+def test_tracer_counts_no_curve_built_to_backtest_or_correlate_a_history():
+    """A generated history is read as its rates block: neither a backtest
+    (its start/end window a row slice) nor a correlation builds a curve."""
+    history, _ = generate_history(SynthConfig(days=40, seed=3))
+    universe = {b.id: b for b in default_bond_universe()}
+    config = BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)},
+                            strategies=(Strategy.DURATION,),
+                            start=history[5].date, end=history[-5].date)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        curvehedge.run_backtest(history, universe, config)
+        whole = dataclasses.replace(config, start=None, end=None)
+        curvehedge.run_backtest(history, universe, whole)
+        curvehedge.tenor_correlations(history, on="diffs")
+    finally:
+        tracer.uninstall()
+    assert tracer.stat("backtest", "run_backtest").calls == 2
+    assert tracer.stat("curve", "__post_init__").calls == 0
+
+
+def test_tracer_counts_a_cli_curve_read_as_io(tmp_path):
+    """analyze reads its curve file through parse_curve_csv, so the read is
+    booked to io with its bytes, not to the cli layer."""
+    history, _ = generate_history(SynthConfig(days=30, seed=3))
+    curve, bonds = tmp_path / "hist.csv", tmp_path / "bonds.json"
+    curvehedge.write_curve_csv(history, curve)
+    curvehedge.write_bonds_json(default_bond_universe(), bonds)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["analyze", "--bonds", str(bonds), "--curve", str(curve),
+                         "--date", history[7].date.isoformat(), "--out", str(tmp_path / "a.txt")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.stat("io", "parse_curve_csv").calls == 1
+    assert tracer.extra["csv_rows"] == 30
+    assert tracer.extra["bytes_read"] == curve.stat().st_size + bonds.stat().st_size
 
 
 def test_tracer_counts_one_curve_per_day_and_one_delta_y_per_shock():
