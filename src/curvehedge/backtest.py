@@ -155,7 +155,8 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
 
     on="levels" correlates the rate levels (the usual presentation);
     on="diffs" correlates day-over-day changes. A constant series makes the
-    correlation undefined and raises, naming the tenor.
+    correlation undefined and raises, naming the tenor, as does a series
+    whose variance leaves the float range (a huge rate overflows it).
     """
     if on not in ("levels", "diffs"):
         raise ValueError(f"on must be 'levels' or 'diffs', got {on!r}")
@@ -167,8 +168,15 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
     flat = [t for t, span in zip(history.tenors, np.ptp(data, axis=0).tolist()) if span == 0.0]
     if flat:
         raise ValueError(f"constant series at tenor(s) {flat}: correlation undefined")
-    corr = np.corrcoef(data, rowvar=False)
-    corr = (corr + corr.T) / 2.0
+    with np.errstate(all="ignore"):  # a variance out of float range is refused below
+        corr = np.corrcoef(data, rowvar=False)
+        corr = (corr + corr.T) / 2.0
+    bad = ~np.isfinite(corr)
+    if bad.any():
+        # a tenor whose own variance is not finite spoils its whole row and column
+        worst = bad.diagonal() if bad.diagonal().any() else bad.any(axis=0)
+        tenors = [t for t, b in zip(history.tenors, worst.tolist()) if b]
+        raise ValueError(f"correlation not finite at tenor(s) {tenors}: variance out of range")
     np.fill_diagonal(corr, 1.0)
     return corr
 

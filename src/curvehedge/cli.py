@@ -102,9 +102,11 @@ def _pick_curve(path, date: str | None) -> YieldCurve:
     """The curve on `date` (default: the first row) of a whole checked history file."""
     history = parse_curve_csv(path)
     want = history.dates[0] if date is None else _iso_date(date, "--date")
-    if want not in history.dates:
-        raise ValidationError(f"date {want} not present in the curve file")
-    return history[history.dates.index(want)]
+    try:
+        i = history.dates.index(want)
+    except ValueError:
+        raise ValidationError(f"date {want} not present in the curve file") from None
+    return history[i]
 
 
 def _finite(option: str, value: float) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -167,8 +168,8 @@ class CurveHistory(Sequence[YieldCurve]):
         dates, tenors, rates = tuple(dates), tuple(tenors), np.array(rates, dtype=float)
         if rates.ndim != 2 or len(rates) != len(dates):
             raise ValueError(f"need a (days, knots) block for {len(dates)} days, got {rates.shape}")
-        late = next((b for a, b in zip(dates, dates[1:]) if b <= a), None)
-        if late is not None:
+        if not all(map(operator.lt, dates, dates[1:])):
+            late = next(b for a, b in zip(dates, dates[1:]) if b <= a)
             raise ValidationError(f"history dates not strictly increasing at {late}")
         bad = np.flatnonzero(_bad_rows(rates))
         for i in (0, *bad[:1]) if dates else ():  # the grid and row 0, then the first bad row
@@ -190,9 +191,15 @@ class CurveHistory(Sequence[YieldCurve]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return CurveHistory._checked(self.dates[i], self.tenors, self.rates[i])
+        return self._curve(self.dates[i], self.rates[i].tolist())
+
+    def __iter__(self):
+        return map(self._curve, self.dates, self.rates.tolist())
+
+    def _curve(self, date: dt.date, rates: list) -> YieldCurve:
+        """The curve of a row of this history, built without YieldCurve's checks."""
         curve = object.__new__(YieldCurve)
-        curve.__dict__.update(date=self.dates[i], tenors=self.tenors,
-                              rates=tuple(self.rates[i].tolist()))
+        curve.__dict__.update(date=date, tenors=self.tenors, rates=tuple(rates))
         return curve
 
 

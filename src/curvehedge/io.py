@@ -8,11 +8,14 @@ JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
 A curve history's text is read once, its rates as one (days, knots) block
-by one np.loadtxt call that becomes the CurveHistory returned. Only text
-with quotes, control or non-ASCII characters goes through csv; that text,
-and a file that fails a check, is walked row by row, its rates checked as
-one block, to report every error with its line. Numbers in JSON
-inputs must be finite JSON numbers; a bool or a string is refused, not converted.
+by one np.loadtxt call that becomes the CurveHistory returned. Plain text
+is split into lines, and when no comment or empty line follows the header
+the lines after it are the rows as they are: no line is numbered unless a
+check fails. Only text with quotes, control or non-ASCII characters goes
+through csv; that text, and a file that fails a check, is walked row by
+row, its rates checked as one block, to report every error with its line.
+Numbers in JSON inputs must be finite JSON numbers; a bool or a string is
+refused, not converted.
 A bond entry holds Bond's fields, those without a default required, and no other.
 """
 
@@ -25,6 +28,7 @@ import json
 import math
 import os
 from io import StringIO
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -129,10 +133,14 @@ def parse_curve_csv(path) -> CurveHistory:
     duplicates. Every failure is collected and reported with its line
     number before raising.
 
-    The text is read once. Text of _PLAIN bytes is split at each line's first
-    comma, all its rates are read by one np.loadtxt call and CurveHistory
-    checks the whole block. _walk_rows reads the rows one by one: csv's rows
-    of any other text, and those of a body that fails a check.
+    The text is read once. Text of _PLAIN bytes is split into lines, the
+    header the first kept one. The lines after it are the body as they are
+    when no "#" and no empty line is among them; otherwise the filter keeps
+    the body's lines numbered. Each body line is split at its first comma,
+    the dates are read by one map, all the rates by one np.loadtxt call, and
+    CurveHistory checks the whole block. _walk_rows reads the rows one by
+    one: csv's rows of any other text, and those of a body that fails a
+    check, numbered then if the filter did not number them.
     """
     path = Path(path)
     errors: list[str] = []
@@ -146,16 +154,17 @@ def parse_curve_csv(path) -> CurveHistory:
     # csv and splitlines end lines alike here; a csv row is numbered by the text
     # line it ends on, as a quoted cell may hold a line end
     numbered = enumerate(lines, 1) if fast else ((lines.line_num, row) for row in lines)
+    # "#" starts a line iff it starts its first field
+    kept = ((ln, row) for ln, row in numbered
+            if row and not (row if fast else row[0]).lstrip().startswith("#"))
     try:
-        # "#" starts a line iff it starts its first field
-        rows = [(ln, row) for ln, row in numbered
-                if row and not (row if fast else row[0]).lstrip().startswith("#")]
+        header_ln, header = next(kept, (0, None))
+        rows = [] if fast else list(kept)  # csv's rows, numbered
     except csv.Error as exc:  # only csv's reader raises, e.g. on a field over its size limit
         raise ValidationError(f"{path}: line {lines.line_num}: {exc}") from exc
-    if not rows:
+    if header is None:
         raise ValidationError(f"{path}: empty curve file")
 
-    header_ln, header = rows[0]
     header = header.split(",") if fast else header
     if not header or header[0].strip() != "date":
         raise ValidationError(f"{path}: line {header_ln}: header must start with 'date'")
@@ -181,19 +190,23 @@ def parse_curve_csv(path) -> CurveHistory:
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
 
-    grid, body = tuple(tenors), rows[1:]
-    if fast and body:  # np.loadtxt warns on no data
+    grid, body = tuple(tenors), lines[header_ln:] if fast else []
+    if fast and ("" in body
+                 or text.count("#") > sum(line.count("#") for line in lines[:header_ln])):
+        rows = list(kept)  # the filter drops a line of the body: number the lines it keeps
+        body = [line for _, line in rows]
+    if body:  # np.loadtxt warns on no data
         try:
-            heads, _, rests = zip(*[line.partition(",") for _, line in body])
-            dates = [dt.date.fromisoformat(head.strip()) for head in heads]
+            heads, _, rests = zip(*map(str.partition, body, repeat(",")))
+            dates = list(map(dt.date.fromisoformat, map(str.strip, heads)))
             if "" in rests:
                 raise ValueError("a row without rates")
             # one row per line, as no line is empty: the reshape checks the field counts
             block = np.loadtxt(rests, delimiter=",", comments=None).reshape(len(dates), len(grid))
             return CurveHistory(dates, grid, block)
         except ValueError:  # a failed check: the walk words each error with its line
-            body = [(ln, line.split(",")) for ln, line in body]  # csv's rows of this text
-    return _walk_rows(path, grid, body, len(header))
+            rows = [(ln, line.split(",")) for ln, line in rows or enumerate(body, header_ln + 1)]
+    return _walk_rows(path, grid, rows, len(header))
 
 
 def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):

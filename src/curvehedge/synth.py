@@ -77,14 +77,15 @@ def _trading_dates(start: dt.date, days: int) -> list[dt.date]:
 
 
 def _ar1(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:
-    # unit marginal variance regardless of rho
-    raw = rng.standard_normal(n)
-    out = np.empty(n)
-    out[0] = raw[0]
-    scale = np.sqrt(1.0 - rho * rho)
-    for i in range(1, n):
-        out[i] = rho * out[i - 1] + scale * raw[i]
-    return out
+    # unit marginal variance regardless of rho; the recursion steps Python
+    # floats, which round each product and sum as float64 array elements do
+    raw = rng.standard_normal(n).tolist()
+    rho = float(rho)
+    scale = math.sqrt(1.0 - rho * rho)
+    out = raw[:1]
+    for x in raw[1:]:
+        out.append(rho * out[-1] + scale * x)
+    return np.array(out)
 
 
 def generate_history(cfg: SynthConfig) -> tuple[CurveHistory, ShockDraws]:

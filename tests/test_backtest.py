@@ -186,6 +186,32 @@ def test_correlation_constant_series_raises():
         tenor_correlations(hist)
 
 
+@pytest.mark.parametrize("on", ["levels", "diffs"])
+@pytest.mark.parametrize("rates", ["huge", "tiny"])
+def test_correlation_of_a_series_whose_variance_leaves_the_float_range_names_its_tenor(on, rates):
+    """A rate so large that its tenor's variance overflows, or moves so small
+    that it underflows to 0, is refused by tenor, with no NumPy warning
+    (tier-1 turns one into an error)."""
+    x = 0.03 + 0.001 * np.sin(np.arange(10.0))
+    cols = np.column_stack([x, x + 0.002, 0.02 + 0.001 * np.cos(np.arange(10.0))])
+    if rates == "huge":
+        cols[4, 1] = 1e200
+    else:
+        cols[:, 1] = 1e-170 * (np.arange(10.0) % 3)
+    with pytest.raises(ValueError, match=r"^correlation not finite at tenor\(s\) \[2\.0\]: "
+                                         r"variance out of range$"):
+        tenor_correlations(corr_history(cols), on=on)
+
+
+def test_correlation_is_the_symmetrised_corrcoef_bit_for_bit():
+    history, _ = generate_history(SynthConfig(days=300, sigma_idio=1e-4, seed=9))
+    for on, data in (("levels", history.rates), ("diffs", np.diff(history.rates, axis=0))):
+        want = np.corrcoef(data, rowvar=False)
+        want = (want + want.T) / 2.0
+        np.fill_diagonal(want, 1.0)
+        assert tenor_correlations(history, on=on).tobytes() == want.tobytes()
+
+
 def test_correlation_diff_mode():
     # a pure trend is constant in diffs -> undefined there, fine on levels
     # (increments of 1/1024 are exact in binary, so the diffs are bit-equal)

@@ -24,7 +24,7 @@ from curvehedge import (
     spot,
 )
 from curvehedge.curve import CurveHistory, _condition_number
-from curvehedge.synth import _trading_dates
+from curvehedge.synth import _ar1, _trading_dates
 
 D = dt.date(2024, 1, 2)
 
@@ -493,6 +493,20 @@ def test_history_indexing_and_slicing_give_the_same_curves():
     assert history[4].rates == want[4].rates and type(history[4].rates[0]) is float
 
 
+def test_history_iteration_builds_the_indexed_curves_unchecked(monkeypatch):
+    """Iterating a history gives the curves indexing gives, and checks none again."""
+    history, _ = generate_history(SynthConfig(days=2500, sigma_idio=1e-4, seed=5))
+    built = []
+    post_init = YieldCurve.__post_init__
+    monkeypatch.setattr(YieldCurve, "__post_init__",
+                        lambda self: built.append(self.date) or post_init(self))
+    got = list(history)
+    assert built == []
+    assert got == [history[i] for i in range(len(history))]
+    assert all(type(c.rates) is tuple and type(c.rates[0]) is float for c in got)
+    assert list(history[100:200]) == got[100:200]
+
+
 def test_history_is_read_only_compares_by_identity_and_holds_a_copy():
     block = np.full((3, 2), 0.03)
     history = CurveHistory([D + dt.timedelta(k) for k in range(3)], (1.0, 5.0), block)
@@ -509,6 +523,26 @@ def test_history_is_read_only_compares_by_identity_and_holds_a_copy():
 def test_generate_history_walk_across_minus_100pct_raises_per_day_error():
     with pytest.raises(ValueError, match="spot rates must be greater than -100%"):
         generate_history(SynthConfig(days=400, sigma_level=0.2, seed=1))
+
+
+def _ar1_array_loop(rng, n, rho):
+    """The AR(1) recursion stepped one float64 array element at a time."""
+    raw = rng.standard_normal(n)
+    out = np.empty(n)
+    out[0] = raw[0]
+    scale = np.sqrt(1.0 - rho * rho)
+    for i in range(1, n):
+        out[i] = rho * out[i - 1] + scale * raw[i]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 2499])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.97, -0.5])
+def test_ar1_equals_the_array_loop_bit_for_bit(rho, n):
+    got = _ar1(np.random.default_rng([n, 17]), n, rho)
+    want = _ar1_array_loop(np.random.default_rng([n, 17]), n, rho)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.float64, (n,))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("field", ["sigma_level", "sigma_slope", "sigma_twist", "sigma_idio"])

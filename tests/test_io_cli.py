@@ -867,6 +867,16 @@ def test_cli_backtest_names_the_bond_and_day_a_huge_rate_overflows(cli_files, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("diff", [[], ["--diff"]])
+def test_cli_stats_refuses_correlations_a_huge_rate_overflows(cli_files, capsys, diff):
+    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
+    out = cli_files["tmp"] / "corr.csv"
+    assert main(["stats", "--history", str(history), "--out", str(out), *diff]) == 2
+    assert capsys.readouterr().err == ("error: correlation not finite at tenor(s) [0.5, 30.0]: "
+                                       "variance out of range\n")
+    assert not out.exists()
+
+
 def test_cli_analyze_to_file(cli_files):
     out_path = cli_files["tmp"] / "report" / "analytics.txt"
     rc = main(["analyze", "--bonds", str(cli_files["bonds"]),
@@ -1489,3 +1499,9 @@ def test_cli_bad_date_selection(cli_files, capsys):
                "--curve", str(cli_files["curve"]), "--date", "1999-01-01"])
     assert rc == 2
     assert "not present" in capsys.readouterr().err
+
+
+def test_cli_date_missing_from_the_curve_file_is_named(cli_files, capsys):
+    assert main(["analyze", "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
+                 "--date", "2024-01-06"]) == 2
+    assert capsys.readouterr().err == "error: date 2024-01-06 not present in the curve file\n"

@@ -6,14 +6,19 @@ the curve layer (one curve per synthetic day, checked as one block, one
 delta_y per shock) and of a
 residual sweep (the base curve and the shocked curves priced as one block,
 with a fit only for a slope or twist shock), and of a history read: no
-curve built to backtest or correlate one, and a CLI file read booked to io."""
+curve built to backtest or correlate one, a CLI file read booked to io, and
+a written file read by one np.loadtxt call with no row walk."""
 
 import dataclasses
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import curvehedge
-from curvehedge import cli
+from curvehedge import cli, io
 from curvehedge import BacktestConfig, ShockSpec, Strategy, SynthConfig, generate_history
 from curvehedge.synth import default_bond_universe
 
@@ -88,6 +93,42 @@ def test_tracer_counts_a_cli_curve_read_as_io(tmp_path):
     assert tracer.stat("io", "parse_curve_csv").calls == 1
     assert tracer.extra["csv_rows"] == 30
     assert tracer.extra["bytes_read"] == curve.stat().st_size + bonds.stat().st_size
+
+
+def _count_calls(monkeypatch, owner, name, counts: Counter) -> None:
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_written_history_is_read_by_one_loadtxt_and_no_row_walk(tmp_path, monkeypatch):
+    """A file write_curve_csv wrote, with or without a comment line in its
+    body, is read as one block; a failed check (a repeated date) walks the rows."""
+    history, _ = generate_history(SynthConfig(days=2500, seed=3))
+    plain = tmp_path / "plain.csv"
+    curvehedge.write_curve_csv(history, plain)
+    lines = plain.read_text().splitlines(keepends=True)
+    commented, repeated = tmp_path / "commented.csv", tmp_path / "repeated.csv"
+    commented.write_text("".join(lines[:1200] + ["# a comment\n"] + lines[1200:]))
+    repeated.write_text("".join(lines + lines[-1:]))
+    counts = Counter()
+    _count_calls(monkeypatch, np, "loadtxt", counts)
+    _count_calls(monkeypatch, io, "_walk_rows", counts)
+    want = curvehedge.parse_curve_csv(plain)
+    assert counts == {"loadtxt": 1}
+    counts.clear()
+    got = curvehedge.parse_curve_csv(commented)
+    assert counts == {"loadtxt": 1}
+    assert (got.dates, got.rates.tobytes()) == (want.dates, want.rates.tobytes())
+    assert len(want) == 2500
+    counts.clear()
+    with pytest.raises(curvehedge.ValidationError, match="line 2503: duplicate date"):
+        curvehedge.parse_curve_csv(repeated)
+    assert counts == {"loadtxt": 1, "_walk_rows": 1}
 
 
 def test_tracer_counts_one_curve_per_day_and_one_delta_y_per_shock():
