@@ -307,15 +307,15 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
     duration and convexity are then the sensitivities to a parallel shift of
     the whole curve. The reported ytm is still the maturity-point spot. A
     flow before the curve's shortest tenor raises ExtrapolationError naming
-    the bond and the flow's time.
+    the bond and the flow's time. Either mode refuses, by the bond, the rate
+    and the day, a rate too large for its convexity's (1 + rate)^2.
     """
     y = spot(curve, bond.maturity)
     if mode == "flat":
         try:
             return analytics(bond, y)
         except OverflowError:  # (1 + y)**2
-            raise ValueError(f"bond {bond.id!r}: yield {y} on {curve.date} overflows its "
-                             "convexity") from None
+            raise _overflow(bond, f"yield {y}", curve.date) from None
     if mode != "spot":
         raise ValueError(f"unknown pricing mode {mode!r} (expected 'flat' or 'spot')")
 
@@ -325,8 +325,19 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
             f"bond {bond.id!r}: cashflow at t={t[0]} lies before the curve's shortest "
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
         )
+    r = np.interp(t, curve.tenors, curve.rates)  # _spot_marks' flow rates, bit for bit
+    with np.errstate(over="ignore"):  # a square out of float range is refused here
+        over = np.isinf((1.0 + r) ** 2)
+    if over.any():
+        j = int(over.argmax())
+        raise _overflow(bond, f"spot rate {r[j]} at t={t[j]}", curve.date)
     (p,), (d,), (cx,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
     return BondAnalytics(price=float(p), ytm=y, modified_duration=float(d), convexity=float(cx))
+
+
+def _overflow(bond: Bond, rate: str, date) -> ValueError:
+    """The error for a rate whose (1 + rate)^2 in a convexity leaves the float range."""
+    return ValueError(f"bond {bond.id!r}: {rate} on {date} overflows its convexity")
 
 
 def _spot_marks(t: np.ndarray, cf: np.ndarray, tenors, rates: np.ndarray):

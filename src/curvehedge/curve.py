@@ -17,11 +17,13 @@ the fitted segment. A translation moves every knot by exactly a, whatever
 the fit, so only rotation and twist read the segment. A sweep of K shocks
 moves the knot grid as one (1 + K, knots) block whose row 0 is the curve
 itself, with Y' and Y'' taken once and only when some shock has a b or c
-term; apply_shock is its one-shock case. Knots outside the fitted span
-move by the nearest endpoint's dY.
+term; the block words the first shock that cannot make a curve, and
+apply_shock is its one-shock case. Knots outside the fitted span move by
+the nearest endpoint's dY.
 
 A daily history is one CurveHistory, a checked (days, knots) rates block
-that generate, parse, write, correlate and backtest all work on.
+that generate, parse, write, correlate and backtest all work on; a list of
+curves on one grid becomes one through the same checked constructor.
 """
 
 from __future__ import annotations
@@ -177,20 +179,14 @@ class CurveHistory(Sequence[YieldCurve]):
         rates.setflags(write=False)
         self.dates, self.tenors, self.rates = dates, tenors, rates
 
-    @classmethod
-    def _checked(cls, dates: tuple, tenors: tuple, rates: np.ndarray) -> CurveHistory:
-        """The history of rows checked already: a slice, or curves."""
-        history = object.__new__(cls)
-        rates.setflags(write=False)
-        history.dates, history.tenors, history.rates = dates, tenors, rates
-        return history
-
     def __len__(self) -> int:
         return len(self.dates)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CurveHistory._checked(self.dates[i], self.tenors, self.rates[i])
+        if isinstance(i, slice):  # rows checked already, a read-only view
+            history = object.__new__(CurveHistory)
+            history.dates, history.tenors, history.rates = self.dates[i], self.tenors, self.rates[i]
+            return history
         return self._curve(self.dates[i], self.rates[i].tolist())
 
     def __iter__(self):
@@ -204,24 +200,16 @@ class CurveHistory(Sequence[YieldCurve]):
 
 
 def _history(curves: Sequence[YieldCurve]) -> CurveHistory:
-    """The history of curves: a CurveHistory as it is, any other sequence
-    checked by check_history and its rates taken as one block."""
+    """A CurveHistory as it is; other curves, on one grid, through its constructor."""
     if isinstance(curves, CurveHistory):
         return curves
     curves = list(curves)
-    check_history(curves)
     tenors = curves[0].tenors if curves else ()
+    for c in curves:
+        if c.tenors != tenors:
+            raise ValidationError(f"tenor grid changes on {c.date}")
     rates = np.array([c.rates for c in curves], dtype=float).reshape(len(curves), len(tenors))
-    return CurveHistory._checked(tuple(c.date for c in curves), tenors, rates)
-
-
-def check_history(curves: Sequence[YieldCurve]) -> None:
-    """Raise ValidationError unless dates strictly increase on one tenor grid."""
-    for prev, cur in zip(curves, curves[1:]):
-        if cur.date <= prev.date:
-            raise ValidationError(f"history dates not strictly increasing at {cur.date}")
-        if cur.tenors != prev.tenors:
-            raise ValidationError(f"tenor grid changes on {cur.date}")
+    return CurveHistory([c.date for c in curves], tenors, rates)
 
 
 def _condition_number(m: np.ndarray) -> float:
@@ -307,8 +295,8 @@ def _shock_block(
     shock has a slope or twist term (b or c) are Y' and Y'' taken, once, at
     the knots clipped to seg's span; every parametric row is then
     a + b Y' + c Y'' in delta_y's operation order. A custom row is its
-    vector (a custom shock's a, b, c are 0). A vector of the wrong length
-    gives a row of NaN, which the curve checks reject; apply_shock names it.
+    vector (a custom shock's a, b, c are 0). The first row in sweep order that
+    is no curve raises ValueError: a wrong-length vector by its length, else YieldCurve's.
     """
     n = len(curve.tenors)
     a, b, c = np.array([(0.0, 0.0, 0.0)] + [(s.a, s.b, s.c) for s in shocks]).T[..., None]
@@ -320,7 +308,14 @@ def _shock_block(
     for k, s in enumerate(shocks, 1):
         if not s.is_parametric:
             shifts[k] = s.custom if len(s.custom) == n else np.nan
-    return np.asarray(curve.rates) + shifts
+    rates = np.asarray(curve.rates) + shifts
+    bad = _bad_rows(rates)
+    if bad.any():  # the first failing row, worded
+        s = shocks[bad.argmax() - 1]
+        if not s.is_parametric and len(s.custom) != n:
+            raise ValueError(f"custom shock has {len(s.custom)} values for a curve with {n} knots")
+        YieldCurve(curve.date, curve.tenors, tuple(rates[bad.argmax()].tolist()))
+    return rates
 
 
 def apply_shock(
@@ -330,12 +325,11 @@ def apply_shock(
 
     Custom shocks need one value per knot. Parametric shocks need the fitted
     segment they refer to; knots outside its span move by the dY of the
-    nearest span endpoint. This is the one-shock case of _shock_block.
+    nearest span endpoint. The one-shock case of _shock_block, errors and all.
     """
-    n = len(curve.tenors)
     if shock.is_parametric and seg is None:
         raise ValueError("parametric shock requires the fitted segment it refers to")
-    if not shock.is_parametric and len(shock.custom) != n:
-        raise ValueError(f"custom shock has {len(shock.custom)} values for a curve with {n} knots")
-    rates = _shock_block(curve, [shock], seg)[1]
-    return YieldCurve(curve.date, curve.tenors, tuple(rates.tolist()))
+    shocked = object.__new__(YieldCurve)  # the block has checked its row
+    shocked.__dict__.update(date=curve.date, tenors=curve.tenors,
+                            rates=tuple(_shock_block(curve, [shock], seg)[1].tolist()))
+    return shocked

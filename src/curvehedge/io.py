@@ -133,14 +133,15 @@ def parse_curve_csv(path) -> CurveHistory:
     duplicates. Every failure is collected and reported with its line
     number before raising.
 
-    The text is read once. Text of _PLAIN bytes is split into lines, the
-    header the first kept one. The lines after it are the body as they are
-    when no "#" and no empty line is among them; otherwise the filter keeps
-    the body's lines numbered. Each body line is split at its first comma,
-    the dates are read by one map, all the rates by one np.loadtxt call, and
-    CurveHistory checks the whole block. _walk_rows reads the rows one by
-    one: csv's rows of any other text, and those of a body that fails a
-    check, numbered then if the filter did not number them.
+    The text is read once, one leading byte-order mark dropped. Text of
+    _PLAIN bytes is split into lines, the header the first kept one. The
+    lines after it are the body as they are when no "#" and no empty line is
+    among them; otherwise the filter keeps the body's lines numbered. Each
+    body line is split at its first comma, the dates are read by one map,
+    all the rates by one np.loadtxt call, and CurveHistory checks the whole
+    block. _walk_rows reads the rows one by one: csv's rows of any other
+    text, and those of a body that fails a check, numbered then if the
+    filter did not number them.
     """
     path = Path(path)
     errors: list[str] = []
@@ -149,6 +150,7 @@ def parse_curve_csv(path) -> CurveHistory:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    text = text.removeprefix("\ufeff")  # a byte-order mark, as some spreadsheets write
     fast = text.isascii() and not text.encode().translate(None, _PLAIN)
     lines = text.splitlines() if fast else csv.reader(StringIO(text, newline=""))
     # csv and splitlines end lines alike here; a csv row is numbered by the text

@@ -33,9 +33,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, _bond_flows, _interp_rows, _named, _pv, price
-from .curve import PolynomialSegment, ShockSpec, YieldCurve, apply_shock, fit_segment, spot
-from .curve import _SPAN_TOL, _bad_rows, _shock_block
+from .bonds import Bond, _bond_flows, _interp_rows, _named, _overflow, _pv, _square, price
+from .curve import _SPAN_TOL, PolynomialSegment, ShockSpec, YieldCurve, _shock_block, fit_segment, spot
 from .hedging import HedgePlan
 
 
@@ -75,10 +74,11 @@ def run_scenarios(
     block, base first, and the plan bonds' flows one table, discounted over
     the whole block at once. Slope and twist terms are evaluated against
     `segment`, fitted over the full curve range when not given; a sweep of
-    level shifts and custom vectors fits nothing. A shock whose curve cannot
-    be built raises what apply_shock raises for it (with a fitted segment),
-    the first such shock in sweep order. A plan bond whose maturity is off
-    the base curve raises an ExtrapolationError that names the bond.
+    level shifts and custom vectors fits nothing. The first shock in sweep
+    order whose curve cannot be built raises the block's ValueError, the one
+    apply_shock raises for it. A plan bond whose maturity is off the base
+    curve raises an ExtrapolationError that names the bond; one whose base
+    yield is too large to square raises the ValueError curve_analytics does.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
@@ -95,17 +95,13 @@ def run_scenarios(
             _named(lambda b: spot(curve, b.maturity), b)
         flows.append(_bond_flows(b))
     rates = _shock_block(curve, shocks, segment)
-    bad = _bad_rows(rates)
-    if bad.any():  # the first shocked curve that fails its checks, worded as apply_shock does
-        k = int(bad.argmax())
-        shock = shocks[k - 1]
-        if not shock.is_parametric:  # names a vector of the wrong length
-            apply_shock(curve, shock)
-        YieldCurve(curve.date, curve.tenors, tuple(rates[k].tolist()))
-        raise RuntimeError(f"shock block and apply_shock disagree on {shock}")
     # each bond's yield on each curve, at its maturity as spot takes it
     mats = np.array([b.maturity for b in bonds] * len(rates))
     ys = _interp_rows(mats, np.asarray(curve.tenors), np.repeat(rates, len(bonds), axis=0))
+    base = ys[:len(bonds)].tolist()
+    if math.isnan(_square(1.0 + max(base))):  # a base yield analyze refuses; name the first
+        b, y = next((b, y) for b, y in zip(bonds, base) if math.isnan(_square(1.0 + y)))
+        raise _overflow(b, f"yield {y}", curve.date)
     # one flow table: every flow discounted at its bond's yield on each curve
     counts = [len(t) for t, _ in flows]
     t, cf = (np.concatenate(x) for x in zip(*flows))

@@ -452,6 +452,22 @@ def test_config_validation():
                        strategies=(Strategy.DURATION, Strategy.DURATION))
 
 
+def test_config_refuses_the_custom_strategy():
+    with pytest.raises(ValueError, match="^cannot backtest strategy custom: no closed form$"):
+        BacktestConfig(target_id="B2", instruments={Strategy.CUSTOM: ("B3",)},
+                       strategies=(Strategy.CUSTOM,))
+
+
+def test_window_that_leaves_fewer_than_two_days_is_refused(universe):
+    hist = history_from_shifts(base_rates(), [np.zeros(len(GRID))] * 4)
+    day = [c.date for c in hist]
+    for start, end in ((day[2], day[2]), (day[4], None), (None, day[0]),
+                       (day[3], day[1]), (day[4] + dt.timedelta(1), None)):
+        with pytest.raises(ValidationError, match="^date range leaves fewer than 2 days of history$"):
+            run_backtest(hist, universe, standard_config(start=start, end=end))
+    assert len(run_backtest(hist, universe, standard_config(start=day[3])).series[UNHEDGED].dates) == 1
+
+
 @pytest.mark.parametrize("days", [2.5, 1.0, "3", None])
 def test_config_rejects_a_rebalance_days_that_is_not_an_integer(days):
     with pytest.raises(ValueError, match=re.escape(f"rebalance_days must be an integer, got {days!r}")):

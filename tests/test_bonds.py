@@ -415,6 +415,25 @@ def test_curve_analytics_spot_mode_short_coupon_names_bond(curve):
     assert curve_analytics(q, curve).price > 0.0  # flat mode only needs the maturity
 
 
+def test_curve_analytics_refuses_a_rate_too_large_to_square_in_either_mode():
+    """(1 + r)^2 of a 1e200 rate leaves the float range: flat mode names the
+    maturity yield, spot mode the first flow rate, each with the bond and the
+    day and no NumPy warning (tier-1 makes one an error)."""
+    from curvehedge import snapshot
+
+    huge = YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (1e200, 1e200))
+    b = Bond("B", 100.0, 0.03, 2, 5.0)
+    for mode, rate in (("flat", "yield 1e+200"), ("spot", "spot rate 1e+200 at t=0.5")):
+        message = f"bond 'B': {rate} on 2024-01-03 overflows its convexity"
+        for call in (lambda: curve_analytics(b, huge, mode=mode),
+                     lambda: snapshot(b, huge, mode=mode)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+    big = YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (1e150, 1e150))  # its square is finite
+    assert curve_analytics(b, big, mode="spot").price > 0.0
+
+
 def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
     """Spot-mode analytics the way curve_analytics used to take them, one
     spot() lookup per flow: the oracle for the table's one-row case."""

@@ -471,6 +471,36 @@ def test_block_constructor_checks_shape_and_date_order():
             CurveHistory(late, grid, np.zeros((3, 3)))
 
 
+def test_list_of_curves_is_refused_for_its_grid_before_its_dates():
+    """A plain list of curves enters through CurveHistory's constructor after
+    one grid check: a grid change is named even where the dates already went
+    backwards, and a list on one grid is the block's history."""
+    from curvehedge.curve import _history
+
+    short, long_ = (0.5, 1.0, 5.0), (0.5, 1.0, 7.0)
+    day = [D + dt.timedelta(k) for k in range(3)]
+    back = [YieldCurve(day[1], short, (0.03, 0.031, 0.032)),
+            YieldCurve(day[0], short, (0.03, 0.031, 0.033)),
+            YieldCurve(day[2], long_, (0.03, 0.031, 0.034))]
+    with pytest.raises(ValidationError, match=f"^tenor grid changes on {day[2]}$"):
+        _history(back)
+    with pytest.raises(ValidationError, match=f"^history dates not strictly increasing at {day[0]}"):
+        _history(back[:2])
+    curves = [YieldCurve(d, short, (0.03, 0.031, 0.03 + k / 1000)) for k, d in enumerate(day)]
+    history = _history(curves)
+    assert type(history) is CurveHistory and list(history) == curves
+    assert history.rates.tolist() == [list(c.rates) for c in curves]
+    assert len(_history([])) == 0
+
+
+def test_polynomial_segment_refuses_an_empty_span_and_short_coefficients():
+    for t_lo, t_hi in ((5.0, 5.0), (5.0, 1.0)):
+        with pytest.raises(ValueError, match=rf"^need t_lo < t_hi, got \[{t_lo}, {t_hi}\]$"):
+            PolynomialSegment(t_lo, t_hi, (0.02, 0.001, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^coefficients must be \(alpha, beta, gamma, lambda\)$"):
+        PolynomialSegment(0.5, 10.0, (0.02, 0.001, 0.0))
+
+
 def _per_row(history):
     """Today's curves of a history: one YieldCurve per row, checked on its own."""
     return [YieldCurve(d, history.tenors, tuple(r))
@@ -550,6 +580,16 @@ def test_ar1_equals_the_array_loop_bit_for_bit(rho, n):
 def test_synth_config_rejects_bad_sigma(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0, got {value}$"):
         SynthConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"days": 1}, "need at least 2 days of history"),
+    ({"ar": 1.0}, r"ar must be in \[0, 1\)"),
+    ({"ar": -0.1}, r"ar must be in \[0, 1\)"),
+])
+def test_synth_config_rejects_too_few_days_and_a_unit_root(kw, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynthConfig(**kw)
 
 
 def _weekday_walk(start: dt.date, days: int) -> list[dt.date]:

@@ -553,6 +553,11 @@ def test_ratios_over_no_dates():
 # generic constraint solver
 # ---------------------------------------------------------------------------
 
+def test_solver_refuses_an_empty_system():
+    with pytest.raises(ValueError, match="^need at least one instrument$"):
+        solve_constraint_hedge(snap("T", 100.0, 5.0, 4.5, 25.0, 100.0), [], [])
+
+
 def test_solver_reproduces_closed_forms():
     rng = np.random.default_rng(23)
     for _ in range(25):

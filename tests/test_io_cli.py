@@ -169,6 +169,41 @@ def test_parse_curve_reads_common_files_without_csv(tmp_path, monkeypatch):
                 parse_curve_csv(write(tmp_path, "c.csv", text))
 
 
+def test_parse_curve_drops_one_byte_order_mark(tmp_path, monkeypatch):
+    """A file that starts with U+FEFF, as some spreadsheets write it, reads as
+    the same file without the mark, through the plain path, with the same
+    line numbers in its errors."""
+    good = "date,tenor_1,tenor_5\n2024-01-02,0.03,0.035\n2024-01-03,0.031,0.036\n"
+    bad = "date,tenor_1,tenor_5\n2024-01-02,0.03,0.035\n2024-01-03,oops,0.036\n"
+    plain = [_outcome(parse_curve_csv, write(tmp_path, f"{n}.csv", t))
+             for n, t in (("good", good), ("bad", bad))]
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(curvehedge.io.csv, "reader", no_csv)
+    marked = []
+    for name, text in (("good", good), ("bad", bad)):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked.append(_outcome(parse_curve_csv, path))
+    assert marked == plain
+    assert len(marked[0]) == 2
+    assert marked[1] == f"{tmp_path / 'bad.csv'}: line 3: non-numeric rate 'oops'"
+
+
+def test_cli_stats_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    text = ("date,tenor_1,tenor_5\n2024-01-02,0.03,0.035\n2024-01-03,0.031,0.037\n"
+            "2024-01-04,0.033,0.036\n")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(["stats", "--history", str(plain)]) == 0
+    want = capsys.readouterr()
+    assert main(["stats", "--history", str(marked)]) == 0
+    assert capsys.readouterr() == want
+
+
 @pytest.mark.parametrize("cell,reason", [
     ("nan", "spot rates must be finite"),
     ("-1.5", "spot rates must be greater than -100%"),
@@ -492,6 +527,15 @@ def test_bonds_error_names_bond(tmp_path):
     path = write(tmp_path, "b.json", json.dumps(data))
     with pytest.raises(ValidationError, match="bond 'BAD'"):
         parse_bonds_json(path)
+
+
+def test_bonds_entry_that_is_not_an_object_is_named_by_position(tmp_path):
+    good = {"id": "OK", "face": 100.0, "coupon_rate": 0.03, "coupon_frequency": 1,
+            "maturity": 5.0}
+    path = write(tmp_path, "b.json", json.dumps([good, ["X", 100.0], "B1"]))
+    with pytest.raises(ValidationError) as err:
+        parse_bonds_json(path)
+    assert str(err.value) == f"{path}: bond #1: not an object; bond #2: not an object"
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -877,6 +921,40 @@ def test_cli_stats_refuses_correlations_a_huge_rate_overflows(cli_files, capsys,
     assert not out.exists()
 
 
+def test_cli_spot_analyze_names_the_flow_rate_a_huge_rate_overflows(cli_files, capsys):
+    """Spot mode refuses what flat mode refuses: a rate whose (1 + r)^2 in the
+    convexity leaves the float range, named by bond, rate and day, with no
+    NumPy warning; the other days of the file still price."""
+    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
+    argv = ["analyze", "--mode", "spot", "--bonds", str(cli_files["bonds"]), "--curve", str(history)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--date", "2024-01-03"]) == 2
+        assert capsys.readouterr().err == ("error: bond 'B1': spot rate 1e+200 at t=1.0 on "
+                                           "2024-01-03 overflows its convexity\n")
+        assert main(argv + ["--date", "2024-01-04"]) == 0
+    assert "B4" in capsys.readouterr().out
+
+
+def test_cli_scenario_names_the_plan_bond_a_huge_rate_overflows(cli_files, capsys):
+    """A scenario on a day whose base yield analyze refuses exits 2 with
+    analyze's message for the first plan bond, target first, and no warning."""
+    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
+    plan = cli_files["tmp"] / "plan.json"
+    plan.write_text(json.dumps({"strategy": "duration", "target": {"id": "B2", "amount": 100.0},
+                                "legs": [{"id": "B3", "amount": -50.0}], "constraints": []}))
+    argv = ["scenario", "--plan", str(plan), "--bonds", str(cli_files["bonds"]),
+            "--curve", str(history), "--shock", "a=0.001"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--date", "2024-01-03"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bond 'B2': yield 1e+200 on 2024-01-03 overflows its convexity\n"
+        assert main(argv + ["--date", "2024-01-02"]) == 0
+    assert json.loads(capsys.readouterr().out)["hedged_pnl"] != 0.0
+
+
 def test_cli_analyze_to_file(cli_files):
     out_path = cli_files["tmp"] / "report" / "analytics.txt"
     rc = main(["analyze", "--bonds", str(cli_files["bonds"]),
@@ -1006,6 +1084,35 @@ def test_cli_scenario_rejects_non_finite_numbers(cli_files, capsys, extra, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("shock,message", [
+    ("a0.001", "bad shock component 'a0.001': expected key=value"),
+    ("a=x", "non-numeric shock value 'x' for 'a'"),
+])
+def test_cli_scenario_names_a_malformed_shock(cli_files, capsys, shock, message):
+    plan_path = cli_files["tmp"] / "plan_shock.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2",
+                 "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(plan_path)]) == 0
+    assert main(["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--shock", shock]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_scenario_skips_an_empty_shock_component(cli_files, capsys):
+    plan_path = cli_files["tmp"] / "plan_empty.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2",
+                 "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    argv = ["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+            "--curve", str(cli_files["curve"]), "--shock"]
+    assert main(argv + ["a=0.001"]) == 0
+    want = capsys.readouterr()
+    for shock in ("a=0.001,", ",a=0.001", "a=0.001, ,"):
+        assert main(argv + [shock]) == 0
+        assert capsys.readouterr() == want
 
 
 def test_cli_scenario_rejects_negative_tolerance(cli_files, capsys):
@@ -1393,6 +1500,11 @@ def test_cli_output_that_is_a_directory_exits_2_before_any_work(cli_files, capsy
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write {adir}: Is a directory\n"
     assert sorted(tmp.rglob("*")) == before
+
+
+def test_cli_synth_requires_out(capsys):
+    assert main(["synth", "--days", "5"]) == 2
+    assert capsys.readouterr().err == "error: synth requires --out <csv>\n"
 
 
 def test_cli_synth_creates_missing_directories(tmp_path):

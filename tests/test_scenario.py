@@ -301,6 +301,21 @@ def test_level_sweep_without_segment_names_a_sunk_curve(plans, universe, curve):
         assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, shocks)) == want
 
 
+def test_run_scenarios_refuses_a_base_yield_analyze_refuses(universe):
+    """A plan bond whose base-curve yield is too large to square raises what
+    curve_analytics raises for it, target first; the shocks are not priced."""
+    from curvehedge import curve_analytics
+
+    curve = YieldCurve(dt.date(2024, 1, 3), (0.5, 4.0, 6.0, 10.0), (0.03, 0.031, 1e200, 1e200))
+    plan = HedgePlan(Strategy.CUSTOM, "B3", 100.0, (HedgeLeg("B1", -50.0), HedgeLeg("B2", 5.0)), ())
+    want = _error(lambda: curve_analytics(universe["B1"], curve))
+    assert want == (ValueError, "bond 'B1': yield 1e+200 on 2024-01-03 overflows its convexity")
+    for shocks in ([ShockSpec.parametric(1e-3)], [ShockSpec.parametric(-2e-3), parallel(curve, 1e-3)]):
+        assert _error(lambda: run_scenarios(plan, universe, curve, shocks)) == want
+    fine = HedgePlan(Strategy.CUSTOM, "B3", 100.0, (HedgeLeg("B3", -100.0),), ())
+    assert run_scenario(fine, universe, curve, ShockSpec.parametric(1e-3)).hedged_pnl == 0.0
+
+
 def test_default_segment_degree(curve):
     import datetime as dt
 
