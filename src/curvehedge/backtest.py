@@ -21,9 +21,11 @@ in three phases:
   named). Its legs are sorted by their first day's maturities (rolled by
   one elapsed time, they keep that order), and the holdings are the amounts
   as solved: the target on top, each rebalance day's held until the next.
-* P&L: exact repricing, summed as arrays over the holdings (target first,
-  then the legs by maturity): amount times each bond's mark change (mark on
-  day d+1 minus mark on day d), taken once per bond for every series.
+* P&L: exact repricing over one holdings block (strategies, slots, steps):
+  the target, then the legs by maturity, 0 from the series' end on. Each
+  bond's mark change (mark on day d+1 minus mark on day d) and carry drift
+  is taken once; one gather, one product and one sum over the slots in
+  holding order give every strategy's gross and net P&L.
 
 Gross P&L includes pull-to-par carry. The carry-netted series subtracts
 the deterministic price drift the position would have shown on an
@@ -138,14 +140,18 @@ def summary_stats(series: Sequence[float]) -> SummaryStats:
 
 def _summaries(series: Sequence[np.ndarray]) -> list[SummaryStats]:
     """summary_stats of each non-empty series, as one (series, days) block per
-    length: each row is reduced on its own, so every float is the same."""
+    length: each row is reduced on its own, so every float is the same. The
+    mean and sample stdev share one sum, in the arithmetic of NumPy's mean
+    and std(ddof=1) without their wrappers."""
     stats = {}
     for n in {len(x) for x in series}:
         at = [i for i, x in enumerate(series) if len(x) == n]
         x = np.array([series[i] for i in at])
-        cum = np.cumsum(x, axis=1)
-        cols = (np.mean(x, axis=1), np.std(x, axis=1, ddof=1) if n > 1 else np.zeros(len(at)),
-                np.max(np.maximum.accumulate(cum, axis=1) - cum, axis=1), np.min(x, axis=1))
+        cum = x.cumsum(axis=1)
+        mean = x.sum(axis=1) / n
+        dev = x - mean[:, None]
+        cols = (mean, np.sqrt((dev * dev).sum(axis=1) / (n - 1)) if n > 1 else np.zeros(len(at)),
+                (np.maximum.accumulate(cum, axis=1) - cum).max(axis=1), x.min(axis=1))
         stats.update(zip(at, (SummaryStats(*v) for v in zip(*(c.tolist() for c in cols)))))
     return [stats[i] for i in range(len(series))]
 
@@ -232,17 +238,18 @@ def run_backtest(
         _raise_on_day(bonds[bad[0]], curves, elapsed, int(stop[bad[0]]))
     row = {bond_id: i for i, bond_id in enumerate(ids)}
     life = dict(zip(ids, lives.tolist()))
-    # each bond's mark change and carry drift (carry price minus mark: the
-    # pull-to-par on an unchanged curve), shared by every series holding it
-    change = table[0, :, 1:] - table[0, :, :-1]
-    drift = table[4, :, 1:] - table[0, :, :-1]
-
+    # the holdings block: per strategy, slot 0 the target and then the legs
+    # in maturity order, each slot's amount over the steps (0 from the
+    # series' end on) and its row of the book (an unused slot: the zero row)
     target, amount = config.target_id, config.target_amount
-    series: dict[str, StrategySeries] = {}
-    ends: list[tuple[int, int, str]] = []  # (step, series position, warning)
+    width = 1 + max((STRATEGIES[s].legs for s in config.strategies), default=0)
+    held = np.zeros((len(config.strategies), width, steps))
+    book = np.full(held.shape[:2], len(ids))
+    lengths, ends = [], []  # ends: (step, series position, warning)
     for pos, strat in enumerate(config.strategies):
         name, legs = strat.value, config.instruments[strat]
         n = min(life[i] for i in (target, *legs))
+        lengths.append(n)
         if n < steps:
             dead = [i for i in (target, *legs) if life[i] == n]
             ends.append((n, pos, f"{name}: series truncated at {dates[n]}: {dead} matured "
@@ -251,24 +258,34 @@ def run_backtest(
         # maturity order on the first day (rolled together, they keep it)
         legs = sorted(legs, key=lambda i: table[1, row[i], 0])
         holds = [row[target], *(row[i] for i in legs)]
-        days = slice(0, n, config.rebalance_days)
-        amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
-                          table[:4, holds[1:], days], config.allow_extrapolation, dates[days])
-        held = np.vstack((np.full_like(amounts[0], amount), *amounts))[
-            :, np.arange(n) // config.rebalance_days]
-        gross = held * change[holds, :n]
-        net = gross - held * drift[holds, :n]
-        # summed in holding order from 0.0, as a running total would
-        series[name] = StrategySeries(name, dates[1 : n + 1], *np.add.reduce(
-            (gross, net), axis=1, initial=0.0))
+        book[pos, : len(holds)] = holds
+        if n:
+            days = slice(0, n, config.rebalance_days)
+            amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
+                              table[:4, holds[1:], days], config.allow_extrapolation, dates[days])
+            held[pos, 0, :n] = amount
+            held[pos, 1 : len(holds), :n] = np.array(amounts)[:, np.arange(n) // config.rebalance_days]
+    # each bond's mark change and carry drift (carry price minus mark: the
+    # pull-to-par on an unchanged curve), then the zero row
+    moves = np.zeros((2, len(ids) + 1, steps))
+    np.subtract(table[::4, :, 1:], table[0, :, :-1], out=moves[:, :-1])  # rows 0 and 4
+    pnl = moves[:, book]
+    with np.errstate(invalid="ignore"):  # 0 held times an infinite carry past a series' end
+        pnl *= held
+    np.subtract(pnl[0], pnl[1], out=pnl[1])  # net: gross minus the held carry drift
+    # each series summed over its slots in holding order from 0.0, as a running
+    # total would; a padded 0.0 changes no sum (one from +0.0 is never -0.0)
+    gross, net = np.add.reduce(pnl, axis=2, initial=0.0)
+    series = {strat.value: StrategySeries(strat.value, dates[1 : n + 1], gross[pos, :n], net[pos, :n])
+              for pos, (strat, n) in enumerate(zip(config.strategies, lengths))}
 
     n = life[target]
     if n < steps:
         ends.append((n, len(config.strategies),
                      f"{UNHEDGED}: series truncated at {dates[n]}: target matured"))
-    gross = amount * change[row[target], :n]
+    gross = amount * moves[0, row[target], :n]
     series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross,
-                                      gross - amount * drift[row[target], :n])
+                                      gross - amount * moves[1, row[target], :n])
 
     started = {name: s.pnl(config.net_carry) for name, s in series.items() if s.dates}
     summary = dict(zip(started, _summaries(list(started.values()))))

@@ -252,7 +252,8 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
             if i == j:
                 t, cf, late[i, a:b] = _flows(bonds[i], elapsed[a:b], int(n[i, a]))
                 pv = _pv(t, cf, ys[i, :, a:b, None])  # the mark and carry blocks as one
-                table[[0, 2, 3], i, a:b] = _flat_marks(t, pv[0], g[i, a:b], g2[i, a:b])
+                table[0, i, a:b], table[2, i, a:b], table[3, i, a:b] = _flat_marks(
+                    t, pv[0], g[i, a:b], g2[i, a:b])
                 table[4, i, a:b] = pv[1].sum(axis=-1)
     # the snapshot's rule, on the rows priced (from stop on they are NaN)
     ok = (table[0] > 0) & (table[2] > 0) & np.isfinite(table[[0, 2, 3]]).all(axis=0)

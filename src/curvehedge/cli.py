@@ -189,14 +189,15 @@ def _backtest_config(path) -> BacktestConfig:
 def cmd_analyze(args: argparse.Namespace) -> int:
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(args.curve, args.date)
-    header = f"{'id':<8}{'maturity':>10}{'price':>16}{'ytm':>14}{'duration':>14}{'convexity':>14}"
+    widths = {"maturity": 10, "price": 16, "ytm": 14, "duration": 14, "convexity": 14}
+    header = f"{'id':<8}" + "".join(f"{name:>{w}}" for name, w in widths.items())
     lines = [f"# analytics off curve {curve.date}, mode={args.mode}", header]
     for bond in universe.values():
         a = _named(curve_analytics, bond, curve, mode=args.mode)
-        lines.append(
-            f"{bond.id:<8}{fmt_num(bond.maturity):>10}{fmt_num(a.price):>16}"
-            f"{fmt_num(a.ytm):>14}{fmt_num(a.modified_duration):>14}{fmt_num(a.convexity):>14}"
-        )
+        cells = map(fmt_num, (bond.maturity, a.price, a.ytm, a.modified_duration, a.convexity))
+        # a number as wide as its column gets one leading space, so none runs into the next
+        lines.append(f"{bond.id:<8}" + "".join(
+            f"{s:>{w}}" if len(s) < w else " " + s for s, w in zip(cells, widths.values())))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -24,6 +24,7 @@ from curvehedge import (
     YieldCurve,
     apply_shock,
     build_plan,
+    default_bond_universe,
     duration_hedge,
     generate_history,
     price,
@@ -34,6 +35,7 @@ from curvehedge import (
     summary_stats,
     tenor_correlations,
 )
+from curvehedge import backtest as backtest_module
 from curvehedge import bonds as bonds_module
 from curvehedge.backtest import UNHEDGED, SummaryStats, _summaries
 from curvehedge.bonds import _roll_table
@@ -126,6 +128,36 @@ def test_summary_block_equals_one_series_at_a_time(series):
     arrays = [np.array(x) for x in series]
     assert _summaries(arrays) == [reference_summary(x) for x in arrays]
     assert [summary_stats(x) for x in series] == [reference_summary(x) for x in arrays]
+
+
+@st.composite
+def long_series(draw):
+    """A series of 1 to 400 days, lengths often at NumPy's summation
+    boundaries (its 8-lane unroll, its 128-element pairwise block): random
+    values at any scale sprinkled with signed zeros, a constant, or signed
+    zeros only."""
+    n = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 136, 255, 256, 257, 400])
+             | st.integers(1, 400))
+    kind = draw(st.sampled_from(["random", "constant", "zeros"]))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zeros":
+        return np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    x = rng.standard_normal(n) * 10.0 ** draw(st.integers(-8, 6))
+    x[rng.random(n) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    return x
+
+
+@given(st.lists(long_series(), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_summary_block_equals_one_series_at_a_time_across_summation_boundaries(arrays):
+    """Long series of mixed lengths in one call: each summary is == (and
+    repr-equal, signs of zero included) to the series summarized alone."""
+    want = [reference_summary(x) for x in arrays]
+    assert _summaries(arrays) == want
+    assert [summary_stats(x) for x in arrays] == want
+    assert repr(_summaries(arrays)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -914,3 +946,168 @@ def test_roll_table_flags_a_yield_at_or_below_minus_100pct():
         *arrays, bad = roll_table(bond, elapsed, GRID, bad_rates)
         assert bad == row
         assert [len(a) for a in arrays] == [row] * 4 + [row - 1]
+
+
+# ---------------------------------------------------------------------------
+# the holdings block
+# ---------------------------------------------------------------------------
+
+def replay_case(universe):
+    """test_backtest_equals_scalar_replay's history, universe and configs: a
+    short target, strategies truncating out of config order, rebalancing
+    every third step; and the same with a cubic series that never starts."""
+    uni = dict(universe)
+    uni["S13"] = Bond("S13", 100.0, 0.025, 2, 1.3, issue_or_first_coupon_offset=0.1)
+    uni["Q21"] = Bond("Q21", 100.0, 0.04, 4, 2.1)
+    uni["S"] = Bond("S", 100.0, 0.03, 2, 0.5005)
+    rng = np.random.default_rng(5)
+    hist = history_from_shifts(base_rates(), 2e-4 * rng.standard_normal((90, len(GRID))),
+                               spacing=7)
+    config = BacktestConfig(
+        target_id="Q21",
+        target_amount=-80.0,
+        instruments={
+            Strategy.DURATION: ("B3",),
+            Strategy.QUADRATIC: ("S13", "B3"),
+            Strategy.CONVEXITY: ("B3", "B1"),
+            Strategy.CUBIC: ("B2", "S13", "B3"),
+        },
+        rebalance_days=3,
+    )
+    never = dataclasses.replace(config, instruments={**config.instruments,
+                                                     Strategy.CUBIC: ("B3", "S", "B2")})
+    return hist, uni, config, never
+
+
+def assert_same_series(got, want_gross, want_net, name):
+    """Values == and signs of zero equal: == alone cannot tell -0.0 from 0.0,
+    but a report prints one as -0 and the other as 0."""
+    for x, want in ((got.gross, want_gross), (got.net, want_net)):
+        assert x.tolist() == list(want), name
+        assert np.signbit(x).tolist() == np.signbit(np.asarray(want, dtype=float)).tolist(), name
+
+
+def test_backtest_signs_of_zero_equal_scalar_replay(universe):
+    """The holdings block's padded slots and the zeros held after a series'
+    end reach no series: signs equal the scalar replay's too, also for a
+    target of -0.0, whose every held amount and product is a signed zero."""
+    hist, uni, config, never = replay_case(universe)
+    for cfg in (config, never, dataclasses.replace(config, target_amount=-0.0)):
+        rows, _ = scalar_replay(hist, uni, cfg)
+        for net_carry in (False, True):
+            report = run_backtest(hist, uni, dataclasses.replace(cfg, net_carry=net_carry))
+            for name, want in rows.items():
+                assert_same_series(report.series[name], [r[1] for r in want],
+                                   [r[2] for r in want], name)
+
+
+def test_frozen_history_with_a_short_target_equals_scalar_replay(universe):
+    """On an unchanged curve the carry-netted P&L is +0.0 on every day of
+    every series, never -0.0, and gross is the replay's pull-to-par."""
+    frozen = history_from_shifts(base_rates(), [np.zeros(len(GRID))] * 12)
+    for rebalance_days in (1, 5):
+        config = standard_config(target_amount=-60.0, rebalance_days=rebalance_days)
+        rows, warnings = scalar_replay(frozen, universe, config)
+        report = run_backtest(frozen, universe, config)
+        assert report.warnings == warnings == []
+        for name, want in rows.items():
+            assert_same_series(report.series[name], [r[1] for r in want],
+                               [r[2] for r in want], name)
+            assert not np.signbit(report.series[name].net).any(), name
+            assert not report.series[name].net.any(), name
+
+
+@pytest.mark.parametrize("rebalance_days", [1, 3, 7])
+@pytest.mark.parametrize("net_carry", [False, True])
+@given(days=st.integers(2, 320), seed=st.integers(0, 2**16),
+       amount=st.sampled_from([100.0, -80.0, 0.0]) | st.floats(-1e3, 1e3),
+       cubic=st.sampled_from([("B2", "S13", "B3"), ("B3", "S", "B2")]))
+@settings(max_examples=10, deadline=None)
+def test_each_series_equals_its_strategy_run_alone(rebalance_days, net_carry, days, seed, amount,
+                                                   cubic):
+    """Every series of an all-strategies run is ==, signs included, to the
+    same strategy run on its own (a narrower block with other padding), and
+    so is its summary; truncation and never-started series included."""
+    uni = {b.id: b for b in default_bond_universe()}
+    uni["S13"] = Bond("S13", 100.0, 0.025, 2, 1.3, issue_or_first_coupon_offset=0.1)
+    uni["Q21"] = Bond("Q21", 100.0, 0.04, 4, 2.1)
+    uni["S"] = Bond("S", 100.0, 0.03, 2, 0.5005)
+    hist, _ = generate_history(SynthConfig(days=days, seed=seed))
+    config = BacktestConfig(
+        target_id="Q21",
+        target_amount=amount,
+        instruments={
+            Strategy.DURATION: ("B3",),
+            Strategy.QUADRATIC: ("S13", "B3"),
+            Strategy.CONVEXITY: ("B3", "B1"),
+            Strategy.CUBIC: cubic,
+        },
+        rebalance_days=rebalance_days,
+        net_carry=net_carry,
+    )
+    full = run_backtest(hist, uni, config)
+    for strat in config.strategies:
+        alone = run_backtest(hist, uni, dataclasses.replace(config, strategies=(strat,)))
+        assert alone.warnings == [w for w in full.warnings
+                                  if w.startswith((f"{strat.value}:", f"{UNHEDGED}:"))]
+        for name in (strat.value, UNHEDGED):
+            s = alone.series[name]
+            assert full.series[name].dates == s.dates
+            assert_same_series(full.series[name], s.gross.tolist(), s.net.tolist(), name)
+            assert full.summary.get(name) == alone.summary.get(name), name
+
+
+def test_backtest_marks_once_solves_once_per_strategy_and_summarizes_once(monkeypatch, universe):
+    """One run makes one mark table, one ratio solve per strategy (none for a
+    series that never starts) and one summaries call: no per-day or
+    per-strategy fallback for the table, the P&L or the summaries."""
+    calls = {"_roll_table": [], "_ratios": [], "_summaries": []}
+    for name in calls:
+        def counted(*args, _fn=getattr(backtest_module, name), _name=name):
+            calls[_name].append(args[0])
+            return _fn(*args)
+        monkeypatch.setattr(backtest_module, name, counted)
+    hist, uni, config, never = replay_case(universe)
+    long_hist, _ = generate_history(SynthConfig(days=400, seed=11))
+    for h, cfg, solved in ((hist, config, 4), (hist, never, 3),
+                           (long_hist, standard_config(), 4),
+                           (long_hist, standard_config(strategies=(Strategy.CUBIC,)), 1)):
+        for name in calls:
+            calls[name].clear()
+        report = run_backtest(h, uni, cfg)
+        assert len(calls["_roll_table"]) == 1
+        assert calls["_ratios"] == [s for s in cfg.strategies if report.series[s.value].dates]
+        assert len(calls["_ratios"]) == solved
+        assert len(calls["_summaries"]) == 1
+        assert len(calls["_summaries"][0]) == len(report.summary)
+
+
+def test_a_carry_that_overflows_after_its_series_ended_leaks_no_warning():
+    """A leg's slots hold 0 from its series' end on. A 25y leg that outlives
+    its series and whose carry price overflows on a later day (its maturity
+    rolls into a span of yesterday's curve at -1 + 2**-52) puts 0 times inf
+    in the block: that reaches no series and sends no RuntimeWarning."""
+    grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 25.0, 30.0)
+    base = [0.03] * len(grid)
+    dip = [-1 + 2**-52 if t in (20.0, 25.0) else 0.03 for t in grid]
+    hist = [YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(days=i), grid,
+                       tuple(dip if i == 1 else base)) for i in range(5)]
+    uni = {"T": Bond("T", 100.0, 0.03, 1, 9.0), "B": Bond("B", 100.0, 0.03, 1, 4.0),
+           "S": Bond("S", 100.0, 0.03, 2, 0.5 + 0.5 / 365),
+           "L": Bond("L", 100.0, 0.03, 1, 25.0 + 1.5 / 365)}
+    elapsed = np.arange(5) / 365.0
+    *_, carry, bad = roll_table(uni["L"], elapsed, grid, np.array([dip if i == 1 else base
+                                                                    for i in range(5)]))
+    assert bad is None and math.isinf(carry[1])  # row 2's carry, off day 1's curve
+    config = BacktestConfig(target_id="T", instruments={Strategy.QUADRATIC: ("S", "L"),
+                                                        Strategy.DURATION: ("B",)},
+                            strategies=(Strategy.QUADRATIC, Strategy.DURATION))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for net_carry in (False, True):
+            report = run_backtest(hist, uni, dataclasses.replace(config, net_carry=net_carry))
+            assert report.series["quadratic"].dates == []
+            for name in ("duration", UNHEDGED):
+                s = report.series[name]
+                assert len(s.dates) == 4 and np.isfinite(s.gross).all() and np.isfinite(s.net).all()
+                assert report.summary[name] == summary_stats(s.pnl(net_carry))

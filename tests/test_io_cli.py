@@ -21,6 +21,7 @@ from curvehedge import (
     SynthConfig,
     ValidationError,
     YieldCurve,
+    curve_analytics,
     default_bond_universe,
     generate_history,
     quadratic_hedge,
@@ -898,6 +899,43 @@ def test_cli_analyze_names_the_bond_and_day_a_huge_rate_overflows(cli_files, cap
                  "--date", "2024-01-03"]) == 2
     assert capsys.readouterr().err == ("error: bond 'B1': yield 1e+200 on 2024-01-03 "
                                        "overflows its convexity\n")
+
+
+WIDE_NUMBER_CSV = """date,tenor_0.5,tenor_30
+2024-01-02,0.03,0.04
+2024-01-03,-0.9999999999999999,-0.9999999999999999
+2024-01-04,0.03,0.04
+"""
+
+
+def test_cli_analyze_separates_numbers_as_wide_as_their_column(cli_files, capsys):
+    """A yield near -100% prints prices and durations as wide as their
+    columns: each such number gets one leading space, so every row still
+    splits into its six fields. A day whose numbers fit prints the
+    fixed-width table it always did."""
+    history = write(cli_files["tmp"], "wide.csv", WIDE_NUMBER_CSV)
+    universe = parse_bonds_json(cli_files["bonds"])
+    curves = parse_curve_csv(history)
+    widened = []
+    for day in (1, 2):
+        assert main(["analyze", "--bonds", str(cli_files["bonds"]), "--curve", str(history),
+                     "--date", str(curves.dates[day])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("id        maturity           price           ytm      duration"
+                            "     convexity")
+        assert len(lines) == 2 + len(universe)
+        for bond, line in zip(universe.values(), lines[2:]):
+            a = curve_analytics(bond, curves[day])
+            nums = [fmt_num(x) for x in (bond.maturity, a.price, a.ytm, a.modified_duration,
+                                         a.convexity)]
+            assert line.split() == [bond.id, *nums]
+            assert [float(x) for x in line.split()[1:]] == [float(x) for x in nums]
+            fixed = f"{bond.id:<8}{nums[0]:>10}{nums[1]:>16}{nums[2]:>14}{nums[3]:>14}{nums[4]:>14}"
+            if day == 2:
+                assert line == fixed
+            else:
+                widened.append(line != fixed)
+    assert all(widened)  # on day 1 every row has a number as wide as its column
 
 
 def test_cli_backtest_names_the_bond_and_day_a_huge_rate_overflows(cli_files, capsys):
