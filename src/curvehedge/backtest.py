@@ -192,8 +192,10 @@ def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray,
     try:
         b = bond.rolled(float(elapsed[k]))
         snapshot(b, curves[k])
-        if k:
-            price(b, spot(curves[k - 1], b.maturity))
+        with np.errstate(over="ignore"):
+            carry = price(b, spot(curves[k - 1], b.maturity)) if k else 0.0
+        if not math.isfinite(carry):
+            raise ValueError(f"carry price off {curves[k - 1].date} must be finite, got {carry}")
     except ValueError as exc:
         raise type(exc)(f"bond {bond.id!r} cannot be priced on {curves[k].date}: {exc}") from exc
     raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {curves[k].date}")
@@ -270,8 +272,7 @@ def run_backtest(
     moves = np.zeros((2, len(ids) + 1, steps))
     np.subtract(table[::4, :, 1:], table[0, :, :-1], out=moves[:, :-1])  # rows 0 and 4
     pnl = moves[:, book]
-    with np.errstate(invalid="ignore"):  # 0 held times an infinite carry past a series' end
-        pnl *= held
+    pnl *= held
     np.subtract(pnl[0], pnl[1], out=pnl[1])  # net: gross minus the held carry drift
     # each series summed over its slots in holding order from 0.0, as a running
     # total would; a padded 0.0 changes no sum (one from +0.0 is never -0.0)

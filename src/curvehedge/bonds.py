@@ -219,8 +219,8 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     carry) over (bonds, len(elapsed)); stop[i] is rows[i] or bond i's first
     row the scalar path refuses (maturity off the tenor span, a yield at or
     below -100% or too large to square, no live flow, a late accrual start,
-    a price, duration or convexity the snapshot refuses), from which on all
-    but maturity are NaN.
+    a price, duration or convexity the snapshot refuses, a carry price not
+    finite), from which on all but maturity are NaN.
     """
     xp = np.asarray(tenors, dtype=float)
     m, n = _counts(np.array([[b.maturity] for b in bonds]),
@@ -255,8 +255,9 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
                 table[0, i, a:b], table[2, i, a:b], table[3, i, a:b] = _flat_marks(
                     t, pv[0], g[i, a:b], g2[i, a:b])
                 table[4, i, a:b] = pv[1].sum(axis=-1)
-    # the snapshot's rule, on the rows priced (from stop on they are NaN)
-    ok = (table[0] > 0) & (table[2] > 0) & np.isfinite(table[[0, 2, 3]]).all(axis=0)
+    # the snapshot's rule and a finite carry (row 0's is its price), on the
+    # rows priced (from stop on they are NaN)
+    ok = (table[0] > 0) & (table[2] > 0) & np.isfinite(table[[0, 2, 3, 4]]).all(axis=0)
     bad = late | ~ok & (after < stop[:, None])
     if bad.any():
         stop = np.where(bad.any(axis=1), bad.argmax(axis=1), stop)

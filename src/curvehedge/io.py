@@ -14,6 +14,9 @@ the lines after it are the rows as they are: no line is numbered unless a
 check fails. Only text with quotes, control or non-ASCII characters goes
 through csv; that text, and a file that fails a check, is walked row by
 row, its rates checked as one block, to report every error with its line.
+Every read opens the file, but the last successful parse is held, keyed by
+the whole text it came from: a session that reads one history file many
+times parses it once. A failed parse is not held.
 Numbers in JSON inputs must be finite JSON numbers; a bool or a string is
 refused, not converted.
 A bond entry holds Bond's fields, those without a default required, and no other.
@@ -125,6 +128,9 @@ def _read_json(path):
 # curve history CSV
 # ---------------------------------------------------------------------------
 
+_memo: list = []  # the text of the last successful parse and its history, or empty
+
+
 def parse_curve_csv(path) -> CurveHistory:
     """Read a daily curve history.
 
@@ -133,23 +139,37 @@ def parse_curve_csv(path) -> CurveHistory:
     duplicates. Every failure is collected and reported with its line
     number before raising.
 
-    The text is read once, one leading byte-order mark dropped. Text of
-    _PLAIN bytes is split into lines, the header the first kept one. The
-    lines after it are the body as they are when no "#" and no empty line is
-    among them; otherwise the filter keeps the body's lines numbered. Each
-    body line is split at its first comma, the dates are read by one map,
-    all the rates by one np.loadtxt call, and CurveHistory checks the whole
-    block. _walk_rows reads the rows one by one: csv's rows of any other
-    text, and those of a body that fails a check, numbered then if the
-    filter did not number them.
+    Every call reads the file. The last successful parse is held, one entry
+    keyed by the whole text: equal text, at any path, is not parsed again.
+    A failure is not held, so a bad file raises its own message on every
+    read. Each call returns its own CurveHistory over the held read-only
+    block, a view that cannot be made writeable.
     """
     path = Path(path)
-    errors: list[str] = []
     try:
         with path.open(newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    if not (_memo and _memo[0] == text):  # one memcmp for text of equal length
+        _memo.clear()
+        _memo.extend((text, _parse_curve_text(path, text)))
+    return _memo[1][:]
+
+
+def _parse_curve_text(path: Path, text: str) -> CurveHistory:
+    """parse_curve_csv's history from the text of the file at path.
+
+    One leading byte-order mark is dropped. Text of _PLAIN bytes is split
+    into lines, the header the first kept one. The lines after it are the
+    body as they are when no "#" and no empty line is among them; otherwise
+    the filter keeps the body's lines numbered. Each body line is split at
+    its first comma, the dates are read by one map, all the rates by one
+    np.loadtxt call, and CurveHistory checks the whole block. _walk_rows
+    reads the rows one by one: csv's rows of any other text, and those of a
+    body that fails a check, numbered then if the filter did not number them.
+    """
+    errors: list[str] = []
     text = text.removeprefix("\ufeff")  # a byte-order mark, as some spreadsheets write
     fast = text.isascii() and not text.encode().translate(None, _PLAIN)
     lines = text.splitlines() if fast else csv.reader(StringIO(text, newline=""))

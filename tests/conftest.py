@@ -1,11 +1,13 @@
 """Shared fixtures: the demo bond universe and a curve with knots at the
 bond maturities (4, 5, 5.5 and 7 are all grid tenors, so custom shock
-vectors are exact at every bond's pricing point)."""
+vectors are exact at every bond's pricing point). Every test starts with
+no curve history held by parse_curve_csv."""
 
 import datetime as dt
 
 import pytest
 
+import curvehedge.io
 from curvehedge import Bond, YieldCurve, snapshot
 from curvehedge.synth import DEFAULT_BASE_COEFFS, DEFAULT_TENORS, default_bond_universe
 
@@ -13,6 +15,12 @@ from curvehedge.synth import DEFAULT_BASE_COEFFS, DEFAULT_TENORS, default_bond_u
 def base_rate(t: float) -> float:
     a0, a1, a2, a3 = DEFAULT_BASE_COEFFS
     return a0 + t * (a1 + t * (a2 + t * a3))
+
+
+@pytest.fixture(autouse=True)
+def empty_curve_memo():
+    """Test order cannot turn a test's counted parse into a memo hit."""
+    curvehedge.io._memo.clear()
 
 
 @pytest.fixture

@@ -1082,11 +1082,13 @@ def test_backtest_marks_once_solves_once_per_strategy_and_summarizes_once(monkey
         assert len(calls["_summaries"][0]) == len(report.summary)
 
 
-def test_a_carry_that_overflows_after_its_series_ended_leaks_no_warning():
-    """A leg's slots hold 0 from its series' end on. A 25y leg that outlives
-    its series and whose carry price overflows on a later day (its maturity
-    rolls into a span of yesterday's curve at -1 + 2**-52) puts 0 times inf
-    in the block: that reaches no series and sends no RuntimeWarning."""
+def test_an_infinite_carry_price_is_refused_by_bond_and_day():
+    """A 25y leg whose maturity rolls into a span of yesterday's curve at
+    -1 + 2**-52 has an infinite carry price on day 2. The mark table stops
+    that leg there, as it stops a price the snapshot refuses, and a backtest
+    names the bond and the day, whether or not a series still holds the leg
+    (here S ends the quadratic series before it starts) and with or without
+    net_carry. NumPy's overflow warnings stay inside."""
     grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 25.0, 30.0)
     base = [0.03] * len(grid)
     dip = [-1 + 2**-52 if t in (20.0, 25.0) else 0.03 for t in grid]
@@ -1096,18 +1098,20 @@ def test_a_carry_that_overflows_after_its_series_ended_leaks_no_warning():
            "S": Bond("S", 100.0, 0.03, 2, 0.5 + 0.5 / 365),
            "L": Bond("L", 100.0, 0.03, 1, 25.0 + 1.5 / 365)}
     elapsed = np.arange(5) / 365.0
-    *_, carry, bad = roll_table(uni["L"], elapsed, grid, np.array([dip if i == 1 else base
-                                                                    for i in range(5)]))
-    assert bad is None and math.isinf(carry[1])  # row 2's carry, off day 1's curve
-    config = BacktestConfig(target_id="T", instruments={Strategy.QUADRATIC: ("S", "L"),
-                                                        Strategy.DURATION: ("B",)},
-                            strategies=(Strategy.QUADRATIC, Strategy.DURATION))
+    held = BacktestConfig(target_id="T", instruments={Strategy.DURATION: ("L",)},
+                          strategies=(Strategy.DURATION,))
+    ended = BacktestConfig(target_id="T", instruments={Strategy.QUADRATIC: ("S", "L"),
+                                                       Strategy.DURATION: ("B",)},
+                           strategies=(Strategy.QUADRATIC, Strategy.DURATION))
+    want = ("bond 'L' cannot be priced on 2024-01-04: "
+            "carry price off 2024-01-03 must be finite, got inf")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for net_carry in (False, True):
-            report = run_backtest(hist, uni, dataclasses.replace(config, net_carry=net_carry))
-            assert report.series["quadratic"].dates == []
-            for name in ("duration", UNHEDGED):
-                s = report.series[name]
-                assert len(s.dates) == 4 and np.isfinite(s.gross).all() and np.isfinite(s.net).all()
-                assert report.summary[name] == summary_stats(s.pnl(net_carry))
+        m, p, d, c, carry, bad = roll_table(uni["L"], elapsed, grid, np.array(
+            [dip if i == 1 else base for i in range(5)]))
+        assert bad == 2 and len(carry) == 1 and np.isfinite([*p, *d, *c, *carry]).all()
+        for config in (held, ended):
+            for net_carry in (False, True):
+                with pytest.raises(ValueError) as info:
+                    run_backtest(hist, uni, dataclasses.replace(config, net_carry=net_carry))
+                assert str(info.value) == want

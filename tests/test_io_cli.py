@@ -5,6 +5,7 @@ import argparse
 import csv
 import datetime as dt
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -499,6 +500,77 @@ def test_history_writers_reject_out_of_order_dates(tmp_path):
     assert not path.exists()
     with pytest.raises(ValidationError, match=f"not strictly increasing at {curves[2].date}"):
         tenor_correlations(shuffled)
+
+
+def counted_loadtxt(monkeypatch) -> list:
+    """np.loadtxt, counted: one entry per call, while monkeypatch holds."""
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    return calls
+
+
+def test_parse_curve_parses_a_text_once(tmp_path, monkeypatch):
+    """A second read of one file, and a read of the same text at another
+    path, parse nothing and give equal histories as distinct objects."""
+    curves, _ = generate_history(SynthConfig(days=300, seed=4))
+    path, copy = tmp_path / "hist.csv", tmp_path / "copy.csv"
+    write_curve_csv(curves, path)
+    copy.write_bytes(path.read_bytes())
+    calls = counted_loadtxt(monkeypatch)
+    first, again, moved = (parse_curve_csv(p) for p in (path, path, copy))
+    assert len(calls) == 1
+    for h in (again, moved):
+        assert (h.dates, h.tenors) == (first.dates, first.tenors)
+        assert h.rates.tobytes() == first.rates.tobytes()
+        assert h is not first and h.rates is not first.rates
+
+
+def test_parse_curve_reparses_an_edit_that_keeps_size_and_mtime(tmp_path, monkeypatch):
+    """The memo is keyed by the text, not by the file's size or mtime."""
+    path = write(tmp_path, "c.csv", GOOD_CSV)
+    calls = counted_loadtxt(monkeypatch)
+    before = parse_curve_csv(path)
+    st = path.stat()
+    path.write_text(GOOD_CSV.replace("0.0381", "0.0382"))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    after = parse_curve_csv(path)
+    assert len(calls) == 2
+    assert before[1].rates == (0.0312, 0.0329, 0.0381) and after[1].rates == (0.0312, 0.0329, 0.0382)
+
+
+def test_parse_curve_holds_no_failure(tmp_path, monkeypatch):
+    """A bad file empties the memo and is never held: the same bad text at
+    two paths raises twice, each error naming its own path, and the good
+    file read before it is parsed again."""
+    good = write(tmp_path, "good.csv", GOOD_CSV)
+    bad = GOOD_CSV.replace("0.0329", "oops")
+    bads = [write(tmp_path, name, bad) for name in ("bad1.csv", "bad2.csv")]
+    calls = counted_loadtxt(monkeypatch)
+    want = parse_curve_csv(good)
+    for path in bads:
+        with pytest.raises(ValidationError) as err:
+            parse_curve_csv(path)
+        assert str(err.value) == f"{path}: line 4: non-numeric rate 'oops'"
+    parsed = len(calls)
+    back = parse_curve_csv(good)
+    assert len(calls) == parsed + 1
+    assert (back.dates, back.tenors, back.rates.tobytes()) == (want.dates, want.tenors, want.rates.tobytes())
+
+
+def test_parse_curve_returns_views_no_caller_can_unlock(tmp_path):
+    """Every history returned, on a parse and on a memo hit, is a view of
+    the held read-only block: it cannot be made writeable, and reassigning
+    one result's dates does not reach the next."""
+    path = write(tmp_path, "c.csv", GOOD_CSV)
+    first = parse_curve_csv(path)
+    first.dates = ()
+    second = parse_curve_csv(path)
+    assert second.dates == (dt.date(2024, 1, 2), dt.date(2024, 1, 3))
+    for h in (first, second):
+        assert h.rates.base is not None and not h.rates.flags.writeable
+        with pytest.raises(ValueError):
+            h.rates.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1655,3 +1727,47 @@ def test_cli_date_missing_from_the_curve_file_is_named(cli_files, capsys):
     assert main(["analyze", "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
                  "--date", "2024-01-06"]) == 2
     assert capsys.readouterr().err == "error: date 2024-01-06 not present in the curve file\n"
+
+
+def test_cli_session_parses_its_history_once(tmp_path, monkeypatch, capsys):
+    """The files-workload session (synth, stats --diff, analyze, four hedges,
+    scenario --sweep 4, backtest) parses its 2500-row history once, and every
+    output, exit code and printed line equals the same session's with the memo
+    emptied before each command, which parses it in each of 8 reads."""
+    ids = {"duration": "B3", "quadratic": "B3,B1", "convexity": "B3,B1", "cubic": "B3,B1,B4"}
+    calls = counted_loadtxt(monkeypatch)
+
+    def session(w: Path, fresh: bool):
+        w.mkdir()
+        (w / "config.json").write_text(json.dumps({
+            "target": {"id": "B2", "amount": 100.0},
+            "instruments": {k: v.split(",") for k, v in ids.items()},
+            "net_carry": True, "start": "2025-03-03", "end": "2025-05-23"}))
+        hist, bonds, day = str(w / "hist.csv"), str(w / "bonds.json"), "2026-06-01"
+        argvs = [
+            ["synth", "--days", "2500", "--seed", "7", "--out", hist, "--bonds-out", bonds],
+            ["stats", "--history", hist, "--diff", "--out", str(w / "corr_diff.csv")],
+            ["analyze", "--bonds", bonds, "--curve", hist, "--date", day, "--out", str(w / "a.txt")],
+            *[["hedge", "--strategy", s, "--target", "B2", "--instruments", legs, "--bonds", bonds,
+               "--curve", hist, "--date", day, "--out", str(w / f"plan_{s}.json")]
+              for s, legs in ids.items()],
+            ["scenario", "--plan", str(w / "plan_cubic.json"), "--bonds", bonds, "--curve", hist,
+             "--date", day, "--shock", "a=0.001,b=0.05,c=-0.5", "--sweep", "4",
+             "--out", str(w / "scenario.jsonl")],
+            ["backtest", "--history", hist, "--bonds", bonds, "--config", str(w / "config.json"),
+             "--out", str(w / "report")],
+        ]
+        calls.clear()
+        codes = []
+        for argv in argvs:
+            if fresh:
+                curvehedge.io._memo.clear()
+            codes.append(main(argv))
+        out, err = capsys.readouterr()
+        files = {str(p.relative_to(w)): p.read_bytes() for p in sorted(w.rglob("*")) if p.is_file()}
+        return len(calls), codes, out.replace(str(w), "W"), err.replace(str(w), "W"), files
+
+    held, fresh = session(tmp_path / "held", False), session(tmp_path / "fresh", True)
+    assert (held[0], fresh[0]) == (1, 8)
+    assert held[1:] == fresh[1:]
+    assert held[1] == [0] * 9 and len(held[4]) == 17
