@@ -13,8 +13,8 @@ Each option is declared once (shared ones as argparse parent groups, defaults
 from SynthConfig and BacktestConfig), and one parser is built per process.
 A curve file is read as one CurveHistory: analyze, hedge and scenario take
 one day's curve from it, and backtest correlates the rows its report covers.
-io holds the last history parsed, keyed by its file's text, so the commands
-of one process that read an unchanged history file parse it once.
+io holds the last history written or parsed, keyed by its file's text, so
+the commands of one process parse an unchanged history file once at most.
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or

@@ -8,15 +8,12 @@ JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
 A curve history's text is read once, its rates as one (days, knots) block
-by one np.loadtxt call that becomes the CurveHistory returned. Plain text
-is split into lines, and when no comment or empty line follows the header
-the lines after it are the rows as they are: no line is numbered unless a
-check fails. Only text with quotes, control or non-ASCII characters goes
-through csv; that text, and a file that fails a check, is walked row by
-row, its rates checked as one block, to report every error with its line.
-Every read opens the file, but the last successful parse is held, keyed by
-the whole text it came from: a session that reads one history file many
-times parses it once. A failed parse is not held.
+by one np.loadtxt call that becomes the CurveHistory returned; only text
+with quotes, control or non-ASCII characters goes through csv, and that
+text, or a file that fails a check, is walked row by row to name every
+error's line. Every read opens the file, but the last history written or
+successfully read is held, keyed by the whole text: it is parsed at most
+once, and not at all after write_curve_csv wrote it. A failure is not held.
 Numbers in JSON inputs must be finite JSON numbers; a bool or a string is
 refused, not converted.
 A bond entry holds Bond's fields, those without a default required, and no other.
@@ -81,8 +78,29 @@ def fmt_num(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _read_back(block: np.ndarray) -> np.ndarray:
+    """float(fmt_num(x)) for each x of a float block, bit for bit, unparsed:
+    x's ten digits are n = rint(m), m = |x| 10^k, k = 9 - floor(log10|x|), and
+    for 0 <= k <= 22 n / 10^k divides exact doubles, rounding as float() reads
+    the text (Clinger's fast path). m is within 1e-6 of the exact product, so
+    an x with m < 1e9, n >= 1e10 or m within 1e-5 of a half-integer, and 0,
+    inf and nan, go through float(fmt_num(x))."""
+    a = np.abs(block)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 9 - np.floor(np.log10(a))
+        ok = (k >= 0) & (k <= 22)
+        p = np.array([float(10**j) for j in range(23)])[np.where(ok, k, 0).astype(np.intp)]
+        m = a * p
+        n = np.rint(m)
+        ok &= (m >= 1e9) & (n < 1e10) & (np.abs(m - np.floor(m) - 0.5) > 1e-5)
+        back = np.copysign(n / p, block)
+    back[~ok] = [float(fmt_num(x)) for x in block[~ok].tolist()]
+    return back
+
+
 def _tenor_header(t: float) -> str:
-    return f"tenor_{t:g}"
+    """tenor_<t>: in %g when that reads back as t, else in repr's digits."""
+    return f"tenor_{t:g}" if float(f"{t:g}") == t else f"tenor_{float(t)!r}"
 
 
 def _csv(comment: str, header: str, rows) -> str:
@@ -139,11 +157,11 @@ def parse_curve_csv(path) -> CurveHistory:
     duplicates. Every failure is collected and reported with its line
     number before raising.
 
-    Every call reads the file. The last successful parse is held, one entry
-    keyed by the whole text: equal text, at any path, is not parsed again.
-    A failure is not held, so a bad file raises its own message on every
-    read. Each call returns its own CurveHistory over the held read-only
-    block, a view that cannot be made writeable.
+    Every call reads the file. The last history written or successfully read
+    is held, one entry keyed by the whole text: equal text, at any path, is
+    not parsed again. A failure is not held, so a bad file raises its own
+    message on every read. Each call returns its own CurveHistory over the
+    held read-only block, a view that cannot be made writeable.
     """
     path = Path(path)
     try:
@@ -274,13 +292,25 @@ def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):
 
 
 def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
-    """Write a history in the same format parse_curve_csv reads."""
+    """Write a history in the same format parse_curve_csv reads, and hold it
+    as that parse: a rate whose 10-digit text reads back as no rate (-1 +
+    2^-52 is written as -1) is refused by date and column, writing nothing."""
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     history = _history(curves)
-    header = "date," + ",".join(map(_tenor_header, history.tenors))
-    rows = zip(map(dt.date.isoformat, history.dates), history.rates.tolist())
-    _write([(path, _csv(RATE_COMMENT, header, rows))])
+    columns = list(map(_tenor_header, history.tenors))
+    back = _read_back(history.rates)
+    for cell in np.flatnonzero(_bad_rows(back.reshape(-1, 1)))[:1]:  # cells as one-knot rows
+        (i, j), x = divmod(cell, back.shape[1]), float(history.rates.flat[cell])
+        raise ValidationError(f"cannot write the rate on {history.dates[i]} at {columns[j]}: "
+                              f"{x!r} is written as {fmt_num(x)}, not a finite rate above -100%")
+    _memo.clear()  # the old entry is freed before the new one is built
+    text = _csv(RATE_COMMENT, "date," + ",".join(columns),
+                zip(map(dt.date.isoformat, history.dates), history.rates.tolist()))
+    _write([(path, text)])
+    if {*map(type, history.dates)} == {dt.date}:  # the dates the reader gives back
+        grid = [float(c[len("tenor_"):]) for c in columns]
+        _memo.extend((text, CurveHistory(history.dates, grid, back)))
 
 
 # ---------------------------------------------------------------------------

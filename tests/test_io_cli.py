@@ -5,6 +5,7 @@ import argparse
 import csv
 import datetime as dt
 import json
+import math
 import os
 import re
 import warnings
@@ -484,6 +485,118 @@ def test_history_write_parse_round_trip_is_bit_for_bit(tmp_path):
         assert back.rates.tobytes() == history.rates.tobytes()
 
 
+@pytest.mark.parametrize("rate,text", [(-1 + 2**-52, "-1"), (1.7976931348623157e308, "1.797693135e+308")])
+def test_write_curve_refuses_a_rate_whose_text_reads_back_as_no_rate(tmp_path, rate, text):
+    """-1 + 2^-52 is written as -1 and the largest double as a text that reads
+    back as inf: the writer names the first such rate by date and column and
+    writes nothing."""
+    history = CurveHistory([dt.date(2024, 1, d) for d in (2, 3, 4)], (1.0, 5.0),
+                           [[0.03, 0.035], [0.03, rate], [rate, 0.035]])
+    with pytest.raises(ValidationError) as err:
+        write_curve_csv(history, tmp_path / "c.csv")
+    assert str(err.value) == (f"cannot write the rate on 2024-01-03 at tenor_5: {rate!r} is "
+                              f"written as {text}, not a finite rate above -100%")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tenors,header", [
+    ((1 / 12, 1.0), "date,tenor_0.08333333333333333,tenor_1"),  # %g: tenor_0.0833333
+    ((1.0000001, 1.0000002), "date,tenor_1.0000001,tenor_1.0000002"),  # %g: tenor_1 twice
+])
+def test_write_curve_header_reads_back_as_its_grid(tmp_path, tenors, header):
+    path = tmp_path / "c.csv"
+    write_curve_csv(CurveHistory([dt.date(2024, 1, 2)], tenors, [[0.03, 0.035]]), path)
+    curvehedge.io._memo.clear()
+    assert path.read_text().splitlines()[1] == header
+    assert parse_curve_csv(path).tenors == tenors
+
+
+def test_write_curve_holds_no_history_the_reader_would_not_give_back(tmp_path):
+    """A datetime is written as its date, which the reader gives back as a
+    dt.date: nothing is held, and the read parses the file."""
+    path = tmp_path / "c.csv"
+    write_curve_csv(CurveHistory([dt.datetime(2024, 1, 2, 9)], (1.0, 5.0), [[0.03, 0.035]]), path)
+    assert curvehedge.io._memo == []
+    assert type(parse_curve_csv(path).dates[0]) is dt.date
+
+
+def _tie_neighbours():
+    """Doubles next to a 10-digit tie n.5 * 10^e, the tie itself when it is exact."""
+    tie = st.builds(lambda n, e: (n + 0.5) * 10.0 ** e, st.integers(10**9, 10**10 - 1),
+                    st.integers(-30, 14))
+    return st.builds(lambda x, step: float(np.nextafter(x, step * math.inf)) if step else x,
+                     tie, st.sampled_from((-1, 0, 1)))
+
+
+READ_BACK_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+    1e10, 9999999999.5, 9999999999.499998, 1e22, 1e23, -2.5e15,
+    1e-13, 9.99999999949e-14, 9.9999999995e-14, 1.23456789e-300,
+    -1 + 2**-52, -1 + 2**-40, 0.03, 0.1, 1 / 3, 123456789.25, 0.00012345678905,
+]
+
+
+def _read_back_is_float_of_text(xs):
+    block = np.array(xs, dtype=float).reshape(-1, 1)
+    want = np.array([float(fmt_num(x)) for x in block.ravel().tolist()]).reshape(-1, 1)
+    assert curvehedge.io._read_back(block).tobytes() == want.tobytes()
+
+
+def test_read_back_is_float_of_text_on_edges():
+    _read_back_is_float_of_text(READ_BACK_EDGES)
+
+
+@given(xs=st.lists(st.floats() | st.sampled_from(READ_BACK_EDGES) | _tie_neighbours(),
+                   min_size=1, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_read_back_is_float_of_text(xs):
+    """_read_back is float(fmt_num(x)) bit for bit, NaN and infinities included."""
+    _read_back_is_float_of_text(xs)
+
+
+@st.composite
+def written_histories(draw):
+    """Histories on random grids, some with tenors %g cannot spell, and with
+    rates in (-1, 1), some within 2^-32 above -1."""
+    knot = st.floats(1e-3, 50) | st.sampled_from((1 / 12, 1.0000001, 1.0000002, 0.5, 1.0, 30.0))
+    tenors = sorted(draw(st.sets(knot, min_size=2, max_size=5)))
+    rate = (st.floats(-1, 1, exclude_min=True, exclude_max=True)
+            | st.integers(1, 2**21).map(lambda u: -1 + u * 2.0**-53))
+    n = draw(st.integers(1, 6))
+    rates = draw(st.lists(st.lists(rate, min_size=len(tenors), max_size=len(tenors)),
+                          min_size=n, max_size=n))
+    return CurveHistory([dt.date(2024, 1, 1) + dt.timedelta(d) for d in range(n)], tenors, rates)
+
+
+@given(history=written_histories())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_written_history_is_held_as_its_text_parses(tmp_path, history):
+    """After write_curve_csv the held history is the parse of the text written,
+    in dates, grid and every bit of the block, and the grid is the history's;
+    a refused write leaves no file, and the reader refuses the text it would
+    have written."""
+    path = tmp_path / "h.csv"
+    path.unlink(missing_ok=True)
+    try:
+        write_curve_csv(history, path)
+    except ValidationError as exc:
+        assert "not a finite rate above -100%" in str(exc) and not path.exists()
+        header = "date," + ",".join(map(curvehedge.io._tenor_header, history.tenors))
+        text = _csv(RATE_COMMENT, header, zip(map(dt.date.isoformat, history.dates),
+                                              history.rates.tolist()))
+        with pytest.raises(ValidationError, match="spot rates must be"):
+            curvehedge.io._parse_curve_text(path, text)
+        return
+    text, held = curvehedge.io._memo
+    assert text == path.read_text()
+    parsed = curvehedge.io._parse_curve_text(path, text)
+    assert (held.dates, held.tenors) == (parsed.dates, parsed.tenors)
+    assert held.rates.tobytes() == parsed.rates.tobytes()
+    assert parsed.tenors == history.tenors
+
+
 def test_write_curve_rejects_mixed_grids(tmp_path):
     a = YieldCurve(dt.date(2024, 1, 2), (1.0, 5.0), (0.03, 0.035))
     b = YieldCurve(dt.date(2024, 1, 3), (1.0, 7.0), (0.03, 0.035))
@@ -515,6 +628,7 @@ def test_parse_curve_parses_a_text_once(tmp_path, monkeypatch):
     curves, _ = generate_history(SynthConfig(days=300, seed=4))
     path, copy = tmp_path / "hist.csv", tmp_path / "copy.csv"
     write_curve_csv(curves, path)
+    curvehedge.io._memo.clear()  # the written history is held: read it as another's file
     copy.write_bytes(path.read_bytes())
     calls = counted_loadtxt(monkeypatch)
     first, again, moved = (parse_curve_csv(p) for p in (path, path, copy))
@@ -1729,45 +1843,63 @@ def test_cli_date_missing_from_the_curve_file_is_named(cli_files, capsys):
     assert capsys.readouterr().err == "error: date 2024-01-06 not present in the curve file\n"
 
 
-def test_cli_session_parses_its_history_once(tmp_path, monkeypatch, capsys):
+def cli_session(w: Path, calls: list, capsys, clear_before) -> tuple:
     """The files-workload session (synth, stats --diff, analyze, four hedges,
-    scenario --sweep 4, backtest) parses its 2500-row history once, and every
-    output, exit code and printed line equals the same session's with the memo
-    emptied before each command, which parses it in each of 8 reads."""
+    scenario --sweep 4, backtest) in the new directory w, the curve memo
+    emptied before each command whose argv clear_before accepts: the
+    np.loadtxt calls counted in calls, the exit codes, the printed lines with
+    w as W, and every file written."""
     ids = {"duration": "B3", "quadratic": "B3,B1", "convexity": "B3,B1", "cubic": "B3,B1,B4"}
+    w.mkdir()
+    (w / "config.json").write_text(json.dumps({
+        "target": {"id": "B2", "amount": 100.0},
+        "instruments": {k: v.split(",") for k, v in ids.items()},
+        "net_carry": True, "start": "2025-03-03", "end": "2025-05-23"}))
+    hist, bonds, day = str(w / "hist.csv"), str(w / "bonds.json"), "2026-06-01"
+    argvs = [
+        ["synth", "--days", "2500", "--seed", "7", "--out", hist, "--bonds-out", bonds],
+        ["stats", "--history", hist, "--diff", "--out", str(w / "corr_diff.csv")],
+        ["analyze", "--bonds", bonds, "--curve", hist, "--date", day, "--out", str(w / "a.txt")],
+        *[["hedge", "--strategy", s, "--target", "B2", "--instruments", legs, "--bonds", bonds,
+           "--curve", hist, "--date", day, "--out", str(w / f"plan_{s}.json")]
+          for s, legs in ids.items()],
+        ["scenario", "--plan", str(w / "plan_cubic.json"), "--bonds", bonds, "--curve", hist,
+         "--date", day, "--shock", "a=0.001,b=0.05,c=-0.5", "--sweep", "4",
+         "--out", str(w / "scenario.jsonl")],
+        ["backtest", "--history", hist, "--bonds", bonds, "--config", str(w / "config.json"),
+         "--out", str(w / "report")],
+    ]
+    calls.clear()
+    codes = []
+    for argv in argvs:
+        if clear_before(argv):
+            curvehedge.io._memo.clear()
+        codes.append(main(argv))
+    out, err = capsys.readouterr()
+    files = {str(p.relative_to(w)): p.read_bytes() for p in sorted(w.rglob("*")) if p.is_file()}
+    return len(calls), codes, out.replace(str(w), "W"), err.replace(str(w), "W"), files
+
+
+def test_cli_session_parses_its_history_once(tmp_path, monkeypatch, capsys):
+    """The files-workload session, with the history synth wrote dropped from
+    the memo, parses it once, and every output, exit code and printed line
+    equals the same session's with the memo emptied before each command,
+    which parses it in each of 8 reads."""
     calls = counted_loadtxt(monkeypatch)
-
-    def session(w: Path, fresh: bool):
-        w.mkdir()
-        (w / "config.json").write_text(json.dumps({
-            "target": {"id": "B2", "amount": 100.0},
-            "instruments": {k: v.split(",") for k, v in ids.items()},
-            "net_carry": True, "start": "2025-03-03", "end": "2025-05-23"}))
-        hist, bonds, day = str(w / "hist.csv"), str(w / "bonds.json"), "2026-06-01"
-        argvs = [
-            ["synth", "--days", "2500", "--seed", "7", "--out", hist, "--bonds-out", bonds],
-            ["stats", "--history", hist, "--diff", "--out", str(w / "corr_diff.csv")],
-            ["analyze", "--bonds", bonds, "--curve", hist, "--date", day, "--out", str(w / "a.txt")],
-            *[["hedge", "--strategy", s, "--target", "B2", "--instruments", legs, "--bonds", bonds,
-               "--curve", hist, "--date", day, "--out", str(w / f"plan_{s}.json")]
-              for s, legs in ids.items()],
-            ["scenario", "--plan", str(w / "plan_cubic.json"), "--bonds", bonds, "--curve", hist,
-             "--date", day, "--shock", "a=0.001,b=0.05,c=-0.5", "--sweep", "4",
-             "--out", str(w / "scenario.jsonl")],
-            ["backtest", "--history", hist, "--bonds", bonds, "--config", str(w / "config.json"),
-             "--out", str(w / "report")],
-        ]
-        calls.clear()
-        codes = []
-        for argv in argvs:
-            if fresh:
-                curvehedge.io._memo.clear()
-            codes.append(main(argv))
-        out, err = capsys.readouterr()
-        files = {str(p.relative_to(w)): p.read_bytes() for p in sorted(w.rglob("*")) if p.is_file()}
-        return len(calls), codes, out.replace(str(w), "W"), err.replace(str(w), "W"), files
-
-    held, fresh = session(tmp_path / "held", False), session(tmp_path / "fresh", True)
+    held = cli_session(tmp_path / "held", calls, capsys, lambda argv: argv[0] == "stats")
+    fresh = cli_session(tmp_path / "fresh", calls, capsys, lambda argv: True)
     assert (held[0], fresh[0]) == (1, 8)
+    assert held[1:] == fresh[1:]
+    assert held[1] == [0] * 9 and len(held[4]) == 17
+
+
+def test_cli_session_reads_the_history_synth_wrote_unparsed(tmp_path, monkeypatch, capsys):
+    """synth holds the history it writes as its 8 reads would parse it: the
+    session makes no np.loadtxt call, against the fresh session's 8, and
+    every output, exit code and printed line is the same."""
+    calls = counted_loadtxt(monkeypatch)
+    held = cli_session(tmp_path / "held", calls, capsys, lambda argv: False)
+    fresh = cli_session(tmp_path / "fresh", calls, capsys, lambda argv: True)
+    assert (held[0], fresh[0]) == (0, 8)
     assert held[1:] == fresh[1:]
     assert held[1] == [0] * 9 and len(held[4]) == 17
