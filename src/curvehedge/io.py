@@ -98,9 +98,9 @@ def _read_back(block: np.ndarray) -> np.ndarray:
     return back
 
 
-def _tenor_header(t: float) -> str:
-    """tenor_<t>: in %g when that reads back as t, else in repr's digits."""
-    return f"tenor_{t:g}" if float(f"{t:g}") == t else f"tenor_{float(t)!r}"
+def _tenor(t: float) -> str:
+    """A tenor's label: %g when that reads back as t, else repr's digits."""
+    return f"{t:g}" if float(f"{t:g}") == t else repr(float(t))
 
 
 def _csv(comment: str, header: str, rows) -> str:
@@ -298,19 +298,18 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     history = _history(curves)
-    columns = list(map(_tenor_header, history.tenors))
+    labels = list(map(_tenor, history.tenors))
     back = _read_back(history.rates)
     for cell in np.flatnonzero(_bad_rows(back.reshape(-1, 1)))[:1]:  # cells as one-knot rows
         (i, j), x = divmod(cell, back.shape[1]), float(history.rates.flat[cell])
-        raise ValidationError(f"cannot write the rate on {history.dates[i]} at {columns[j]}: "
+        raise ValidationError(f"cannot write the rate on {history.dates[i]} at tenor_{labels[j]}: "
                               f"{x!r} is written as {fmt_num(x)}, not a finite rate above -100%")
     _memo.clear()  # the old entry is freed before the new one is built
-    text = _csv(RATE_COMMENT, "date," + ",".join(columns),
+    text = _csv(RATE_COMMENT, "date," + ",".join(f"tenor_{t}" for t in labels),
                 zip(map(dt.date.isoformat, history.dates), history.rates.tolist()))
     _write([(path, text)])
     if {*map(type, history.dates)} == {dt.date}:  # the dates the reader gives back
-        grid = [float(c[len("tenor_"):]) for c in columns]
-        _memo.extend((text, CurveHistory(history.dates, grid, back)))
+        _memo.extend((text, CurveHistory(history.dates, list(map(float, labels)), back)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +416,9 @@ def parse_plan_json(path) -> HedgePlan:
 
 def correlations_csv(correlations: np.ndarray, tenors: Sequence[float]) -> str:
     """The tenor correlation matrix as CSV text, labelled by tenor."""
-    header = "tenor," + ",".join(map(_tenor_header, tenors))
-    return _csv(RATE_COMMENT, header, zip((f"{t:g}" for t in tenors), correlations.tolist()))
+    labels = list(map(_tenor, tenors))
+    header = "tenor," + ",".join(f"tenor_{t}" for t in labels)
+    return _csv(RATE_COMMENT, header, zip(labels, correlations.tolist()))
 
 
 def emit_report(

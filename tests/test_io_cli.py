@@ -459,6 +459,7 @@ def test_curve_roundtrip(tmp_path):
     curves, _ = generate_history(SynthConfig(days=5, sigma_idio=1e-4))
     path = tmp_path / "hist.csv"
     write_curve_csv(curves, path)
+    curvehedge.io._memo.clear()  # the written history is held: read it as another's file
     back = parse_curve_csv(path)
     assert [c.date for c in back] == [c.date for c in curves]
     assert back[0].tenors == curves[0].tenors
@@ -478,6 +479,7 @@ def test_history_write_parse_round_trip_is_bit_for_bit(tmp_path):
     history = CurveHistory(history.dates, history.tenors, rates)
     path = tmp_path / "hist.csv"
     write_curve_csv(history, path)
+    curvehedge.io._memo.clear()  # the written history is held: read it as another's file
     quoted = write(tmp_path, "quoted.csv", _quoted(path.read_text()))
     for back in (parse_curve_csv(path), parse_curve_csv(quoted)):
         assert isinstance(back, CurveHistory)
@@ -509,6 +511,14 @@ def test_write_curve_header_reads_back_as_its_grid(tmp_path, tenors, header):
     curvehedge.io._memo.clear()
     assert path.read_text().splitlines()[1] == header
     assert parse_curve_csv(path).tenors == tenors
+
+
+def test_correlations_label_each_row_as_its_column():
+    """correlations.csv names a tenor alike in its header and its row label,
+    in repr's digits when %g would not read back as the tenor."""
+    text = curvehedge.io.correlations_csv(np.array([[1.0, 0.5], [0.5, 1.0]]), (1 / 12, 1.0))
+    assert text.splitlines()[1:] == ["tenor,tenor_0.08333333333333333,tenor_1",
+                                      "0.08333333333333333,1,0.5", "1,0.5,1"]
 
 
 def test_write_curve_holds_no_history_the_reader_would_not_give_back(tmp_path):
@@ -583,7 +593,7 @@ def test_written_history_is_held_as_its_text_parses(tmp_path, history):
         write_curve_csv(history, path)
     except ValidationError as exc:
         assert "not a finite rate above -100%" in str(exc) and not path.exists()
-        header = "date," + ",".join(map(curvehedge.io._tenor_header, history.tenors))
+        header = "date," + ",".join(f"tenor_{curvehedge.io._tenor(t)}" for t in history.tenors)
         text = _csv(RATE_COMMENT, header, zip(map(dt.date.isoformat, history.dates),
                                               history.rates.tolist()))
         with pytest.raises(ValidationError, match="spot rates must be"):
@@ -1013,6 +1023,7 @@ def cli_files(tmp_path):
     curves, _ = generate_history(SynthConfig(days=8))
     curve_path = tmp_path / "hist.csv"
     write_curve_csv(curves, curve_path)
+    curvehedge.io._memo.clear()  # the written history is held: commands parse it as another's file
     bonds_path = tmp_path / "bonds.json"
     write_bonds_json(default_bond_universe(), bonds_path)
     config_path = tmp_path / "config.json"
