@@ -201,12 +201,17 @@ def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray,
     raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {curves[k].date}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result out of the float range is refused below
 def run_backtest(
     history: Sequence[YieldCurve],
     universe: Mapping[str, Bond],
     config: BacktestConfig,
 ) -> BacktestReport:
-    """Replay a curve history and monitor each strategy's daily P&L."""
+    """Replay a curve history and monitor each strategy's daily P&L.
+
+    A reported daily or cumulative P&L, or a summary statistic, beyond the
+    float range (a huge target amount) is refused, naming the series and the
+    first such day or the statistic."""
     history = _history(history)
     if len(history) < 2:
         raise ValidationError("backtest needs at least 2 days of history")
@@ -290,6 +295,13 @@ def run_backtest(
 
     started = {name: s.pnl(config.net_carry) for name, s in series.items() if s.dates}
     summary = dict(zip(started, _summaries(list(started.values()))))
+    for name, stats in summary.items():
+        bad = [(stat, x) for stat, x in vars(stats).items() if not math.isfinite(x)]
+        if bad:  # a running sum out of range stays so, and makes max_drawdown so too
+            days = np.flatnonzero(~np.isfinite(np.cumsum(started[name])))
+            raise ValueError(f"{name}: P&L out of the float range on {series[name].dates[days[0]]}"
+                             if days.size else
+                             f"{name}: summary {bad[0][0]} out of the float range, got {bad[0][1]}")
     return BacktestReport(
         config=config,
         dates=dates,

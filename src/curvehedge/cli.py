@@ -13,13 +13,16 @@ Each option is declared once (shared ones as argparse parent groups, defaults
 from SynthConfig and BacktestConfig), and one parser is built per process.
 A curve file is read as one CurveHistory: analyze, hedge and scenario take
 one day's curve from it, and backtest correlates the rows its report covers.
-io holds the last history written or parsed, keyed by its file's text, so
-the commands of one process parse an unchanged history file once at most.
+io parses every curve text one way (csv and one row walk); what keeps a
+session fast is that io holds the last history written or parsed, keyed by
+its file's text, so the commands of one process parse an unchanged history
+file once at most, and not at all after synth wrote it.
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
-validation error. Missing inputs, outputs under a regular file, and file
-outputs that are directories are reported before any work.
+validation error, an input that cannot be read and a result out of the
+float range among them. Missing inputs, outputs under a regular file, and
+file outputs that are directories are reported before any work.
 """
 
 from __future__ import annotations

@@ -101,6 +101,8 @@ class HedgePlan:
 
     constraints holds (name, achieved value) pairs: the residual of each
     zeroed dollar-risk sum after substituting the solved amounts back in.
+    Every leg amount and constraint value is finite: one beyond the float
+    range (a huge target amount) is refused by strategy and name.
     """
 
     strategy: Strategy
@@ -115,6 +117,10 @@ class HedgePlan:
             raise ValueError(
                 f"{self.strategy.value} plan needs {spec.legs} legs, got {len(self.legs)}"
             )
+        for what, x in [*((f"leg {leg.id!r} amount", leg.amount) for leg in self.legs),
+                        *((f"constraint {name!r}", x) for name, x in self.constraints)]:
+            if not math.isfinite(x):
+                raise ValueError(f"{self.strategy.value} plan: {what} must be finite, got {x}")
 
     def amounts(self) -> dict[str, float]:
         return {leg.id: leg.amount for leg in self.legs}
@@ -182,6 +188,7 @@ def _plan(
     constraints: Sequence[Constraint],
 ) -> HedgePlan:
     """The plan holding amounts of legs, with each constraint's achieved sum."""
+    amounts = list(map(float, amounts))  # an overflow in float arithmetic warns nothing
     achieved = []
     for con in constraints:
         total = target.amount * target.price * con.weight(target)
@@ -189,7 +196,7 @@ def _plan(
             total += n * inst.price * con.weight(inst)
         achieved.append((con.name, float(total)))
     return HedgePlan(strategy, target.id, target.amount,
-                     tuple(HedgeLeg(inst.id, float(n)) for inst, n in zip(legs, amounts)),
+                     tuple(HedgeLeg(inst.id, n) for inst, n in zip(legs, amounts)),
                      tuple(achieved))
 
 

@@ -7,13 +7,13 @@ identical outputs. One function renders every CSV (_csv), one reads every
 JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
-A curve history's text is read once, its rates as one (days, knots) block
-by one np.loadtxt call that becomes the CurveHistory returned; only text
-with quotes, control or non-ASCII characters goes through csv, and that
-text, or a file that fails a check, is walked row by row to name every
-error's line. Every read opens the file, but the last history written or
-successfully read is held, keyed by the whole text: it is parsed at most
+A curve history's text is read one way: csv splits every text, and one
+walk reads its rows one by one, checks their rates as one (days, knots)
+block and names every error's line. What keeps a session fast is the memo,
+not the reader: every read opens the file, but the last history written or
+successfully read is held, keyed by the whole text, so it is parsed at most
 once, and not at all after write_curve_csv wrote it. A failure is not held.
+An input that cannot be opened or read is a ValidationError naming its path.
 Numbers in JSON inputs must be finite JSON numbers; a bool or a string is
 refused, not converted.
 A bond entry holds Bond's fields, those without a default required, and no other.
@@ -28,7 +28,6 @@ import json
 import math
 import os
 from io import StringIO
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -45,7 +44,6 @@ PNL_COMMENT = "# profit and loss in currency units; cumulative is the running su
 
 BOND_REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(Bond) if f.default is dataclasses.MISSING)
 BOND_OPTIONAL_FIELDS = tuple(f.name for f in dataclasses.fields(Bond) if f.name not in BOND_REQUIRED_FIELDS)
-_PLAIN = bytes([9, 10, 13, 32, 33, *range(35, 127)])  # tab, line ends, printable ASCII but '"'
 
 
 # the Python types json.loads gives for each kind of JSON value
@@ -135,9 +133,12 @@ def _write(files) -> None:
 
 
 def _read_json(path):
-    """The JSON value in the file at path; invalid JSON or undecodable text names the file."""
+    """The JSON value in the file at path; a file that cannot be read, invalid
+    JSON or undecodable text names the file."""
     try:
         return json.loads(Path(path).read_text())
+    except OSError as exc:  # a directory, a file that cannot be read
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -157,16 +158,20 @@ def parse_curve_csv(path) -> CurveHistory:
     duplicates. Every failure is collected and reported with its line
     number before raising.
 
-    Every call reads the file. The last history written or successfully read
-    is held, one entry keyed by the whole text: equal text, at any path, is
-    not parsed again. A failure is not held, so a bad file raises its own
-    message on every read. Each call returns its own CurveHistory over the
-    held read-only block, a view that cannot be made writeable.
+    Every call reads the file, and every text is parsed one way (csv and
+    one row walk, see _parse_curve_text). The last history written or
+    successfully read is held, one entry keyed by the whole text: equal
+    text, at any path, is not parsed again, and that, not the reader, is
+    what keeps a session fast. A failure is not held, so a bad file raises
+    its own message on every read. Each call returns its own CurveHistory
+    over the held read-only block, a view that cannot be made writeable.
     """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
             text = fh.read()
+    except OSError as exc:  # a directory, a file that cannot be read
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     if not (_memo and _memo[0] == text):  # one memcmp for text of equal length
@@ -176,38 +181,30 @@ def parse_curve_csv(path) -> CurveHistory:
 
 
 def _parse_curve_text(path: Path, text: str) -> CurveHistory:
-    """parse_curve_csv's history from the text of the file at path.
+    """parse_curve_csv's history from the text of the file at path, or every
+    failure with its line.
 
-    One leading byte-order mark is dropped. Text of _PLAIN bytes is split
-    into lines, the header the first kept one. The lines after it are the
-    body as they are when no "#" and no empty line is among them; otherwise
-    the filter keeps the body's lines numbered. Each body line is split at
-    its first comma, the dates are read by one map, all the rates by one
-    np.loadtxt call, and CurveHistory checks the whole block. _walk_rows
-    reads the rows one by one: csv's rows of any other text, and those of a
-    body that fails a check, numbered then if the filter did not number them.
+    One leading byte-order mark is dropped and csv reads the rest, each row
+    numbered by the text line it ends on (a quoted cell may hold a line end).
+    Empty rows and rows whose first field, blanks aside, starts with "#" are
+    dropped, and the first row kept is the header. The rows after it are read
+    one by one: the rates of those that pass the per-row checks are checked as
+    one block by _bad_rows, and only a failing row becomes a YieldCurve, to
+    word its message.
     """
-    errors: list[str] = []
-    text = text.removeprefix("\ufeff")  # a byte-order mark, as some spreadsheets write
-    fast = text.isascii() and not text.encode().translate(None, _PLAIN)
-    lines = text.splitlines() if fast else csv.reader(StringIO(text, newline=""))
-    # csv and splitlines end lines alike here; a csv row is numbered by the text
-    # line it ends on, as a quoted cell may hold a line end
-    numbered = enumerate(lines, 1) if fast else ((lines.line_num, row) for row in lines)
-    # "#" starts a line iff it starts its first field
-    kept = ((ln, row) for ln, row in numbered
-            if row and not (row if fast else row[0]).lstrip().startswith("#"))
+    reader = csv.reader(StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
-        header_ln, header = next(kept, (0, None))
-        rows = [] if fast else list(kept)  # csv's rows, numbered
-    except csv.Error as exc:  # only csv's reader raises, e.g. on a field over its size limit
-        raise ValidationError(f"{path}: line {lines.line_num}: {exc}") from exc
-    if header is None:
+        rows = [(reader.line_num, row) for row in reader
+                if row and not row[0].lstrip().startswith("#")]
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not rows:
         raise ValidationError(f"{path}: empty curve file")
 
-    header = header.split(",") if fast else header
-    if not header or header[0].strip() != "date":
+    header_ln, header = rows.pop(0)
+    if header[0].strip() != "date":
         raise ValidationError(f"{path}: line {header_ln}: header must start with 'date'")
+    errors: list[str] = []
     tenors: list[float] = []
     for col in header[1:]:
         col = col.strip()
@@ -230,62 +227,40 @@ def _parse_curve_text(path: Path, text: str) -> CurveHistory:
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
 
-    grid, body = tuple(tenors), lines[header_ln:] if fast else []
-    if fast and ("" in body
-                 or text.count("#") > sum(line.count("#") for line in lines[:header_ln])):
-        rows = list(kept)  # the filter drops a line of the body: number the lines it keeps
-        body = [line for _, line in rows]
-    if body:  # np.loadtxt warns on no data
-        try:
-            heads, _, rests = zip(*map(str.partition, body, repeat(",")))
-            dates = list(map(dt.date.fromisoformat, map(str.strip, heads)))
-            if "" in rests:
-                raise ValueError("a row without rates")
-            # one row per line, as no line is empty: the reshape checks the field counts
-            block = np.loadtxt(rests, delimiter=",", comments=None).reshape(len(dates), len(grid))
-            return CurveHistory(dates, grid, block)
-        except ValueError:  # a failed check: the walk words each error with its line
-            rows = [(ln, line.split(",")) for ln, line in rows or enumerate(body, header_ln + 1)]
-    return _walk_rows(path, grid, rows, len(header))
-
-
-def _walk_rows(path: Path, grid: tuple[float, ...], rows: list, width: int):
-    """parse_curve_csv's history from csv data rows read one by one, or every failure with
-    its line. The rates of rows that pass the per-row checks are checked as one block by
-    _bad_rows; only a failing row becomes a YieldCurve, to word its message."""
-    errors: list[tuple[int, str]] = []  # at most one per row
+    bad: list[tuple[int, str]] = []  # at most one per row
     lines, dates, rates = [], [], []
     for ln, row in rows:
-        if len(row) != width:
-            errors.append((ln, f"expected {width} fields, got {len(row)}"))
+        if len(row) != len(header):
+            bad.append((ln, f"expected {len(header)} fields, got {len(row)}"))
             continue
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError:
-            errors.append((ln, f"bad date {row[0]!r} (expected ISO-8601)"))
+            bad.append((ln, f"bad date {row[0]!r} (expected ISO-8601)"))
             continue
         try:
             cells = []
             for cell in row[1:]:
                 cells.append(float(cell))
         except ValueError:
-            errors.append((ln, f"non-numeric rate {cell!r}"))
+            bad.append((ln, f"non-numeric rate {cell!r}"))
             continue
         if dates and date <= dates[-1]:
             kind = "duplicate" if date == dates[-1] else "out-of-order"
-            errors.append((ln, f"{kind} date {date}"))
+            bad.append((ln, f"{kind} date {date}"))
             continue
         lines.append(ln)
         dates.append(date)
         rates.append(cells)
+    grid = tuple(tenors)
     block = np.array(rates).reshape(-1, len(grid))
     for i in np.flatnonzero(_bad_rows(block)):
         try:
             YieldCurve(dates[i], grid, tuple(rates[i]))
         except ValueError as exc:
-            errors.append((lines[i], str(exc)))
-    if errors:
-        raise ValidationError(f"{path}: " + "; ".join(f"line {ln}: {m}" for ln, m in sorted(errors)))
+            bad.append((lines[i], str(exc)))
+    if bad:
+        raise ValidationError(f"{path}: " + "; ".join(f"line {ln}: {m}" for ln, m in sorted(bad)))
     if not dates:
         raise ValidationError(f"{path}: no data rows")
     return CurveHistory(dates, grid, block)

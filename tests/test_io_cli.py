@@ -148,22 +148,17 @@ def test_parse_curve_undecodable_names_the_file(tmp_path):
     assert str(err.value).startswith(f"{path}: ") and "decode" in str(err.value)
 
 
-def test_parse_curve_reads_common_files_without_csv(tmp_path, monkeypatch):
+def test_parse_curve_reads_lf_and_crlf_alike(tmp_path):
     """A history as write_curve_csv writes it, and its CRLF copy, are read
-    without csv.reader, to the same dates and the same rates bit for bit."""
+    to the same dates and the same rates bit for bit."""
     curves, _ = generate_history(SynthConfig(days=2500, seed=11))
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     write_curve_csv(curves, lf)
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
     expected = [_outcome(parse_curve_csv, p) for p in (lf, crlf)]
-
-    def no_csv(*args, **kwargs):
-        raise AssertionError("csv.reader called")
-
-    monkeypatch.setattr(curvehedge.io.csv, "reader", no_csv)
     assert [_outcome(parse_curve_csv, p) for p in (lf, crlf)] == expected
     assert expected[0] == expected[1] and len(expected[0]) == 2500
-    # an empty body never reaches np.loadtxt, which warns on no data
+    # an empty body warns nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         header = "date,tenor_1,tenor_5\n"
@@ -172,19 +167,13 @@ def test_parse_curve_reads_common_files_without_csv(tmp_path, monkeypatch):
                 parse_curve_csv(write(tmp_path, "c.csv", text))
 
 
-def test_parse_curve_drops_one_byte_order_mark(tmp_path, monkeypatch):
+def test_parse_curve_drops_one_byte_order_mark(tmp_path):
     """A file that starts with U+FEFF, as some spreadsheets write it, reads as
-    the same file without the mark, through the plain path, with the same
-    line numbers in its errors."""
+    the same file without the mark, with the same line numbers in its errors."""
     good = "date,tenor_1,tenor_5\n2024-01-02,0.03,0.035\n2024-01-03,0.031,0.036\n"
     bad = "date,tenor_1,tenor_5\n2024-01-02,0.03,0.035\n2024-01-03,oops,0.036\n"
     plain = [_outcome(parse_curve_csv, write(tmp_path, f"{n}.csv", t))
              for n, t in (("good", good), ("bad", bad))]
-
-    def no_csv(*args, **kwargs):
-        raise AssertionError("csv.reader called")
-
-    monkeypatch.setattr(curvehedge.io.csv, "reader", no_csv)
     marked = []
     for name, text in (("good", good), ("bad", bad)):
         path = tmp_path / f"{name}.csv"
@@ -302,7 +291,7 @@ FLAWS = ("fields", "date", "text", "duplicate", "back", "nan", "inf", "low")
 
 # respellings of a rate cell: padded with a tab or U+2003, with an underscore or
 # non-ASCII digits (float reads all four), and padded with one of the separators
-# \x1c-\x1f, which np.loadtxt reads as whitespace and float refuses
+# \x1c-\x1f, which str.split counts as whitespace and float refuses
 RESPELT = (lambda c: f"\t{c}\t", lambda c: f"\u2003{c}", lambda c: c[:-1] + "_" + c[-1],
            lambda c: c.replace("1", "\u0661"), lambda c: c + "\x1c", lambda c: "\x1d" + c,
            lambda c: c + "\x1e", lambda c: "\x1f" + c)
@@ -625,10 +614,12 @@ def test_history_writers_reject_out_of_order_dates(tmp_path):
         tenor_correlations(shuffled)
 
 
-def counted_loadtxt(monkeypatch) -> list:
-    """np.loadtxt, counted: one entry per call, while monkeypatch holds."""
-    calls, loadtxt = [], np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+def counted_parses(monkeypatch) -> list:
+    """The curve texts parsed (io._parse_curve_text), one entry per call,
+    while monkeypatch holds."""
+    calls, parse = [], curvehedge.io._parse_curve_text
+    monkeypatch.setattr(curvehedge.io, "_parse_curve_text",
+                        lambda *a: calls.append(a) or parse(*a))
     return calls
 
 
@@ -640,7 +631,7 @@ def test_parse_curve_parses_a_text_once(tmp_path, monkeypatch):
     write_curve_csv(curves, path)
     curvehedge.io._memo.clear()  # the written history is held: read it as another's file
     copy.write_bytes(path.read_bytes())
-    calls = counted_loadtxt(monkeypatch)
+    calls = counted_parses(monkeypatch)
     first, again, moved = (parse_curve_csv(p) for p in (path, path, copy))
     assert len(calls) == 1
     for h in (again, moved):
@@ -652,7 +643,7 @@ def test_parse_curve_parses_a_text_once(tmp_path, monkeypatch):
 def test_parse_curve_reparses_an_edit_that_keeps_size_and_mtime(tmp_path, monkeypatch):
     """The memo is keyed by the text, not by the file's size or mtime."""
     path = write(tmp_path, "c.csv", GOOD_CSV)
-    calls = counted_loadtxt(monkeypatch)
+    calls = counted_parses(monkeypatch)
     before = parse_curve_csv(path)
     st = path.stat()
     path.write_text(GOOD_CSV.replace("0.0381", "0.0382"))
@@ -670,7 +661,7 @@ def test_parse_curve_holds_no_failure(tmp_path, monkeypatch):
     good = write(tmp_path, "good.csv", GOOD_CSV)
     bad = GOOD_CSV.replace("0.0329", "oops")
     bads = [write(tmp_path, name, bad) for name in ("bad1.csv", "bad2.csv")]
-    calls = counted_loadtxt(monkeypatch)
+    calls = counted_parses(monkeypatch)
     want = parse_curve_csv(good)
     for path in bads:
         with pytest.raises(ValidationError) as err:
@@ -1387,6 +1378,65 @@ def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
     assert not out.exists()
 
 
+def test_cli_hedge_refuses_legs_beyond_the_float_range(cli_files, capsys):
+    """A finite --amount whose leg amounts overflow is refused by strategy and
+    leg, with no plan written and no NumPy warning (tier-1 turns one into an error)."""
+    out = cli_files["tmp"] / "plan.json"
+    assert main(["hedge", "--strategy", "cubic", "--target", "B2", "--instruments", "B3,B1,B4",
+                 "--amount", "1e308", "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cubic plan: leg 'B3' amount must be finite, got -inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amount,message", [
+    (1e308, "duration: P&L out of the float range on {day}"),
+    (1e300, "duration: summary stdev out of the float range, got inf"),
+])
+def test_cli_backtest_refuses_pnl_beyond_the_float_range(cli_files, capsys, amount, message):
+    """A finite target amount whose P&L, or a summary statistic of it, leaves
+    the float range is refused by series and first day or statistic, with no
+    report written and no NumPy warning."""
+    path = cli_files["tmp"] / "huge_amount.json"
+    config = json.loads(cli_files["config"].read_text())
+    config["target"]["amount"] = amount
+    path.write_text(json.dumps(config))
+    out = cli_files["tmp"] / "report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
+    day = cli_files["curves"][1].date
+    assert capsys.readouterr().err == f"error: {message.format(day=day)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("read", [parse_curve_csv, parse_bonds_json, parse_plan_json])
+def test_readers_name_a_directory(tmp_path, read):
+    with pytest.raises(ValidationError) as err:
+        read(tmp_path)
+    assert str(err.value) == f"{tmp_path}: Is a directory"
+
+
+@pytest.mark.parametrize("method,name", [("open", "curve"), ("read_text", "config")])
+def test_cli_names_an_input_it_cannot_read(cli_files, capsys, monkeypatch, method, name):
+    """A history (opened) or a config (read as text) that cannot be read exits
+    2 naming the file, with no report written. A mode-000 file does not stop
+    a process run as root, so the read itself is made to fail."""
+    denied, read = cli_files[name], getattr(Path, method)
+
+    def refuse(self, *args, **kwargs):
+        if self == denied:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, refuse)
+    out = cli_files["tmp"] / "report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(cli_files["config"]),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {denied}: Permission denied\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("net_carry", "false", 'net_carry must be true or false, got "false"'),
     ("net_carry", 0, "net_carry must be true or false, got 0"),
@@ -1858,7 +1908,7 @@ def cli_session(w: Path, calls: list, capsys, clear_before) -> tuple:
     """The files-workload session (synth, stats --diff, analyze, four hedges,
     scenario --sweep 4, backtest) in the new directory w, the curve memo
     emptied before each command whose argv clear_before accepts: the
-    np.loadtxt calls counted in calls, the exit codes, the printed lines with
+    curve texts parsed, counted in calls, the exit codes, the printed lines with
     w as W, and every file written."""
     ids = {"duration": "B3", "quadratic": "B3,B1", "convexity": "B3,B1", "cubic": "B3,B1,B4"}
     w.mkdir()
@@ -1896,7 +1946,7 @@ def test_cli_session_parses_its_history_once(tmp_path, monkeypatch, capsys):
     the memo, parses it once, and every output, exit code and printed line
     equals the same session's with the memo emptied before each command,
     which parses it in each of 8 reads."""
-    calls = counted_loadtxt(monkeypatch)
+    calls = counted_parses(monkeypatch)
     held = cli_session(tmp_path / "held", calls, capsys, lambda argv: argv[0] == "stats")
     fresh = cli_session(tmp_path / "fresh", calls, capsys, lambda argv: True)
     assert (held[0], fresh[0]) == (1, 8)
@@ -1906,9 +1956,9 @@ def test_cli_session_parses_its_history_once(tmp_path, monkeypatch, capsys):
 
 def test_cli_session_reads_the_history_synth_wrote_unparsed(tmp_path, monkeypatch, capsys):
     """synth holds the history it writes as its 8 reads would parse it: the
-    session makes no np.loadtxt call, against the fresh session's 8, and
+    session parses no curve text, against the fresh session's 8, and
     every output, exit code and printed line is the same."""
-    calls = counted_loadtxt(monkeypatch)
+    calls = counted_parses(monkeypatch)
     held = cli_session(tmp_path / "held", calls, capsys, lambda argv: False)
     fresh = cli_session(tmp_path / "fresh", calls, capsys, lambda argv: True)
     assert (held[0], fresh[0]) == (0, 8)

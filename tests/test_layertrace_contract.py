@@ -6,8 +6,10 @@ the curve layer (one curve per synthetic day, checked as one block, one
 delta_y per shock) and of a
 residual sweep (the base curve and the shocked curves priced as one block,
 with a fit only for a slope or twist shock), and of a history read: no
-curve built to backtest or correlate one, a CLI file read booked to io, and
-a written file read by one np.loadtxt call with no row walk."""
+curve built to backtest or correlate one, a CLI file read booked to io, a
+written file read alike with a comment line in its body, and no curve text
+parsed by any benchmark workload's set-up or first op, as each reads back
+only what it wrote."""
 
 import dataclasses
 import sys
@@ -24,6 +26,7 @@ from curvehedge.synth import default_bond_universe
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layertrace  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_wraps_every_name_and_counts_backtest_work():
@@ -105,9 +108,9 @@ def _count_calls(monkeypatch, owner, name, counts: Counter) -> None:
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_a_written_history_is_read_by_one_loadtxt_and_no_row_walk(tmp_path, monkeypatch):
-    """A file write_curve_csv wrote, with or without a comment line in its
-    body, is read as one block; a failed check (a repeated date) walks the rows."""
+def test_a_written_history_reads_alike_with_a_comment_and_names_a_repeated_date(tmp_path):
+    """A file write_curve_csv wrote reads as the same history with a comment
+    line in its body, and a repeated last row is named by its line."""
     history, _ = generate_history(SynthConfig(days=2500, seed=3))
     plain = tmp_path / "plain.csv"
     curvehedge.write_curve_csv(history, plain)
@@ -116,20 +119,26 @@ def test_a_written_history_is_read_by_one_loadtxt_and_no_row_walk(tmp_path, monk
     commented, repeated = tmp_path / "commented.csv", tmp_path / "repeated.csv"
     commented.write_text("".join(lines[:1200] + ["# a comment\n"] + lines[1200:]))
     repeated.write_text("".join(lines + lines[-1:]))
-    counts = Counter()
-    _count_calls(monkeypatch, np, "loadtxt", counts)
-    _count_calls(monkeypatch, io, "_walk_rows", counts)
     want = curvehedge.parse_curve_csv(plain)
-    assert counts == {"loadtxt": 1}
-    counts.clear()
     got = curvehedge.parse_curve_csv(commented)
-    assert counts == {"loadtxt": 1}
     assert (got.dates, got.rates.tobytes()) == (want.dates, want.rates.tobytes())
     assert len(want) == 2500
-    counts.clear()
     with pytest.raises(curvehedge.ValidationError, match="line 2503: duplicate date"):
         curvehedge.parse_curve_csv(repeated)
-    assert counts == {"loadtxt": 1, "_walk_rows": 1}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_no_benchmark_workload_parses_a_curve_text(tmp_path, monkeypatch, name):
+    """Each workload's set-up and first op read back only histories they
+    wrote, each held by write_curve_csv, so no curve text is parsed: a change
+    that makes the benchmark parse one again fails here."""
+    io._memo.clear()
+    counts = Counter()
+    _count_calls(monkeypatch, io, "_parse_curve_text", counts)
+    workload = workloads.WORKLOADS[name](seed=1, workdir=tmp_path / name)
+    workload.prepare()
+    workload.op(workload.inputs(0))
+    assert counts == {}
 
 
 def test_tracer_counts_one_curve_per_day_and_one_delta_y_per_shock():
