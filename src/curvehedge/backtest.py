@@ -162,7 +162,7 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
     on="levels" correlates the rate levels (the usual presentation);
     on="diffs" correlates day-over-day changes. A constant series makes the
     correlation undefined and raises, naming the tenor, as does a series
-    whose variance leaves the float range (a huge rate overflows it).
+    whose moves are so small that its variance underflows to 0.
     """
     if on not in ("levels", "diffs"):
         raise ValueError(f"on must be 'levels' or 'diffs', got {on!r}")

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import _SPAN_TOL, YieldCurve, spot
+from .curve import _SPAN_TOL, MAX_RATE, YieldCurve, spot
 from .errors import ExtrapolationError
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
@@ -171,16 +171,16 @@ def cashflows(bond: Bond) -> list[tuple[float, float]]:
 
 
 def _yield(ytm: float) -> float:
-    """A caller's yield, which must be above -100%."""
-    if ytm <= -1.0:
-        raise ValueError(f"yield must be greater than -100%, got {ytm}")
+    """A caller's yield, which must lie in a curve's range (-100%, MAX_RATE]."""
+    if not -1.0 < ytm <= MAX_RATE:  # NaN fails too
+        raise ValueError(f"yield must be greater than -100% and at most {MAX_RATE:.0%}, got {ytm}")
     return ytm
 
 
 def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray) -> np.ndarray:
     """Present values cf·(1+y)^-t of a flow table at one yield, a column of
-    yields (one per row) or one yield per flow; every yield is above -100%
-    (a checked curve's, or a caller's through _yield)."""
+    yields (one per row) or one yield per flow; every yield is in a curve's
+    range (a checked curve's, or a caller's through _yield)."""
     # one exponent per value: where the yields add rows to the table it is
     # laid out in full, as NumPy takes an exponent of -1 broadcast over a
     # column as a reciprocal, which can differ from pow
@@ -218,9 +218,9 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     Returns (table, stop): table is (price, maturity, duration, convexity,
     carry) over (bonds, len(elapsed)); stop[i] is rows[i] or bond i's first
     row the scalar path refuses (maturity off the tenor span, a yield at or
-    below -100% or too large to square, no live flow, a late accrual start,
-    a price, duration or convexity the snapshot refuses, a carry price not
-    finite), from which on all but maturity are NaN.
+    below -100%, no live flow, a late accrual start, a price, duration or
+    convexity the snapshot refuses, a carry price not finite), from which on
+    all but maturity are NaN.
     """
     xp = np.asarray(tenors, dtype=float)
     m, n = _counts(np.array([[b.maturity] for b in bonds]),
@@ -235,11 +235,7 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     g = 1.0 + ys[:, 0]
     # Python's float ** (libm pow) on each yield: NumPy squares differ from
     # it in the last bit
-    flat = g.ravel().tolist()
-    try:
-        g2 = np.fromiter(map(math.pow, flat, repeat(2.0)), float, g.size).reshape(g.shape)
-    except OverflowError:  # where the scalar path's square raises, a NaN refuses the row below
-        g2 = np.array(list(map(_square, flat))).reshape(g.shape)
+    g2 = np.fromiter(map(math.pow, g.ravel().tolist(), repeat(2.0)), float, g.size).reshape(g.shape)
     table, late = np.full((5, *m.shape), np.nan), np.zeros(m.shape, dtype=bool)
     table[1] = m
     # live flows only drop as a bond rolls, so equal counts form runs: a cut
@@ -265,14 +261,6 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     return table, stop
 
 
-def _square(x: float) -> float:
-    """math.pow(x, 2.0), or NaN where that overflows."""
-    try:
-        return math.pow(x, 2.0)
-    except OverflowError:
-        return math.nan
-
-
 def _flat_marks(t: np.ndarray, pv: np.ndarray, g, g2):
     """Price, duration and convexity of each row of present values taken at
     one yield y per row, given g = 1 + y and g2 its libm square (floats for
@@ -293,8 +281,13 @@ def convexity(bond: Bond, ytm: float) -> float:
 
 def analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """Price, duration and convexity in one pass over the cashflows."""
+    return _analytics(bond, _yield(ytm))
+
+
+def _analytics(bond: Bond, ytm: float) -> BondAnalytics:
+    """analytics at a yield above -100%, unchecked."""
     t, cf = _bond_flows(bond)
-    g = 1.0 + _yield(ytm)
+    g = 1.0 + ytm
     p, d, c = _flat_marks(t, _pv(t, cf, ytm), g, g**2)
     return BondAnalytics(price=float(p), ytm=ytm, modified_duration=float(d), convexity=float(c))
 
@@ -309,37 +302,28 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
     duration and convexity are then the sensitivities to a parallel shift of
     the whole curve. The reported ytm is still the maturity-point spot. A
     flow before the curve's shortest tenor raises ExtrapolationError naming
-    the bond and the flow's time. Either mode refuses, by the bond, the rate
-    and the day, a rate too large for its convexity's (1 + rate)^2.
+    the bond and the flow's time. A price, duration or convexity that is not
+    finite (a rate near -100%, a long bond) raises InstrumentSnapshot's error.
     """
     y = spot(curve, bond.maturity)
-    if mode == "flat":
-        try:
-            return analytics(bond, y)
-        except OverflowError:  # (1 + y)**2
-            raise _overflow(bond, f"yield {y}", curve.date) from None
-    if mode != "spot":
+    if mode not in ("flat", "spot"):
         raise ValueError(f"unknown pricing mode {mode!r} (expected 'flat' or 'spot')")
-
     t, cf = _bond_flows(bond)
-    if t[0] < curve.min_tenor - _SPAN_TOL:
+    if mode == "spot" and t[0] < curve.min_tenor - _SPAN_TOL:
         raise ExtrapolationError(
             f"bond {bond.id!r}: cashflow at t={t[0]} lies before the curve's shortest "
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
         )
-    r = np.interp(t, curve.tenors, curve.rates)  # _spot_marks' flow rates, bit for bit
-    with np.errstate(over="ignore"):  # a square out of float range is refused here
-        over = np.isinf((1.0 + r) ** 2)
-    if over.any():
-        j = int(over.argmax())
-        raise _overflow(bond, f"spot rate {r[j]} at t={t[j]}", curve.date)
-    (p,), (d,), (cx,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
-    return BondAnalytics(price=float(p), ytm=y, modified_duration=float(d), convexity=float(cx))
-
-
-def _overflow(bond: Bond, rate: str, date) -> ValueError:
-    """The error for a rate whose (1 + rate)^2 in a convexity leaves the float range."""
-    return ValueError(f"bond {bond.id!r}: {rate} on {date} overflows its convexity")
+    with np.errstate(all="ignore"):  # a result out of the float range is refused below
+        if mode == "flat":  # interpolation may round a curve's yield an ulp past MAX_RATE
+            a = analytics(bond, y) if y <= MAX_RATE else _analytics(bond, y)
+        else:
+            (p,), (d,), (cx,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
+            a = BondAnalytics(price=float(p), ytm=y, modified_duration=float(d), convexity=float(cx))
+    for name in ("price", "modified_duration", "convexity"):
+        if not math.isfinite(x := getattr(a, name)):
+            raise ValueError(f"instrument {bond.id!r}: {name} must be finite, got {x}")
+    return a
 
 
 def _spot_marks(t: np.ndarray, cf: np.ndarray, tenors, rates: np.ndarray):

@@ -21,6 +21,10 @@ term; the block words the first shock that cannot make a curve, and
 apply_shock is its one-shock case. Knots outside the fitted span move by
 the nearest endpoint's dY.
 
+Every rate lies in (-100%, MAX_RATE]: MAX_RATE = 10.0 (1000% a year) is far
+above any default-free curve and far below a rate whose (1 + r)^2 overflows
+a convexity. YieldCurve and _bad_rows check it.
+
 A daily history is one CurveHistory, a checked (days, knots) rates block
 that generate, parse, write, correlate and backtest all work on; a list of
 curves on one grid becomes one through the same checked constructor.
@@ -38,6 +42,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, ExtrapolationError, FitError, ValidationError
 
+MAX_RATE = 10.0  # 1000% a year, the largest rate a curve may hold
 MIN_SEGMENT_SPAN = 1.0 / 365.0
 FIT_CONDITION_LIMIT = 1e12
 
@@ -69,6 +74,9 @@ class YieldCurve:
             raise ValueError("spot rates must be finite")
         if min(r) <= -1.0:
             raise ValueError("spot rates must be greater than -100%")
+        if (top := max(r)) > MAX_RATE:
+            raise ValueError(f"spot rates must be at most {MAX_RATE:.0%} (MAX_RATE), "
+                             f"got {top} at tenor {t[r.index(top)]}")
 
     @property
     def min_tenor(self) -> float:
@@ -153,16 +161,16 @@ def spot(curve: YieldCurve, maturity: float) -> float:
 
 
 def _bad_rows(block: np.ndarray) -> np.ndarray:
-    """Rows of a (rows, knots) rates block that YieldCurve would reject."""
-    return ~(np.isfinite(block) & (block > -1.0)).all(axis=1)
+    """Rows of a (rows, knots) rates block that YieldCurve would reject (NaN too)."""
+    return ~((block > -1.0) & (block <= MAX_RATE)).all(axis=1)
 
 
 class CurveHistory(Sequence[YieldCurve]):
     """Daily curves on one tenor grid: a read-only (days, knots) rates block,
     row i the curve on dates[i], which strictly increase. The grid and row 0
-    go through YieldCurve's checks, the other rows all at once (finite, above
-    -100%), the first failing one raising YieldCurve's ValueError. h[i] builds
-    day i's curve from its row unchecked; h[a:b] is a history. Compared by identity."""
+    go through YieldCurve's checks, the other rows all at once (_bad_rows),
+    the first failing one raising YieldCurve's ValueError. h[i] builds day
+    i's curve from its row unchecked; h[a:b] is a history. Compared by identity."""
 
     __slots__ = ("dates", "tenors", "rates")
 

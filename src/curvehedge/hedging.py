@@ -168,8 +168,7 @@ STRATEGIES: Mapping[Strategy, StrategySpec] = {
 
 def snapshot(bond: Bond, curve: YieldCurve, amount: float = 0.0, mode: str = "flat") -> InstrumentSnapshot:
     """Snapshot a bond off a curve (yield = spot at its maturity by default)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        a = curve_analytics(bond, curve, mode=mode)
+    a = curve_analytics(bond, curve, mode=mode)
     return InstrumentSnapshot(
         id=bond.id,
         price=a.price,

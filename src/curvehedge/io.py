@@ -1,9 +1,10 @@
 """File formats: curve history CSV, bond universe JSON, plan JSON, reports.
 
-All rates in files are decimal fractions per year (0.0312, never 3.12);
-every emitted file repeats that in a leading # comment. Numbers are written
-with 10 significant digits, so identical inputs always produce byte-
-identical outputs. One function renders every CSV (_csv), one reads every
+All rates in files are decimal fractions per year (0.0312, never 3.12), in
+curve's range (-100%, MAX_RATE = 1000%] or the file is refused by line;
+every emitted file repeats the unit in a leading # comment. Numbers are
+written with 10 significant digits, so identical inputs always produce
+byte-identical outputs. One function renders every CSV (_csv), one reads every
 JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .backtest import BacktestReport, UNHEDGED
 from .bonds import Bond
-from .curve import CurveHistory, YieldCurve, _bad_rows, _history
+from .curve import MAX_RATE, CurveHistory, YieldCurve, _bad_rows, _history
 from .errors import ValidationError
 from .hedging import HedgeLeg, HedgePlan, Strategy
 
@@ -268,8 +269,9 @@ def _parse_curve_text(path: Path, text: str) -> CurveHistory:
 
 def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     """Write a history in the same format parse_curve_csv reads, and hold it
-    as that parse: a rate whose 10-digit text reads back as no rate (-1 +
-    2^-52 is written as -1) is refused by date and column, writing nothing."""
+    as that parse: a rate whose 10-digit text reads back out of the range
+    (-100%, MAX_RATE] (-1 + 2^-52 is written as -1) is refused by date and
+    column, writing nothing."""
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     history = _history(curves)
@@ -278,7 +280,8 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     for cell in np.flatnonzero(_bad_rows(back.reshape(-1, 1)))[:1]:  # cells as one-knot rows
         (i, j), x = divmod(cell, back.shape[1]), float(history.rates.flat[cell])
         raise ValidationError(f"cannot write the rate on {history.dates[i]} at tenor_{labels[j]}: "
-                              f"{x!r} is written as {fmt_num(x)}, not a finite rate above -100%")
+                              f"{x!r} is written as {fmt_num(x)}, not a finite rate above -100% "
+                              f"and at most {MAX_RATE:.0%}")
     _memo.clear()  # the old entry is freed before the new one is built
     text = _csv(RATE_COMMENT, "date," + ",".join(f"tenor_{t}" for t in labels),
                 zip(map(dt.date.isoformat, history.dates), history.rates.tolist()))

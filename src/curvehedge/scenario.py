@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, _bond_flows, _interp_rows, _named, _overflow, _pv, _square, price
+from .bonds import Bond, _bond_flows, _interp_rows, _named, _pv, price
 from .curve import _SPAN_TOL, PolynomialSegment, ShockSpec, YieldCurve, _shock_block, fit_segment, spot
 from .hedging import HedgePlan
 
@@ -77,8 +77,8 @@ def run_scenarios(
     level shifts and custom vectors fits nothing. The first shock in sweep
     order whose curve cannot be built raises the block's ValueError, the one
     apply_shock raises for it. A plan bond whose maturity is off the base
-    curve raises an ExtrapolationError that names the bond; one whose base
-    yield is too large to square raises the ValueError curve_analytics does.
+    curve raises an ExtrapolationError that names the bond; a price out of
+    the float range a ValueError naming the bond, and the shock if any.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
@@ -98,16 +98,17 @@ def run_scenarios(
     # each bond's yield on each curve, at its maturity as spot takes it
     mats = np.array([b.maturity for b in bonds] * len(rates))
     ys = _interp_rows(mats, np.asarray(curve.tenors), np.repeat(rates, len(bonds), axis=0))
-    base = ys[:len(bonds)].tolist()
-    if math.isnan(_square(1.0 + max(base))):  # a base yield analyze refuses; name the first
-        b, y = next((b, y) for b, y in zip(bonds, base) if math.isnan(_square(1.0 + y)))
-        raise _overflow(b, f"yield {y}", curve.date)
     # one flow table: every flow discounted at its bond's yield on each curve
     counts = [len(t) for t, _ in flows]
     t, cf = (np.concatenate(x) for x in zip(*flows))
-    pv = _pv(t, cf, np.repeat(ys.reshape(len(rates), len(bonds)), counts, axis=1))
     edges = [0, *accumulate(counts)]  # a bond's slice sums as its own table would
-    prices = np.array([pv[:, i:j].sum(axis=1) for i, j in zip(edges, edges[1:])])
+    with np.errstate(all="ignore"):  # a price out of the float range is refused below
+        pv = _pv(t, cf, np.repeat(ys.reshape(len(rates), len(bonds)), counts, axis=1))
+        prices = np.array([pv[:, i:j].sum(axis=1) for i, j in zip(edges, edges[1:])])
+    if not np.isfinite(prices).all():  # the first curve, base first, then its first bond
+        k, i = np.argwhere(~np.isfinite(prices.T))[0].tolist()
+        on = f"{curve.date}" + (f" under {shocks[k - 1]}" if k else "")
+        raise ValueError(f"bond {ids[i]!r}: price on {on} must be finite, got {prices[i, k]}")
     pnl = amounts[:, None] * (prices[:, 1:] - prices[:, :1])  # (instruments, shocks)
     # the hedged sum is Python's, from 0 and target first, as per shock
     return [ScenarioResult(shock, per[0], sum(per), tuple(zip(ids, per)))

@@ -15,6 +15,7 @@ from curvehedge import (
     BacktestConfig,
     Bond,
     CollinearInstrumentError,
+    CurveHistory,
     DegenerateSpanError,
     ExtrapolationError,
     ShockSpec,
@@ -219,17 +220,13 @@ def test_correlation_constant_series_raises():
 
 
 @pytest.mark.parametrize("on", ["levels", "diffs"])
-@pytest.mark.parametrize("rates", ["huge", "tiny"])
-def test_correlation_of_a_series_whose_variance_leaves_the_float_range_names_its_tenor(on, rates):
-    """A rate so large that its tenor's variance overflows, or moves so small
-    that it underflows to 0, is refused by tenor, with no NumPy warning
-    (tier-1 turns one into an error)."""
+def test_correlation_of_a_series_whose_variance_leaves_the_float_range_names_its_tenor(on):
+    """Moves so small that a tenor's variance underflows to 0 are refused by
+    tenor, with no NumPy warning (tier-1 turns one into an error). A rate
+    large enough to overflow a variance is refused by the history itself."""
     x = 0.03 + 0.001 * np.sin(np.arange(10.0))
     cols = np.column_stack([x, x + 0.002, 0.02 + 0.001 * np.cos(np.arange(10.0))])
-    if rates == "huge":
-        cols[4, 1] = 1e200
-    else:
-        cols[:, 1] = 1e-170 * (np.arange(10.0) % 3)
+    cols[:, 1] = 1e-170 * (np.arange(10.0) % 3)
     with pytest.raises(ValueError, match=r"^correlation not finite at tenor\(s\) \[2\.0\]: "
                                          r"variance out of range$"):
         tenor_correlations(corr_history(cols), on=on)
@@ -806,25 +803,20 @@ def test_roll_table_stops_where_the_snapshot_refuses_an_infinite_price():
                                "instrument 'L': price must be finite, got inf")
 
 
-def test_roll_table_stops_where_the_square_of_a_huge_yield_overflows():
-    """At a yield of 1e200, (1 + y)**2 overflows in the scalar path's libm
-    pow: the table refuses that row instead of raising, and a backtest names
-    the bond and the day."""
+def test_a_history_refuses_a_yield_above_the_range_before_the_mark_table():
+    """A day whose rates are above MAX_RATE (1e200, whose square would
+    overflow a convexity) never reaches the mark table: the history refuses
+    the day, by rate and tenor, as its curve does."""
     grid = (0.5, 30.0)
     rates = np.full((4, 2), 0.03)
     rates[2] = 1e200
-    bond = Bond("L", 100.0, 0.03, 1, 25.0)
-    elapsed = np.arange(4) / 365.0
-    curves = [YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(days=k), grid, tuple(r))
-              for k, r in enumerate(rates.tolist())]
-    universe = {"L": bond, "H": Bond("H", 100.0, 0.03, 1, 10.0)}
-    config = BacktestConfig("L", {Strategy.DURATION: ("H",)}, strategies=(Strategy.DURATION,))
-    m, p, d, c, carry, bad = roll_table(bond, elapsed, grid, rates)
-    assert bad == 2 and len(p) == 2
-    with pytest.raises(ValueError) as info:
-        run_backtest(curves, universe, config)
-    assert str(info.value) == ("bond 'H' cannot be priced on 2024-01-04: "
-                               "bond 'H': yield 1e+200 on 2024-01-04 overflows its convexity")
+    dates = [dt.date(2024, 1, 2) + dt.timedelta(days=k) for k in range(4)]
+    want = "spot rates must be at most 1000% (MAX_RATE), got 1e+200 at tenor 0.5"
+    for build in (lambda: CurveHistory(dates, grid, rates),
+                  lambda: YieldCurve(dates[2], grid, tuple(rates[2]))):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == want
 
 
 @st.composite

@@ -5,6 +5,7 @@ replaced, and the second-order P&L approximation."""
 import dataclasses
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from curvehedge import (
     spot,
 )
 import curvehedge.bonds as bonds_module
-from curvehedge.bonds import _bond_flows, _counts, _flows, _spot_marks
+from curvehedge.bonds import VALID_FREQUENCIES, _bond_flows, _counts, _flows, _roll_table, _spot_marks
+from curvehedge.curve import MAX_RATE
 
 FD_STEP = 1e-6
 # second differences amplify roundoff by 1/h^2; eps^(1/4) balances that
@@ -415,23 +417,33 @@ def test_curve_analytics_spot_mode_short_coupon_names_bond(curve):
     assert curve_analytics(q, curve).price > 0.0  # flat mode only needs the maturity
 
 
-def test_curve_analytics_refuses_a_rate_too_large_to_square_in_either_mode():
-    """(1 + r)^2 of a 1e200 rate leaves the float range: flat mode names the
-    maturity yield, spot mode the first flow rate, each with the bond and the
-    day and no NumPy warning (tier-1 makes one an error)."""
-    from curvehedge import snapshot
-
-    huge = YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (1e200, 1e200))
+@pytest.mark.parametrize("rate", [1e200, math.nextafter(MAX_RATE, math.inf), math.nan])
+def test_a_rate_outside_the_range_is_refused_by_the_curve_and_the_yield(rate):
+    """A rate above MAX_RATE (1e200, whose (1 + r)^2 would overflow a
+    convexity, or the next double above 1000%) or a NaN one prices nothing:
+    YieldCurve refuses it, by rate and tenor, and price, analytics,
+    modified_duration and convexity refuse it as a caller's yield."""
     b = Bond("B", 100.0, 0.03, 2, 5.0)
-    for mode, rate in (("flat", "yield 1e+200"), ("spot", "spot rate 1e+200 at t=0.5")):
-        message = f"bond 'B': {rate} on 2024-01-03 overflows its convexity"
-        for call in (lambda: curve_analytics(b, huge, mode=mode),
-                     lambda: snapshot(b, huge, mode=mode)):
-            with pytest.raises(ValueError) as err:
-                call()
-            assert str(err.value) == message
-    big = YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (1e150, 1e150))  # its square is finite
-    assert curve_analytics(b, big, mode="spot").price > 0.0
+    for call in (price, analytics, modified_duration, convexity):
+        with pytest.raises(ValueError) as err:
+            call(b, rate)
+        assert str(err.value) == f"yield must be greater than -100% and at most 1000%, got {rate}"
+    with pytest.raises(ValueError) as err:
+        YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (0.03, rate))
+    assert str(err.value) == ("spot rates must be finite" if math.isnan(rate) else
+                              f"spot rates must be at most 1000% (MAX_RATE), got {rate!r} at tenor 30.0")
+
+
+def test_a_curve_at_max_rate_prices_where_interpolation_rounds_past_it():
+    """MAX_RATE itself is in range, for a caller's yield and for a curve. A
+    maturity an ulp short of the knot at 1000% interpolates a yield an ulp
+    above it, which curve_analytics prices as the curve's, not refuses."""
+    b = Bond("X", 100.0, 0.05, 1, 15.646604325542382)
+    assert math.isfinite(analytics(b, MAX_RATE).convexity)
+    curve = YieldCurve(dt.date(2024, 1, 2), (7.082861778879411, 15.646604325542384),
+                       (0.6189134287079456, MAX_RATE))
+    a = curve_analytics(b, curve)
+    assert a.ytm > MAX_RATE and math.isfinite(a.convexity)
 
 
 def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
@@ -583,3 +595,49 @@ def test_pnl_approx_error_scales_cubically(dy):
 
     ratio = err(dy) / err(dy / 2)
     assert 7.0 <= ratio <= 9.0
+
+
+@st.composite
+def in_range_books(draw):
+    """Two days of curves on a grid up to 30y, every rate in (-0.5, MAX_RATE]
+    with the bound itself drawn often, and two bonds maturing on the grid."""
+    tenors = sorted(draw(st.sets(st.floats(0.25, 30.0), min_size=2, max_size=6)))
+    rate = st.just(MAX_RATE) | st.floats(-0.5, MAX_RATE, exclude_min=True)
+    rates = draw(st.lists(st.lists(rate, min_size=len(tenors), max_size=len(tenors)),
+                          min_size=2, max_size=2))
+    bonds = [Bond(i, 100.0, draw(st.floats(0.0, 0.2)), draw(st.sampled_from(VALID_FREQUENCIES)),
+                  draw(st.floats(tenors[0], tenors[-1]))) for i in ("T", "L")]
+    return tuple(tenors), np.array(rates), bonds
+
+
+@given(book=in_range_books())
+@settings(max_examples=200, deadline=None)
+def test_every_rate_in_range_prices_to_finite_numbers(book):
+    """The pricing layer has no overflow check of its own: it rests on every
+    rate lying in (-100%, MAX_RATE]. Over rates in (-0.5, MAX_RATE] on grids up
+    to 30y, analytics, curve_analytics and snapshot in both modes, the mark
+    table and a scenario sweep all give finite numbers and no NumPy warning."""
+    from curvehedge import HedgeLeg, HedgePlan, Strategy, run_scenarios
+
+    tenors, rates, bonds = book
+    curve = YieldCurve(dt.date(2024, 1, 2), tenors, tuple(rates[0].tolist()))
+    elapsed = np.array([0.0, 1.0 / 365.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in bonds:
+            for r in rates.ravel().tolist():
+                assert all(map(math.isfinite, dataclasses.astuple(analytics(b, r))))
+            spot_ok = _bond_flows(b)[0][0] >= tenors[0]
+            for mode in ("flat", "spot") if spot_ok else ("flat",):
+                a = curve_analytics(b, curve, mode=mode)
+                assert all(map(math.isfinite, dataclasses.astuple(a)))
+                assert snapshot(b, curve, mode=mode).price == a.price
+        table, stop = _roll_table(bonds, [2, 2], elapsed, tenors, rates)
+        for i, b in enumerate(bonds):  # a row stops only where the maturity rolls off the grid
+            k = int(stop[i])
+            assert np.isfinite(table[:, i, :k]).all()
+            assert k == 2 or b.maturity - elapsed[k] < tenors[0] - 1e-9
+        plan = HedgePlan(Strategy.CUSTOM, "T", 100.0, (HedgeLeg("L", -50.0),), ())
+        shocks = [ShockSpec.parametric(a=-1e-3), ShockSpec.parametric(a=-0.25)]
+        for r in run_scenarios(plan, {b.id: b for b in bonds}, curve, shocks):
+            assert all(map(math.isfinite, (r.unhedged_pnl, r.hedged_pnl)))

@@ -476,17 +476,16 @@ def test_history_write_parse_round_trip_is_bit_for_bit(tmp_path):
         assert back.rates.tobytes() == history.rates.tobytes()
 
 
-@pytest.mark.parametrize("rate,text", [(-1 + 2**-52, "-1"), (1.7976931348623157e308, "1.797693135e+308")])
+@pytest.mark.parametrize("rate,text", [(-1 + 2**-52, "-1")])
 def test_write_curve_refuses_a_rate_whose_text_reads_back_as_no_rate(tmp_path, rate, text):
-    """-1 + 2^-52 is written as -1 and the largest double as a text that reads
-    back as inf: the writer names the first such rate by date and column and
-    writes nothing."""
+    """-1 + 2^-52 is written as -1: the writer names the first such rate by
+    date and column and writes nothing."""
     history = CurveHistory([dt.date(2024, 1, d) for d in (2, 3, 4)], (1.0, 5.0),
                            [[0.03, 0.035], [0.03, rate], [rate, 0.035]])
     with pytest.raises(ValidationError) as err:
         write_curve_csv(history, tmp_path / "c.csv")
     assert str(err.value) == (f"cannot write the rate on 2024-01-03 at tenor_5: {rate!r} is "
-                              f"written as {text}, not a finite rate above -100%")
+                              f"written as {text}, not a finite rate above -100% and at most 1000%")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1074,19 +1073,44 @@ def test_cli_names_a_bond_past_the_last_knot(cli_files, capsys, monkeypatch, arg
                    "on 2024-01-02\n")
 
 
-HUGE_RATE_CSV = """date,tenor_0.5,tenor_30
+ABOVE_RANGE_CSV = """date,tenor_0.5,tenor_30
 2024-01-02,0.03,0.04
-2024-01-03,1e200,1e200
-2024-01-04,0.03,0.04
+2024-01-03,0.03,0.04
+2024-01-04,{rate},{rate}
+2024-01-05,0.03,0.04
 """
 
 
-def test_cli_analyze_names_the_bond_and_day_a_huge_rate_overflows(cli_files, capsys):
-    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
-    assert main(["analyze", "--bonds", str(cli_files["bonds"]), "--curve", str(history),
-                 "--date", "2024-01-03"]) == 2
-    assert capsys.readouterr().err == ("error: bond 'B1': yield 1e+200 on 2024-01-03 "
-                                       "overflows its convexity\n")
+@pytest.mark.parametrize("rate", ["1e200", "1e100"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--date", "2024-01-02"],
+    ["analyze", "--mode", "spot", "--date", "2024-01-02"],
+    ["scenario", "--plan", "plan.json", "--shock", "a=0.001", "--date", "2024-01-02"],
+    ["backtest", "--config", "config.json", "--out", "bt"],
+    ["stats", "--out", "corr.csv"],
+    ["stats", "--diff", "--out", "corr.csv"],
+], ids=["analyze", "analyze-spot", "scenario", "backtest", "stats", "stats-diff"])
+def test_cli_refuses_a_file_with_a_rate_above_the_range_at_parse(cli_files, capsys, monkeypatch,
+                                                                  argv, rate):
+    """A day above MAX_RATE (1000%) refuses the whole file at parse, by file,
+    line, rate and tenor, whatever day a command asks for: each command
+    exits 2 and writes nothing. 1e200 would overflow a convexity's square;
+    1e100 would price every bond near 0."""
+    history = write(cli_files["tmp"], "above.csv", ABOVE_RANGE_CSV.format(rate=rate))
+    (cli_files["tmp"] / "plan.json").write_text(json.dumps({
+        "strategy": "duration", "target": {"id": "B2", "amount": 100.0},
+        "legs": [{"id": "B3", "amount": -50.0}], "constraints": []}))
+    monkeypatch.chdir(cli_files["tmp"])
+    files = sorted(p.name for p in cli_files["tmp"].iterdir())
+    inputs = ["--history", str(history)] if argv[0] in ("backtest", "stats") else [
+        "--curve", str(history)]
+    bonds = [] if argv[0] == "stats" else ["--bonds", str(cli_files["bonds"])]
+    assert main(argv + inputs + bonds) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {history}: line 4: spot rates must be at most 1000% "
+                            f"(MAX_RATE), got {float(rate)} at tenor 0.5\n")
+    assert sorted(p.name for p in cli_files["tmp"].iterdir()) == files
 
 
 WIDE_NUMBER_CSV = """date,tenor_0.5,tenor_30
@@ -1126,59 +1150,32 @@ def test_cli_analyze_separates_numbers_as_wide_as_their_column(cli_files, capsys
     assert all(widened)  # on day 1 every row has a number as wide as its column
 
 
-def test_cli_backtest_names_the_bond_and_day_a_huge_rate_overflows(cli_files, capsys):
-    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
-    out = cli_files["tmp"] / "bt"
-    assert main(["backtest", "--history", str(history), "--bonds", str(cli_files["bonds"]),
-                 "--config", str(cli_files["config"]), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: bond 'B1' cannot be priced on 2024-01-03: "
-        "bond 'B1': yield 1e+200 on 2024-01-03 overflows its convexity\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("diff", [[], ["--diff"]])
-def test_cli_stats_refuses_correlations_a_huge_rate_overflows(cli_files, capsys, diff):
-    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
-    out = cli_files["tmp"] / "corr.csv"
-    assert main(["stats", "--history", str(history), "--out", str(out), *diff]) == 2
-    assert capsys.readouterr().err == ("error: correlation not finite at tenor(s) [0.5, 30.0]: "
-                                       "variance out of range\n")
-    assert not out.exists()
-
-
-def test_cli_spot_analyze_names_the_flow_rate_a_huge_rate_overflows(cli_files, capsys):
-    """Spot mode refuses what flat mode refuses: a rate whose (1 + r)^2 in the
-    convexity leaves the float range, named by bond, rate and day, with no
-    NumPy warning; the other days of the file still price."""
-    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
-    argv = ["analyze", "--mode", "spot", "--bonds", str(cli_files["bonds"]), "--curve", str(history)]
+@pytest.mark.parametrize("argv,err", [
+    (["analyze"], "instrument 'L': price must be finite, got inf"),
+    (["analyze", "--mode", "spot"], "instrument 'L': price must be finite, got inf"),
+    (["hedge", "--strategy", "duration", "--target", "L", "--instruments", "M"],
+     "instrument 'L': price must be finite, got inf"),
+    (["scenario", "--plan", "plan.json", "--shock", "a=0.001"],
+     "bond 'L': price on 2024-01-03 must be finite, got inf"),
+], ids=["analyze", "analyze-spot", "hedge", "scenario"])
+def test_cli_refuses_a_price_out_of_the_float_range(cli_files, capsys, monkeypatch, argv, err):
+    """Yields just above -100% price a 25y bond at inf: every single-day
+    command exits 2 naming the bond, with no NumPy warning and no output
+    (no inf or nan row, no -Infinity or NaN in JSON). The next day prices."""
+    history = write(cli_files["tmp"], "wide.csv", WIDE_NUMBER_CSV)
+    bonds = cli_files["tmp"] / "long.json"
+    write_bonds_json([Bond("L", 100.0, 0.03, 1, 25.0), Bond("M", 100.0, 0.03, 1, 20.0)], bonds)
+    (cli_files["tmp"] / "plan.json").write_text(json.dumps({
+        "strategy": "duration", "target": {"id": "L", "amount": 100.0},
+        "legs": [{"id": "M", "amount": -50.0}], "constraints": []}))
+    monkeypatch.chdir(cli_files["tmp"])
+    argv = argv + ["--bonds", str(bonds), "--curve", str(history), "--date"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--date", "2024-01-03"]) == 2
-        assert capsys.readouterr().err == ("error: bond 'B1': spot rate 1e+200 at t=1.0 on "
-                                           "2024-01-03 overflows its convexity\n")
-        assert main(argv + ["--date", "2024-01-04"]) == 0
-    assert "B4" in capsys.readouterr().out
-
-
-def test_cli_scenario_names_the_plan_bond_a_huge_rate_overflows(cli_files, capsys):
-    """A scenario on a day whose base yield analyze refuses exits 2 with
-    analyze's message for the first plan bond, target first, and no warning."""
-    history = write(cli_files["tmp"], "huge.csv", HUGE_RATE_CSV)
-    plan = cli_files["tmp"] / "plan.json"
-    plan.write_text(json.dumps({"strategy": "duration", "target": {"id": "B2", "amount": 100.0},
-                                "legs": [{"id": "B3", "amount": -50.0}], "constraints": []}))
-    argv = ["scenario", "--plan", str(plan), "--bonds", str(cli_files["bonds"]),
-            "--curve", str(history), "--shock", "a=0.001"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--date", "2024-01-03"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: bond 'B2': yield 1e+200 on 2024-01-03 overflows its convexity\n"
-        assert main(argv + ["--date", "2024-01-02"]) == 0
-    assert json.loads(capsys.readouterr().out)["hedged_pnl"] != 0.0
+        assert main(argv + ["2024-01-03"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert main(argv + ["2024-01-04"]) == 0
+    assert "L" in capsys.readouterr().out
 
 
 def test_cli_analyze_to_file(cli_files):

@@ -2,6 +2,7 @@
 accounting, and the dyadic scaling law behind the order estimates."""
 
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -301,19 +302,32 @@ def test_level_sweep_without_segment_names_a_sunk_curve(plans, universe, curve):
         assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, shocks)) == want
 
 
-def test_run_scenarios_refuses_a_base_yield_analyze_refuses(universe):
-    """A plan bond whose base-curve yield is too large to square raises what
-    curve_analytics raises for it, target first; the shocks are not priced."""
-    from curvehedge import curve_analytics
+def test_run_scenarios_refuses_a_shock_that_lifts_a_knot_above_the_range(plans, universe, curve):
+    """A shock that lifts a knot above MAX_RATE (1000%) raises what
+    apply_shock raises for it, by rate and tenor, before any pricing."""
+    lift = ShockSpec.parametric(a=10.0)
+    want = _error(lambda: apply_shock(curve, lift, default_segment(curve)))
+    assert want == (ValueError, "spot rates must be at most 1000% (MAX_RATE), got 10.048 at tenor 10.0")
+    for shocks in ([lift], [ShockSpec.parametric(1e-3), lift, parallel(curve, 1e-3)]):
+        assert _error(lambda: run_scenarios(plans["cubic"], universe, curve, shocks)) == want
 
-    curve = YieldCurve(dt.date(2024, 1, 3), (0.5, 4.0, 6.0, 10.0), (0.03, 0.031, 1e200, 1e200))
-    plan = HedgePlan(Strategy.CUSTOM, "B3", 100.0, (HedgeLeg("B1", -50.0), HedgeLeg("B2", 5.0)), ())
-    want = _error(lambda: curve_analytics(universe["B1"], curve))
-    assert want == (ValueError, "bond 'B1': yield 1e+200 on 2024-01-03 overflows its convexity")
-    for shocks in ([ShockSpec.parametric(1e-3)], [ShockSpec.parametric(-2e-3), parallel(curve, 1e-3)]):
-        assert _error(lambda: run_scenarios(plan, universe, curve, shocks)) == want
-    fine = HedgePlan(Strategy.CUSTOM, "B3", 100.0, (HedgeLeg("B3", -100.0),), ())
-    assert run_scenario(fine, universe, curve, ShockSpec.parametric(1e-3)).hedged_pnl == 0.0
+
+def test_run_scenarios_refuses_a_price_out_of_the_float_range_by_bond_and_shock():
+    """Yields just above -100% price a 25y bond at inf. Off such a base curve
+    the bond is named with the day; off a shocked curve with the shock too,
+    with no NumPy warning. The unshocked sweep still prices."""
+    bonds = {"L": Bond("L", 100.0, 0.03, 1, 25.0), "M": Bond("M", 100.0, 0.03, 1, 20.0)}
+    plan = HedgePlan(Strategy.CUSTOM, "L", 100.0, (HedgeLeg("M", -50.0),), ())
+    near = YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (-1 + 2**-52, -1 + 2**-52))
+    fine = YieldCurve(dt.date(2024, 1, 3), (0.5, 30.0), (0.03, 0.04))
+    sink = ShockSpec.from_vector([-1.03 + 1e-13, -1.04 + 1e-13])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _error(lambda: run_scenarios(plan, bonds, near, [ShockSpec.parametric(1e-3)])) == (
+            ValueError, "bond 'L': price on 2024-01-03 must be finite, got inf")
+        assert _error(lambda: run_scenarios(plan, bonds, fine, [ShockSpec(), sink])) == (
+            ValueError, f"bond 'L': price on 2024-01-03 under {sink} must be finite, got inf")
+        assert run_scenario(plan, bonds, fine, ShockSpec()).hedged_pnl == 0.0
 
 
 def test_default_segment_degree(curve):
