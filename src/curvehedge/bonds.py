@@ -285,7 +285,8 @@ def analytics(bond: Bond, ytm: float) -> BondAnalytics:
 
 
 def _analytics(bond: Bond, ytm: float) -> BondAnalytics:
-    """analytics at a yield above -100%, unchecked."""
+    """analytics at a yield, unchecked: a curve's yield, which interpolation
+    may round an ulp past either end of the range."""
     t, cf = _bond_flows(bond)
     g = 1.0 + ytm
     p, d, c = _flat_marks(t, _pv(t, cf, ytm), g, g**2)
@@ -315,8 +316,8 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
         )
     with np.errstate(all="ignore"):  # a result out of the float range is refused below
-        if mode == "flat":  # interpolation may round a curve's yield an ulp past MAX_RATE
-            a = analytics(bond, y) if y <= MAX_RATE else _analytics(bond, y)
+        if mode == "flat":
+            a = _analytics(bond, y)
         else:
             (p,), (d,), (cx,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
             a = BondAnalytics(price=float(p), ytm=y, modified_duration=float(d), convexity=float(cx))

@@ -446,6 +446,22 @@ def test_a_curve_at_max_rate_prices_where_interpolation_rounds_past_it():
     assert a.ytm > MAX_RATE and math.isfinite(a.convexity)
 
 
+@pytest.mark.parametrize("mode", ["flat", "spot"])
+def test_a_curve_yield_interpolation_rounds_to_minus_one_refuses_the_bond_by_name(mode):
+    """Every rate of this curve is above -100%, but the maturity an ulp short
+    of the second knot interpolates a yield of exactly -1.0: both modes
+    refuse the bond by name as an infinite price, with no warning."""
+    curve = YieldCurve(dt.date(2024, 1, 3), (4.186437579696277, 13.3896390081173),
+                       (7.750220884341429, -1.0 + 2.0**-52))
+    b = Bond("X", 100.0, 0.0, 1, 13.389639008117298)
+    assert spot(curve, b.maturity) == -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            curve_analytics(b, curve, mode)
+    assert str(err.value) == "instrument 'X': price must be finite, got inf"
+
+
 def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
     """Spot-mode analytics the way curve_analytics used to take them, one
     spot() lookup per flow: the oracle for the table's one-row case."""
