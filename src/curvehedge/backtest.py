@@ -131,27 +131,41 @@ class BacktestReport:
 
 
 def summary_stats(series: Sequence[float]) -> SummaryStats:
-    """Mean, sample stdev, max drawdown of the cumulative series, worst day."""
+    """Mean, sample stdev, max drawdown of the cumulative series, worst day.
+    The first statistic out of the float range is refused by name."""
     x = np.asarray(series, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("cannot summarize an empty series")
-    return _summaries([x])[0]
+    stats = _summaries([x])[0]
+    if bad := _out_of_range(stats):
+        raise ValueError(bad)
+    return stats
+
+
+def _out_of_range(stats: SummaryStats) -> str | None:
+    """The words refusing the first statistic out of the float range, if any."""
+    for stat, x in vars(stats).items():
+        if not math.isfinite(x):
+            return f"summary {stat} out of the float range, got {x}"
+    return None
 
 
 def _summaries(series: Sequence[np.ndarray]) -> list[SummaryStats]:
     """summary_stats of each non-empty series, as one (series, days) block per
     length: each row is reduced on its own, so every float is the same. The
     mean and sample stdev share one sum, in the arithmetic of NumPy's mean
-    and std(ddof=1) without their wrappers."""
+    and std(ddof=1) without their wrappers. A statistic out of the float
+    range comes back as it is, with no warning."""
     stats = {}
     for n in {len(x) for x in series}:
         at = [i for i, x in enumerate(series) if len(x) == n]
         x = np.array([series[i] for i in at])
-        cum = x.cumsum(axis=1)
-        mean = x.sum(axis=1) / n
-        dev = x - mean[:, None]
-        cols = (mean, np.sqrt((dev * dev).sum(axis=1) / (n - 1)) if n > 1 else np.zeros(len(at)),
-                (np.maximum.accumulate(cum, axis=1) - cum).max(axis=1), x.min(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = x.cumsum(axis=1)
+            mean = x.sum(axis=1) / n
+            dev = x - mean[:, None]
+            cols = (mean, np.sqrt((dev * dev).sum(axis=1) / (n - 1)) if n > 1 else np.zeros(len(at)),
+                    (np.maximum.accumulate(cum, axis=1) - cum).max(axis=1), x.min(axis=1))
         stats.update(zip(at, (SummaryStats(*v) for v in zip(*(c.tolist() for c in cols)))))
     return [stats[i] for i in range(len(series))]
 
@@ -192,10 +206,11 @@ def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray,
     try:
         b = bond.rolled(float(elapsed[k]))
         snapshot(b, curves[k])
-        with np.errstate(over="ignore"):
-            carry = price(b, spot(curves[k - 1], b.maturity)) if k else 0.0
-        if not math.isfinite(carry):
-            raise ValueError(f"carry price off {curves[k - 1].date} must be finite, got {carry}")
+        if k:
+            try:
+                price(b, spot(curves[k - 1], b.maturity))
+            except ValueError as exc:
+                raise type(exc)(f"carry price off {curves[k - 1].date}: {exc}") from exc
     except ValueError as exc:
         raise type(exc)(f"bond {bond.id!r} cannot be priced on {curves[k].date}: {exc}") from exc
     raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {curves[k].date}")
@@ -296,12 +311,10 @@ def run_backtest(
     started = {name: s.pnl(config.net_carry) for name, s in series.items() if s.dates}
     summary = dict(zip(started, _summaries(list(started.values()))))
     for name, stats in summary.items():
-        bad = [(stat, x) for stat, x in vars(stats).items() if not math.isfinite(x)]
-        if bad:  # a running sum out of range stays so, and makes max_drawdown so too
+        if bad := _out_of_range(stats):  # a running sum out of range stays so, as does max_drawdown
             days = np.flatnonzero(~np.isfinite(np.cumsum(started[name])))
             raise ValueError(f"{name}: P&L out of the float range on {series[name].dates[days[0]]}"
-                             if days.size else
-                             f"{name}: summary {bad[0][0]} out of the float range, got {bad[0][1]}")
+                             if days.size else f"{name}: {bad}")
     return BacktestReport(
         config=config,
         dates=dates,

@@ -22,6 +22,12 @@ the default is the interpolated spot rate at the bond's own maturity
 ("flat" mode); "spot" mode discounts every flow of the table at its own
 tenor's spot rate instead, read off the curve in one interpolation at the
 table's flow times (_spot_marks).
+
+The pricer words its own refusals. curve_analytics names the bond it
+cannot price off a curve, and one rule (_check_marks) refuses a mark out
+of the float range, naming the instrument, for price, analytics, both
+curve modes and InstrumentSnapshot, each computing under its own
+np.errstate so no NumPy warning leaks.
 """
 
 from __future__ import annotations
@@ -149,16 +155,6 @@ def _build_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     return t, cf
 
 
-def _named(fn, bond: Bond, *args, **kwargs):
-    """fn(bond, ...), with an ExtrapolationError naming the bond once."""
-    try:
-        return fn(bond, *args, **kwargs)
-    except ExtrapolationError as exc:
-        if str(exc).startswith(f"bond {bond.id!r}"):  # spot mode names it already
-            raise
-        raise ExtrapolationError(f"bond {bond.id!r}: {exc}") from exc
-
-
 def cashflows(bond: Bond) -> list[tuple[float, float]]:
     """Future cashflows as (time, amount) pairs, strictly increasing in time.
 
@@ -188,9 +184,20 @@ def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray) -> np.ndarray:
     return cf * (1.0 + ytm) ** e
 
 
+def _check_marks(instrument: str, marks) -> None:
+    """The rule for a priced mark: the first (name, value) pair that is not
+    finite (a yield near -100%, a long bond) is refused, naming the instrument."""
+    for name, x in marks:
+        if not math.isfinite(x):
+            raise ValueError(f"instrument {instrument!r}: {name} must be finite, got {x}")
+
+
 def price(bond: Bond, ytm: float) -> float:
     """Present value of all cashflows at a single annually-compounded yield."""
-    return float(_pv(*_bond_flows(bond), _yield(ytm)).sum())
+    with np.errstate(all="ignore"):
+        p = float(_pv(*_bond_flows(bond), _yield(ytm)).sum())
+    _check_marks(bond.id, [("price", p)])
+    return p
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -289,8 +296,16 @@ def _analytics(bond: Bond, ytm: float) -> BondAnalytics:
     may round an ulp past either end of the range."""
     t, cf = _bond_flows(bond)
     g = 1.0 + ytm
-    p, d, c = _flat_marks(t, _pv(t, cf, ytm), g, g**2)
-    return BondAnalytics(price=float(p), ytm=ytm, modified_duration=float(d), convexity=float(c))
+    with np.errstate(all="ignore"):
+        p, d, c = _flat_marks(t, _pv(t, cf, ytm), g, g**2)
+    return _marked(bond, ytm, p, d, c)
+
+
+def _marked(bond: Bond, ytm: float, p, d, c) -> BondAnalytics:
+    """BondAnalytics(p, ytm, d, c), its numbers checked by _check_marks."""
+    a = BondAnalytics(float(p), ytm, float(d), float(c))
+    _check_marks(bond.id, vars(a).items())
+    return a
 
 
 def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAnalytics:
@@ -302,29 +317,27 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
     mode="spot": every cashflow is discounted at its own tenor's spot rate;
     duration and convexity are then the sensitivities to a parallel shift of
     the whole curve. The reported ytm is still the maturity-point spot. A
-    flow before the curve's shortest tenor raises ExtrapolationError naming
-    the bond and the flow's time. A price, duration or convexity that is not
-    finite (a rate near -100%, a long bond) raises InstrumentSnapshot's error.
+    maturity off the curve, and in spot mode a flow before the curve's
+    shortest tenor, raises ExtrapolationError naming the bond. A price,
+    duration or convexity out of the float range is refused by _check_marks.
     """
-    y = spot(curve, bond.maturity)
+    try:
+        y = spot(curve, bond.maturity)
+    except ExtrapolationError as exc:  # the pricer names its bond
+        raise ExtrapolationError(f"bond {bond.id!r}: {exc}") from None
     if mode not in ("flat", "spot"):
         raise ValueError(f"unknown pricing mode {mode!r} (expected 'flat' or 'spot')")
+    if mode == "flat":
+        return _analytics(bond, y)
     t, cf = _bond_flows(bond)
-    if mode == "spot" and t[0] < curve.min_tenor - _SPAN_TOL:
+    if t[0] < curve.min_tenor - _SPAN_TOL:
         raise ExtrapolationError(
             f"bond {bond.id!r}: cashflow at t={t[0]} lies before the curve's shortest "
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
         )
-    with np.errstate(all="ignore"):  # a result out of the float range is refused below
-        if mode == "flat":
-            a = _analytics(bond, y)
-        else:
-            (p,), (d,), (cx,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
-            a = BondAnalytics(price=float(p), ytm=y, modified_duration=float(d), convexity=float(cx))
-    for name in ("price", "modified_duration", "convexity"):
-        if not math.isfinite(x := getattr(a, name)):
-            raise ValueError(f"instrument {bond.id!r}: {name} must be finite, got {x}")
-    return a
+    with np.errstate(all="ignore"):
+        (p,), (d,), (c,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
+    return _marked(bond, y, p, d, c)
 
 
 def _spot_marks(t: np.ndarray, cf: np.ndarray, tenors, rates: np.ndarray):

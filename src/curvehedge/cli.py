@@ -42,7 +42,7 @@ from .backtest import (
     run_backtest,
     tenor_correlations,
 )
-from .bonds import _named, curve_analytics
+from .bonds import curve_analytics
 from .curve import ShockSpec, YieldCurve
 from .errors import ValidationError
 from .hedging import Strategy, build_plan, snapshot
@@ -198,7 +198,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     header = f"{'id':<8}" + "".join(f"{name:>{w}}" for name, w in widths.items())
     lines = [f"# analytics off curve {curve.date}, mode={args.mode}", header]
     for bond in universe.values():
-        a = _named(curve_analytics, bond, curve, mode=args.mode)
+        a = curve_analytics(bond, curve, mode=args.mode)
         cells = map(fmt_num, (bond.maturity, a.price, a.ytm, a.modified_duration, a.convexity))
         # a number as wide as its column gets one leading space, so none runs into the next
         lines.append(f"{bond.id:<8}" + "".join(
@@ -216,8 +216,8 @@ def cmd_hedge(args: argparse.Namespace) -> int:
     unknown = [i for i in [args.target, *ids] if i not in universe]
     if unknown:
         raise ValidationError(f"unknown bond id(s) {unknown}")
-    target = _named(snapshot, universe[args.target], curve, amount=args.amount)
-    legs = [_named(snapshot, universe[i], curve) for i in ids]
+    target = snapshot(universe[args.target], curve, amount=args.amount)
+    legs = [snapshot(universe[i], curve) for i in ids]
     plan = build_plan(strategy, target, legs, args.allow_extrapolation)
     data = plan_to_dict(plan)
     data["legs"] = [{"id": l["id"], "amount": _round10(l["amount"])} for l in data["legs"]]

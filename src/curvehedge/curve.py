@@ -49,6 +49,19 @@ FIT_CONDITION_LIMIT = 1e12
 _SPAN_TOL = 1e-9
 
 
+def _check_grid(t: Sequence[float]) -> None:
+    """The rules of a tenor grid, which every curve and a history file's
+    header keep: at least 2 knots, finite, positive, strictly increasing."""
+    if len(t) < 2:
+        raise ValueError(f"curve needs at least 2 knots, got {len(t)}")
+    if not all(map(math.isfinite, t)):
+        raise ValueError("tenors must be finite")
+    if min(t) <= 0:
+        raise ValueError("tenors must be positive")
+    if any(b <= a for a, b in zip(t, t[1:])):
+        raise ValueError("tenors must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class YieldCurve:
     """Spot rates on a single date, keyed by tenor in years."""
@@ -62,14 +75,7 @@ class YieldCurve:
         t, r = self.tenors, self.rates
         if len(t) != len(r):
             raise ValueError("tenors and rates must be 1-d sequences of equal length")
-        if len(t) < 2:
-            raise ValueError(f"curve needs at least 2 knots, got {len(t)}")
-        if not all(map(math.isfinite, t)):
-            raise ValueError("tenors must be finite")
-        if min(t) <= 0:
-            raise ValueError("tenors must be positive")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("tenors must be strictly increasing")
+        _check_grid(t)
         if not all(map(math.isfinite, r)):
             raise ValueError("spot rates must be finite")
         if min(r) <= -1.0:

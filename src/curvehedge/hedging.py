@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, curve_analytics
+from .bonds import Bond, _check_marks, curve_analytics
 from .curve import YieldCurve, _condition_number
 from .errors import (
     CollinearInstrumentError,
@@ -78,9 +78,8 @@ class InstrumentSnapshot:
     amount: float = 0.0
 
     def __post_init__(self):
-        for name in ("price", "maturity", "modified_duration", "convexity", "amount"):
-            if not math.isfinite(x := getattr(self, name)):
-                raise ValueError(f"instrument {self.id!r}: {name} must be finite, got {x}")
+        _check_marks(self.id, ((name, getattr(self, name)) for name in
+                               ("price", "maturity", "modified_duration", "convexity", "amount")))
         if self.price <= 0:
             raise ValueError(f"instrument {self.id!r}: price must be positive")
         if self.maturity <= 0:

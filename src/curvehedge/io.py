@@ -15,9 +15,14 @@ not the reader: every read opens the file, but the last history written or
 successfully read is held, keyed by the whole text, so it is parsed at most
 once, and not at all after write_curve_csv wrote it. A failure is not held.
 An input that cannot be opened or read is a ValidationError naming its path.
+A header keeps only the file's own rules, the tenor_<years> column names
+and the numbers after them; its grid goes through curve's one grid check
+(_check_grid), in curve's words.
 Numbers in JSON inputs must be finite JSON numbers; a bool or a string is
 refused, not converted.
-A bond entry holds Bond's fields, those without a default required, and no other.
+A bond entry holds Bond's fields, those without a default required, and no
+other; it is read through one table of each field's JSON kind
+(_BOND_FIELDS), and a null optional field stays absent.
 """
 
 from __future__ import annotations
@@ -36,15 +41,18 @@ import numpy as np
 
 from .backtest import BacktestReport, UNHEDGED
 from .bonds import Bond
-from .curve import MAX_RATE, CurveHistory, YieldCurve, _bad_rows, _history
+from .curve import MAX_RATE, CurveHistory, YieldCurve, _bad_rows, _check_grid, _history
 from .errors import ValidationError
 from .hedging import HedgeLeg, HedgePlan, Strategy
 
 RATE_COMMENT = "# rates are decimal fractions per year (0.0312 means 3.12%)"
 PNL_COMMENT = "# profit and loss in currency units; cumulative is the running sum"
 
-BOND_REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(Bond) if f.default is dataclasses.MISSING)
-BOND_OPTIONAL_FIELDS = tuple(f.name for f in dataclasses.fields(Bond) if f.name not in BOND_REQUIRED_FIELDS)
+# each Bond field's JSON kind, in Bond's field order; those without a default are required
+_BOND_FIELDS = {"id": "a string", "face": "a number", "coupon_rate": "a number",
+                "coupon_frequency": "an integer", "maturity": "a number",
+                "issue_or_first_coupon_offset": "a number"}
+_BOND_REQUIRED = tuple(f.name for f in dataclasses.fields(Bond) if f.default is dataclasses.MISSING)
 
 
 # the Python types json.loads gives for each kind of JSON value
@@ -216,17 +224,12 @@ def _parse_curve_text(path: Path, text: str) -> CurveHistory:
             tenors.append(float(col[len("tenor_"):]))
         except ValueError:
             errors.append(f"line {header_ln}: cannot parse tenor from column {col!r}")
-    if not errors:
-        if len(tenors) < 2:
-            errors.append(f"line {header_ln}: need at least 2 tenor columns")
-        elif not all(map(math.isfinite, tenors)):
-            errors.append(f"line {header_ln}: tenors must be finite")
-        elif min(tenors) <= 0:
-            errors.append(f"line {header_ln}: tenors must be positive")
-        elif any(b <= a for a, b in zip(tenors, tenors[1:])):
-            errors.append(f"line {header_ln}: tenor columns must be strictly increasing")
     if errors:
         raise ValidationError(f"{path}: " + "; ".join(errors))
+    try:
+        _check_grid(tenors)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: line {header_ln}: {exc}") from None
 
     bad: list[tuple[int, str]] = []  # at most one per row
     lines, dates, rates = [], [], []
@@ -309,27 +312,19 @@ def parse_bonds_json(path) -> dict[str, Bond]:
             continue
         if isinstance(entry.get("id"), str):
             label = f"bond {entry['id']!r}"
-        missing = [f for f in BOND_REQUIRED_FIELDS if f not in entry]
-        unknown = [f for f in entry if f not in BOND_REQUIRED_FIELDS + BOND_OPTIONAL_FIELDS]
+        missing = [f for f in _BOND_REQUIRED if f not in entry]
+        unknown = [f for f in entry if f not in _BOND_FIELDS]
         if missing:
             errors.append(f"{label}: missing field(s) {missing}")
         if unknown:
             errors.append(f"{label}: unknown field(s) {unknown}")
         if missing or unknown:
             continue
-        offset = entry.get("issue_or_first_coupon_offset")
-        try:
-            bond = Bond(
-                id=_typed(entry["id"], "id", "a string"),
-                face=_number(entry["face"], "face"),
-                coupon_rate=_number(entry["coupon_rate"], "coupon_rate"),
-                coupon_frequency=_typed(entry["coupon_frequency"], "coupon_frequency",
-                                        "an integer"),
-                maturity=_number(entry["maturity"], "maturity"),
-                issue_or_first_coupon_offset=(
-                    None if offset is None else _number(offset, "issue_or_first_coupon_offset")
-                ),
-            )
+        try:  # a null optional field stays absent
+            bond = Bond(**{name: _number(entry[name], name) if what == "a number"
+                           else _typed(entry[name], name, what)
+                           for name, what in _BOND_FIELDS.items()
+                           if entry.get(name) is not None or name in _BOND_REQUIRED})
         except (TypeError, ValueError) as exc:
             errors.append(f"{label}: {exc}")
             continue

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, _bond_flows, _interp_rows, _named, _pv, price
+from .bonds import Bond, _bond_flows, _interp_rows, _pv, curve_analytics, price
 from .curve import _SPAN_TOL, PolynomialSegment, ShockSpec, YieldCurve, _shock_block, fit_segment, spot
 from .hedging import HedgePlan
 
@@ -92,7 +92,7 @@ def run_scenarios(
     flows = []
     for b in bonds:  # an off-curve or unpriceable bond fails here, named, before any shock
         if not lo <= b.maturity <= hi:
-            _named(lambda b: spot(curve, b.maturity), b)
+            curve_analytics(b, curve)  # the pricer's own refusal, naming the bond
         flows.append(_bond_flows(b))
     rates = _shock_block(curve, shocks, segment)
     # each bond's yield on each curve, at its maturity as spot takes it

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,15 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("days", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.days < 2:
             raise ValueError("need at least 2 days of history")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.ar < 1.0:
             raise ValueError("ar must be in [0, 1)")
         for name in ("sigma_level", "sigma_slope", "sigma_twist", "sigma_idio"):

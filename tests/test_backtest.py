@@ -108,6 +108,16 @@ def test_summary_stats_empty_rejected():
         summary_stats([])
 
 
+def test_summary_stats_out_of_the_float_range_is_refused_by_name():
+    """The deviations' squares overflow: the stdev is refused in run_backtest's
+    words, with no NumPy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            summary_stats([1e200, -1e200, 3.0])
+    assert str(err.value) == "summary stdev out of the float range, got inf"
+
+
 def reference_summary(x):
     """summary_stats computed on its own, one series at a time."""
     x = np.asarray(x, dtype=float)
@@ -696,15 +706,16 @@ def test_backtest_equals_scalar_replay(universe):
 
 
 def test_unpriceable_bond_named_before_any_strategy(universe):
-    """A bond past the curve's last knot fails up front, naming the bond and the date."""
+    """A bond past the curve's last knot fails up front, naming the bond and
+    the date on top of the pricer's own refusal, which names the bond too."""
     uni = dict(universe)
     uni["L"] = Bond("L", 100.0, 0.04, 1, 12.0)
     hist = history_from_shifts(base_rates(), [np.zeros(len(GRID))] * 3)
     config = standard_config(instruments={**standard_config().instruments,
                                           Strategy.QUADRATIC: ("B3", "L")})
     with pytest.raises(ExtrapolationError,
-                       match=r"bond 'L' cannot be priced on 2024-01-02: maturity 12.0 "
-                             r"outside curve range \[0.5, 10.0\]"):
+                       match=r"bond 'L' cannot be priced on 2024-01-02: bond 'L': maturity "
+                             r"12.0 outside curve range \[0.5, 10.0\] on 2024-01-02"):
         run_backtest(hist, uni, config)
 
 
@@ -1080,7 +1091,8 @@ def test_an_infinite_carry_price_is_refused_by_bond_and_day():
     that leg there, as it stops a price the snapshot refuses, and a backtest
     names the bond and the day, whether or not a series still holds the leg
     (here S ends the quadratic series before it starts) and with or without
-    net_carry. NumPy's overflow warnings stay inside."""
+    net_carry, on top of price's own refusal of the carry price off
+    yesterday's curve. NumPy's overflow warnings stay inside."""
     grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 25.0, 30.0)
     base = [0.03] * len(grid)
     dip = [-1 + 2**-52 if t in (20.0, 25.0) else 0.03 for t in grid]
@@ -1096,7 +1108,7 @@ def test_an_infinite_carry_price_is_refused_by_bond_and_day():
                                                        Strategy.DURATION: ("B",)},
                            strategies=(Strategy.QUADRATIC, Strategy.DURATION))
     want = ("bond 'L' cannot be priced on 2024-01-04: "
-            "carry price off 2024-01-03 must be finite, got inf")
+            "carry price off 2024-01-03: instrument 'L': price must be finite, got inf")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m, p, d, c, carry, bad = roll_table(uni["L"], elapsed, grid, np.array(

@@ -5,6 +5,7 @@ replaced, and the second-order P&L approximation."""
 import dataclasses
 import datetime as dt
 import math
+import re
 import warnings
 
 import numpy as np
@@ -464,8 +465,12 @@ def test_a_curve_yield_interpolation_rounds_to_minus_one_refuses_the_bond_by_nam
 
 def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
     """Spot-mode analytics the way curve_analytics used to take them, one
-    spot() lookup per flow: the oracle for the table's one-row case."""
-    y = spot(curve, bond.maturity)
+    spot() lookup per flow: the oracle for the table's one-row case. A
+    maturity off the curve is refused naming the bond."""
+    try:
+        y = spot(curve, bond.maturity)
+    except ExtrapolationError as exc:
+        raise ExtrapolationError(f"bond {bond.id!r}: {exc}") from exc
     flows = listed_cashflows(bond)
     t, cf = np.array([f[0] for f in flows]), np.array([f[1] for f in flows])
     try:
@@ -657,3 +662,74 @@ def test_every_rate_in_range_prices_to_finite_numbers(book):
         shocks = [ShockSpec.parametric(a=-1e-3), ShockSpec.parametric(a=-0.25)]
         for r in run_scenarios(plan, {b.id: b for b in bonds}, curve, shocks):
             assert all(map(math.isfinite, (r.unhedged_pnl, r.hedged_pnl)))
+
+
+@st.composite
+def full_range_books(draw):
+    """A curve on a grid up to 30y with every rate anywhere in the stated
+    range (-100%, MAX_RATE], -1 + 2**-52 and the bound itself drawn often,
+    and a bond maturing on the grid."""
+    tenors = sorted(draw(st.sets(st.floats(0.25, 30.0), min_size=2, max_size=6)))
+    rate = st.just(-1.0 + 2.0**-52) | st.just(MAX_RATE) | st.floats(-1.0, MAX_RATE, exclude_min=True)
+    rates = draw(st.lists(rate, min_size=len(tenors), max_size=len(tenors)))
+    bond = Bond("X", 100.0, draw(st.floats(0.0, 0.2)), draw(st.sampled_from(VALID_FREQUENCIES)),
+                draw(st.floats(tenors[0], tenors[-1])))
+    return YieldCurve(dt.date(2024, 1, 2), tuple(tenors), tuple(rates)), bond
+
+
+MARK_REFUSAL = r"instrument 'X': (price|modified_duration|convexity) must be finite, got (-?inf|nan)"
+
+
+def finite_or_refused(call) -> None:
+    """call() gives only finite numbers, or raises the one refusal of a mark
+    out of the float range."""
+    try:
+        result = call()
+    except ValueError as exc:
+        assert re.fullmatch(MARK_REFUSAL, str(exc)), str(exc)
+        return
+    numbers = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    assert all(math.isfinite(x) for x in numbers if isinstance(x, float)), result
+
+
+@given(book=full_range_books())
+@settings(max_examples=300, deadline=None)
+def test_every_scalar_entry_prices_any_rate_in_range_or_refuses_it_by_name(book):
+    """Over the whole stated range, where a yield near -100% can take a price,
+    duration or convexity out of the float range: price, analytics,
+    modified_duration, convexity, curve_analytics in both modes and snapshot
+    each give finite numbers or refuse the instrument by name, with no NumPy
+    warning."""
+    curve, b = book
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in curve.rates:
+            for fn in (price, analytics, modified_duration, convexity):
+                finite_or_refused(lambda: fn(b, r))
+        spot_ok = _bond_flows(b)[0][0] >= curve.min_tenor
+        for mode in ("flat", "spot") if spot_ok else ("flat",):
+            finite_or_refused(lambda: curve_analytics(b, curve, mode=mode))
+            finite_or_refused(lambda: snapshot(b, curve, mode=mode))
+
+
+def test_a_near_minus_one_yield_is_refused_by_every_scalar_entry():
+    """At -1 + 2**-52 a 25y bond's price leaves the float range: each public
+    scalar function refuses it by name instead of returning inf or nan."""
+    b = Bond("L", 100.0, 0.03, 1, 25.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (price, analytics, modified_duration, convexity):
+            with pytest.raises(ValueError) as err:
+                fn(b, -1.0 + 2.0**-52)
+            assert str(err.value) == "instrument 'L': price must be finite, got inf"
+
+
+@pytest.mark.parametrize("mode", ["flat", "spot"])
+def test_snapshot_of_a_bond_off_the_curve_names_the_bond(curve, mode):
+    """The pricer words its own off-curve refusal, so a library caller of
+    snapshot or curve_analytics learns which bond it was."""
+    long = Bond("L", 100.0, 0.04, 1, 12.0)
+    for call in (snapshot, curve_analytics):
+        with pytest.raises(ExtrapolationError) as err:
+            call(long, curve, mode=mode)
+        assert str(err.value) == "bond 'L': maturity 12.0 outside curve range [0.5, 10.0] on 2024-01-02"

@@ -592,6 +592,18 @@ def test_synth_config_rejects_too_few_days_and_a_unit_root(kw, message):
         SynthConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"days": 2.5}, "days must be an integer, got 2.5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_synth_config_refuses_a_bad_seed_or_day_count_by_name(kw, message):
+    with pytest.raises(ValueError) as err:
+        SynthConfig(**kw)
+    assert str(err.value) == message
+
+
 def _weekday_walk(start: dt.date, days: int) -> list[dt.date]:
     dates, d = [], start
     while len(dates) < days:

@@ -3,6 +3,7 @@ numbers, writers round-trip, emission is deterministic, exit codes are 0/2."""
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -108,9 +109,9 @@ def test_parse_curve_bad_tenor_columns(tmp_path):
         parse_curve_csv(write(tmp_path, "c.csv", "date,yrs1,tenor_5\n2024-01-02,1,2\n"))
     with pytest.raises(ValidationError, match="cannot parse tenor"):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_x,tenor_5\n2024-01-02,1,2\n"))
-    with pytest.raises(ValidationError, match="strictly increasing"):
+    with pytest.raises(ValidationError, match="line 1: tenors must be strictly increasing"):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_5,tenor_1\n2024-01-02,1,2\n"))
-    with pytest.raises(ValidationError, match="at least 2 tenor"):
+    with pytest.raises(ValidationError, match="line 1: curve needs at least 2 knots, got 1"):
         parse_curve_csv(write(tmp_path, "c.csv", "date,tenor_5\n2024-01-02,0.03\n"))
     for col, problem in (("tenor_nan", "finite"), ("tenor_inf", "finite"),
                          ("tenor_0", "positive"), ("tenor_-1", "positive")):
@@ -756,6 +757,16 @@ def test_bonds_ids_must_be_strings(tmp_path, value):
     with pytest.raises(ValidationError) as err:
         parse_bonds_json(path)
     assert str(err.value) == f"{path}: bond #1: id must be a string, got {json.dumps(value)}"
+
+
+def test_bonds_field_table_follows_bond(tmp_path):
+    """The one table of JSON kinds names Bond's fields in order, and a null
+    optional field stays absent."""
+    assert tuple(curvehedge.io._BOND_FIELDS) == tuple(f.name for f in dataclasses.fields(Bond))
+    entry = {"id": "B1", "face": 100, "coupon_rate": 0.03, "coupon_frequency": 1,
+             "maturity": 5, "issue_or_first_coupon_offset": None}
+    path = write(tmp_path, "b.json", json.dumps([entry]))
+    assert parse_bonds_json(path) == {"B1": Bond("B1", 100.0, 0.03, 1, 5.0)}
 
 
 def test_bonds_duplicate_id(tmp_path):
@@ -1626,6 +1637,13 @@ def test_cli_bad_date_names_option_and_value(cli_files, capsys, command):
     assert captured.out == ""
     assert captured.err == ("error: --date must be an ISO date (YYYY-MM-DD), got '2024-13-01': "
                             "month must be in 1..12\n")
+
+
+def test_cli_synth_negative_seed_names_the_seed(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_cli_synth_bad_start_names_option_and_value(tmp_path, capsys):
