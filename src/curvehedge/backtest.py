@@ -202,7 +202,9 @@ def tenor_correlations(history: Sequence[YieldCurve], on: str = "levels") -> np.
 
 
 def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray, k: int):
-    """Raise the error the scalar path meets on day k, naming the bond and the day."""
+    """Raise the error the scalar path meets on day k, with the bond's name
+    and the day put in front where the pricer's words lack them."""
+    day = curves[k].date
     try:
         b = bond.rolled(float(elapsed[k]))
         snapshot(b, curves[k])
@@ -212,8 +214,11 @@ def _raise_on_day(bond: Bond, curves: Sequence[YieldCurve], elapsed: np.ndarray,
             except ValueError as exc:
                 raise type(exc)(f"carry price off {curves[k - 1].date}: {exc}") from exc
     except ValueError as exc:
-        raise type(exc)(f"bond {bond.id!r} cannot be priced on {curves[k].date}: {exc}") from exc
-    raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {curves[k].date}")
+        msg = str(exc)
+        lacking = [w for w, named in ((f"bond {bond.id!r}", repr(bond.id) in msg),
+                                      (f"on {day}", str(day) in msg)) if not named]
+        raise type(exc)(": ".join([" ".join(lacking), msg]) if lacking else msg) from exc
+    raise RuntimeError(f"bond {bond.id!r}: mark table and scalar path disagree on {day}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a result out of the float range is refused below

@@ -8,6 +8,13 @@ byte-identical outputs. One function renders every CSV (_csv), one reads every
 JSON file (_read_json) and one writes every file (_write), all of a call's
 files or none: a failing run never leaves a half-written output behind.
 
+A number's 10 digits are found once, for a block of them at a time
+(_digits), and serve both its text and, for a written history, the float
+that text reads back as (_read_back). _csv prints a row whose numbers are
+all in 1e-13 <= |x| < 1, a curve's rates, from those digits with array
+lookups (_kernel), in the very bytes %.10g prints; any other row goes
+through the %.10g template (_printf).
+
 A curve history's text is read one way: csv splits every text, and one
 walk reads its rows one by one, checks their rates as one (days, knots)
 block and names every error's line. What keeps a session fast is the memo,
@@ -85,22 +92,41 @@ def fmt_num(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _read_back(block: np.ndarray) -> np.ndarray:
-    """float(fmt_num(x)) for each x of a float block, bit for bit, unparsed:
-    x's ten digits are n = rint(m), m = |x| 10^k, k = 9 - floor(log10|x|), and
-    for 0 <= k <= 22 n / 10^k divides exact doubles, rounding as float() reads
-    the text (Clinger's fast path). m is within 1e-6 of the exact product, so
-    an x with m < 1e9, n >= 1e10 or m within 1e-5 of a half-integer, and 0,
-    inf and nan, go through float(fmt_num(x))."""
+_POW10 = np.array([float(10**j) for j in range(23)])  # exact doubles
+
+
+def _digits(block: np.ndarray):
+    """(n, k, ok) for a float block: where ok holds, fmt_num(x) prints the ten
+    digits of the integer n, the exact value of |x| 10^k rounded half to
+    even as float formatting rounds, with k = 9 - floor(log10|x|), and
+    float(fmt_num(x)) is n / 10^k, as 0 <= k <= 22 makes that a division of
+    exact doubles, rounding as float() reads the text (Clinger's fast path).
+    n is rint(m), m = |x| 10^k, which is within 1e-6 of the exact product,
+    except where m is within 1e-5 of a half-integer: there n is read from
+    |x| printed with k decimals, which float formatting rounds exactly.
+    ok fails where k is out of 0..22 (0, inf, nan, |x| below 1e-13 or from
+    1e10 on; k is 0 there), m < 1e9 or n >= 1e10 (x rounds up to a power of
+    ten)."""
     a = np.abs(block)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = 9 - np.floor(np.log10(a))
         ok = (k >= 0) & (k <= 22)
-        p = np.array([float(10**j) for j in range(23)])[np.where(ok, k, 0).astype(np.intp)]
-        m = a * p
+        k = np.where(ok, k, 0).astype(np.intp)
+        m = a * _POW10[k]
         n = np.rint(m)
-        ok &= (m >= 1e9) & (n < 1e10) & (np.abs(m - np.floor(m) - 0.5) > 1e-5)
-        back = np.copysign(n / p, block)
+        near = np.flatnonzero(ok & (np.abs(m - np.floor(m) - 0.5) <= 1e-5))
+        n.flat[near] = [int(f"{x:.{j}f}".replace(".", ""))
+                        for x, j in zip(a.flat[near].tolist(), k.flat[near].tolist())]
+        ok &= (m >= 1e9) & (n < 1e10)
+    return n, k, ok
+
+
+def _read_back(block: np.ndarray, digits=None) -> np.ndarray:
+    """float(fmt_num(x)) for each x of a float block, bit for bit, unparsed:
+    copysign(n / 10^k, x) from the block's _digits where ok holds, and
+    float(fmt_num(x)) where it does not."""
+    n, k, ok = _digits(block) if digits is None else digits
+    back = np.copysign(n / _POW10[k], block)
     back[~ok] = [float(fmt_num(x)) for x in block[~ok].tolist()]
     return back
 
@@ -110,11 +136,97 @@ def _tenor(t: float) -> str:
     return f"{t:g}" if float(f"{t:g}") == t else repr(float(t))
 
 
-def _csv(comment: str, header: str, rows) -> str:
-    """CSV text: the comment, the header, then one line per (label, numbers)
-    row with as many numbers as the header names after its first column."""
-    line = ",".join(["%.10g"] * header.count(","))  # fmt_num's format, one template per row
-    lines = [comment, header, *(label + "," + line % tuple(nums) for label, nums in rows)]
+def _kernel_tables():
+    """The cell kernel's tables. _kernel builds a cell as six little-endian
+    uint32 words, 24 bytes:
+
+        "-0.0"  "00" d0 "."  d1-d4  d5-d8  d9 "e-" e1  e2 sep 0 0
+
+    where d0-d9 are n's digits, e1 e2 those of k - 9 and sep is "," or a
+    newline. _DIGITS4[i] is i's four digits, the first at the lowest byte,
+    and _ZEROS4[i] i's trailing zeros (4 for 0); _W0 is word 0, _W1[d0]
+    word 1, and _W4[k - 10] and _W5[k - 10] are words 4 and 5 less 48 + d9
+    and 256 sep. The row sign * 130 + (k - 10) * 10 + digits kept - 1 of
+    _KEEP masks the bytes a cell keeps: the sign if x < 0; "0.", k - 10
+    zeros and d0 for k in 10..13, or d0 and, unless d0 is all that is
+    kept, "." for k in 14..22; the digits kept; "e-" e1 e2 for k in 14..22;
+    and sep."""
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # i's digits, built in 40 kB
+    for place in range(4):
+        digits[..., place] = np.arange(10, dtype=np.uint8).reshape((10,) + (1,) * (3 - place))
+    zeros4 = np.logical_and.accumulate(digits[..., ::-1] == 0, axis=-1).sum(-1, np.uint8).ravel()
+    words = np.frombuffer(b"-0.0" + b"".join(b"00%d." % d for d in range(10)) + b"".join(
+        b"\0e-%d%d\0\0\0" % divmod(k - 9, 10) for k in range(10, 23)), "<u4")
+    row, byte = np.arange(260)[:, None], np.arange(24)
+    fixed, zeros, kept = row % 130 < 40, row % 130 // 10, row % 10 + 1
+    keep = (((byte == 0) & (row >= 130)) | (byte == 6) | ((byte >= 8) & (byte < 7 + kept))
+            | (fixed & ((byte == 1) | (byte == 2) | ((byte >= 3) & (byte < 3 + zeros))))
+            | (~fixed & (((byte == 7) & (kept > 1)) | ((byte >= 17) & (byte <= 20))))
+            | (byte == 21))
+    return ((digits + np.uint8(48)).view("<u4").ravel(), zeros4, words[0], words[1:11],
+            words[11::2], words[12::2], np.where(keep, np.uint8(255), np.uint8(0)).view("<u4"))
+
+
+_DIGITS4, _ZEROS4, _W0, _W1, _W4, _W5, _KEEP = _kernel_tables()
+_CHUNK = 256  # rows rendered at a time, so the kernel's temporaries stay small
+
+
+def _kernel(x: np.ndarray, n: np.ndarray, k: np.ndarray) -> str:
+    """The rows of x, each cell ok in its _digits (n, k) with k >= 10, as
+    fmt_num prints them, cells joined by "," and each row ended by a
+    newline: each cell's words (see _kernel_tables) with the bytes it drops
+    zeroed, and the zero bytes deleted from the text."""
+    u = n.astype(np.int64)
+    q = u // 10
+    d9, q = u - 10 * q, q.astype(np.uint32)  # q: d0-d8
+    r, j = q // 10**4, k - 10  # r: d0-d4
+    d1_4, d5_8 = r % 10**4, q - 10**4 * r
+    words = np.empty((*n.shape, 6), "<u4")
+    words[..., 0] = _W0
+    words[..., 1], words[..., 2], words[..., 3] = _W1[r // 10**4], _DIGITS4[d1_4], _DIGITS4[d5_8]
+    words[..., 4], words[..., 5] = _W4[j] + 48 + d9, _W5[j] + 256 * ord(",")
+    words[:, -1, 5] -= 256 * (ord(",") - ord("\n"))  # the row's last sep
+    z = _ZEROS4[d5_8]
+    zeros = (d9 == 0) * (1 + z + (z == 4) * _ZEROS4[d1_4])  # n's trailing zeros
+    words &= np.take(_KEEP, np.signbit(x) * 130 + j * 10 + (9 - zeros), axis=0)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _printf(block: np.ndarray) -> list[str]:
+    """Each row of block as fmt_num's cells joined by ",": the %.10g template."""
+    line = ",".join(["%.10g"] * block.shape[1])  # fmt_num's format, one template per row
+    return [line % tuple(row) for row in block.tolist()]
+
+
+def _csv(comment: str, header: str, labels: Sequence[str], block, back=None) -> str:
+    """CSV text: the comment, the header, then one line per label: the label
+    and its row of block, with as many numbers as the header names after
+    its first column, each as fmt_num prints it. When back is given, it is
+    filled with float of each number's text (_read_back).
+
+    Rows are rendered _CHUNK at a time from their _digits. A row whose
+    every cell is ok with k >= 10 (1e-13 <= |x| < 1 once rounded) goes
+    through _kernel, and any other row (one holding a 0, nan, inf, a cell
+    below 1e-13 or of 1 or more, or one that rounds to a power of ten)
+    through _printf, the %.10g template. Their bytes are equal: with
+    X = 9 - k the exponent of x once rounded to ten digits, %.10g prints
+    the digits n it rounds to, without trailing zeros, as "0.", -X - 1
+    zeros and n's digits when -4 <= X < 0 (k in 10..13), and else as d0,
+    "." and the other digits (no "." when none is left), "e-" and the two
+    digits of -X; and _digits gives that n exactly."""
+    block = np.asarray(block, dtype=float).reshape(len(labels), header.count(","))
+    lines = [comment, header]
+    for i in range(0, len(block), _CHUNK):
+        chunk = block[i:i + _CHUNK]
+        n, k, ok = digits = _digits(chunk)
+        if back is not None:
+            back[i:i + _CHUNK] = _read_back(chunk, digits)
+        fast = (ok & (k >= 10)).all(axis=1)
+        rows = _kernel(chunk[fast], n[fast], k[fast]).split("\n")
+        if not fast.all():  # the rows in chunk order, each from its own renderer
+            kernel, printf = iter(rows), iter(_printf(chunk[~fast]))
+            rows = [next(kernel) if f else next(printf) for f in fast.tolist()]
+        lines += map("{},{}".format, labels[i:i + _CHUNK], rows)
     return "\n".join(lines) + "\n"
 
 
@@ -274,20 +386,22 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     """Write a history in the same format parse_curve_csv reads, and hold it
     as that parse: a rate whose 10-digit text reads back out of the range
     (-100%, MAX_RATE] (-1 + 2^-52 is written as -1) is refused by date and
-    column, writing nothing."""
+    column, writing nothing. _csv renders the text and the held rates from
+    one _digits call per chunk of rows; every rate of 1e-13 <= |x| < 1 goes
+    through its array kernel, which covers every generated history."""
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     history = _history(curves)
     labels = list(map(_tenor, history.tenors))
-    back = _read_back(history.rates)
+    _memo.clear()  # the old entry is freed before the new one is built
+    back = np.empty_like(history.rates)
+    text = _csv(RATE_COMMENT, "date," + ",".join(f"tenor_{t}" for t in labels),
+                list(map(dt.date.isoformat, history.dates)), history.rates, back)
     for cell in np.flatnonzero(_bad_rows(back.reshape(-1, 1)))[:1]:  # cells as one-knot rows
         (i, j), x = divmod(cell, back.shape[1]), float(history.rates.flat[cell])
         raise ValidationError(f"cannot write the rate on {history.dates[i]} at tenor_{labels[j]}: "
                               f"{x!r} is written as {fmt_num(x)}, not a finite rate above -100% "
                               f"and at most {MAX_RATE:.0%}")
-    _memo.clear()  # the old entry is freed before the new one is built
-    text = _csv(RATE_COMMENT, "date," + ",".join(f"tenor_{t}" for t in labels),
-                zip(map(dt.date.isoformat, history.dates), history.rates.tolist()))
     _write([(path, text)])
     if {*map(type, history.dates)} == {dt.date}:  # the dates the reader gives back
         _memo.extend((text, CurveHistory(history.dates, list(map(float, labels)), back)))
@@ -391,7 +505,7 @@ def correlations_csv(correlations: np.ndarray, tenors: Sequence[float]) -> str:
     """The tenor correlation matrix as CSV text, labelled by tenor."""
     labels = list(map(_tenor, tenors))
     header = "tenor," + ",".join(f"tenor_{t}" for t in labels)
-    return _csv(RATE_COMMENT, header, zip(labels, correlations.tolist()))
+    return _csv(RATE_COMMENT, header, labels, correlations)
 
 
 def emit_report(
@@ -411,13 +525,13 @@ def emit_report(
     for name in order:
         if name in report.series:
             s = report.series[name]
-            rows = zip(map(dt.date.isoformat, s.dates), zip(s.pnl(net), s.cumulative(net)))
-            files.append((out / f"pnl_{name}.csv",
-                          _csv(PNL_COMMENT, "date,daily_pnl,cumulative_pnl", rows)))
-    stats = [(name, dataclasses.astuple(report.summary[name])) for name in order
-             if name in report.summary]
-    files.append((out / "summary.csv",
-                  _csv(PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day", stats)))
+            files.append((out / f"pnl_{name}.csv", _csv(
+                PNL_COMMENT, "date,daily_pnl,cumulative_pnl", list(map(dt.date.isoformat, s.dates)),
+                np.column_stack([s.pnl(net), s.cumulative(net)]))))
+    names = [name for name in order if name in report.summary]
+    files.append((out / "summary.csv", _csv(
+        PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day", names,
+        [dataclasses.astuple(report.summary[name]) for name in names])))
     if correlations is not None:
         if tenors is None:
             raise ValueError("correlations need the tenor grid for labelling")

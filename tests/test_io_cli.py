@@ -519,13 +519,20 @@ def test_write_curve_holds_no_history_the_reader_would_not_give_back(tmp_path):
     assert type(parse_curve_csv(path).dates[0]) is dt.date
 
 
-def _tie_neighbours():
-    """Doubles next to a 10-digit tie n.5 * 10^e, the tie itself when it is exact."""
-    tie = st.builds(lambda n, e: (n + 0.5) * 10.0 ** e, st.integers(10**9, 10**10 - 1),
-                    st.integers(-30, 14))
+def _tie_neighbours(lo=-21, hi=23):
+    """Doubles next to a 10-digit tie n.5 * 10^(x - 9) with x from lo to hi,
+    the tie itself when it is exact."""
+    tie = st.builds(lambda n, x: (n + 0.5) * 10.0 ** (x - 9), st.integers(10**9, 10**10 - 1),
+                    st.integers(lo, hi))
     return st.builds(lambda x, step: float(np.nextafter(x, step * math.inf)) if step else x,
                      tie, st.sampled_from((-1, 0, 1)))
 
+
+# the edges of the writer's cell kernel, 1e-13 <= |x| < 1 once rounded, and of
+# its fixed-point part, 1e-4 <= |x| < 1, with the doubles next to them and
+# their negatives
+KERNEL_EDGES = [s * x for s in (1, -1) for b in (1e-13, 1e-4, 1.0) for x in (
+    float(np.nextafter(b, 0)), b, float(np.nextafter(b, 2)), b * 0.99999999995)]
 
 READ_BACK_EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -533,6 +540,7 @@ READ_BACK_EDGES = [
     1e10, 9999999999.5, 9999999999.499998, 1e22, 1e23, -2.5e15,
     1e-13, 9.99999999949e-14, 9.9999999995e-14, 1.23456789e-300,
     -1 + 2**-52, -1 + 2**-40, 0.03, 0.1, 1 / 3, 123456789.25, 0.00012345678905,
+    *KERNEL_EDGES,
 ]
 
 
@@ -583,8 +591,8 @@ def test_written_history_is_held_as_its_text_parses(tmp_path, history):
     except ValidationError as exc:
         assert "not a finite rate above -100%" in str(exc) and not path.exists()
         header = "date," + ",".join(f"tenor_{curvehedge.io._tenor(t)}" for t in history.tenors)
-        text = _csv(RATE_COMMENT, header, zip(map(dt.date.isoformat, history.dates),
-                                              history.rates.tolist()))
+        text = _csv(RATE_COMMENT, header, list(map(dt.date.isoformat, history.dates)),
+                    history.rates)
         with pytest.raises(ValidationError, match="spot rates must be"):
             curvehedge.io._parse_curve_text(path, text)
         return
@@ -594,6 +602,28 @@ def test_written_history_is_held_as_its_text_parses(tmp_path, history):
     assert (held.dates, held.tenors) == (parsed.dates, parsed.tenors)
     assert held.rates.tobytes() == parsed.rates.tobytes()
     assert parsed.tenors == history.tenors
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_a_generated_history_is_written_by_the_kernel_alone(tmp_path, monkeypatch, seed):
+    """Every rate of a generated 2500-day history is in 1e-13 <= |x| < 1, so
+    write_curve_csv sends no row to the %.10g template, and the text is
+    still the cell-by-cell rendering: seeds 1 and 7 hold rates below 1e-4,
+    which %g writes with an exponent, and seed 11 rates within 1e-5 of a
+    10-digit tie. A row with a rate of 1 or more goes through the template."""
+    history, _ = generate_history(SynthConfig(days=2500, seed=seed))
+    calls, printf = [], curvehedge.io._printf  # rows per call of the template path
+    monkeypatch.setattr(curvehedge.io, "_printf",
+                        lambda block: calls.append(len(block)) or printf(block))
+    path = tmp_path / "h.csv"
+    write_curve_csv(history, path)
+    assert sum(calls) == 0
+    assert path.read_text().splitlines()[2:] == [
+        f"{d},{','.join(map(fmt_num, row))}" for d, row in zip(history.dates, history.rates.tolist())]
+    rates = history.rates[:3].copy()
+    rates[1, 0] = 1.5
+    write_curve_csv(CurveHistory(history.dates[:3], history.tenors, rates), path)
+    assert sum(calls) == 1
 
 
 def test_write_curve_rejects_mixed_grids(tmp_path):
@@ -985,21 +1015,36 @@ def test_emit_report_equals_the_cell_by_cell_emitter(tmp_path, universe, net, st
         assert p.read_bytes() == q.read_bytes(), p.name
 
 
+# cells the writer's kernel renders, 1e-13 <= |x| < 1, ties and their neighbours included
+_kernel_cells = st.one_of(
+    st.floats(1e-4, 1, exclude_max=True),
+    st.floats(-1, -1e-4, exclude_min=True),
+    st.floats(-13, 0, exclude_max=True).map(lambda e: 10.0 ** e),
+    _tie_neighbours(-13, -1),
+    _tie_neighbours(-13, -1).map(lambda x: -x),
+    st.sampled_from(KERNEL_EDGES),
+)
 _cells = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 0.1]),
     st.floats(allow_nan=True).map(np.float64),
+    _kernel_cells,
 )
 
 
 @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
-    st.tuples(st.text("abc-0123", max_size=6), st.lists(_cells, min_size=width, max_size=width)),
+    st.tuples(st.text("abc-0123", max_size=6),
+              st.lists(_kernel_cells, min_size=width, max_size=width)
+              | st.lists(_cells, min_size=width, max_size=width)),
     max_size=5).map(lambda rows: (width, rows))))
 @settings(max_examples=500, deadline=None)
 def test_csv_rows_equal_the_cell_by_cell_rendering(rows):
+    """Rows all of kernel cells, and rows mixing them with any other float,
+    print as fmt_num prints each cell."""
     width, rows = rows
-    text = _csv("# c", "label" + ",x" * width, rows)
+    text = _csv("# c", "label" + ",x" * width, [label for label, _ in rows],
+                [nums for _, nums in rows])
     assert text.endswith("\n")
     assert text.split("\n")[:-1] == ["# c", "label" + ",x" * width] + [
         label + "," + ",".join(fmt_num(v) for v in nums) for label, nums in rows]
