@@ -53,7 +53,7 @@ import numpy as np
 from .bonds import Bond, _roll_table, price
 from .curve import YieldCurve, _history, spot
 from .errors import ValidationError
-from .hedging import STRATEGIES, Strategy, _ratios, snapshot
+from .hedging import STRATEGIES, Strategy, _check_legs, _ratios, snapshot
 
 UNHEDGED = "unhedged"
 
@@ -83,18 +83,14 @@ class BacktestConfig:
         for strat in self.strategies:
             if self.strategies.count(strat) > 1:
                 raise ValueError(f"{strat.value} is listed more than once in strategies")
-            spec = STRATEGIES.get(strat)
-            if spec is None:
+            if strat not in STRATEGIES:
                 raise ValueError(f"cannot backtest strategy {strat.value}: no closed form")
             ids = self.instruments.get(strat)
             if ids is None:
                 raise ValueError(f"no hedging instruments configured for {strat.value}")
             if isinstance(ids, str):
                 raise ValueError(f"instruments for {strat.value} must be a list of ids, not {ids!r}")
-            if len(ids) != spec.legs:
-                raise ValueError(f"{strat.value} needs {spec.legs} instruments, got {len(ids)}")
-            if self.target_id in ids:
-                raise ValueError(f"target {self.target_id!r} cannot hedge itself")
+            _check_legs(strat, self.target_id, ids)
 
 
 @dataclass

@@ -11,12 +11,10 @@ Subcommands:
 
 Each option is declared once (shared ones as argparse parent groups, defaults
 from SynthConfig and BacktestConfig), and one parser is built per process.
-A curve file is read as one CurveHistory: analyze, hedge and scenario take
-one day's curve from it, and backtest correlates the rows its report covers.
-io parses every curve text one way (csv and one row walk); what keeps a
-session fast is that io holds the last history written or parsed, keyed by
-its file's text, so the commands of one process parse an unchanged history
-file once at most, and not at all after synth wrote it.
+Every input is read by io, which alone knows the file formats, the backtest
+config's among them. A curve file is read as one CurveHistory: analyze,
+hedge and scenario take one day's curve from it, and backtest correlates
+the rows its report covers.
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
@@ -28,7 +26,6 @@ file outputs that are directories are reported before any work.
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import functools
 import json
 import math
@@ -47,13 +44,13 @@ from .curve import ShockSpec, YieldCurve
 from .errors import ValidationError
 from .hedging import Strategy, build_plan, snapshot
 from .io import (
-    _read_json,
-    _typed,
+    _iso_date,
     _write,
     correlations_csv,
     emit_report,
     fmt_num,
     parse_bonds_json,
+    parse_config_json,
     parse_curve_csv,
     parse_plan_json,
     plan_to_dict,
@@ -87,20 +84,6 @@ def _check_inputs(args: argparse.Namespace) -> None:
             problems.append(f"cannot write {found}: Not a directory")
     if problems:
         raise ValidationError("; ".join(problems))
-
-
-def _iso_date(text: str, name: str) -> dt.date:
-    """A date from an ISO-8601 string; the error names `name` and the value."""
-    try:
-        return dt.date.fromisoformat(_typed(text, name, "a string"))
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be an ISO date (YYYY-MM-DD), got {text!r}: {exc}") from None
-
-
-def _strings(value, name: str) -> tuple[str, ...]:
-    """A JSON array of strings as a tuple; the error names the array or the item."""
-    items = _typed(value, name, "an array")
-    return tuple(_typed(s, f"{name}[{k}]", "a string") for k, s in enumerate(items))
 
 
 def _pick_curve(path, date: str | None) -> YieldCurve:
@@ -150,41 +133,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _round10(x: float) -> float:
     return float(fmt_num(x))
-
-
-# a backtest config's optional keys as paths into its object, with their readers; each
-# sets the BacktestConfig field its path joins with "_", and an absent key keeps its default
-_CONFIG_KEYS = {
-    ("strategies",): lambda value, name: tuple(map(Strategy, _strings(value, name))),
-    ("target", "amount"): lambda value, name: float(_typed(value, name, "a number")),
-    ("rebalance_days",): functools.partial(_typed, what="an integer"),
-    ("start",): _iso_date,
-    ("end",): _iso_date,
-    ("net_carry",): functools.partial(_typed, what="true or false"),
-    ("allow_extrapolation",): functools.partial(_typed, what="true or false"),
-}
-
-
-def _backtest_config(path) -> BacktestConfig:
-    """The backtest config in the JSON file at path; an unknown key is refused."""
-    raw = _read_json(path)
-    try:
-        _typed(raw, "the config", "an object")
-        instruments = {Strategy(k): _strings(v, f"instruments.{k}")
-                       for k, v in _typed(raw["instruments"], "instruments", "an object").items()}
-        target = _typed(raw["target"], "target", "an object")
-        given = {(k,): v for k, v in raw.items() if k != "target"}
-        given.update((("target", k), v) for k, v in target.items())
-        unknown = [".".join(key) for key in given
-                   if key not in _CONFIG_KEYS and key not in (("instruments",), ("target", "id"))]
-        if unknown:
-            raise ValueError(f"unknown field(s) {unknown}")
-        return BacktestConfig(
-            target_id=_typed(target["id"], "target.id", "a string"), instruments=instruments,
-            **{"_".join(key): read(given[key], ".".join(key))
-               for key, read in _CONFIG_KEYS.items() if key in given})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +210,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         raise ValidationError("backtest requires --out <dir>")
     history = parse_curve_csv(args.history)
     universe = parse_bonds_json(args.bonds)
-    config = _backtest_config(args.config)
+    config = parse_config_json(args.config)
     report = run_backtest(history, universe, config)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -332,6 +332,16 @@ def cubic_hedge(
     )
 
 
+def _check_legs(strategy: Strategy, target_id: str, ids: Sequence[str]) -> None:
+    """The leg rule of a closed-form strategy's hedge, for build_plan and a
+    backtest config alike: one leg per constraint, none of them the target."""
+    spec = STRATEGIES[strategy]
+    if len(ids) != spec.legs:
+        raise ValueError(f"{strategy.value} needs {spec.legs} instruments, got {len(ids)}")
+    if target_id in ids:
+        raise ValueError(f"target {target_id!r} cannot hedge itself")
+
+
 def build_plan(
     strategy: Strategy,
     target: InstrumentSnapshot,
@@ -346,8 +356,7 @@ def build_plan(
     spec = STRATEGIES.get(strategy)
     if spec is None:
         raise ValueError(f"{strategy.value} has no closed form; use solve_constraint_hedge")
-    if len(legs) != spec.legs:
-        raise ValueError(f"{strategy.value} needs {spec.legs} instruments, got {len(legs)}")
+    _check_legs(strategy, target.id, [leg.id for leg in legs])
     builder = globals()[f"{strategy.value}_hedge"]
     if spec.interior:
         return builder(target, *legs, allow_extrapolation=allow_extrapolation)

@@ -1,4 +1,5 @@
-"""File formats: curve history CSV, bond universe JSON, plan JSON, reports.
+"""File formats, which io alone knows: curve history CSV, bond universe
+JSON, plan JSON, backtest config JSON and reports.
 
 All rates in files are decimal fractions per year (0.0312, never 3.12), in
 curve's range (-100%, MAX_RATE = 1000%] or the file is refused by line;
@@ -6,30 +7,13 @@ every emitted file repeats the unit in a leading # comment. Numbers are
 written with 10 significant digits, so identical inputs always produce
 byte-identical outputs. One function renders every CSV (_csv), one reads every
 JSON file (_read_json) and one writes every file (_write), all of a call's
-files or none: a failing run never leaves a half-written output behind.
-
-A number's 10 digits are found once, for a block of them at a time
-(_digits), and serve both its text and, for a written history, the float
-that text reads back as (_read_back). _csv prints a row whose numbers are
-all in 1e-13 <= |x| < 1, a curve's rates, from those digits with array
-lookups (_kernel), in the very bytes %.10g prints; any other row goes
-through the %.10g template (_printf).
-
-A curve history's text is read one way: csv splits every text, and one
-walk reads its rows one by one, checks their rates as one (days, knots)
-block and names every error's line. What keeps a session fast is the memo,
-not the reader: every read opens the file, but the last history written or
-successfully read is held, keyed by the whole text, so it is parsed at most
-once, and not at all after write_curve_csv wrote it. A failure is not held.
+files or none: a failing run never leaves a half-written output behind. A
+curve history is read one way (_parse_curve_text) and held (parse_curve_csv).
 An input that cannot be opened or read is a ValidationError naming its path.
-A header keeps only the file's own rules, the tenor_<years> column names
-and the numbers after them; its grid goes through curve's one grid check
-(_check_grid), in curve's words.
-Numbers in JSON inputs must be finite JSON numbers; a bool or a string is
-refused, not converted.
-A bond entry holds Bond's fields, those without a default required, and no
-other; it is read through one table of each field's JSON kind
-(_BOND_FIELDS), and a null optional field stays absent.
+
+Every JSON object read goes through one key rule (_fields) and its format's
+table (_BOND, _PLAN, _CONFIG). A bond file names every entry's errors; a
+plan or a config stops at its first.
 """
 
 from __future__ import annotations
@@ -37,6 +21,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import json
 import math
 import os
@@ -46,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backtest import BacktestReport, UNHEDGED
+from .backtest import BacktestConfig, BacktestReport, UNHEDGED
 from .bonds import Bond
 from .curve import MAX_RATE, CurveHistory, YieldCurve, _bad_rows, _check_grid, _history
 from .errors import ValidationError
@@ -54,13 +39,6 @@ from .hedging import HedgeLeg, HedgePlan, Strategy
 
 RATE_COMMENT = "# rates are decimal fractions per year (0.0312 means 3.12%)"
 PNL_COMMENT = "# profit and loss in currency units; cumulative is the running sum"
-
-# each Bond field's JSON kind, in Bond's field order; those without a default are required
-_BOND_FIELDS = {"id": "a string", "face": "a number", "coupon_rate": "a number",
-                "coupon_frequency": "an integer", "maturity": "a number",
-                "issue_or_first_coupon_offset": "a number"}
-_BOND_REQUIRED = tuple(f.name for f in dataclasses.fields(Bond) if f.default is dataclasses.MISSING)
-
 
 # the Python types json.loads gives for each kind of JSON value
 _JSON_KINDS = {"true or false": (bool,), "an integer": (int,), "a number": (int, float),
@@ -85,6 +63,91 @@ def _number(value, name: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {json.dumps(value)}")
     return x
+
+
+def _iso_date(text, name: str) -> dt.date:
+    """A date from an ISO-8601 string; the error names `name` and the value."""
+    try:
+        return dt.date.fromisoformat(_typed(text, name, "a string"))
+    except ValueError as exc:
+        raise ValidationError(f"{name} must be an ISO date (YYYY-MM-DD), got {text!r}: {exc}") from None
+
+
+class _Table:
+    """A JSON object's keys, for _fields: each key's kind (see _reader), "?"
+    ending an optional key's name, and make, which builds the object from
+    its keys' values. The keys are split once, as the table is made."""
+
+    def __init__(self, make, kinds: Mapping):
+        self.make, self.required = make, dict.fromkeys(k for k in kinds if not k.endswith("?"))
+        self.readers = {k.removesuffix("?"): _reader(kind) for k, kind in kinds.items()}
+
+    def __call__(self, value, name: str):
+        return _fields(value, name, self)
+
+
+def _reader(kind):
+    """The reader (value, path) of a kind: _typed's words for a JSON kind
+    ("a number" read by _number), [kind] for an array of kind read as a
+    tuple, item k at path <path>[k], or a reader (a table among them)."""
+    if isinstance(kind, list):
+        read = _reader(kind[0])
+        return lambda value, name: tuple(read(x, f"{name}[{k}]")
+                                         for k, x in enumerate(_typed(value, name, "an array")))
+    if not isinstance(kind, str):
+        return kind
+    return _number if kind == "a number" else functools.partial(_typed, what=kind)
+
+
+def _fields(value, name: str, table: _Table):
+    """table.make of the JSON object value at path name ("" at a document's
+    root): the one key rule. The required keys missing and the keys not in
+    the table are refused by their path from the root; an optional key given
+    as null is absent; every other value goes through its kind's reader."""
+    _typed(value, name, "an object")
+    at, readers, required = f"{name}." if name else "", table.readers, table.required
+    if not readers.keys() >= value.keys() >= required.keys():
+        missing = [at + k for k in required if k not in value]
+        unknown = [at + k for k in value if k not in readers]
+        raise ValueError("; ".join(f"{what} field(s) {keys}" for what, keys in (
+            ("missing", missing), ("unknown", unknown)) if keys))
+    return table.make(**{k: readers[k](v, at + k) for k, v in value.items()
+                         if v is not None or k in required})
+
+
+def _strategy(value, name: str) -> Strategy:
+    return Strategy(_typed(value, name, "a string"))
+
+
+def _instruments(value, name: str) -> dict[Strategy, tuple[str, ...]]:
+    """A config's instruments: each strategy's leg ids."""
+    return {Strategy(k): _IDS(ids, f"{name}.{k}")
+            for k, ids in _typed(value, name, "an object").items()}
+
+
+def _with_target(cls):
+    """The make of an object whose "target" object holds cls's target_<key> fields."""
+    return lambda target, **fields: cls(**{f"target_{k}": v for k, v in target.items()}, **fields)
+
+
+_IDS = _reader(["a string"])
+# a bond entry: Bond's fields, those with a default optional
+_BOND = _Table(Bond, {"id": "a string", "face": "a number", "coupon_rate": "a number",
+                      "coupon_frequency": "an integer", "maturity": "a number",
+                      "issue_or_first_coupon_offset?": "a number"})
+# a hedge plan, as plan_to_dict writes it
+_PLAN = _Table(_with_target(HedgePlan), {
+    "strategy": _strategy, "target": _Table(dict, {"id": "a string", "amount": "a number"}),
+    "legs": [_Table(HedgeLeg, {"id": "a string", "amount": "a number"})],
+    "constraints": [_Table(lambda name, value: (name, value),
+                           {"name": "a string", "value": "a number"})]})
+# a backtest config: BacktestConfig's fields, target_<key> as target.<key>, those
+# with a default optional
+_CONFIG_TARGET = _Table(dict, {"id": "a string", "amount?": "a number"})
+_CONFIG = _Table(_with_target(BacktestConfig), {
+    "target": _CONFIG_TARGET, "instruments": _instruments, "strategies?": [_strategy],
+    "rebalance_days?": "an integer", "start?": _iso_date, "end?": _iso_date,
+    "net_carry?": "true or false", "allow_extrapolation?": "true or false"})
 
 
 def fmt_num(x: float) -> str:
@@ -136,18 +199,19 @@ def _tenor(t: float) -> str:
     return f"{t:g}" if float(f"{t:g}") == t else repr(float(t))
 
 
+@functools.cache
 def _kernel_tables():
-    """The cell kernel's tables. _kernel builds a cell as six little-endian
-    uint32 words, 24 bytes:
+    """The cell kernel's tables, built on _kernel's first call, not at
+    import. _kernel builds a cell as six little-endian uint32 words, 24 bytes:
 
         "-0.0"  "00" d0 "."  d1-d4  d5-d8  d9 "e-" e1  e2 sep 0 0
 
     where d0-d9 are n's digits, e1 e2 those of k - 9 and sep is "," or a
-    newline. _DIGITS4[i] is i's four digits, the first at the lowest byte,
-    and _ZEROS4[i] i's trailing zeros (4 for 0); _W0 is word 0, _W1[d0]
-    word 1, and _W4[k - 10] and _W5[k - 10] are words 4 and 5 less 48 + d9
+    newline. digits4[i] is i's four digits, the first at the lowest byte,
+    and zeros4[i] i's trailing zeros (4 for 0); w0 is word 0, w1[d0]
+    word 1, and w4[k - 10] and w5[k - 10] are words 4 and 5 less 48 + d9
     and 256 sep. The row sign * 130 + (k - 10) * 10 + digits kept - 1 of
-    _KEEP masks the bytes a cell keeps: the sign if x < 0; "0.", k - 10
+    keep masks the bytes a cell keeps: the sign if x < 0; "0.", k - 10
     zeros and d0 for k in 10..13, or d0 and, unless d0 is all that is
     kept, "." for k in 14..22; the digits kept; "e-" e1 e2 for k in 14..22;
     and sep."""
@@ -167,7 +231,6 @@ def _kernel_tables():
             words[11::2], words[12::2], np.where(keep, np.uint8(255), np.uint8(0)).view("<u4"))
 
 
-_DIGITS4, _ZEROS4, _W0, _W1, _W4, _W5, _KEEP = _kernel_tables()
 _CHUNK = 256  # rows rendered at a time, so the kernel's temporaries stay small
 
 
@@ -176,19 +239,20 @@ def _kernel(x: np.ndarray, n: np.ndarray, k: np.ndarray) -> str:
     fmt_num prints them, cells joined by "," and each row ended by a
     newline: each cell's words (see _kernel_tables) with the bytes it drops
     zeroed, and the zero bytes deleted from the text."""
+    digits4, zeros4, w0, w1, w4, w5, keep = _kernel_tables()
     u = n.astype(np.int64)
     q = u // 10
     d9, q = u - 10 * q, q.astype(np.uint32)  # q: d0-d8
     r, j = q // 10**4, k - 10  # r: d0-d4
     d1_4, d5_8 = r % 10**4, q - 10**4 * r
     words = np.empty((*n.shape, 6), "<u4")
-    words[..., 0] = _W0
-    words[..., 1], words[..., 2], words[..., 3] = _W1[r // 10**4], _DIGITS4[d1_4], _DIGITS4[d5_8]
-    words[..., 4], words[..., 5] = _W4[j] + 48 + d9, _W5[j] + 256 * ord(",")
+    words[..., 0] = w0
+    words[..., 1], words[..., 2], words[..., 3] = w1[r // 10**4], digits4[d1_4], digits4[d5_8]
+    words[..., 4], words[..., 5] = w4[j] + 48 + d9, w5[j] + 256 * ord(",")
     words[:, -1, 5] -= 256 * (ord(",") - ord("\n"))  # the row's last sep
-    z = _ZEROS4[d5_8]
-    zeros = (d9 == 0) * (1 + z + (z == 4) * _ZEROS4[d1_4])  # n's trailing zeros
-    words &= np.take(_KEEP, np.signbit(x) * 130 + j * 10 + (9 - zeros), axis=0)
+    z = zeros4[d5_8]
+    zeros = (d9 == 0) * (1 + z + (z == 4) * zeros4[d1_4])  # n's trailing zeros
+    words &= np.take(keep, np.signbit(x) * 130 + j * 10 + (9 - zeros), axis=0)
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -386,9 +450,7 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
     """Write a history in the same format parse_curve_csv reads, and hold it
     as that parse: a rate whose 10-digit text reads back out of the range
     (-100%, MAX_RATE] (-1 + 2^-52 is written as -1) is refused by date and
-    column, writing nothing. _csv renders the text and the held rates from
-    one _digits call per chunk of rows; every rate of 1e-13 <= |x| < 1 goes
-    through its array kernel, which covers every generated history."""
+    column, writing nothing. _csv renders the text and the held rates."""
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     history = _history(curves)
@@ -424,23 +486,12 @@ def parse_bonds_json(path) -> dict[str, Bond]:
         if not isinstance(entry, dict):
             errors.append(f"{label}: not an object")
             continue
-        if isinstance(entry.get("id"), str):
-            label = f"bond {entry['id']!r}"
-        missing = [f for f in _BOND_REQUIRED if f not in entry]
-        unknown = [f for f in entry if f not in _BOND_FIELDS]
-        if missing:
-            errors.append(f"{label}: missing field(s) {missing}")
-        if unknown:
-            errors.append(f"{label}: unknown field(s) {unknown}")
-        if missing or unknown:
-            continue
-        try:  # a null optional field stays absent
-            bond = Bond(**{name: _number(entry[name], name) if what == "a number"
-                           else _typed(entry[name], name, what)
-                           for name, what in _BOND_FIELDS.items()
-                           if entry.get(name) is not None or name in _BOND_REQUIRED})
-        except (TypeError, ValueError) as exc:
-            errors.append(f"{label}: {exc}")
+        label = f"bond {entry['id']!r}" if isinstance(entry.get("id"), str) else label
+        try:
+            bond = _fields(entry, "", _BOND)
+        except (TypeError, ValueError) as exc:  # Bond's own refusals name the bond
+            message = str(exc)
+            errors.append(message if message.startswith(f"{label}: ") else f"{label}: {message}")
             continue
         if bond.id in universe:
             errors.append(f"{label}: duplicate id")
@@ -459,7 +510,7 @@ def write_bonds_json(bonds: Sequence[Bond], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# hedge plan JSON
+# hedge plan and backtest config JSON
 # ---------------------------------------------------------------------------
 
 def plan_to_dict(plan: HedgePlan) -> dict:
@@ -471,30 +522,25 @@ def plan_to_dict(plan: HedgePlan) -> dict:
     }
 
 
-def plan_from_dict(data: Mapping) -> HedgePlan:
-    """The plan in a dict as plan_to_dict writes it; amounts and values must be finite numbers."""
+def plan_from_dict(data: dict) -> HedgePlan:
+    """The plan in a dict as plan_to_dict writes it (see _PLAN)."""
     try:
-        return HedgePlan(
-            strategy=Strategy(data["strategy"]),
-            target_id=_typed(data["target"]["id"], "target.id", "a string"),
-            target_amount=_number(data["target"]["amount"], "target.amount"),
-            legs=tuple(
-                HedgeLeg(_typed(l["id"], f"legs[{k}].id", "a string"),
-                         _number(l["amount"], f"legs[{k}].amount"))
-                for k, l in enumerate(data["legs"])
-            ),
-            constraints=tuple(
-                (_typed(c["name"], f"constraints[{k}].name", "a string"),
-                 _number(c["value"], f"constraints[{k}].value"))
-                for k, c in enumerate(data["constraints"])
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return _fields(_typed(data, "the plan", "an object"), "", _PLAN)
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed hedge plan: {exc}") from exc
 
 
 def parse_plan_json(path) -> HedgePlan:
     return plan_from_dict(_read_json(path))
+
+
+def parse_config_json(path) -> BacktestConfig:
+    """The backtest config in the JSON file at path (see _CONFIG)."""
+    raw = _read_json(path)
+    try:
+        return _fields(_typed(raw, "the config", "an object"), "", _CONFIG)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

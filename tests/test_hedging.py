@@ -442,6 +442,15 @@ def test_build_plan_rejects_custom_and_wrong_leg_count(snaps):
         build_plan(Strategy.QUADRATIC, snaps["B2"], [snaps["B3"]])
 
 
+def test_build_plan_refuses_its_target_as_a_leg(snaps):
+    """build_plan states a backtest config's leg rule; the public builder it
+    dispatches to still takes any instrument it is given."""
+    with pytest.raises(ValueError) as err:
+        build_plan(Strategy.DURATION, snaps["B2"], [snaps["B2"]])
+    assert str(err.value) == "target 'B2' cannot hedge itself"
+    assert duration_hedge(snaps["B2"], snaps["B2"]).legs[0].amount == pytest.approx(-100.0)
+
+
 # ---------------------------------------------------------------------------
 # the closed forms over many dates at once
 # ---------------------------------------------------------------------------

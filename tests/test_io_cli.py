@@ -9,6 +9,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from curvehedge import (
     tenor_correlations,
 )
 import curvehedge.io
-from curvehedge.cli import _backtest_config, build_parser, main
+from curvehedge.cli import build_parser, main
 from curvehedge.io import (
     PNL_COMMENT,
     RATE_COMMENT,
@@ -41,6 +43,7 @@ from curvehedge.io import (
     emit_report,
     fmt_num,
     parse_bonds_json,
+    parse_config_json,
     parse_curve_csv,
     parse_plan_json,
     plan_from_dict,
@@ -626,6 +629,29 @@ def test_a_generated_history_is_written_by_the_kernel_alone(tmp_path, monkeypatc
     assert sum(calls) == 1
 
 
+def test_import_and_backtest_build_no_kernel_table(tmp_path):
+    """io builds its kernel's tables on the first history it renders, not at
+    import: a fresh process that imports curvehedge and runs a backtest holds
+    none, and writing a history builds them once."""
+    code = """if True:
+        import sys
+        import curvehedge as ch
+        from curvehedge.io import _kernel_tables
+        history, _ = ch.generate_history(ch.SynthConfig(days=20))
+        config = ch.BacktestConfig(target_id="B2", instruments={ch.Strategy.DURATION: ("B3",)},
+                                   strategies=(ch.Strategy.DURATION,))
+        ch.run_backtest(history, {b.id: b for b in ch.default_bond_universe()}, config)
+        print(_kernel_tables.cache_info().currsize)
+        ch.write_curve_csv(history, sys.argv[1])
+        print(_kernel_tables.cache_info().currsize)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(curvehedge.io.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "h.csv")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def test_write_curve_rejects_mixed_grids(tmp_path):
     a = YieldCurve(dt.date(2024, 1, 2), (1.0, 5.0), (0.03, 0.035))
     b = YieldCurve(dt.date(2024, 1, 3), (1.0, 7.0), (0.03, 0.035))
@@ -747,6 +773,19 @@ def test_bonds_error_names_bond(tmp_path):
         parse_bonds_json(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("face", -1, "face must be positive, got -1.0"),
+    ("coupon_frequency", 3, "coupon_frequency must be one of (1, 2, 4, 12), got 3"),
+], ids=["face", "frequency"])
+def test_a_bond_refusal_names_the_bond_once(tmp_path, field, value, message):
+    """Bond's own refusal names the bond, and the reader adds no second label."""
+    entry = {"id": "X", "face": 100, "coupon_rate": 0.03, "coupon_frequency": 1, "maturity": 5}
+    path = write(tmp_path, "b.json", json.dumps([{**entry, field: value}]))
+    with pytest.raises(ValidationError) as err:
+        parse_bonds_json(path)
+    assert str(err.value) == f"{path}: bond 'X': {message}"
+
+
 def test_bonds_entry_that_is_not_an_object_is_named_by_position(tmp_path):
     good = {"id": "OK", "face": 100.0, "coupon_rate": 0.03, "coupon_frequency": 1,
             "maturity": 5.0}
@@ -790,9 +829,12 @@ def test_bonds_ids_must_be_strings(tmp_path, value):
 
 
 def test_bonds_field_table_follows_bond(tmp_path):
-    """The one table of JSON kinds names Bond's fields in order, and a null
-    optional field stays absent."""
-    assert tuple(curvehedge.io._BOND_FIELDS) == tuple(f.name for f in dataclasses.fields(Bond))
+    """The bond table names Bond's fields in order, those without a default
+    required, and a null optional field stays absent."""
+    table = curvehedge.io._BOND
+    assert tuple(table.readers) == tuple(f.name for f in dataclasses.fields(Bond))
+    assert tuple(table.required) == tuple(f.name for f in dataclasses.fields(Bond)
+                                   if f.default is dataclasses.MISSING)
     entry = {"id": "B1", "face": 100, "coupon_rate": 0.03, "coupon_frequency": 1,
              "maturity": 5, "issue_or_first_coupon_offset": None}
     path = write(tmp_path, "b.json", json.dumps([entry]))
@@ -907,6 +949,30 @@ def test_plan_ids_must_be_strings(universe, curve):
         with pytest.raises(ValidationError) as err:
             plan_from_dict(data)
         assert str(err.value) == f"malformed hedge plan: {message}"
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda d: d.pop("legs"), "missing field(s) ['legs']"),
+    (lambda d: d["target"].pop("amount"), "missing field(s) ['target.amount']"),
+    (lambda d: d["legs"][1].pop("id"), "missing field(s) ['legs[1].id']"),
+    (lambda d: d.update(note="hedged by hand"), "unknown field(s) ['note']"),
+    (lambda d: d.update(strategy=2), "strategy must be a string, got 2"),
+], ids=["legs", "target.amount", "leg-id", "note", "strategy-int"])
+def test_plan_keys_are_named_by_path(universe, curve, change, message):
+    """A plan's missing and unknown keys, at any depth, are named by their
+    path from the document root, not reported as a bare key."""
+    data = plan_to_dict(plan_fixture(universe, curve))
+    change(data)
+    with pytest.raises(ValidationError) as err:
+        plan_from_dict(data)
+    assert str(err.value) == f"malformed hedge plan: {message}"
+
+
+def test_plan_must_be_an_object(tmp_path):
+    path = write(tmp_path, "plan.json", "[]")
+    with pytest.raises(ValidationError) as err:
+        parse_plan_json(path)
+    assert str(err.value) == "malformed hedge plan: the plan must be an object, got []"
 
 
 # ---------------------------------------------------------------------------
@@ -1290,6 +1356,16 @@ def test_cli_hedge_wrong_instrument_count(cli_files, capsys):
     assert "cubic needs 3 instruments, got 2" in capsys.readouterr().err
 
 
+def test_cli_hedge_refuses_its_target_as_a_leg(cli_files, capsys):
+    """The leg rule of a backtest config holds for a hedge built by the CLI."""
+    out = cli_files["tmp"] / "plan.json"
+    assert main(["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B2",
+                 "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: target 'B2' cannot hedge itself\n"
+    assert not out.exists()
+
+
 def test_cli_hedge_unknown_bond(cli_files, capsys):
     rc = main(["hedge", "--strategy", "duration", "--target", "NOPE",
                "--instruments", "B3", "--bonds", str(cli_files["bonds"]),
@@ -1427,7 +1503,7 @@ def test_cli_backtest_rejects_nan_amount(cli_files, capsys):
     out = cli_files["tmp"] / "nan_report"
     assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
                  str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
-    assert "target_amount must be finite, got nan" in capsys.readouterr().err
+    assert "malformed backtest config: target.amount must be finite, got NaN" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1510,15 +1586,21 @@ def test_cli_names_an_input_it_cannot_read(cli_files, capsys, monkeypatch, metho
     ("rebalance_day", 5, "unknown field(s) ['rebalance_day']"),
     ("net_cary", True, "unknown field(s) ['net_cary']"),
     ("target", {"id": "B2", "amout": 50.0}, "unknown field(s) ['target.amout']"),
+    ("instruments", ..., "missing field(s) ['instruments']"),
+    ("target", ..., "missing field(s) ['target']"),
+    ("target", {"amount": 50.0}, "missing field(s) ['target.id']"),
 ], ids=["net_carry-str", "net_carry-int", "allow_extrapolation-str", "rebalance_days-float",
         "rebalance_days-bool", "rebalance_days-str", "start-bad-day", "end-int", "config-array",
         "config-str", "instruments-array", "instrument-bool", "instruments-str",
         "strategies-str", "strategy-int", "rebalance_day-unknown", "net_cary-unknown",
-        "target.amout-unknown"])
+        "target.amout-unknown", "instruments-missing", "target-missing", "target.id-missing"])
 def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, message):
+    """A key set to ... is dropped from the config."""
     path = cli_files["tmp"] / "typed.json"
     config = json.loads(cli_files["config"].read_text())
     config = value if key is None else {**config, key: value}
+    if value is ...:
+        del config[key]
     path.write_text(json.dumps(config))
     out = cli_files["tmp"] / "typed_report"
     assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
@@ -1532,7 +1614,7 @@ def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, mes
     ({"id": "B2", "amount": "100"}, 'target.amount must be a number, got "100"'),
     ({"id": ["B2"], "amount": 100.0}, 'target.id must be a string, got ["B2"]'),
     ({"id": 2, "amount": 100.0}, "target.id must be a string, got 2"),
-    ({"id": "B2", "amount": 10 ** 400}, "int too large to convert to float"),
+    ({"id": "B2", "amount": 10 ** 400}, f"target.amount must be finite, got {10 ** 400}"),
     ("B2", 'target must be an object, got "B2"'),
 ], ids=["amount-bool", "amount-str", "id-list", "id-int", "amount-huge", "target-str"])
 def test_cli_backtest_rejects_mistyped_target(cli_files, capsys, target, message):
@@ -1551,14 +1633,19 @@ ALL_INSTRUMENTS = {"duration": ["B3"], "quadratic": ["B3", "B1"], "convexity": [
                    "cubic": ["B3", "B1", "B4"]}
 
 
+# the config of target.id B2 and ALL_INSTRUMENTS, every other field at its default
+DEFAULT_CONFIG = BacktestConfig(
+    target_id="B2", target_amount=100.0,
+    instruments={Strategy(k): tuple(v) for k, v in ALL_INSTRUMENTS.items()},
+    strategies=(Strategy.DURATION, Strategy.QUADRATIC, Strategy.CONVEXITY, Strategy.CUBIC),
+    rebalance_days=1, start=None, end=None, net_carry=False, allow_extrapolation=False)
+
+
 @pytest.mark.parametrize("config,want", [
-    ({"target": {"id": "B2"}, "instruments": ALL_INSTRUMENTS},
-     BacktestConfig(target_id="B2", target_amount=100.0,
-                    instruments={Strategy(k): tuple(v) for k, v in ALL_INSTRUMENTS.items()},
-                    strategies=(Strategy.DURATION, Strategy.QUADRATIC, Strategy.CONVEXITY,
-                                Strategy.CUBIC),
-                    rebalance_days=1, start=None, end=None, net_carry=False,
-                    allow_extrapolation=False)),
+    ({"target": {"id": "B2"}, "instruments": ALL_INSTRUMENTS}, DEFAULT_CONFIG),
+    ({"target": {"id": "B2", "amount": None}, "instruments": ALL_INSTRUMENTS,
+      "strategies": None, "rebalance_days": None, "start": None, "end": None,
+      "net_carry": None, "allow_extrapolation": None}, DEFAULT_CONFIG),
     ({"target": {"id": "B1", "amount": 50}, "instruments": {"cubic": ["B3", "B2", "B4"]},
       "strategies": ["cubic"], "rebalance_days": 5, "start": "2024-01-03", "end": "2024-01-10",
       "net_carry": True, "allow_extrapolation": True},
@@ -1566,14 +1653,154 @@ ALL_INSTRUMENTS = {"duration": ["B3"], "quadratic": ["B3", "B1"], "convexity": [
                     instruments={Strategy.CUBIC: ("B3", "B2", "B4")},
                     strategies=(Strategy.CUBIC,), rebalance_days=5, start=dt.date(2024, 1, 3),
                     end=dt.date(2024, 1, 10), net_carry=True, allow_extrapolation=True)),
-], ids=["required-keys-only", "every-key-set"])
+], ids=["required-keys-only", "optional-keys-null", "every-key-set"])
 def test_backtest_config_reads_every_key(tmp_path, config, want):
-    """An absent key takes BacktestConfig's default, and each key reads as it always has."""
+    """An absent key, or an optional one given as null, takes BacktestConfig's
+    default, and each key reads as it always has."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    got = _backtest_config(path)
+    got = parse_config_json(path)
     assert got == want
     assert type(got.target_amount) is float
+
+
+def test_config_table_follows_backtest_config():
+    """The config table's keys, target.<key> read as target_<key>, are
+    BacktestConfig's fields, those without a default required: a field
+    cannot lack its key."""
+    config, target = curvehedge.io._CONFIG, curvehedge.io._CONFIG_TARGET
+    keys = [f"target_{key}" for key in target.readers] + [k for k in config.readers if k != "target"]
+    required = [f"target_{key}" for key in target.required] + [
+        k for k in config.required if k != "target"]
+    fields = dataclasses.fields(BacktestConfig)
+    assert sorted(keys) == sorted(f.name for f in fields)
+    assert sorted(required) == sorted(f.name for f in fields if f.default is dataclasses.MISSING)
+    assert "target" in config.required
+
+
+# ---------------------------------------------------------------------------
+# the key rule of every JSON object read
+# ---------------------------------------------------------------------------
+
+# values of every kind but the one named (null aside: for an optional key it means absent)
+WRONG_KINDS = {"a string": [7, 2.5, True, [], {}], "a number": ["7", True, [], {}],
+               "an integer": [2.5, "7", False, [], {}], "true or false": [0, "true", [], {}],
+               "an array": ["x", 7, {}], "an object": ["x", 7, []]}
+
+
+def _read_file(parse, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return parse(path)
+
+
+# each format: a valid document, the kind of each of its paths, its keys (the
+# rest of its paths are array items and a config's strategies), those of them
+# that are optional, the objects that hold keys, and its reader
+KEY_RULE_FORMATS = {
+    "bond": dict(
+        doc={"id": "B1", "face": 100.0, "coupon_rate": 0.03, "coupon_frequency": 2,
+             "maturity": 5.0, "issue_or_first_coupon_offset": 0.2},
+        kinds=[(("id",), "a string"), (("face",), "a number"), (("coupon_rate",), "a number"),
+               (("coupon_frequency",), "an integer"), (("maturity",), "a number"),
+               (("issue_or_first_coupon_offset",), "a number")],
+        optional=[("issue_or_first_coupon_offset",)], objects=[()],
+        read=lambda tmp_path, doc: _read_file(parse_bonds_json, tmp_path, [doc])),
+    "plan": dict(
+        doc={"strategy": "quadratic", "target": {"id": "B2", "amount": 100.0},
+             "legs": [{"id": "B3", "amount": -80.5}, {"id": "B1", "amount": -25.25}],
+             "constraints": [{"name": "dollar_duration", "value": 0.0},
+                             {"name": "dollar_duration_maturity", "value": 1e-9}]},
+        kinds=[(("strategy",), "a string"), (("target",), "an object"),
+               (("target", "id"), "a string"), (("target", "amount"), "a number"),
+               (("legs",), "an array"), (("constraints",), "an array"),
+               *((("legs", k), "an object") for k in (0, 1)),
+               *((("legs", k, "id"), "a string") for k in (0, 1)),
+               *((("legs", k, "amount"), "a number") for k in (0, 1)),
+               *((("constraints", k), "an object") for k in (0, 1)),
+               *((("constraints", k, "name"), "a string") for k in (0, 1)),
+               *((("constraints", k, "value"), "a number") for k in (0, 1))],
+        optional=[], objects=[(), ("target",), ("legs", 0), ("legs", 1), ("constraints", 0),
+                              ("constraints", 1)],
+        read=lambda tmp_path, doc: _read_file(parse_plan_json, tmp_path, doc)),
+    "config": dict(
+        doc={"target": {"id": "B2", "amount": 50.0}, "instruments": ALL_INSTRUMENTS,
+             "strategies": ["duration", "cubic"], "rebalance_days": 2, "start": "2024-01-03",
+             "end": "2024-01-10", "net_carry": True, "allow_extrapolation": False},
+        kinds=[(("target",), "an object"), (("target", "id"), "a string"),
+               (("target", "amount"), "a number"), (("instruments",), "an object"),
+               (("instruments", "cubic"), "an array"), (("instruments", "cubic", 2), "a string"),
+               (("strategies",), "an array"), (("strategies", 1), "a string"),
+               (("rebalance_days",), "an integer"), (("start",), "a string"),
+               (("end",), "a string"), (("net_carry",), "true or false"),
+               (("allow_extrapolation",), "true or false")],
+        optional=[("target", "amount"), ("strategies",), ("rebalance_days",), ("start",),
+                  ("end",), ("net_carry",), ("allow_extrapolation",)],
+        objects=[(), ("target",)],
+        read=lambda tmp_path, doc: _read_file(parse_config_json, tmp_path, doc)),
+}
+NOT_KEYS = {"bond": [], "plan": [("legs", 0), ("legs", 1), ("constraints", 0), ("constraints", 1)],
+            "config": [("instruments", "cubic"), ("instruments", "cubic", 2), ("strategies", 1)]}
+
+
+def _path_name(path) -> str:
+    """A path as refusals name it: target.amount, legs[1].id."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _changed(doc, path, value=None, drop=False):
+    """A deep copy of doc with the value at path set, or its key dropped."""
+    doc = json.loads(json.dumps(doc))
+    parent = _at(doc, path[:-1])
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _refusal(read, tmp_path, doc) -> str:
+    with pytest.raises(ValidationError) as err:
+        read(tmp_path, doc)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("fmt", KEY_RULE_FORMATS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_json_object_follows_the_key_rule(tmp_path, fmt, data):
+    """Every JSON format holds one rule: a required key dropped is named as
+    missing, a key added is named as unknown, a wrong kind is named, each by
+    its path from the root, and an optional key given as null reads as absent."""
+    spec = KEY_RULE_FORMATS[fmt]
+    doc, read, optional = spec["doc"], spec["read"], spec["optional"]
+    read(tmp_path, doc)  # the document itself is valid
+    keys = [path for path, _ in spec["kinds"] if path not in NOT_KEYS[fmt]]
+    how = data.draw(st.sampled_from(["drop", "unknown", "kind"] + ["null"] * bool(optional)))
+    if how == "drop":
+        path = data.draw(st.sampled_from([p for p in keys if p not in optional]))
+        message = f"missing field(s) {[_path_name(path)]}"
+        assert _refusal(read, tmp_path, _changed(doc, path, drop=True)).endswith(": " + message)
+    elif how == "unknown":
+        obj = data.draw(st.sampled_from(spec["objects"]))
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in _at(doc, obj)))
+        name = f"{_path_name(obj)}.{key}" if obj else key
+        message = f"unknown field(s) {[name]}"
+        assert _refusal(read, tmp_path, _changed(doc, (*obj, key), 1)).endswith(": " + message)
+    elif how == "kind":
+        path, kind = data.draw(st.sampled_from(spec["kinds"]))
+        value = data.draw(st.sampled_from(WRONG_KINDS[kind] + [None] * (path not in optional)))
+        message = f"{_path_name(path)} must be {kind}, got {json.dumps(value)}"
+        assert _refusal(read, tmp_path, _changed(doc, path, value)).endswith(": " + message)
+    else:
+        path = data.draw(st.sampled_from(optional))
+        assert read(tmp_path, _changed(doc, path)) == read(tmp_path, _changed(doc, path, drop=True))
 
 
 SUBCOMMAND_OPTIONS = {
