@@ -57,15 +57,15 @@ from .hedging import STRATEGIES, Strategy, _check_legs, _ratios, snapshot
 
 UNHEDGED = "unhedged"
 
-ALL_STRATEGIES = tuple(STRATEGIES)
-
 
 @dataclass(frozen=True)
 class BacktestConfig:
+    """A backtest's settings. Its series are the keys of instruments, in
+    their order: each a table strategy, its leg ids under _check_legs."""
+
     target_id: str
     instruments: Mapping[Strategy, tuple[str, ...]]
     target_amount: float = 100.0
-    strategies: tuple[Strategy, ...] = ALL_STRATEGIES
     rebalance_days: int = 1
     start: dt.date | None = None
     end: dt.date | None = None
@@ -80,14 +80,9 @@ class BacktestConfig:
                 raise ValueError("rebalance_days must be >= 1")
         except TypeError:
             raise ValueError(f"rebalance_days must be an integer, got {self.rebalance_days!r}") from None
-        for strat in self.strategies:
-            if self.strategies.count(strat) > 1:
-                raise ValueError(f"{strat.value} is listed more than once in strategies")
+        for strat, ids in self.instruments.items():
             if strat not in STRATEGIES:
                 raise ValueError(f"cannot backtest strategy {strat.value}: no closed form")
-            ids = self.instruments.get(strat)
-            if ids is None:
-                raise ValueError(f"no hedging instruments configured for {strat.value}")
             if isinstance(ids, str):
                 raise ValueError(f"instruments for {strat.value} must be a list of ids, not {ids!r}")
             _check_legs(strat, self.target_id, ids)
@@ -237,9 +232,7 @@ def run_backtest(
     if len(curves) < 2:
         raise ValidationError("date range leaves fewer than 2 days of history")
 
-    needed = {config.target_id}
-    for strat in config.strategies:
-        needed.update(config.instruments[strat])
+    needed = {config.target_id}.union(*config.instruments.values())
     missing = sorted(i for i in needed if i not in universe)
     if missing:
         raise ValidationError(f"bond universe is missing instrument(s) {missing}")
@@ -265,12 +258,12 @@ def run_backtest(
     # in maturity order, each slot's amount over the steps (0 from the
     # series' end on) and its row of the book (an unused slot: the zero row)
     target, amount = config.target_id, config.target_amount
-    width = 1 + max((STRATEGIES[s].legs for s in config.strategies), default=0)
-    held = np.zeros((len(config.strategies), width, steps))
+    width = 1 + max(map(len, config.instruments.values()), default=0)
+    held = np.zeros((len(config.instruments), width, steps))
     book = np.full(held.shape[:2], len(ids))
     lengths, ends = [], []  # ends: (step, series position, warning)
-    for pos, strat in enumerate(config.strategies):
-        name, legs = strat.value, config.instruments[strat]
+    for pos, (strat, legs) in enumerate(config.instruments.items()):
+        name = strat.value
         n = min(life[i] for i in (target, *legs))
         lengths.append(n)
         if n < steps:
@@ -299,11 +292,11 @@ def run_backtest(
     # total would; a padded 0.0 changes no sum (one from +0.0 is never -0.0)
     gross, net = np.add.reduce(pnl, axis=2, initial=0.0)
     series = {strat.value: StrategySeries(strat.value, dates[1 : n + 1], gross[pos, :n], net[pos, :n])
-              for pos, (strat, n) in enumerate(zip(config.strategies, lengths))}
+              for pos, (strat, n) in enumerate(zip(config.instruments, lengths))}
 
     n = life[target]
     if n < steps:
-        ends.append((n, len(config.strategies),
+        ends.append((n, len(config.instruments),
                      f"{UNHEDGED}: series truncated at {dates[n]}: target matured"))
     gross = amount * moves[0, row[target], :n]
     series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross,

@@ -11,10 +11,10 @@ Subcommands:
 
 Each option is declared once (shared ones as argparse parent groups, defaults
 from SynthConfig and BacktestConfig), and one parser is built per process.
-Every input is read by io, which alone knows the file formats, the backtest
-config's among them. A curve file is read as one CurveHistory: analyze,
-hedge and scenario take one day's curve from it, and backtest correlates
-the rows its report covers.
+Every input is read, and every JSON and CSV output rendered, by io, which
+alone knows the file formats. A curve file is read as one CurveHistory:
+analyze, hedge and scenario take one day's curve from it, and backtest
+correlates the rows its report covers.
 
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
@@ -27,22 +27,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .backtest import (
-    ALL_STRATEGIES,
-    BacktestConfig,
-    run_backtest,
-    tenor_correlations,
-)
+from .backtest import BacktestConfig, run_backtest, tenor_correlations
 from .bonds import curve_analytics
 from .curve import ShockSpec, YieldCurve
 from .errors import ValidationError
-from .hedging import Strategy, build_plan, snapshot
+from .hedging import STRATEGIES, Strategy, build_plan, snapshot
 from .io import (
     _iso_date,
     _write,
@@ -53,7 +47,8 @@ from .io import (
     parse_config_json,
     parse_curve_csv,
     parse_plan_json,
-    plan_to_dict,
+    plan_json,
+    scenario_lines,
     write_bonds_json,
     write_curve_csv,
 )
@@ -131,10 +126,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _round10(x: float) -> float:
-    return float(fmt_num(x))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -167,12 +158,7 @@ def cmd_hedge(args: argparse.Namespace) -> int:
     target = snapshot(universe[args.target], curve, amount=args.amount)
     legs = [snapshot(universe[i], curve) for i in ids]
     plan = build_plan(strategy, target, legs, args.allow_extrapolation)
-    data = plan_to_dict(plan)
-    data["legs"] = [{"id": l["id"], "amount": _round10(l["amount"])} for l in data["legs"]]
-    data["constraints"] = [
-        {"name": c["name"], "value": _round10(c["value"])} for c in data["constraints"]
-    ]
-    _emit(json.dumps(data, indent=2), args.out)
+    _emit(plan_json(plan), args.out)
     return 0
 
 
@@ -188,20 +174,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     shock = _parse_shock(args.shock)
     scales = [0.5 ** k for k in range(args.sweep)] if args.sweep else [1.0]
     results = run_scenarios(plan, universe, curve, [shock.scaled(scale) for scale in scales])
-    lines = [
-        json.dumps({
-            "scale": scale,
-            "shock": {"a": result.shock.a, "b": result.shock.b, "c": result.shock.c},
-            "unhedged_pnl": _round10(result.unhedged_pnl),
-            "hedged_pnl": _round10(result.hedged_pnl),
-            "within_tolerance": abs(result.hedged_pnl) <= args.tolerance,
-            "per_instrument": [
-                {"id": i, "pnl": _round10(p)} for i, p in result.per_instrument_pnl
-            ],
-        })
-        for scale, result in zip(scales, results)
-    ]
-    _emit("\n".join(lines), args.out)
+    _emit(scenario_lines(scales, results, args.tolerance), args.out)
     return 0
 
 
@@ -278,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_hedge, "hedge", "build a hedge plan", bonds, curve)
     p.add_argument("--strategy", required=True,
-                   choices=[s.value for s in ALL_STRATEGIES])
+                   choices=[s.value for s in STRATEGIES])
     p.add_argument("--target", required=True, help="target bond id")
     p.add_argument("--instruments", required=True, help="comma-separated hedge bond ids")
     p.add_argument("--amount", type=float, default=BacktestConfig.target_amount,

@@ -33,6 +33,7 @@ curves on one grid becomes one through the same checked constructor.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -201,16 +202,18 @@ class CurveHistory(Sequence[YieldCurve]):
             history = object.__new__(CurveHistory)
             history.dates, history.tenors, history.rates = self.dates[i], self.tenors, self.rates[i]
             return history
-        return self._curve(self.dates[i], self.rates[i].tolist())
+        return _row_curve(self.dates[i], self.tenors, self.rates[i].tolist())
 
     def __iter__(self):
-        return map(self._curve, self.dates, self.rates.tolist())
+        return map(_row_curve, self.dates, itertools.repeat(self.tenors), self.rates.tolist())
 
-    def _curve(self, date: dt.date, rates: list) -> YieldCurve:
-        """The curve of a row of this history, built without YieldCurve's checks."""
-        curve = object.__new__(YieldCurve)
-        curve.__dict__.update(date=date, tenors=self.tenors, rates=tuple(rates))
-        return curve
+
+def _row_curve(date: dt.date, tenors: tuple[float, ...], rates: list) -> YieldCurve:
+    """The curve of a row that a block has checked already (_bad_rows), built
+    without YieldCurve's checks."""
+    curve = object.__new__(YieldCurve)
+    curve.__dict__.update(date=date, tenors=tenors, rates=tuple(rates))
+    return curve
 
 
 def _history(curves: Sequence[YieldCurve]) -> CurveHistory:
@@ -343,7 +346,4 @@ def apply_shock(
     """
     if shock.is_parametric and seg is None:
         raise ValueError("parametric shock requires the fitted segment it refers to")
-    shocked = object.__new__(YieldCurve)  # the block has checked its row
-    shocked.__dict__.update(date=curve.date, tenors=curve.tenors,
-                            rates=tuple(_shock_block(curve, [shock], seg)[1].tolist()))
-    return shocked
+    return _row_curve(curve.date, curve.tenors, _shock_block(curve, [shock], seg)[1].tolist())

@@ -100,8 +100,9 @@ class HedgePlan:
 
     constraints holds (name, achieved value) pairs: the residual of each
     zeroed dollar-risk sum after substituting the solved amounts back in.
-    Every leg amount and constraint value is finite: one beyond the float
-    range (a huge target amount) is refused by strategy and name.
+    A table strategy's legs keep its leg rule (_check_legs). Every leg
+    amount and constraint value is finite: one beyond the float range (a
+    huge target amount) is refused by strategy and name.
     """
 
     strategy: Strategy
@@ -111,11 +112,8 @@ class HedgePlan:
     constraints: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        spec = STRATEGIES.get(self.strategy)
-        if spec is not None and len(self.legs) != spec.legs:
-            raise ValueError(
-                f"{self.strategy.value} plan needs {spec.legs} legs, got {len(self.legs)}"
-            )
+        if self.strategy in STRATEGIES:
+            _check_legs(self.strategy, self.target_id, [leg.id for leg in self.legs])
         for what, x in [*((f"leg {leg.id!r} amount", leg.amount) for leg in self.legs),
                         *((f"constraint {name!r}", x) for name, x in self.constraints)]:
             if not math.isfinite(x):
@@ -333,13 +331,14 @@ def cubic_hedge(
 
 
 def _check_legs(strategy: Strategy, target_id: str, ids: Sequence[str]) -> None:
-    """The leg rule of a closed-form strategy's hedge, for build_plan and a
-    backtest config alike: one leg per constraint, none of them the target."""
+    """The leg rule of a closed-form strategy's hedge, for a plan, build_plan
+    and a backtest config alike: one leg per constraint, none of them the
+    target. Each refusal names the strategy."""
     spec = STRATEGIES[strategy]
     if len(ids) != spec.legs:
         raise ValueError(f"{strategy.value} needs {spec.legs} instruments, got {len(ids)}")
     if target_id in ids:
-        raise ValueError(f"target {target_id!r} cannot hedge itself")
+        raise ValueError(f"{strategy.value}: target {target_id!r} cannot hedge itself")
 
 
 def build_plan(

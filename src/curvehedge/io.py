@@ -1,5 +1,5 @@
 """File formats, which io alone knows: curve history CSV, bond universe
-JSON, plan JSON, backtest config JSON and reports.
+JSON, plan JSON, backtest config JSON, scenario JSON lines and reports.
 
 All rates in files are decimal fractions per year (0.0312, never 3.12), in
 curve's range (-100%, MAX_RATE = 1000%] or the file is refused by line;
@@ -120,7 +120,7 @@ def _strategy(value, name: str) -> Strategy:
 
 
 def _instruments(value, name: str) -> dict[Strategy, tuple[str, ...]]:
-    """A config's instruments: each strategy's leg ids."""
+    """A config's instruments: its series, in their order, each strategy's leg ids."""
     return {Strategy(k): _IDS(ids, f"{name}.{k}")
             for k, ids in _typed(value, name, "an object").items()}
 
@@ -145,9 +145,9 @@ _PLAN = _Table(_with_target(HedgePlan), {
 # with a default optional
 _CONFIG_TARGET = _Table(dict, {"id": "a string", "amount?": "a number"})
 _CONFIG = _Table(_with_target(BacktestConfig), {
-    "target": _CONFIG_TARGET, "instruments": _instruments, "strategies?": [_strategy],
-    "rebalance_days?": "an integer", "start?": _iso_date, "end?": _iso_date,
-    "net_carry?": "true or false", "allow_extrapolation?": "true or false"})
+    "target": _CONFIG_TARGET, "instruments": _instruments, "rebalance_days?": "an integer",
+    "start?": _iso_date, "end?": _iso_date, "net_carry?": "true or false",
+    "allow_extrapolation?": "true or false"})
 
 
 def fmt_num(x: float) -> str:
@@ -510,16 +510,32 @@ def write_bonds_json(bonds: Sequence[Bond], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# hedge plan and backtest config JSON
+# hedge plan, backtest config and scenario JSON
 # ---------------------------------------------------------------------------
 
-def plan_to_dict(plan: HedgePlan) -> dict:
+def _round10(x: float) -> float:
+    """x as fmt_num's 10 significant digits read back."""
+    return float(fmt_num(x))
+
+
+def _plan_dict(plan: HedgePlan, num) -> dict:
+    """The plan as a JSON object, each leg amount and constraint value as num gives it."""
     return {
         "strategy": plan.strategy.value,
         "target": {"id": plan.target_id, "amount": plan.target_amount},
-        "legs": [{"id": leg.id, "amount": leg.amount} for leg in plan.legs],
-        "constraints": [{"name": n, "value": v} for n, v in plan.constraints],
+        "legs": [{"id": leg.id, "amount": num(leg.amount)} for leg in plan.legs],
+        "constraints": [{"name": n, "value": num(v)} for n, v in plan.constraints],
     }
+
+
+def plan_to_dict(plan: HedgePlan) -> dict:
+    return _plan_dict(plan, lambda x: x)
+
+
+def plan_json(plan: HedgePlan) -> str:
+    """The plan as hedge prints it: every leg amount and constraint value at
+    fmt_num's 10 significant digits, the target amount as given."""
+    return json.dumps(_plan_dict(plan, _round10), indent=2)
 
 
 def plan_from_dict(data: dict) -> HedgePlan:
@@ -543,6 +559,20 @@ def parse_config_json(path) -> BacktestConfig:
         raise ValidationError(f"{path}: malformed backtest config: {exc}") from exc
 
 
+def scenario_lines(scales: Sequence[float], results, tolerance: float) -> str:
+    """scenario's output: one JSON line per scale and its ScenarioResult, each
+    P&L at fmt_num's 10 significant digits, within_tolerance when the hedged
+    P&L is at most tolerance in size."""
+    return "\n".join(json.dumps({
+        "scale": scale,
+        "shock": {"a": result.shock.a, "b": result.shock.b, "c": result.shock.c},
+        "unhedged_pnl": _round10(result.unhedged_pnl),
+        "hedged_pnl": _round10(result.hedged_pnl),
+        "within_tolerance": abs(result.hedged_pnl) <= tolerance,
+        "per_instrument": [{"id": i, "pnl": _round10(p)} for i, p in result.per_instrument_pnl],
+    }) for scale, result in zip(scales, results))
+
+
 # ---------------------------------------------------------------------------
 # backtest report emission
 # ---------------------------------------------------------------------------
@@ -564,7 +594,7 @@ def emit_report(
     all or nothing (see _write). Returns the final paths."""
     out = Path(out_dir)
     net = report.config.net_carry
-    order = [s.value for s in report.config.strategies]
+    order = [s.value for s in report.config.instruments]
     if order:
         order.append(UNHEDGED)
     files = []

@@ -63,16 +63,18 @@ def base_rates():
     return [base_rate(t) for t in GRID]
 
 
-def standard_config(**kw):
-    defaults = dict(
-        target_id="B2",
-        instruments={
-            Strategy.DURATION: ("B3",),
-            Strategy.QUADRATIC: ("B3", "B1"),
-            Strategy.CONVEXITY: ("B3", "B1"),
-            Strategy.CUBIC: ("B3", "B1", "B4"),
-        },
-    )
+STANDARD_LEGS = {
+    Strategy.DURATION: ("B3",),
+    Strategy.QUADRATIC: ("B3", "B1"),
+    Strategy.CONVEXITY: ("B3", "B1"),
+    Strategy.CUBIC: ("B3", "B1", "B4"),
+}
+
+
+def standard_config(*series, **kw):
+    """Target B2 hedged by STANDARD_LEGS: every series, or those named, in that order."""
+    defaults = dict(target_id="B2",
+                    instruments={s: STANDARD_LEGS[s] for s in series or STANDARD_LEGS})
     defaults.update(kw)
     return BacktestConfig(**defaults)
 
@@ -309,7 +311,7 @@ def test_backtest_matches_manual_replay(universe):
     rng = np.random.default_rng(31)
     shifts = 3e-4 * rng.standard_normal((3, len(GRID)))
     hist = history_from_shifts(base_rates(), shifts)
-    config = standard_config(strategies=(Strategy.DURATION,))
+    config = standard_config(Strategy.DURATION)
     report = run_backtest(hist, universe, config)
     series = report.series["duration"]
 
@@ -363,7 +365,7 @@ def test_additivity_hedged_equals_target_plus_legs(universe):
     rng = np.random.default_rng(21)
     shifts = 3e-4 * rng.standard_normal((5, len(GRID)))
     hist = history_from_shifts(base_rates(), shifts)
-    config = standard_config(strategies=(Strategy.QUADRATIC,))
+    config = standard_config(Strategy.QUADRATIC)
     report = run_backtest(hist, universe, config)
     hedged = report.series["quadratic"].gross
     target_series = report.series[UNHEDGED].gross
@@ -395,7 +397,6 @@ def test_truncation_when_bond_rolls_below_curve(universe):
     config = BacktestConfig(
         target_id="B2",
         instruments={Strategy.DURATION: ("S1",)},
-        strategies=(Strategy.DURATION,),
     )
     report = run_backtest(hist, uni, config)
     assert any("S1" in w for w in report.warnings)
@@ -475,26 +476,16 @@ def test_backtest_validation_errors(universe):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="needs 2"):
-        BacktestConfig(target_id="B2", instruments={Strategy.QUADRATIC: ("B3",)},
-                       strategies=(Strategy.QUADRATIC,))
+        BacktestConfig(target_id="B2", instruments={Strategy.QUADRATIC: ("B3",)})
     with pytest.raises(ValueError, match="hedge itself"):
-        BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B2",)},
-                       strategies=(Strategy.DURATION,))
+        BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B2",)})
     with pytest.raises(ValueError, match="rebalance"):
-        BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)},
-                       strategies=(Strategy.DURATION,), rebalance_days=0)
-    with pytest.raises(ValueError, match="no hedging instruments"):
-        BacktestConfig(target_id="B2", instruments={},
-                       strategies=(Strategy.DURATION,))
-    with pytest.raises(ValueError, match="duration is listed more than once"):
-        BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)},
-                       strategies=(Strategy.DURATION, Strategy.DURATION))
+        BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)}, rebalance_days=0)
 
 
 def test_config_refuses_the_custom_strategy():
     with pytest.raises(ValueError, match="^cannot backtest strategy custom: no closed form$"):
-        BacktestConfig(target_id="B2", instruments={Strategy.CUSTOM: ("B3",)},
-                       strategies=(Strategy.CUSTOM,))
+        BacktestConfig(target_id="B2", instruments={Strategy.CUSTOM: ("B3",)})
 
 
 def test_window_that_leaves_fewer_than_two_days_is_refused(universe):
@@ -528,7 +519,7 @@ def test_config_rejects_a_string_instruments_entry(strategy, ids):
     leg count."""
     with pytest.raises(ValueError, match=re.escape(
             f"instruments for {strategy.value} must be a list of ids, not {ids!r}")):
-        BacktestConfig(target_id="B2", instruments={strategy: ids}, strategies=(strategy,))
+        BacktestConfig(target_id="B2", instruments={strategy: ids})
 
 
 def test_integer_target_amount_equals_its_float(universe):
@@ -569,7 +560,6 @@ def test_plan_failure_names_strategy_and_rebalance_date(universe, strategy, targ
     config = BacktestConfig(
         target_id=target,
         instruments={Strategy.DURATION: ("B4",), strategy: legs},
-        strategies=(Strategy.DURATION, strategy),
         start=hist[2].date,
     )
     with pytest.raises(error) as info:
@@ -607,7 +597,7 @@ def scalar_replay(history, universe, config):
     priced and snapshotted afresh for each series on each step, and each
     step's P&L is summed target first, then the plan's legs."""
     day0 = history[0].date
-    names = [s.value for s in config.strategies] + [UNHEDGED]
+    names = [s.value for s in config.instruments] + [UNHEDGED]
     rows = {name: [] for name in names}
     alive = dict.fromkeys(names, True)
     warnings, plans = [], {}
@@ -624,8 +614,8 @@ def scalar_replay(history, universe, config):
         def dead(ids):
             return [i for i in ids if universe[i].maturity - e_next < nxt.min_tenor]
 
-        for strat in config.strategies:
-            name, ids = strat.value, [config.target_id, *config.instruments[strat]]
+        for strat, legs in config.instruments.items():
+            name, ids = strat.value, [config.target_id, *legs]
             if not alive[name]:
                 continue
             if dead(ids):
@@ -801,7 +791,7 @@ def test_roll_table_stops_where_the_snapshot_refuses_an_infinite_price():
     curves = [YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(days=k), grid, tuple(r))
               for k, r in enumerate(rates.tolist())]
     universe = {"L": bond, "H": Bond("H", 100.0, 0.03, 1, 10.0)}
-    config = BacktestConfig("L", {Strategy.DURATION: ("H",)}, strategies=(Strategy.DURATION,))
+    config = BacktestConfig("L", {Strategy.DURATION: ("H",)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m, p, d, c, carry, bad = roll_table(bond, elapsed, grid, rates)
@@ -1048,8 +1038,8 @@ def test_each_series_equals_its_strategy_run_alone(rebalance_days, net_carry, da
         net_carry=net_carry,
     )
     full = run_backtest(hist, uni, config)
-    for strat in config.strategies:
-        alone = run_backtest(hist, uni, dataclasses.replace(config, strategies=(strat,)))
+    for strat, legs in config.instruments.items():
+        alone = run_backtest(hist, uni, dataclasses.replace(config, instruments={strat: legs}))
         assert alone.warnings == [w for w in full.warnings
                                   if w.startswith((f"{strat.value}:", f"{UNHEDGED}:"))]
         for name in (strat.value, UNHEDGED):
@@ -1073,12 +1063,12 @@ def test_backtest_marks_once_solves_once_per_strategy_and_summarizes_once(monkey
     long_hist, _ = generate_history(SynthConfig(days=400, seed=11))
     for h, cfg, solved in ((hist, config, 4), (hist, never, 3),
                            (long_hist, standard_config(), 4),
-                           (long_hist, standard_config(strategies=(Strategy.CUBIC,)), 1)):
+                           (long_hist, standard_config(Strategy.CUBIC), 1)):
         for name in calls:
             calls[name].clear()
         report = run_backtest(h, uni, cfg)
         assert len(calls["_roll_table"]) == 1
-        assert calls["_ratios"] == [s for s in cfg.strategies if report.series[s.value].dates]
+        assert calls["_ratios"] == [s for s in cfg.instruments if report.series[s.value].dates]
         assert len(calls["_ratios"]) == solved
         assert len(calls["_summaries"]) == 1
         assert len(calls["_summaries"][0]) == len(report.summary)
@@ -1101,11 +1091,9 @@ def test_an_infinite_carry_price_is_refused_by_bond_and_day():
            "S": Bond("S", 100.0, 0.03, 2, 0.5 + 0.5 / 365),
            "L": Bond("L", 100.0, 0.03, 1, 25.0 + 1.5 / 365)}
     elapsed = np.arange(5) / 365.0
-    held = BacktestConfig(target_id="T", instruments={Strategy.DURATION: ("L",)},
-                          strategies=(Strategy.DURATION,))
+    held = BacktestConfig(target_id="T", instruments={Strategy.DURATION: ("L",)})
     ended = BacktestConfig(target_id="T", instruments={Strategy.QUADRATIC: ("S", "L"),
-                                                       Strategy.DURATION: ("B",)},
-                           strategies=(Strategy.QUADRATIC, Strategy.DURATION))
+                                                       Strategy.DURATION: ("B",)})
     want = "on 2024-01-04: carry price off 2024-01-03: instrument 'L': price must be finite, got inf"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

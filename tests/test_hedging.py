@@ -443,12 +443,13 @@ def test_build_plan_rejects_custom_and_wrong_leg_count(snaps):
 
 
 def test_build_plan_refuses_its_target_as_a_leg(snaps):
-    """build_plan states a backtest config's leg rule; the public builder it
-    dispatches to still takes any instrument it is given."""
-    with pytest.raises(ValueError) as err:
-        build_plan(Strategy.DURATION, snaps["B2"], [snaps["B2"]])
-    assert str(err.value) == "target 'B2' cannot hedge itself"
-    assert duration_hedge(snaps["B2"], snaps["B2"]).legs[0].amount == pytest.approx(-100.0)
+    """build_plan states a backtest config's leg rule, and so does the plan
+    the public builder it dispatches to makes."""
+    for build in (lambda: build_plan(Strategy.DURATION, snaps["B2"], [snaps["B2"]]),
+                  lambda: duration_hedge(snaps["B2"], snaps["B2"])):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "duration: target 'B2' cannot hedge itself"
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +663,7 @@ def test_snapshot_validation():
 
 
 def test_plan_leg_count_enforced():
-    with pytest.raises(ValueError, match="legs"):
+    with pytest.raises(ValueError, match="^quadratic needs 2 instruments, got 0$"):
         HedgePlan(Strategy.QUADRATIC, "T", 100.0, (), ())
 
 

@@ -36,6 +36,7 @@ from curvehedge import (
 )
 import curvehedge.io
 from curvehedge.cli import build_parser, main
+from curvehedge.hedging import STRATEGIES
 from curvehedge.io import (
     PNL_COMMENT,
     RATE_COMMENT,
@@ -638,8 +639,7 @@ def test_import_and_backtest_build_no_kernel_table(tmp_path):
         import curvehedge as ch
         from curvehedge.io import _kernel_tables
         history, _ = ch.generate_history(ch.SynthConfig(days=20))
-        config = ch.BacktestConfig(target_id="B2", instruments={ch.Strategy.DURATION: ("B3",)},
-                                   strategies=(ch.Strategy.DURATION,))
+        config = ch.BacktestConfig(target_id="B2", instruments={ch.Strategy.DURATION: ("B3",)})
         ch.run_backtest(history, {b.id: b for b in ch.default_bond_universe()}, config)
         print(_kernel_tables.cache_info().currsize)
         ch.write_curve_csv(history, sys.argv[1])
@@ -985,7 +985,6 @@ def small_report(universe):
     config = BacktestConfig(
         target_id="B2",
         instruments={Strategy.DURATION: ("B3",), Strategy.QUADRATIC: ("B3", "B1")},
-        strategies=(Strategy.DURATION, Strategy.QUADRATIC),
         net_carry=True,
     )
     return run_backtest(curves, universe, config)
@@ -1012,7 +1011,7 @@ def test_emit_report_deterministic(tmp_path, small_report):
 
 def test_emit_report_empty_strategies_header_only(tmp_path, universe):
     curves, _ = generate_history(SynthConfig(days=5))
-    config = BacktestConfig(target_id="B2", instruments={}, strategies=())
+    config = BacktestConfig(target_id="B2", instruments={})
     report = run_backtest(curves, universe, config)
     paths = emit_report(report, tmp_path)
     assert [p.name for p in paths] == ["summary.csv"]
@@ -1032,7 +1031,7 @@ def emitted_before(report, out_dir, correlations=None, tenors=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = report.config.net_carry
-    order = [s.value for s in report.config.strategies]
+    order = [s.value for s in report.config.instruments]
     if order:
         order.append("unhedged")
     staged = []
@@ -1067,10 +1066,9 @@ def test_emit_report_equals_the_cell_by_cell_emitter(tmp_path, universe, net, st
     # the short bond S rolls below the first knot on day 9, so duration truncates
     universe = {**universe, "S": Bond("S", 100.0, 0.03, 2, 0.535)}
     curves, _ = generate_history(SynthConfig(days=30, seed=5))
-    config = BacktestConfig(
-        target_id="B2",
-        instruments={Strategy.DURATION: ("S",), Strategy.QUADRATIC: ("B3", "B1")},
-        strategies=strategies, net_carry=net)
+    legs = {Strategy.DURATION: ("S",), Strategy.QUADRATIC: ("B3", "B1")}
+    config = BacktestConfig(target_id="B2", instruments={s: legs[s] for s in strategies},
+                            net_carry=net)
     report = run_backtest(curves, universe, config)
     assert not strategies or len(report.series["duration"].dates) < len(curves) - 1
     corr = tenor_correlations(curves)
@@ -1362,7 +1360,7 @@ def test_cli_hedge_refuses_its_target_as_a_leg(cli_files, capsys):
     assert main(["hedge", "--strategy", "duration", "--target", "B2", "--instruments", "B2",
                  "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: target 'B2' cannot hedge itself\n"
+    assert capsys.readouterr().err == "error: duration: target 'B2' cannot hedge itself\n"
     assert not out.exists()
 
 
@@ -1581,8 +1579,8 @@ def test_cli_names_an_input_it_cannot_read(cli_files, capsys, monkeypatch, metho
     ("instruments", [], "instruments must be an object, got []"),
     ("instruments", {"duration": [True]}, "instruments.duration[0] must be a string, got true"),
     ("instruments", {"duration": "B3"}, 'instruments.duration must be an array, got "B3"'),
-    ("strategies", "duration", 'strategies must be an array, got "duration"'),
-    ("strategies", [1], "strategies[0] must be a string, got 1"),
+    ("strategies", "duration", "unknown field(s) ['strategies']"),
+    ("strategies", [1], "unknown field(s) ['strategies']"),
     ("rebalance_day", 5, "unknown field(s) ['rebalance_day']"),
     ("net_cary", True, "unknown field(s) ['net_cary']"),
     ("target", {"id": "B2", "amout": 50.0}, "unknown field(s) ['target.amout']"),
@@ -1637,21 +1635,20 @@ ALL_INSTRUMENTS = {"duration": ["B3"], "quadratic": ["B3", "B1"], "convexity": [
 DEFAULT_CONFIG = BacktestConfig(
     target_id="B2", target_amount=100.0,
     instruments={Strategy(k): tuple(v) for k, v in ALL_INSTRUMENTS.items()},
-    strategies=(Strategy.DURATION, Strategy.QUADRATIC, Strategy.CONVEXITY, Strategy.CUBIC),
     rebalance_days=1, start=None, end=None, net_carry=False, allow_extrapolation=False)
 
 
 @pytest.mark.parametrize("config,want", [
     ({"target": {"id": "B2"}, "instruments": ALL_INSTRUMENTS}, DEFAULT_CONFIG),
     ({"target": {"id": "B2", "amount": None}, "instruments": ALL_INSTRUMENTS,
-      "strategies": None, "rebalance_days": None, "start": None, "end": None,
+      "rebalance_days": None, "start": None, "end": None,
       "net_carry": None, "allow_extrapolation": None}, DEFAULT_CONFIG),
     ({"target": {"id": "B1", "amount": 50}, "instruments": {"cubic": ["B3", "B2", "B4"]},
-      "strategies": ["cubic"], "rebalance_days": 5, "start": "2024-01-03", "end": "2024-01-10",
+      "rebalance_days": 5, "start": "2024-01-03", "end": "2024-01-10",
       "net_carry": True, "allow_extrapolation": True},
      BacktestConfig(target_id="B1", target_amount=50.0,
                     instruments={Strategy.CUBIC: ("B3", "B2", "B4")},
-                    strategies=(Strategy.CUBIC,), rebalance_days=5, start=dt.date(2024, 1, 3),
+                    rebalance_days=5, start=dt.date(2024, 1, 3),
                     end=dt.date(2024, 1, 10), net_carry=True, allow_extrapolation=True)),
 ], ids=["required-keys-only", "optional-keys-null", "every-key-set"])
 def test_backtest_config_reads_every_key(tmp_path, config, want):
@@ -1678,6 +1675,65 @@ def test_config_table_follows_backtest_config():
     assert "target" in config.required
 
 
+@st.composite
+def configs(draw):
+    """A config of the demo universe: a target, then table strategies in a
+    random order, each with as many distinct legs, none the target, as it has
+    constraints."""
+    ids = ["B1", "B2", "B3", "B4"]
+    target = draw(st.sampled_from(ids))
+    series = draw(st.permutations(list(STRATEGIES)))[:draw(st.integers(0, len(STRATEGIES)))]
+    others = [i for i in ids if i != target]
+    instruments = {s.value: draw(st.permutations(others))[:STRATEGIES[s].legs] for s in series}
+    return {"target": {"id": target}, "instruments": instruments, "allow_extrapolation": True}
+
+
+@given(config=configs(), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_configs_series_are_its_instruments_keys(tmp_path, config, data):
+    """A config's series are the keys of its instruments, in their order, in
+    the config and in the report. Each entry is under the leg rule: a leg
+    dropped, a leg swapped for the target or a custom entry is refused by
+    the strategy's name."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    got = parse_config_json(path)
+    keys = list(config["instruments"])
+    assert [s.value for s in got.instruments] == keys
+    curves, _ = generate_history(SynthConfig(days=3))
+    report = run_backtest(curves, {b.id: b for b in default_bond_universe()}, got)
+    assert list(report.series) == [*keys, "unhedged"]
+
+    target = config["target"]["id"]
+    name = data.draw(st.sampled_from(keys + ["custom"]))
+    legs = config["instruments"].get(name, [])
+    how = data.draw(st.sampled_from(["drop", "target"])) if legs else "custom"
+    k = data.draw(st.integers(0, len(legs) - 1)) if legs else 0
+    message = {"drop": f"{name} needs {len(legs)} instruments, got {len(legs) - 1}",
+               "target": f"{name}: target {target!r} cannot hedge itself",
+               "custom": "cannot backtest strategy custom: no closed form"}[how]
+    legs = {"drop": legs[:k] + legs[k + 1:], "target": legs[:k] + [target] + legs[k + 1:],
+            "custom": ["B1"]}[how]
+    path.write_text(json.dumps({**config, "instruments": {**config["instruments"], name: legs}}))
+    with pytest.raises(ValidationError) as err:
+        parse_config_json(path)
+    assert str(err.value) == f"{path}: malformed backtest config: {message}"
+
+
+def test_cli_backtest_checks_every_instruments_entry(cli_files, capsys):
+    """Each instruments entry is a series, so its legs are checked: the
+    target as cubic's one leg is refused by cubic's name."""
+    path = cli_files["tmp"] / "cubic.json"
+    path.write_text(json.dumps({"target": {"id": "B2"},
+                                "instruments": {"duration": ["B3"], "cubic": ["B2"]}}))
+    out = cli_files["tmp"] / "report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: malformed backtest config: cubic needs 3 instruments, got 1\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the key rule of every JSON object read
 # ---------------------------------------------------------------------------
@@ -1695,7 +1751,7 @@ def _read_file(parse, tmp_path, doc):
 
 
 # each format: a valid document, the kind of each of its paths, its keys (the
-# rest of its paths are array items and a config's strategies), those of them
+# rest of its paths are array items and a config's series), those of them
 # that are optional, the objects that hold keys, and its reader
 KEY_RULE_FORMATS = {
     "bond": dict(
@@ -1725,22 +1781,21 @@ KEY_RULE_FORMATS = {
         read=lambda tmp_path, doc: _read_file(parse_plan_json, tmp_path, doc)),
     "config": dict(
         doc={"target": {"id": "B2", "amount": 50.0}, "instruments": ALL_INSTRUMENTS,
-             "strategies": ["duration", "cubic"], "rebalance_days": 2, "start": "2024-01-03",
+             "rebalance_days": 2, "start": "2024-01-03",
              "end": "2024-01-10", "net_carry": True, "allow_extrapolation": False},
         kinds=[(("target",), "an object"), (("target", "id"), "a string"),
                (("target", "amount"), "a number"), (("instruments",), "an object"),
                (("instruments", "cubic"), "an array"), (("instruments", "cubic", 2), "a string"),
-               (("strategies",), "an array"), (("strategies", 1), "a string"),
                (("rebalance_days",), "an integer"), (("start",), "a string"),
                (("end",), "a string"), (("net_carry",), "true or false"),
                (("allow_extrapolation",), "true or false")],
-        optional=[("target", "amount"), ("strategies",), ("rebalance_days",), ("start",),
+        optional=[("target", "amount"), ("rebalance_days",), ("start",),
                   ("end",), ("net_carry",), ("allow_extrapolation",)],
         objects=[(), ("target",)],
         read=lambda tmp_path, doc: _read_file(parse_config_json, tmp_path, doc)),
 }
 NOT_KEYS = {"bond": [], "plan": [("legs", 0), ("legs", 1), ("constraints", 0), ("constraints", 1)],
-            "config": [("instruments", "cubic"), ("instruments", "cubic", 2), ("strategies", 1)]}
+            "config": [("instruments", "cubic"), ("instruments", "cubic", 2)]}
 
 
 def _path_name(path) -> str:
@@ -1886,6 +1941,22 @@ def test_cli_scenario_rejects_nan_plan_amount(cli_files, capsys):
     assert captured.err == "error: malformed hedge plan: legs[0].amount must be finite, got NaN\n"
 
 
+def test_cli_scenario_refuses_a_plan_whose_target_is_a_leg(cli_files, capsys):
+    """A plan file is under the leg rule of its strategy, as a built plan is."""
+    plan_path = cli_files["tmp"] / "plan.json"
+    assert main(["hedge", "--strategy", "cubic", "--target", "B2", "--instruments", "B3,B1,B4",
+                 "--bonds", str(cli_files["bonds"]), "--curve", str(cli_files["curve"]),
+                 "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    plan["legs"][1]["id"] = "B2"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["scenario", "--plan", str(plan_path), "--bonds", str(cli_files["bonds"]),
+                 "--curve", str(cli_files["curve"]), "--shock", "a=0.001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed hedge plan: cubic: target 'B2' cannot hedge itself\n"
+
+
 def test_cli_seed_only_on_synth(cli_files):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--bonds", str(cli_files["bonds"]),
@@ -1952,7 +2023,6 @@ def test_cli_backtest_writes_files(cli_files):
 def test_cli_backtest_allow_extrapolation(cli_files, capsys):
     config = {
         "target": {"id": "B1", "amount": 100.0},
-        "strategies": ["quadratic", "cubic"],
         "instruments": {"quadratic": ["B3", "B2"], "cubic": ["B3", "B2", "B4"]},
     }
     path = cli_files["tmp"] / "extrapolate.json"

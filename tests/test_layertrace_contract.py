@@ -63,7 +63,6 @@ def test_tracer_counts_no_curve_built_to_backtest_or_correlate_a_history():
     history, _ = generate_history(SynthConfig(days=40, seed=3))
     universe = {b.id: b for b in default_bond_universe()}
     config = BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)},
-                            strategies=(Strategy.DURATION,),
                             start=history[5].date, end=history[-5].date)
     tracer = layertrace.Tracer()
     tracer.install()
