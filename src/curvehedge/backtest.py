@@ -21,11 +21,12 @@ in three phases:
   named). Its legs are sorted by their first day's maturities (rolled by
   one elapsed time, they keep that order), and the holdings are the amounts
   as solved: the target on top, each rebalance day's held until the next.
-* P&L: exact repricing over one holdings block (strategies, slots, steps):
-  the target, then the legs by maturity, 0 from the series' end on. Each
-  bond's mark change (mark on day d+1 minus mark on day d) and carry drift
-  is taken once; one gather, one product and one sum over the slots in
-  holding order give every strategy's gross and net P&L.
+* P&L: exact repricing over one holdings block (series, slots, steps):
+  the target, then the legs by maturity, 0 from the series' end on. The
+  strategies come in config order and the unhedged target last, the series
+  with no legs. Each bond's mark change (mark on day d+1 minus mark on day
+  d) and carry drift is taken once; one gather, one product and one sum
+  over the slots in holding order give every series' gross and net P&L.
 
 Gross P&L includes pull-to-par carry. The carry-netted series subtracts
 the deterministic price drift the position would have shown on an
@@ -61,7 +62,7 @@ UNHEDGED = "unhedged"
 @dataclass(frozen=True)
 class BacktestConfig:
     """A backtest's settings. Its series are the keys of instruments, in
-    their order: each a table strategy, its leg ids under _check_legs."""
+    their order: each a table strategy or its name, its legs under _check_legs."""
 
     target_id: str
     instruments: Mapping[Strategy, tuple[str, ...]]
@@ -80,6 +81,7 @@ class BacktestConfig:
                 raise ValueError("rebalance_days must be >= 1")
         except TypeError:
             raise ValueError(f"rebalance_days must be an integer, got {self.rebalance_days!r}") from None
+        object.__setattr__(self, "instruments", {Strategy(s): ids for s, ids in self.instruments.items()})
         for strat, ids in self.instruments.items():
             if strat not in STRATEGIES:
                 raise ValueError(f"cannot backtest strategy {strat.value}: no closed form")
@@ -254,16 +256,15 @@ def run_backtest(
         _raise_on_day(bonds[bad[0]], curves, elapsed, int(stop[bad[0]]))
     row = {bond_id: i for i, bond_id in enumerate(ids)}
     life = dict(zip(ids, lives.tolist()))
-    # the holdings block: per strategy, slot 0 the target and then the legs
-    # in maturity order, each slot's amount over the steps (0 from the
-    # series' end on) and its row of the book (an unused slot: the zero row)
+    # the holdings block: per series (the strategies, then the unhedged target
+    # with no legs), slot 0 the target, then the legs in maturity order: each
+    # slot's amounts (0 from the series' end on) and book row (unused: zero row)
     target, amount = config.target_id, config.target_amount
-    width = 1 + max(map(len, config.instruments.values()), default=0)
-    held = np.zeros((len(config.instruments), width, steps))
+    named = [*((s.value, s, legs) for s, legs in config.instruments.items()), (UNHEDGED, None, ())]
+    held = np.zeros((len(named), 1 + max(len(legs) for *_, legs in named), steps))
     book = np.full(held.shape[:2], len(ids))
     lengths, ends = [], []  # ends: (step, series position, warning)
-    for pos, (strat, legs) in enumerate(config.instruments.items()):
-        name = strat.value
+    for pos, (name, strat, legs) in enumerate(named):
         n = min(life[i] for i in (target, *legs))
         lengths.append(n)
         if n < steps:
@@ -275,11 +276,11 @@ def run_backtest(
         legs = sorted(legs, key=lambda i: table[1, row[i], 0])
         holds = [row[target], *(row[i] for i in legs)]
         book[pos, : len(holds)] = holds
-        if n:
+        held[pos, 0, :n] = amount
+        if n and legs:
             days = slice(0, n, config.rebalance_days)
             amounts = _ratios(strat, legs, (amount, *table[:4, row[target], days]),
                               table[:4, holds[1:], days], config.allow_extrapolation, dates[days])
-            held[pos, 0, :n] = amount
             held[pos, 1 : len(holds), :n] = np.array(amounts)[:, np.arange(n) // config.rebalance_days]
     # each bond's mark change and carry drift (carry price minus mark: the
     # pull-to-par on an unchanged curve), then the zero row
@@ -291,16 +292,8 @@ def run_backtest(
     # each series summed over its slots in holding order from 0.0, as a running
     # total would; a padded 0.0 changes no sum (one from +0.0 is never -0.0)
     gross, net = np.add.reduce(pnl, axis=2, initial=0.0)
-    series = {strat.value: StrategySeries(strat.value, dates[1 : n + 1], gross[pos, :n], net[pos, :n])
-              for pos, (strat, n) in enumerate(zip(config.instruments, lengths))}
-
-    n = life[target]
-    if n < steps:
-        ends.append((n, len(config.instruments),
-                     f"{UNHEDGED}: series truncated at {dates[n]}: target matured"))
-    gross = amount * moves[0, row[target], :n]
-    series[UNHEDGED] = StrategySeries(UNHEDGED, dates[1 : n + 1], gross,
-                                      gross - amount * moves[1, row[target], :n])
+    series = {name: StrategySeries(name, dates[1 : n + 1], gross[pos, :n], net[pos, :n])
+              for pos, ((name, *_), n) in enumerate(zip(named, lengths))}
 
     started = {name: s.pnl(config.net_carry) for name, s in series.items() if s.dates}
     summary = dict(zip(started, _summaries(list(started.values()))))

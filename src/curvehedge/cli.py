@@ -19,8 +19,9 @@ correlates the rows its report covers.
 All numbers are printed with 10 significant digits, so identical inputs
 give byte-identical outputs. Exit code 0 on success, 2 on any data or
 validation error, an input that cannot be read and a result out of the
-float range among them. Missing inputs, outputs under a regular file, and
-file outputs that are directories are reported before any work.
+float range among them. Missing inputs, outputs under a regular file, file
+outputs that are directories and two outputs naming one file are reported
+before any work.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .backtest import BacktestConfig, run_backtest, tenor_correlations
 from .bonds import curve_analytics
 from .curve import ShockSpec, YieldCurve
 from .errors import ValidationError
-from .hedging import STRATEGIES, Strategy, build_plan, snapshot
+from .hedging import STRATEGIES, build_plan, snapshot
 from .io import (
     _iso_date,
     _write,
+    bonds_json,
     correlations_csv,
     emit_report,
     fmt_num,
@@ -49,7 +51,6 @@ from .io import (
     parse_plan_json,
     plan_json,
     scenario_lines,
-    write_bonds_json,
     write_curve_csv,
 )
 from .scenario import run_scenarios
@@ -61,14 +62,17 @@ _SYNTH_OPTIONS = ("days", "seed", "sigma_level", "sigma_slope", "sigma_twist", "
 
 def _check_inputs(args: argparse.Namespace) -> None:
     """Fail-fast validation: every missing input, every output file that is a
-    directory, and every output whose nearest existing folder is not a
-    directory, is reported before any work."""
+    directory, every output whose nearest existing folder is not a directory
+    and two outputs naming one file are reported before any work."""
     problems = []
     for attr in ("bonds", "curve", "history", "plan", "config"):
         value = getattr(args, attr, None)
         if value is not None and not Path(value).is_file():
             problems.append(f"--{attr}: no such file: {Path(value)}")
-    for value in filter(None, (args.out, getattr(args, "bonds_out", None))):
+    outputs = list(filter(None, (args.out, getattr(args, "bonds_out", None))))
+    if len({*map(os.path.realpath, outputs)}) < len(outputs):
+        problems.append(f"--out and --bonds-out name one file: {Path(args.out)}")
+    for value in outputs:
         # backtest writes its reports into --out; every other output is a file
         if args.command != "backtest" and os.path.isdir(value):
             problems.append(f"cannot write {Path(value)}: Is a directory")
@@ -150,14 +154,13 @@ def cmd_hedge(args: argparse.Namespace) -> int:
     _finite("--amount", args.amount)
     universe = parse_bonds_json(args.bonds)
     curve = _pick_curve(args.curve, args.date)
-    strategy = Strategy(args.strategy)
     ids = [s.strip() for s in args.instruments.split(",") if s.strip()]
     unknown = [i for i in [args.target, *ids] if i not in universe]
     if unknown:
         raise ValidationError(f"unknown bond id(s) {unknown}")
     target = snapshot(universe[args.target], curve, amount=args.amount)
     legs = [snapshot(universe[i], curve) for i in ids]
-    plan = build_plan(strategy, target, legs, args.allow_extrapolation)
+    plan = build_plan(args.strategy, target, legs, args.allow_extrapolation)
     _emit(plan_json(plan), args.out)
     return 0
 
@@ -211,9 +214,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig(start=_iso_date(args.start, "--start"),
                          **{name: getattr(args, name) for name in _SYNTH_OPTIONS})
     curves, _ = generate_history(config)
-    write_curve_csv(curves, args.out)
-    if args.bonds_out:
-        write_bonds_json(default_bond_universe(), args.bonds_out)
+    bonds = [(args.bonds_out, bonds_json(default_bond_universe()))] if args.bonds_out else []
+    write_curve_csv(curves, args.out, *bonds)
     return 0
 
 

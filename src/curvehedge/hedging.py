@@ -100,9 +100,9 @@ class HedgePlan:
 
     constraints holds (name, achieved value) pairs: the residual of each
     zeroed dollar-risk sum after substituting the solved amounts back in.
-    A table strategy's legs keep its leg rule (_check_legs). Every leg
-    amount and constraint value is finite: one beyond the float range (a
-    huge target amount) is refused by strategy and name.
+    The strategy may be given by its name; a table strategy's legs keep its
+    leg rule (_check_legs). Every leg amount and constraint value is finite:
+    one beyond the float range is refused by strategy and name.
     """
 
     strategy: Strategy
@@ -112,6 +112,7 @@ class HedgePlan:
     constraints: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
         if self.strategy in STRATEGIES:
             _check_legs(self.strategy, self.target_id, [leg.id for leg in self.legs])
         for what, x in [*((f"leg {leg.id!r} amount", leg.amount) for leg in self.legs),
@@ -352,6 +353,7 @@ def build_plan(
     The public builder is looked up by name at call time, so a wrapper
     installed on this module's attribute sees every plan.
     """
+    strategy = Strategy(strategy)
     spec = STRATEGIES.get(strategy)
     if spec is None:
         raise ValueError(f"{strategy.value} has no closed form; use solve_constraint_hedge")

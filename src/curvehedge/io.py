@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backtest import BacktestConfig, BacktestReport, UNHEDGED
+from .backtest import BacktestConfig, BacktestReport
 from .bonds import Bond
 from .curve import MAX_RATE, CurveHistory, YieldCurve, _bad_rows, _check_grid, _history
 from .errors import ValidationError
@@ -116,12 +116,16 @@ def _fields(value, name: str, table: _Table):
 
 
 def _strategy(value, name: str) -> Strategy:
-    return Strategy(_typed(value, name, "a string"))
+    """The strategy named by value; an unknown name is refused by its path."""
+    names = [s.value for s in Strategy]
+    if _typed(value, name, "a string") not in names:
+        raise ValueError(f"{name} must be a strategy ({', '.join(names)}), got {json.dumps(value)}")
+    return Strategy(value)
 
 
 def _instruments(value, name: str) -> dict[Strategy, tuple[str, ...]]:
     """A config's instruments: its series, in their order, each strategy's leg ids."""
-    return {Strategy(k): _IDS(ids, f"{name}.{k}")
+    return {_strategy(k, f"{name}.{k}"): _IDS(ids, f"{name}.{k}")
             for k, ids in _typed(value, name, "an object").items()}
 
 
@@ -446,11 +450,12 @@ def _parse_curve_text(path: Path, text: str) -> CurveHistory:
     return CurveHistory(dates, grid, block)
 
 
-def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
+def write_curve_csv(curves: Sequence[YieldCurve], path, *also) -> None:
     """Write a history in the same format parse_curve_csv reads, and hold it
     as that parse: a rate whose 10-digit text reads back out of the range
     (-100%, MAX_RATE] (-1 + 2^-52 is written as -1) is refused by date and
-    column, writing nothing. _csv renders the text and the held rates."""
+    column, writing nothing. _csv renders the text and the held rates. The
+    (path, text) pairs of also are written with it, all or nothing."""
     if not curves:
         raise ValidationError("curve history is empty: nothing to write")
     history = _history(curves)
@@ -464,7 +469,7 @@ def write_curve_csv(curves: Sequence[YieldCurve], path) -> None:
         raise ValidationError(f"cannot write the rate on {history.dates[i]} at tenor_{labels[j]}: "
                               f"{x!r} is written as {fmt_num(x)}, not a finite rate above -100% "
                               f"and at most {MAX_RATE:.0%}")
-    _write([(path, text)])
+    _write([(path, text), *also])
     if {*map(type, history.dates)} == {dt.date}:  # the dates the reader gives back
         _memo.extend((text, CurveHistory(history.dates, list(map(float, labels)), back)))
 
@@ -504,9 +509,14 @@ def parse_bonds_json(path) -> dict[str, Bond]:
     return universe
 
 
-def write_bonds_json(bonds: Sequence[Bond], path) -> None:
+def bonds_json(bonds: Sequence[Bond]) -> str:
+    """A bond universe file's text, as parse_bonds_json reads it."""
     entries = [{k: v for k, v in dataclasses.asdict(b).items() if v is not None} for b in bonds]
-    _write([(path, json.dumps(entries, indent=2) + "\n")])
+    return json.dumps(entries, indent=2) + "\n"
+
+
+def write_bonds_json(bonds: Sequence[Bond], path) -> None:
+    _write([(path, bonds_json(bonds))])
 
 
 # ---------------------------------------------------------------------------
@@ -590,24 +600,16 @@ def emit_report(
     correlations: np.ndarray | None = None,
     tenors: Sequence[float] | None = None,
 ) -> list[Path]:
-    """Write pnl_<strategy>.csv per series, summary.csv and correlations.csv,
-    all or nothing (see _write). Returns the final paths."""
-    out = Path(out_dir)
-    net = report.config.net_carry
-    order = [s.value for s in report.config.instruments]
-    if order:
-        order.append(UNHEDGED)
-    files = []
-    for name in order:
-        if name in report.series:
-            s = report.series[name]
-            files.append((out / f"pnl_{name}.csv", _csv(
-                PNL_COMMENT, "date,daily_pnl,cumulative_pnl", list(map(dt.date.isoformat, s.dates)),
-                np.column_stack([s.pnl(net), s.cumulative(net)]))))
-    names = [name for name in order if name in report.summary]
+    """Write pnl_<name>.csv per series of the report and summary.csv, a row
+    per summary, each in the report's order, and correlations.csv, all or
+    nothing (see _write). Returns the final paths."""
+    out, net = Path(out_dir), report.config.net_carry
+    files = [(out / f"pnl_{name}.csv", _csv(
+        PNL_COMMENT, "date,daily_pnl,cumulative_pnl", list(map(dt.date.isoformat, s.dates)),
+        np.column_stack([s.pnl(net), s.cumulative(net)]))) for name, s in report.series.items()]
     files.append((out / "summary.csv", _csv(
-        PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day", names,
-        [dataclasses.astuple(report.summary[name]) for name in names])))
+        PNL_COMMENT, "strategy,mean,stdev,max_drawdown,worst_day", list(report.summary),
+        list(map(dataclasses.astuple, report.summary.values())))))
     if correlations is not None:
         if tenors is None:
             raise ValueError("correlations need the tenor grid for labelling")

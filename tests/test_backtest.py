@@ -483,6 +483,17 @@ def test_config_validation():
         BacktestConfig(target_id="B2", instruments={Strategy.DURATION: ("B3",)}, rebalance_days=0)
 
 
+def test_config_takes_a_strategy_by_its_name():
+    """A strategy given as a plain string is its member, and an unknown name
+    is a ValueError naming it."""
+    config = BacktestConfig("B2", {"cubic": ("B3", "B1", "B4")})
+    assert [*config.instruments] == [Strategy.CUBIC] and [*config.instruments][0] is Strategy.CUBIC
+    with pytest.raises(ValueError, match="^cannot backtest strategy custom: no closed form$"):
+        BacktestConfig("B2", {"custom": ("B3",)})
+    with pytest.raises(ValueError, match="^'bogus' is not a valid Strategy$"):
+        BacktestConfig("B2", {"bogus": ("B3",)})
+
+
 def test_config_refuses_the_custom_strategy():
     with pytest.raises(ValueError, match="^cannot backtest strategy custom: no closed form$"):
         BacktestConfig(target_id="B2", instruments={Strategy.CUSTOM: ("B3",)})
@@ -595,11 +606,12 @@ def test_report_series_lengths(universe):
 def scalar_replay(history, universe, config):
     """The backtest step by step with scalar calls: every bond is rolled,
     priced and snapshotted afresh for each series on each step, and each
-    step's P&L is summed target first, then the plan's legs."""
+    step's P&L is summed from 0.0, target first, then the plan's legs. The
+    unhedged target is the last series, one with no legs and no plan."""
     day0 = history[0].date
-    names = [s.value for s in config.instruments] + [UNHEDGED]
-    rows = {name: [] for name in names}
-    alive = dict.fromkeys(names, True)
+    named = [*((s.value, s, legs) for s, legs in config.instruments.items()), (UNHEDGED, None, ())]
+    rows = {name: [] for name, *_ in named}
+    alive = dict.fromkeys(rows, True)
     warnings, plans = [], {}
     for k, (cur, nxt) in enumerate(zip(history, history[1:])):
         e_now, e_next = (cur.date - day0).days / 365.0, (nxt.date - day0).days / 365.0
@@ -614,8 +626,8 @@ def scalar_replay(history, universe, config):
         def dead(ids):
             return [i for i in ids if universe[i].maturity - e_next < nxt.min_tenor]
 
-        for strat, legs in config.instruments.items():
-            name, ids = strat.value, [config.target_id, *legs]
+        for name, strat, legs in named:
+            ids = [config.target_id, *legs]
             if not alive[name]:
                 continue
             if dead(ids):
@@ -623,24 +635,18 @@ def scalar_replay(history, universe, config):
                                 "or rolled below the curve's shortest tenor")
                 alive[name] = False
                 continue
-            if k % config.rebalance_days == 0:
+            if legs and k % config.rebalance_days == 0:
                 target = snapshot(universe[config.target_id].rolled(e_now), cur,
                                   amount=config.target_amount)
                 legs = [snapshot(universe[i].rolled(e_now), cur) for i in ids[1:]]
-                plans[strat] = build_plan(strat, target, legs, config.allow_extrapolation)
+                plans[name] = build_plan(strat, target, legs, config.allow_extrapolation)
             gross = net = 0.0
             for bond_id, amount in [(config.target_id, config.target_amount)] + [
-                    (leg.id, leg.amount) for leg in plans[strat].legs]:
+                    (leg.id, leg.amount) for leg in (plans[name].legs if legs else ())]:
                 g, n = step(bond_id, amount)
                 gross += g
                 net += n
             rows[name].append((nxt.date, gross, net))
-        if alive[UNHEDGED]:
-            if dead([config.target_id]):
-                warnings.append(f"{UNHEDGED}: series truncated at {cur.date}: target matured")
-                alive[UNHEDGED] = False
-            else:
-                rows[UNHEDGED].append((nxt.date, *step(config.target_id, config.target_amount)))
     return rows, warnings
 
 
@@ -1012,14 +1018,15 @@ def test_frozen_history_with_a_short_target_equals_scalar_replay(universe):
 @pytest.mark.parametrize("rebalance_days", [1, 3, 7])
 @pytest.mark.parametrize("net_carry", [False, True])
 @given(days=st.integers(2, 320), seed=st.integers(0, 2**16),
-       amount=st.sampled_from([100.0, -80.0, 0.0]) | st.floats(-1e3, 1e3),
+       amount=st.sampled_from([100.0, -80.0, 0.0, -0.0]) | st.floats(-1e3, 1e3),
        cubic=st.sampled_from([("B2", "S13", "B3"), ("B3", "S", "B2")]))
 @settings(max_examples=10, deadline=None)
 def test_each_series_equals_its_strategy_run_alone(rebalance_days, net_carry, days, seed, amount,
                                                    cubic):
     """Every series of an all-strategies run is ==, signs included, to the
     same strategy run on its own (a narrower block with other padding), and
-    so is its summary; truncation and never-started series included."""
+    so is its summary; truncation and never-started series included. The
+    unhedged series is also that of a run with no strategies at all."""
     uni = {b.id: b for b in default_bond_universe()}
     uni["S13"] = Bond("S13", 100.0, 0.025, 2, 1.3, issue_or_first_coupon_offset=0.1)
     uni["Q21"] = Bond("Q21", 100.0, 0.04, 4, 2.1)
@@ -1038,11 +1045,13 @@ def test_each_series_equals_its_strategy_run_alone(rebalance_days, net_carry, da
         net_carry=net_carry,
     )
     full = run_backtest(hist, uni, config)
-    for strat, legs in config.instruments.items():
-        alone = run_backtest(hist, uni, dataclasses.replace(config, instruments={strat: legs}))
+    for instruments in [*({strat: legs} for strat, legs in config.instruments.items()), {}]:
+        alone = run_backtest(hist, uni, dataclasses.replace(config, instruments=instruments))
+        names = [*(strat.value for strat in instruments), UNHEDGED]
+        assert list(alone.series) == names
         assert alone.warnings == [w for w in full.warnings
-                                  if w.startswith((f"{strat.value}:", f"{UNHEDGED}:"))]
-        for name in (strat.value, UNHEDGED):
+                                  if w.startswith(tuple(f"{name}:" for name in names))]
+        for name in names:
             s = alone.series[name]
             assert full.series[name].dates == s.dates
             assert_same_series(full.series[name], s.gross.tolist(), s.net.tolist(), name)

@@ -442,6 +442,19 @@ def test_build_plan_rejects_custom_and_wrong_leg_count(snaps):
         build_plan(Strategy.QUADRATIC, snaps["B2"], [snaps["B3"]])
 
 
+def test_build_plan_and_plan_take_a_strategy_by_its_name(snaps):
+    """A strategy given as a plain string is its member, and an unknown name
+    is a ValueError naming it."""
+    by_name = build_plan("convexity", snaps["B2"], [snaps["B3"], snaps["B1"]])
+    assert by_name == build_plan(Strategy.CONVEXITY, snaps["B2"], [snaps["B3"], snaps["B1"]])
+    assert by_name.strategy is Strategy.CONVEXITY
+    assert HedgePlan("custom", "B2", 1.0, (), ()).strategy is Strategy.CUSTOM
+    for make in (lambda: build_plan("bogus", snaps["B2"], [snaps["B3"]]),
+                 lambda: HedgePlan("bogus", "B2", 1.0, (), ())):
+        with pytest.raises(ValueError, match="'bogus' is not a valid Strategy"):
+            make()
+
+
 def test_build_plan_refuses_its_target_as_a_leg(snaps):
     """build_plan states a backtest config's leg rule, and so does the plan
     the public builder it dispatches to makes."""

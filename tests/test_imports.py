@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads."""
+"""Source hygiene: no module of the package imports a name it never reads,
+and the private names each module takes from its siblings are pinned."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,39 @@ def test_every_module_level_import_is_read(path):
     imported = _imported(tree)
     unused = sorted(set(imported) - _read(tree))
     assert not unused, [f"{path.name}:{imported[name]}: {name}" for name in unused]
+
+
+# each module's private names (_x) imported from its sibling modules: a module
+# that comes to know another's internals, or stops, changes this table
+SIBLING_PRIVATES = {
+    "backtest.py": {"bonds": ["_roll_table"], "curve": ["_history"],
+                    "hedging": ["_check_legs", "_ratios"]},
+    "bonds.py": {"curve": ["_SPAN_TOL"]},
+    "cli.py": {"io": ["_iso_date", "_write"]},
+    "hedging.py": {"bonds": ["_check_marks"], "curve": ["_condition_number"]},
+    "io.py": {"curve": ["_bad_rows", "_check_grid", "_history"]},
+    "scenario.py": {"bonds": ["_bond_flows", "_interp_rows", "_pv"],
+                    "curve": ["_SPAN_TOL", "_shock_block"]},
+}
+
+
+def _sibling_privates(tree: ast.Module) -> dict[str, list[str]]:
+    """The private names each relative import, at any depth, takes by module."""
+    found: dict[str, list[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            if names:
+                found.setdefault(node.module or "", []).extend(names)
+    return {module: sorted(names) for module, names in found.items()}
+
+
+def test_the_guard_sees_a_private_import():
+    tree = ast.parse("from .a import _x, y\nfrom .b import z\ndef f():\n    from .a import _w\n")
+    assert _sibling_privates(tree) == {"a": ["_w", "_x"]}
+
+
+def test_sibling_private_imports_are_pinned():
+    got = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+           if (found := _sibling_privates(ast.parse(p.read_text(), filename=str(p))))}
+    assert got == SIBLING_PRIVATES

@@ -36,7 +36,7 @@ from curvehedge import (
 )
 import curvehedge.io
 from curvehedge.cli import build_parser, main
-from curvehedge.hedging import STRATEGIES
+from curvehedge.hedging import STRATEGIES, HedgeLeg, HedgePlan
 from curvehedge.io import (
     PNL_COMMENT,
     RATE_COMMENT,
@@ -48,6 +48,7 @@ from curvehedge.io import (
     parse_curve_csv,
     parse_plan_json,
     plan_from_dict,
+    plan_json,
     plan_to_dict,
     write_bonds_json,
     write_curve_csv,
@@ -911,6 +912,12 @@ def test_plan_file_roundtrip(tmp_path, universe, curve):
     assert parse_plan_json(path) == plan
 
 
+def test_plan_json_of_a_strategy_given_by_name():
+    plan = HedgePlan("custom", "B2", 1.0, (HedgeLeg("B3", -2.0),), (("dollar_duration", 0.0),))
+    assert json.loads(plan_json(plan))["strategy"] == "custom"
+    assert plan_from_dict(plan_to_dict(plan)) == plan
+
+
 def test_plan_malformed(tmp_path):
     with pytest.raises(ValidationError, match="malformed hedge plan"):
         plan_from_dict({"strategy": "duration", "legs": []})
@@ -957,7 +964,9 @@ def test_plan_ids_must_be_strings(universe, curve):
     (lambda d: d["legs"][1].pop("id"), "missing field(s) ['legs[1].id']"),
     (lambda d: d.update(note="hedged by hand"), "unknown field(s) ['note']"),
     (lambda d: d.update(strategy=2), "strategy must be a string, got 2"),
-], ids=["legs", "target.amount", "leg-id", "note", "strategy-int"])
+    (lambda d: d.update(strategy="foo"), "strategy must be a strategy (duration, quadratic, "
+     'convexity, cubic, custom), got "foo"'),
+], ids=["legs", "target.amount", "leg-id", "note", "strategy-int", "strategy-unknown"])
 def test_plan_keys_are_named_by_path(universe, curve, change, message):
     """A plan's missing and unknown keys, at any depth, are named by their
     path from the document root, not reported as a bare key."""
@@ -1009,14 +1018,16 @@ def test_emit_report_deterministic(tmp_path, small_report):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_emit_report_empty_strategies_header_only(tmp_path, universe):
+def test_emit_report_empty_strategies_writes_the_unhedged_report(tmp_path, universe):
     curves, _ = generate_history(SynthConfig(days=5))
     config = BacktestConfig(target_id="B2", instruments={})
     report = run_backtest(curves, universe, config)
     paths = emit_report(report, tmp_path)
-    assert [p.name for p in paths] == ["summary.csv"]
-    lines = paths[0].read_text().splitlines()
-    assert lines[-1] == "strategy,mean,stdev,max_drawdown,worst_day"
+    assert [p.name for p in paths] == ["pnl_unhedged.csv", "summary.csv"]
+    assert len(paths[0].read_text().splitlines()) == 2 + 4
+    lines = paths[1].read_text().splitlines()
+    assert lines[1] == "strategy,mean,stdev,max_drawdown,worst_day"
+    assert [line.split(",")[0] for line in lines[2:]] == ["unhedged"]
 
 
 def test_emit_report_correlations_need_tenors(tmp_path, small_report):
@@ -1031,9 +1042,7 @@ def emitted_before(report, out_dir, correlations=None, tenors=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = report.config.net_carry
-    order = [s.value for s in report.config.instruments]
-    if order:
-        order.append("unhedged")
+    order = [*(s.value for s in report.config.instruments), "unhedged"]
     staged = []
     for name in order:
         series = report.series.get(name)
@@ -1579,6 +1588,8 @@ def test_cli_names_an_input_it_cannot_read(cli_files, capsys, monkeypatch, metho
     ("instruments", [], "instruments must be an object, got []"),
     ("instruments", {"duration": [True]}, "instruments.duration[0] must be a string, got true"),
     ("instruments", {"duration": "B3"}, 'instruments.duration must be an array, got "B3"'),
+    ("instruments", {"foo": ["B3"]}, "instruments.foo must be a strategy (duration, quadratic, "
+     'convexity, cubic, custom), got "foo"'),
     ("strategies", "duration", "unknown field(s) ['strategies']"),
     ("strategies", [1], "unknown field(s) ['strategies']"),
     ("rebalance_day", 5, "unknown field(s) ['rebalance_day']"),
@@ -1589,7 +1600,7 @@ def test_cli_names_an_input_it_cannot_read(cli_files, capsys, monkeypatch, metho
     ("target", {"amount": 50.0}, "missing field(s) ['target.id']"),
 ], ids=["net_carry-str", "net_carry-int", "allow_extrapolation-str", "rebalance_days-float",
         "rebalance_days-bool", "rebalance_days-str", "start-bad-day", "end-int", "config-array",
-        "config-str", "instruments-array", "instrument-bool", "instruments-str",
+        "config-str", "instruments-array", "instrument-bool", "instruments-str", "strategy-unknown",
         "strategies-str", "strategy-int", "rebalance_day-unknown", "net_cary-unknown",
         "target.amout-unknown", "instruments-missing", "target-missing", "target.id-missing"])
 def test_cli_backtest_rejects_mistyped_config(cli_files, capsys, key, value, message):
@@ -2020,6 +2031,22 @@ def test_cli_backtest_writes_files(cli_files):
         assert (out_dir / name).is_file(), name
 
 
+def test_cli_backtest_of_no_strategies_writes_the_unhedged_report(cli_files, capsys):
+    """An empty instruments object is the unhedged target alone."""
+    path = cli_files["tmp"] / "unhedged.json"
+    path.write_text(json.dumps({"target": {"id": "B2"}, "instruments": {}}))
+    out = cli_files["tmp"] / "report"
+    assert main(["backtest", "--history", str(cli_files["curve"]), "--bonds",
+                 str(cli_files["bonds"]), "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["correlations.csv", "pnl_unhedged.csv",
+                                                     "summary.csv"]
+    rows = (out / "pnl_unhedged.csv").read_text().splitlines()[2:]
+    assert len(rows) == len(cli_files["curves"]) - 1
+    summary = (out / "summary.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in summary] == ["unhedged"]
+
+
 def test_cli_backtest_allow_extrapolation(cli_files, capsys):
     config = {
         "target": {"id": "B1", "amount": 100.0},
@@ -2068,7 +2095,8 @@ def test_cli_backtest_warnings_on_stderr(cli_files, capsys):
     assert capsys.readouterr().err.splitlines() == [
         *(f"warning: {name}: series truncated at 2027-07-02: {dead}"
           for name in ("duration", "quadratic", "convexity", "cubic")),
-        "warning: unhedged: series truncated at 2028-06-30: target matured",
+        "warning: unhedged: series truncated at 2028-06-30: ['B2'] matured or rolled below the "
+        "curve's shortest tenor",
     ]
     frozen = tmp / "frozen.csv"
     write_curve_csv([YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(k), (1.0, 5.0, 10.0),
@@ -2219,6 +2247,19 @@ def test_cli_synth_bonds_out(tmp_path):
     assert rc == 0
     assert set(parse_bonds_json(bonds_path)) == {"B1", "B2", "B3", "B4"}
     assert len(parse_curve_csv(csv_path)) == 5
+
+
+def test_cli_synth_writes_both_outputs_or_neither(tmp_path, capsys):
+    """A bond file that cannot be written leaves no history behind either."""
+    csv_path, bonds_path = tmp_path / "h.csv", tmp_path / ("u" * 300 + ".json")
+    assert main(["synth", "--days", "5", "--out", str(csv_path),
+                 "--bonds-out", str(bonds_path)]) == 2
+    assert "File name too long" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    same = tmp_path / "sub" / ".." / "h.csv"
+    assert main(["synth", "--days", "5", "--out", str(csv_path), "--bonds-out", str(same)]) == 2
+    assert capsys.readouterr().err == f"error: --out and --bonds-out name one file: {csv_path}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_inputs_all_reported(tmp_path, capsys):
