@@ -21,6 +21,10 @@ term; the block words the first shock that cannot make a curve, and
 apply_shock is its one-shock case. Knots outside the fitted span move by
 the nearest endpoint's dY.
 
+A fit's grid side (knot mask, Vandermonde block, normal matrix and its
+condition check) is built once per grid and span by _normal_equations, a
+cache of 16, so a fit on a grid already seen is one small solve.
+
 Every rate lies in (-100%, MAX_RATE]: MAX_RATE = 10.0 (1000% a year) is far
 above any default-free curve and far below a rate whose (1 + r)^2 overflows
 a convexity. YieldCurve and _bad_rows check it.
@@ -33,6 +37,7 @@ curves on one grid becomes one through the same checked constructor.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import itertools
 import math
 import operator
@@ -238,22 +243,12 @@ def _condition_number(m: np.ndarray) -> float:
     return cond if cond == cond else math.inf
 
 
-def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> PolynomialSegment:
-    """Least-squares polynomial of the given degree over the knots in [t_lo, t_hi].
-
-    With exactly degree + 1 in-range knots the fit interpolates them. The
-    normal equations are solved directly (pivoted LU on a system of at most
-    4x4); a condition number above FIT_CONDITION_LIMIT raises FitError
-    rather than returning garbage coefficients.
-    """
-    if degree not in (2, 3):
-        raise ValueError(f"degree must be 2 or 3, got {degree}")
-    if t_hi - t_lo < MIN_SEGMENT_SPAN:
-        raise DegenerateSpanError(
-            f"segment span {t_hi - t_lo:.3e} below minimum {MIN_SEGMENT_SPAN:.3e}"
-        )
-    t = np.asarray(curve.tenors)
-    r = np.asarray(curve.rates)
+@functools.lru_cache(maxsize=16)
+def _normal_equations(tenors: tuple[float, ...], t_lo: float, t_hi: float, degree: int) -> tuple:
+    """(mask, vand, normal, fit_kind), read-only: the part of a fit that the
+    grid and span fix. Too few knots in the span, or a condition number above
+    FIT_CONDITION_LIMIT, is a FitError on every call: the cache keeps none."""
+    t = np.asarray(tenors)
     mask = (t >= t_lo - _SPAN_TOL) & (t <= t_hi + _SPAN_TOL)
     n_in = int(np.count_nonzero(mask))
     if n_in < degree + 1:
@@ -266,9 +261,29 @@ def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> Pol
     cond = _condition_number(normal)
     if cond > FIT_CONDITION_LIMIT:  # inf when singular
         raise FitError(f"normal equations condition number {cond:.3e} exceeds {FIT_CONDITION_LIMIT:.0e}")
-    coef = np.linalg.solve(normal, vand.T @ r[mask])
+    for a in (mask, vand, normal):
+        a.setflags(write=False)
+    return mask, vand, normal, "interpolating" if n_in == degree + 1 else "least_squares"
+
+
+def fit_segment(curve: YieldCurve, t_lo: float, t_hi: float, degree: int) -> PolynomialSegment:
+    """Least-squares polynomial of the given degree over the knots in [t_lo, t_hi].
+
+    With exactly degree + 1 in-range knots the fit interpolates them. The
+    normal equations are solved directly (pivoted LU on a system of at most
+    4x4); a condition number above FIT_CONDITION_LIMIT raises FitError
+    rather than returning garbage coefficients. The grid side comes from
+    _normal_equations, built once per grid and span.
+    """
+    if degree not in (2, 3):
+        raise ValueError(f"degree must be 2 or 3, got {degree}")
+    if t_hi - t_lo < MIN_SEGMENT_SPAN:
+        raise DegenerateSpanError(
+            f"segment span {t_hi - t_lo:.3e} below minimum {MIN_SEGMENT_SPAN:.3e}"
+        )
+    mask, vand, normal, kind = _normal_equations(tuple(curve.tenors), t_lo, t_hi, degree)
+    coef = np.linalg.solve(normal, vand.T @ np.asarray(curve.rates)[mask])
     padded = tuple(float(c) for c in coef) + (0.0,) * (3 - degree)
-    kind = "interpolating" if n_in == degree + 1 else "least_squares"
     return PolynomialSegment(t_lo=float(t_lo), t_hi=float(t_hi), coefficients=padded, fit_kind=kind)
 
 

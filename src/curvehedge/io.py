@@ -301,11 +301,17 @@ def _csv(comment: str, header: str, labels: Sequence[str], block, back=None) -> 
 def _write(files) -> None:
     """Write (path, text) pairs, parent directories created: each text goes to
     a .tmp beside its path and all are renamed only once all are written. An
-    OSError removes the temp files and is a ValidationError naming the path."""
+    OSError removes the temp files and is a ValidationError naming the path;
+    so is a path given twice (one real path), before anything is opened."""
+    files = [(Path(path), text) for path, text in files]
+    if len({path.name for path, _ in files}) < len(files):  # else no two share a .tmp
+        real = [os.path.realpath(path) for path, _ in files]
+        for i, r in enumerate(real):
+            if r in real[:i]:
+                raise ValidationError(f"cannot write {files[i][0]}: path given twice")
     staged: list[tuple[Path, Path]] = []
     try:
         for path, text in files:
-            path = Path(path)
             tmp = path.with_name(path.name + ".tmp")
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w") as fh:

@@ -13,7 +13,8 @@ and the CLI. It stacks the base curve and the K shocked curves as one
 flows, concatenated as one table, over the whole block at once, every float
 equal to the one-shock path (apply_shock, spot, price). A translation moves
 every knot by exactly a, so the curve is fitted only when some shock has a
-slope or twist term. residual_scaling
+slope or twist term, and then once per curve: default_segment holds its fit
+on the curve. residual_scaling
 shrinks a shock dyadically and records the hedged residual at each size;
 the log-log slope of that series is the effective order of the
 immunization (2 for a first-order hedge, 3 when convexity is matched too).
@@ -56,9 +57,15 @@ def reprice_pnl(bond: Bond, curve: YieldCurve, shocked: YieldCurve) -> float:
 
 
 def default_segment(curve: YieldCurve) -> PolynomialSegment:
-    """Cubic fit over the whole knot range (quadratic if only 3 knots)."""
-    degree = 3 if len(curve.tenors) >= 4 else 2
-    return fit_segment(curve, curve.min_tenor, curve.max_tenor, degree)
+    """Cubic fit over the whole knot range (quadratic if only 3 knots), made
+    on first use and held on the frozen curve (a replaced curve is a new
+    instance with its own); a FitError is raised on every call."""
+    seg = curve.__dict__.get("_default_segment")
+    if seg is None:
+        degree = 3 if len(curve.tenors) >= 4 else 2
+        seg = curve.__dict__["_default_segment"] = fit_segment(
+            curve, curve.min_tenor, curve.max_tenor, degree)
+    return seg
 
 
 def run_scenarios(

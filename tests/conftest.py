@@ -1,12 +1,14 @@
 """Shared fixtures: the demo bond universe and a curve with knots at the
 bond maturities (4, 5, 5.5 and 7 are all grid tenors, so custom shock
 vectors are exact at every bond's pricing point). Every test starts with
-no curve history held by parse_curve_csv."""
+no curve history held by parse_curve_csv and no grid's normal equations
+held by fit_segment."""
 
 import datetime as dt
 
 import pytest
 
+import curvehedge.curve
 import curvehedge.io
 from curvehedge import Bond, YieldCurve, snapshot
 from curvehedge.synth import DEFAULT_BASE_COEFFS, DEFAULT_TENORS, default_bond_universe
@@ -19,8 +21,9 @@ def base_rate(t: float) -> float:
 
 @pytest.fixture(autouse=True)
 def empty_curve_memo():
-    """Test order cannot turn a test's counted parse into a memo hit."""
+    """Test order cannot turn a test's counted parse or fit into a cache hit."""
     curvehedge.io._memo.clear()
+    curvehedge.curve._normal_equations.cache_clear()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Curve interpolation, polynomial segment fitting, derivatives and shocks."""
 
 import datetime as dt
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from curvehedge import (
     generate_history,
     spot,
 )
-from curvehedge.curve import CurveHistory, _condition_number
+from curvehedge.curve import _SPAN_TOL, MIN_SEGMENT_SPAN, CurveHistory, _condition_number, _normal_equations
 from curvehedge.synth import _ar1, _trading_dates
 
 D = dt.date(2024, 1, 2)
@@ -207,6 +208,104 @@ def test_fit_reproduces_generating_polynomial(a0, a1, a2, a3):
     c = poly_curve((a0, a1, a2, a3), tenors)
     seg = fit_segment(c, 0.5, 10.0, 3)
     assert seg.coefficients == pytest.approx((a0, a1, a2, a3), abs=1e-10)
+
+
+def reference_fit(curve, t_lo, t_hi, degree):
+    """fit_segment as a whole fit per call, grid side and all: the reference
+    that the grid-level cache must equal bit for bit."""
+    if degree not in (2, 3):
+        raise ValueError(f"degree must be 2 or 3, got {degree}")
+    if t_hi - t_lo < MIN_SEGMENT_SPAN:
+        raise DegenerateSpanError(
+            f"segment span {t_hi - t_lo:.3e} below minimum {MIN_SEGMENT_SPAN:.3e}"
+        )
+    t = np.asarray(curve.tenors)
+    r = np.asarray(curve.rates)
+    mask = (t >= t_lo - _SPAN_TOL) & (t <= t_hi + _SPAN_TOL)
+    n_in = int(np.count_nonzero(mask))
+    if n_in < degree + 1:
+        raise FitError(
+            f"degree-{degree} fit needs at least {degree + 1} knots in "
+            f"[{t_lo}, {t_hi}], found {n_in}"
+        )
+    vand = np.vander(t[mask], degree + 1, increasing=True)
+    normal = vand.T @ vand
+    cond = np.linalg.cond(normal)
+    if cond > 1e12:
+        raise FitError(f"normal equations condition number {cond:.3e} exceeds 1e+12")
+    coef = np.linalg.solve(normal, vand.T @ r[mask])
+    padded = tuple(float(c) for c in coef) + (0.0,) * (3 - degree)
+    kind = "interpolating" if n_in == degree + 1 else "least_squares"
+    return PolynomialSegment(t_lo=float(t_lo), t_hi=float(t_hi), coefficients=padded, fit_kind=kind)
+
+
+def _fit_outcome(fit, *args):
+    """A fit's (coefficients, span, fit_kind), or its error's type and words."""
+    try:
+        seg = fit(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return seg.coefficients, seg.t_lo, seg.t_hi, seg.fit_kind
+
+
+@st.composite
+def _grid_fits(draw):
+    """A grid of 3-15 increasing positive knots, three rate vectors on it, a
+    degree and a span: the whole grid, or two of its knots each nudged by up
+    to 0.1y, which can leave too few knots, an empty span or an
+    ill-conditioned system."""
+    n = draw(st.integers(3, 15))
+    start = draw(st.floats(0.05, 2.0))
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=n - 1, max_size=n - 1))
+    tenors = tuple(accumulate(steps, initial=start))
+    rates = st.lists(st.floats(-0.05, 0.2), min_size=n, max_size=n).map(tuple)
+    curves = [YieldCurve(D, tenors, draw(rates)) for _ in range(3)]
+    degree = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        return curves, tenors[0], tenors[-1], degree
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    nudge = st.floats(-0.1, 0.1)
+    return curves, tenors[i] + draw(nudge), tenors[j] + draw(nudge), degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_fits())
+def test_fit_segment_equals_a_whole_fit_per_call(case):
+    """Curves on one grid share its normal equations: each fit, first or
+    repeated, equals the reference's coefficients, span and kind bit for
+    bit, or raises its error in its words."""
+    curves, t_lo, t_hi, degree = case
+    for c in (*curves, curves[0]):
+        assert _fit_outcome(fit_segment, c, t_lo, t_hi, degree) == _fit_outcome(
+            reference_fit, c, t_lo, t_hi, degree)
+
+
+@pytest.mark.parametrize("tenors, t_lo, t_hi, degree, words", [
+    ((1.0, 2.0, 3.0, 4.0, 5.0), 1.0, 3.0, 3, "degree-3 fit needs at least 4 knots in [1.0, 3.0], found 3"),
+    ((100.0, 100.5, 101.0, 101.5, 102.0), 100.0, 102.0, 3, "normal equations condition number"),
+])
+def test_a_grid_that_cannot_be_fitted_is_refused_on_every_call(tenors, t_lo, t_hi, degree, words):
+    """The cache keeps no error: a second curve on the grid, and the first
+    again, are refused in the first call's words."""
+    curves = [YieldCurve(D, tenors, tuple(0.02 + 0.001 * k * t for t in tenors)) for k in (1, 2)]
+    refusals = []
+    for c in (*curves, curves[0]):
+        with pytest.raises(FitError) as err:
+            fit_segment(c, t_lo, t_hi, degree)
+        refusals.append(str(err.value))
+    assert refusals[0].startswith(words) and set(refusals) == {refusals[0]}
+    assert _normal_equations.cache_info().currsize == 0
+
+
+def test_normal_equations_are_built_once_per_grid_and_read_only():
+    tenors = (0.5, 1.0, 2.0, 5.0, 10.0)
+    for k in range(3):
+        fit_segment(poly_curve((0.02, 0.001 * k, 0.0, 0.0), tenors), 0.5, 10.0, 3)
+    info = _normal_equations.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, 16)
+    mask, vand, normal, kind = _normal_equations(tenors, 0.5, 10.0, 3)
+    assert kind == "least_squares"
+    assert not any(a.flags.writeable for a in (mask, vand, normal))
 
 
 # ---------------------------------------------------------------------------

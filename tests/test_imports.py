@@ -77,3 +77,77 @@ def test_sibling_private_imports_are_pinned():
     got = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
            if (found := _sibling_privates(ast.parse(p.read_text(), filename=str(p))))}
     assert got == SIBLING_PRIVATES
+
+
+# every process-wide cache by module: a function under functools.cache or
+# lru_cache, or a module-level container that a function fills; a cache added
+# or dropped changes this table
+CACHES = {"cli.py": ["build_parser"], "curve.py": ["_normal_equations"],
+          "io.py": ["_kernel_tables", "_memo"]}
+
+_FILLS = {"append", "extend", "insert", "update", "setdefault", "add"}
+
+
+def _cache_kind(decorator: ast.expr) -> str | None:
+    """"cache" or "lru_cache" for a functools cache decorator, however imported."""
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _caches(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The module's caches by name, and each one that can grow without
+    bound: functools.cache on a function that takes parameters, or an
+    lru_cache whose maxsize is not given as an int."""
+    found, unbounded = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for d in node.decorator_list:
+            kind = _cache_kind(d)
+            if kind is None:
+                continue
+            found.add(node.name)
+            a = node.args
+            if kind == "cache" and (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                unbounded.append(f"{node.lineno}: {node.name}: functools.cache on a function with parameters")
+            elif kind == "lru_cache":
+                sizes = [*d.args[:1], *(k.value for k in d.keywords if k.arg == "maxsize")] \
+                    if isinstance(d, ast.Call) else []
+                if not any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes):
+                    unbounded.append(f"{node.lineno}: {node.name}: lru_cache without an int maxsize")
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, (ast.List, ast.Dict, ast.Set)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _FILLS and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in containers):
+            found.add(node.func.value.id)
+    return sorted(found), unbounded
+
+
+def test_the_guard_sees_an_unbounded_cache():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n_memo = []\n_table = {}\n"
+        "@functools.cache\ndef a(x): ...\n@cache\ndef b(): ...\n"
+        "@functools.lru_cache\ndef c(x): ...\n@lru_cache(maxsize=None)\ndef d(x): ...\n"
+        "@functools.lru_cache(maxsize=16)\ndef e(x): ...\n@lru_cache(8)\ndef f(x): ...\n"
+        "def g(): _memo.append(1)\n")
+    assert _caches(tree) == (["_memo", "a", "b", "c", "d", "e", "f"], [
+        "6: a: functools.cache on a function with parameters",
+        "10: c: lru_cache without an int maxsize",
+        "12: d: lru_cache without an int maxsize"])
+
+
+def test_every_process_wide_cache_is_bounded_and_pinned():
+    got, unbounded = {}, []
+    for p in MODULES:
+        names, faults = _caches(ast.parse(p.read_text(), filename=str(p)))
+        if names:
+            got[p.name] = names
+        unbounded += [f"{p.name}:{fault}" for fault in faults]
+    assert not unbounded, unbounded
+    assert got == CACHES

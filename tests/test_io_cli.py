@@ -2192,6 +2192,17 @@ def test_emit_report_writes_all_files_or_none(tmp_path, small_report):
     assert sorted(p.name for p in out.iterdir()) == ["summary.csv.tmp"]
 
 
+@pytest.mark.parametrize("again", ["x.csv", "sub/../x.csv"])
+def test_write_refuses_a_path_given_twice_and_leaves_no_file(tmp_path, again):
+    """Two texts for one file would stage to one .tmp and leave the second
+    text behind a failed rename; the path is refused before anything opens."""
+    curves, _ = generate_history(SynthConfig(days=3, seed=1))
+    with pytest.raises(ValidationError) as err:
+        write_curve_csv(curves, tmp_path / "x.csv", (tmp_path / again, "other text\n"))
+    assert str(err.value) == f"cannot write {tmp_path / again}: path given twice"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_stats(cli_files, capsys):
     rc = main(["stats", "--history", str(cli_files["curve"])])
     assert rc == 0

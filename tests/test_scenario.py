@@ -1,6 +1,7 @@
 """Exact-repricing scenarios: closed-form oracles, second-order residual
 accounting, and the dyadic scaling law behind the order estimates."""
 
+import dataclasses
 import datetime as dt
 import warnings
 
@@ -28,6 +29,7 @@ from curvehedge import (
     run_scenario,
     run_scenarios,
 )
+from curvehedge.curve import _normal_equations
 from curvehedge.scenario import ScenarioResult, default_segment
 
 
@@ -337,6 +339,43 @@ def test_default_segment_degree(curve):
     assert seg.t_lo == curve.min_tenor and seg.t_hi == curve.max_tenor
     three = YieldCurve(dt.date(2024, 1, 2), (1.0, 2.0, 3.0), (0.02, 0.025, 0.028))
     assert default_segment(three).coefficients[3] == 0.0  # quadratic fallback
+
+
+def test_default_segment_is_held_on_the_curve(curve):
+    """The fit is made once and kept on the curve; eq, hash and repr read
+    the curve's fields only, so they do not see it."""
+    fresh = dataclasses.replace(curve)
+    seg = default_segment(curve)
+    assert default_segment(curve) is seg
+    assert seg == fit_segment(curve, curve.min_tenor, curve.max_tenor, 3)
+    assert curve == fresh and hash(curve) == hash(fresh) and repr(curve) == repr(fresh)
+
+
+def test_curves_on_one_grid_share_the_normal_equations_not_the_segment(curve):
+    moved = dataclasses.replace(curve, rates=tuple(r + 1e-3 * t for r, t in zip(curve.rates, curve.tenors)))
+    held, seg = default_segment(curve), default_segment(moved)
+    info = _normal_equations.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert seg != held and seg == fit_segment(moved, moved.min_tenor, moved.max_tenor, 3)
+
+
+def test_a_replaced_curve_fits_afresh(curve):
+    held = default_segment(curve)
+    same = dataclasses.replace(curve)
+    assert "_default_segment" not in vars(same)
+    seg = default_segment(same)
+    assert seg == held and seg is not held
+
+
+def test_two_twist_sweeps_of_one_curve_fit_it_once(plans, universe, curve, monkeypatch):
+    """The quadratic and cubic plans' twist sweeps of one curve, as an audit
+    runs them, solve the fit's normal equations once between them."""
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+    for name in ("quadratic", "cubic"):
+        residual_scaling(plans[name], universe, curve, ShockSpec.parametric(c=0.5), steps=4)
+    assert len(solves) == 1
 
 
 # ---------------------------------------------------------------------------
