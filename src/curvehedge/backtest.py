@@ -10,9 +10,7 @@ in three phases:
   table holds the whole book over its lives (bonds._roll_table), built
   from the window's (days, knots) rates block: row d of a bond is
   the bond rolled to day d, its mark the price off day d's curve and its
-  carry price the price off day d-1's curve. Each bond's rows are summed in
-  blocks of days with the same live-flow count, a pro-rata first coupon
-  (accrual offset) sits in its row, and every number is equal to the
+  carry price the price off day d-1's curve, every number equal to the
   scalar price/analytics path. A bond that cannot be priced fails here, by
   name and first failing day, before any strategy runs.
 * plans: a strategy lives as long as the shortest life among its bonds. One

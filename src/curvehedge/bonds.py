@@ -8,14 +8,16 @@ Conventions used throughout the toolkit:
 * all times are ACT/365 year fractions measured from the valuation date.
 
 One flow table holds the coupon schedule (_flows): the times and amounts
-of a bond rolled by any number of elapsed times, a row each. Its one row
-for the bond as it stands is built once per Bond instance and held,
-read-only, on the bond (_bond_flows), so cashflows, price, analytics, spot
-mode and the scenario sweeps all read the same arrays however often the
-bond is priced; a rolled or replaced bond is a new instance and builds its
-own, and a bond that cannot be priced raises on every call. The backtest's
-mark table (_roll_table) reads the flow table for a whole book over a
-window of rolled rows, and every pricing discounts it as cf·(1+y)^-t (_pv).
+of a bond rolled by any number of elapsed times, flows-major, a column
+each. Its one column for the bond as it stands is built once per Bond
+instance and held, read-only, on the bond (_bond_flows), so every pricing
+of the bond reads the same arrays; a rolled or replaced bond is a new
+instance and builds its own, and a bond that cannot be priced raises on
+every call. The mark table (_roll_table) reads a bond's whole life as one
+table. Every pricing discounts a table as cf·(1+y)^-t (_pv), sums it by
+one left fold, earliest flow first (_fold), so zero flows pad tables into
+one block and change no sum, and divides a convexity by one square,
+(1+y)·(1+y).
 
 Each bond is priced off a single yield. When that yield comes from a curve
 the default is the interpolated spot rate at the bond's own maturity
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -110,27 +111,30 @@ def _counts(maturity, frequency, elapsed):
 
 
 def _flows(bond: Bond, elapsed, k: int):
-    """Flow times t and amounts cf of `bond` rolled by elapsed, for rows with
-    k live flows: (k,) for a float elapsed, (rows, k) for an array. Flows
-    fall at m - j*step for j < k; the earliest pays pro rata when its accrual
-    period is short and the last also returns the face. late marks the rows
-    whose accrual start is not before their first coupon."""
+    """Flow times t and amounts cf of `bond` rolled by elapsed, flows-major:
+    (k,) for a float elapsed, (k, rows) for an array, at m - J*step for J
+    from k-1 down to 0, led by dead flows (t = cf = 0) where a row has fewer
+    than k live. The first live flow pays pro rata when its accrual period is
+    short and the last also returns the face. late marks the rows whose
+    accrual start is not before their first coupon."""
     step = 1.0 / bond.coupon_frequency
     coupon = bond.face * bond.coupon_rate / bond.coupon_frequency
-    t = np.subtract.outer(bond.maturity - elapsed, np.arange(k - 1, -1, -1) * step)
-    cf = np.full(t.shape, coupon)
+    m, n = _counts(bond.maturity, bond.coupon_frequency, elapsed)
+    J = np.arange(k - 1.0, -1.0, -1.0).reshape(k, *[1] * np.ndim(m))  # a column against rows
+    live = J < n
+    t, cf = np.where(live, m - J * step, 0.0), live * coupon
     late, start = False, bond.issue_or_first_coupon_offset
-    # .T[0] and .T[-1] are every row's first and last flow (scalars for one row)
     if start is not None:
-        accrual = t.T[0] - (start - elapsed)
+        accrual = m - (n - 1.0) * step - (start - elapsed)  # from each row's first live flow
         late = accrual <= _TIME_TOL
-        cf.T[0] = np.where(accrual < step - _TIME_TOL, bond.face * bond.coupon_rate * accrual, coupon)
-    cf.T[-1] += bond.face
+        cf = np.where(J == n - 1.0, np.where(
+            accrual < step - _TIME_TOL, bond.face * bond.coupon_rate * accrual, coupon), cf)
+    cf[-1] += bond.face
     return t, cf, late
 
 
 def _bond_flows(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
-    """The one-row table of the bond as it stands, zero flows dropped, built
+    """The one-column table of the bond as it stands, zero flows dropped, built
     on first use and kept read-only on the bond (a rolled or replaced bond is
     a new instance with its own). A ValueError names the bond, on every call,
     if it has no live flow or a late accrual start: errors are not kept."""
@@ -173,15 +177,21 @@ def _yield(ytm: float) -> float:
     return ytm
 
 
-def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray) -> np.ndarray:
-    """Present values cf·(1+y)^-t of a flow table at one yield, a column of
-    yields (one per row) or one yield per flow; every yield is in a curve's
-    range (a checked curve's, or a caller's through _yield)."""
-    # one exponent per value: where the yields add rows to the table it is
-    # laid out in full, as NumPy takes an exponent of -1 broadcast over a
-    # column as a reciprocal, which can differ from pow
-    e = -t if np.shape(ytm)[:-1] == t.shape[:-1] else -t * np.ones_like(ytm)
-    return cf * (1.0 + ytm) ** e
+def _pv(t: np.ndarray, cf: np.ndarray, ytm: float | np.ndarray, out=None) -> np.ndarray:
+    """Present values cf·(1+y)^-t, into out if given, y in a curve's range
+    (a checked curve's, or a caller's through _yield) broadcast against t.
+    NumPy's power sends an exponent seen with stride 0 (broadcast, or a lone
+    2-D element), and ** any one-element one, through a loop taking -1 as a
+    reciprocal, not pow: so t is laid out in full, one column stays 1-D."""
+    return np.multiply(cf, np.power(1.0 + ytm, -t), out=out)
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """The one sum of a flow table, each column's left fold, earliest flow
+    first. NumPy adds the rows of a C-ordered block (other orders are copied)
+    of two or more columns in order but one column pairwise: it accumulates."""
+    x = np.ascontiguousarray(x)
+    return np.add.reduce(x, axis=0) if x.size > len(x) else np.add.accumulate(x, axis=0)[-1]
 
 
 def _check_marks(instrument: str, marks) -> None:
@@ -195,7 +205,7 @@ def _check_marks(instrument: str, marks) -> None:
 def price(bond: Bond, ytm: float) -> float:
     """Present value of all cashflows at a single annually-compounded yield."""
     with np.errstate(all="ignore"):
-        p = float(_pv(*_bond_flows(bond), _yield(ytm)).sum())
+        p = float(_fold(_pv(*_bond_flows(bond), _yield(ytm))))
     _check_marks(bond.id, [("price", p)])
     return p
 
@@ -218,9 +228,9 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     """Flat-mode marks of a book: row k of bond i, for k < rows[i], is what
     the scalar path gives for bonds[i].rolled(elapsed[k]), its snapshot off
     curve k (row k of rates) and from row 1 its carry price off curve k-1.
-    One interpolation gives every yield; each bond's flows are summed per
-    run of rows with the same live-flow count (a zero-coupon bond's coupons
-    as exact zeros), so every float is equal to the scalar one.
+    One interpolation gives every yield, and each bond's life is one table,
+    its mark and carry side by side and each moment one fold (_fold): every
+    float is equal to the scalar one.
 
     Returns (table, stop): table is (price, maturity, duration, convexity,
     carry) over (bonds, len(elapsed)); stop[i] is rows[i] or bond i's first
@@ -239,25 +249,15 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     fails = (m < xp[0] - _SPAN_TOL) | (m > xp[-1] + _SPAN_TOL) | (n < 1) | (ys <= -1.0).any(axis=1)
     fails |= after >= np.asarray(rows)[:, None]
     stop = np.where(fails.any(axis=1), fails.argmax(axis=1), days)
-    g = 1.0 + ys[:, 0]
-    # Python's float ** (libm pow) on each yield: NumPy squares differ from
-    # it in the last bit
-    g2 = np.fromiter(map(math.pow, g.ravel().tolist(), repeat(2.0)), float, g.size).reshape(g.shape)
     table, late = np.full((5, *m.shape), np.nan), np.zeros(m.shape, dtype=bool)
     table[1] = m
-    # live flows only drop as a bond rolls, so equal counts form runs: a cut
-    # opens each run, and one more closes each bond's last
-    live = np.zeros((len(bonds), days + 2))
-    np.copyto(live[:, 1:-1], n, where=after < stop[:, None])
-    bond_of, cuts = (x.tolist() for x in np.nonzero(live[:, 1:] != live[:, :-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for i, j, a, b in zip(bond_of, bond_of[1:], cuts, cuts[1:]):
-            if i == j:
-                t, cf, late[i, a:b] = _flows(bonds[i], elapsed[a:b], int(n[i, a]))
-                pv = _pv(t, cf, ys[i, :, a:b, None])  # the mark and carry blocks as one
-                table[0, i, a:b], table[2, i, a:b], table[3, i, a:b] = _flat_marks(
-                    t, pv[0], g[i, a:b], g2[i, a:b])
-                table[4, i, a:b] = pv[1].sum(axis=-1)
+        for i in np.flatnonzero(stop).tolist():
+            s = stop[i]  # live flows only drop as a bond rolls: row 0 has the most
+            t, cf, late[i, :s] = _flows(bonds[i], elapsed[:s], int(n[i, 0]))
+            block = np.empty((len(t), 4, s))  # mark and carry PV, then the moments
+            _pv(t[:, None].repeat(2, axis=1), cf[:, None], ys[i, :, :s], out=block[:, :2])
+            table[[0, 2, 3, 4], i, :s] = _flat_marks(t, block, 1.0 + ys[i, 0, :s])
     # the snapshot's rule and a finite carry (row 0's is its price), on the
     # rows priced (from stop on they are NaN)
     ok = (table[0] > 0) & (table[2] > 0) & np.isfinite(table[[0, 2, 3, 4]]).all(axis=0)
@@ -268,12 +268,15 @@ def _roll_table(bonds: Sequence[Bond], rows: Sequence[int], elapsed: np.ndarray,
     return table, stop
 
 
-def _flat_marks(t: np.ndarray, pv: np.ndarray, g, g2):
-    """Price, duration and convexity of each row of present values taken at
-    one yield y per row, given g = 1 + y and g2 its libm square (floats for
-    one row, else arrays)."""
-    p, tpv, ttpv = pv.sum(axis=-1), (t * pv).sum(axis=-1), (t * (t + 1.0) * pv).sum(axis=-1)
-    return p, tpv / p / g, ttpv / (p * g2)
+def _flat_marks(t: np.ndarray, block: np.ndarray, g):
+    """Price, duration and convexity of a flows-major table t off a block
+    (flows, rows, ...) whose rows but the last two are present values, the
+    first at y = g - 1 per column, then each further row's price: the last
+    two rows take t·PV and t(t+1)·PV of the first, and one fold sums all."""
+    np.multiply(t, block[:, 0], out=block[:, -2])
+    np.multiply(t * (t + 1.0), block[:, 0], out=block[:, -1])
+    p, *prices, tpv, ttpv = _fold(block)
+    return p, tpv / p / g, ttpv / (p * (g * g)), *prices
 
 
 def modified_duration(bond: Bond, ytm: float) -> float:
@@ -295,9 +298,10 @@ def _analytics(bond: Bond, ytm: float) -> BondAnalytics:
     """analytics at a yield, unchecked: a curve's yield, which interpolation
     may round an ulp past either end of the range."""
     t, cf = _bond_flows(bond)
-    g = 1.0 + ytm
+    block = np.empty((len(t), 3))
     with np.errstate(all="ignore"):
-        p, d, c = _flat_marks(t, _pv(t, cf, ytm), g, g**2)
+        _pv(t, cf, ytm, out=block[:, 0])
+        p, d, c = _flat_marks(t, block, 1.0 + ytm)
     return _marked(bond, ytm, p, d, c)
 
 
@@ -336,20 +340,18 @@ def curve_analytics(bond: Bond, curve: YieldCurve, mode: str = "flat") -> BondAn
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
         )
     with np.errstate(all="ignore"):
-        (p,), (d,), (c,) = _spot_marks(t[None], cf[None], curve.tenors, np.array([curve.rates]))
+        (p,), (d,), (c,) = _spot_marks(t[:, None], cf[:, None], curve.tenors, np.array([curve.rates]))
     return _marked(bond, y, p, d, c)
 
 
 def _spot_marks(t: np.ndarray, cf: np.ndarray, tenors, rates: np.ndarray):
-    """Price, duration and convexity of each row of a (rows, k) flow table,
-    every flow discounted at its own spot rate on that row's curve (rates is
-    (rows, knots)); duration and convexity are the sensitivities to bumping
-    every rate by the same epsilon."""
-    rows, k = t.shape
-    r = _interp_rows(t.ravel(), np.asarray(tenors), np.repeat(rates, k, axis=0)).reshape(rows, k)
-    pv = _pv(t, cf, r)
-    p = pv.sum(axis=1)
-    tpv, ttpv = (t * pv / (1.0 + r)).sum(axis=1), (t * (t + 1.0) * pv / (1.0 + r) ** 2).sum(axis=1)
+    """Price, duration and convexity of each column of a flows-major
+    (k, rows) flow table, every flow discounted at its own spot rate on that
+    column's curve (rates is (rows, knots)); duration and convexity are the
+    sensitivities to bumping every rate by the same epsilon."""
+    r = _interp_rows(t, np.asarray(tenors), rates)
+    g, pv = 1.0 + r, _pv(t, cf, r)
+    p, tpv, ttpv = _fold(np.stack((pv, t * pv / g, t * (t + 1.0) * pv / (g * g)), axis=1))
     return p, tpv / p, ttpv / p
 
 

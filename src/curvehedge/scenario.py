@@ -10,15 +10,15 @@ so the check stays independent of the fitting step it audits.
 run_scenarios is the one engine, called by run_scenario, residual_scaling
 and the CLI. It stacks the base curve and the K shocked curves as one
 (1 + K, knots) block, base curve in row 0, and discounts the plan bonds'
-flows, concatenated as one table, over the whole block at once, every float
-equal to the one-shock path (apply_shock, spot, price). A translation moves
-every knot by exactly a, so the curve is fitted only when some shock has a
-slope or twist term, and then once per curve: default_segment holds its fit
-on the curve. residual_scaling
-shrinks a shock dyadically and records the hedged residual at each size;
-the log-log slope of that series is the effective order of the
-immunization (2 for a first-order hedge, 3 when convexity is matched too).
-estimate_order takes that slope in closed form, the least-squares
+flows, padded into one flows-major table, over the whole block at once,
+summed by the pricer's fold: every float equal to the one-shock path
+(apply_shock, spot, price). A translation moves every knot by exactly a, so
+the curve is fitted only when some shock has a slope or twist term, and
+then once per curve: default_segment holds its fit on the curve.
+residual_scaling shrinks a shock dyadically and records the hedged residual
+at each size; the log-log slope of that series is the effective order of
+the immunization (2 for a first-order hedge, 3 when convexity is matched
+too). estimate_order takes that slope in closed form, the least-squares
 sum(dx*dy) / sum(dx*dx) about the means of log scale and log residual, in
 Python floats; residuals are floored at 1e-300 before the log, and it
 refuses (ValueError) an empty series, a scale that is not finite and
@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bonds import Bond, _bond_flows, _interp_rows, _pv, curve_analytics, price
+from .bonds import Bond, _bond_flows, _fold, _interp_rows, _pv, curve_analytics, price
 from .curve import _SPAN_TOL, PolynomialSegment, ShockSpec, YieldCurve, _shock_block, fit_segment, spot
 from .hedging import HedgePlan
 
@@ -78,14 +77,16 @@ def run_scenarios(
     """Apply each shock, reprice target and legs exactly, and sum the P&L.
 
     The base curve and the shocked curves are one (1 + shocks, knots) rates
-    block, base first, and the plan bonds' flows one table, discounted over
-    the whole block at once. Slope and twist terms are evaluated against
-    `segment`, fitted over the full curve range when not given; a sweep of
-    level shifts and custom vectors fits nothing. The first shock in sweep
-    order whose curve cannot be built raises the block's ValueError, the one
-    apply_shock raises for it. A plan bond whose maturity is off the base
-    curve raises an ExtrapolationError that names the bond; a price out of
-    the float range a ValueError naming the bond, and the shock if any.
+    block, base first, and the plan bonds' flows, each led by zero flows,
+    one (flows, curves, bonds) block, discounted at once and summed by the
+    pricer's left fold (bonds._fold), as is the hedged P&L, from 0.0 and
+    target first. Slope and twist terms are evaluated against `segment`,
+    fitted over the full curve range when not given; a sweep of level shifts
+    and custom vectors fits nothing. The first shock in sweep order whose
+    curve cannot be built raises the block's ValueError, the one apply_shock
+    raises for it. A plan bond whose maturity is off the base curve raises
+    an ExtrapolationError that names the bond; a price out of the float
+    range a ValueError naming the bond, and the shock if any.
     """
     ids = [plan.target_id] + [leg.id for leg in plan.legs]
     missing = [i for i in ids if i not in universe]
@@ -105,21 +106,20 @@ def run_scenarios(
     # each bond's yield on each curve, at its maturity as spot takes it
     mats = np.array([b.maturity for b in bonds] * len(rates))
     ys = _interp_rows(mats, np.asarray(curve.tenors), np.repeat(rates, len(bonds), axis=0))
-    # one flow table: every flow discounted at its bond's yield on each curve
-    counts = [len(t) for t, _ in flows]
-    t, cf = (np.concatenate(x) for x in zip(*flows))
-    edges = [0, *accumulate(counts)]  # a bond's slice sums as its own table would
+    t, cf = np.zeros((2, max(len(flow[0]) for flow in flows), 1, len(bonds)))
+    for i, (bond_t, bond_cf) in enumerate(flows):  # each bond's flows last, led by zero flows
+        t[-len(bond_t):, 0, i], cf[-len(bond_cf):, 0, i] = bond_t, bond_cf
     with np.errstate(all="ignore"):  # a price out of the float range is refused below
-        pv = _pv(t, cf, np.repeat(ys.reshape(len(rates), len(bonds)), counts, axis=1))
-        prices = np.array([pv[:, i:j].sum(axis=1) for i, j in zip(edges, edges[1:])])
+        pv = _pv(np.repeat(t, len(rates), axis=1), cf, ys.reshape(len(rates), len(bonds)))
+        prices = _fold(pv).T  # (bonds, curves)
     if not np.isfinite(prices).all():  # the first curve, base first, then its first bond
         k, i = np.argwhere(~np.isfinite(prices.T))[0].tolist()
         on = f"{curve.date}" + (f" under {shocks[k - 1]}" if k else "")
         raise ValueError(f"bond {ids[i]!r}: price on {on} must be finite, got {prices[i, k]}")
-    pnl = amounts[:, None] * (prices[:, 1:] - prices[:, :1])  # (instruments, shocks)
-    # the hedged sum is Python's, from 0 and target first, as per shock
-    return [ScenarioResult(shock, per[0], sum(per), tuple(zip(ids, per)))
-            for shock, per in zip(shocks, pnl.T.tolist())]
+    pnl = np.zeros((1 + len(bonds), len(shocks)))  # row 0: the 0.0 the hedged sum starts from
+    np.multiply(amounts[:, None], prices[:, 1:] - prices[:, :1], out=pnl[1:])
+    return [ScenarioResult(shock, per[0], hedged, tuple(zip(ids, per)))
+            for shock, per, hedged in zip(shocks, pnl[1:].T.tolist(), _fold(pnl).tolist())]
 
 
 def run_scenario(plan: HedgePlan, universe: Mapping[str, Bond], curve: YieldCurve,

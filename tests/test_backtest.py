@@ -888,10 +888,10 @@ def test_book_table_equals_one_bond_tables_and_scalar_path(book):
                     price(b, spot(curves[k - 1], b.maturity))
 
 
-def test_book_table_interpolates_once_and_builds_flows_once_per_run(monkeypatch, universe):
+def test_book_table_interpolates_once_and_builds_flows_once_per_bond(monkeypatch, universe):
     """A backtest marks its whole book with one interpolation (two per bond
-    when each bond had its own table) and builds each bond's flow table once
-    per run of days with the same live-flow count."""
+    when each bond had its own table) and builds each bond's flow table once,
+    one block for its whole life, although coupon dates fall in the window."""
     calls = {"_interp_rows": 0, "_flows": 0}
     for name in calls:
         def counted(*args, _fn=getattr(bonds_module, name), _name=name):
@@ -903,19 +903,21 @@ def test_book_table_interpolates_once_and_builds_flows_once_per_run(monkeypatch,
     report = run_backtest(hist, universe, config)
     assert all(len(s.dates) == len(hist) - 1 for s in report.series.values())
     elapsed = np.array([(c.date - hist[0].date).days / 365.0 for c in hist])
+    book = {"B2", "B3", "B1", "B4"}
     runs = 0
-    for bond_id in {"B2", "B3", "B1", "B4"}:
+    for bond_id in book:
         bond = universe[bond_id]
         counts = np.ceil((bond.maturity - elapsed) * bond.coupon_frequency - 1e-9)
         runs += len(set(counts.tolist()))
-    assert runs > 4  # a coupon date falls inside the window
-    assert calls == {"_interp_rows": 1, "_flows": runs}
+    assert runs > len(book)  # a coupon date falls inside the window
+    assert calls == {"_interp_rows": 1, "_flows": len(book)}
 
 
-def test_roll_table_squares_with_libm_pow():
-    """Convexity divides by (1 + y)**2 as Python's float power gives it (libm
-    pow), not by a NumPy square or power: at this yield each differs from it
-    in the last bit, and so would the convexity."""
+def test_roll_table_squares_once_as_the_scalar_path_does():
+    """Convexity divides by the one square (1 + y)·(1 + y), the correctly
+    rounded product, in the table as in the scalar path: at this yield
+    Python's float power (libm pow) differs from it in the last bit, and so
+    would the convexity."""
     y = 0.042326
     g = 1.0 + y
     assert g * g != g**2  # NumPy 2.4's g ** np.full(1, 2.0) differs from g**2 as well
@@ -926,6 +928,52 @@ def test_roll_table_squares_with_libm_pow():
     s = snapshot(bond, curve)
     assert bad is None
     assert (p[0], d[0], c[0]) == (s.price, s.modified_duration, s.convexity)
+
+
+@pytest.mark.parametrize("bond", [
+    Bond("O", 100.0, 0.045, 2, 3.3, issue_or_first_coupon_offset=0.1),  # a short first coupon
+    Bond("Z", 100.0, 0.0, 4, 3.3),
+], ids=["offset", "zero-coupon"])
+@pytest.mark.parametrize("days", [1, 120], ids=["one-row-life", "coupon-rolls-off"])
+def test_roll_table_prices_a_life_as_one_block(bond, days):
+    """A bond's life is one table, led by zero flows from the day a coupon
+    date passes: on a 1-row life and across coupon dates inside the window
+    (0.3y for both bonds, and 0.05y for the quarterly zero) every row is ==
+    the scalar snapshot and carry price, the offset bond's pro-rata first
+    coupon included until it is paid."""
+    elapsed = np.arange(days) / 365.0
+    rng = np.random.default_rng(days)
+    rates = np.asarray(base_rates()) + 0.002 * rng.standard_normal((days, len(GRID)))
+    counts = np.ceil((bond.maturity - elapsed) * bond.coupon_frequency - 1e-9)
+    assert len(set(counts.tolist())) == (1 if days == 1 else {"O": 2, "Z": 3}[bond.id])
+    curves = [YieldCurve(dt.date(2024, 1, 2) + dt.timedelta(days=k), GRID, tuple(r))
+              for k, r in enumerate(rates.tolist())]
+    m, p, d, c, carry, bad = roll_table(bond, elapsed, GRID, rates)
+    assert bad is None
+    for k in range(days):
+        b = bond.rolled(float(elapsed[k]))
+        s = snapshot(b, curves[k])
+        assert (m[k], p[k], d[k], c[k]) == (
+            b.maturity, s.price, s.modified_duration, s.convexity), k
+        if k:
+            assert carry[k - 1] == price(b, spot(curves[k - 1], b.maturity)), k
+
+
+def test_roll_table_prices_a_lone_flow_at_one_year_as_the_scalar_path():
+    """A zero-coupon bond rolled onto a 1-year maturity has one flow at
+    t = 1.0: its exponent is -1, which NumPy's power takes as a reciprocal
+    when it sees it as a scalar. At this yield 1/(1+y) and NumPy's pow
+    differ in the last bit, and the table's row and the snapshot are ==."""
+    y = 0.04214659122506341
+    g = 1.0 + y
+    assert 1.0 / g != float(np.power(np.full(2, g), np.full(2, -1.0))[0])
+    bond = Bond("Z", 100.0, 0.0, 1, 1.25)
+    elapsed = np.array([0.0, 0.25])
+    m, p, d, c, carry, bad = roll_table(bond, elapsed, GRID, np.full((2, len(GRID)), y))
+    rolled = bond.rolled(0.25)
+    assert m[1] == 1.0 and bad is None
+    s = snapshot(rolled, YieldCurve(dt.date(2024, 1, 3), GRID, (y,) * len(GRID)))
+    assert (p[1], d[1], c[1], carry[0]) == (s.price, s.modified_duration, s.convexity, s.price)
 
 
 def test_roll_table_flags_a_yield_at_or_below_minus_100pct():

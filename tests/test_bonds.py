@@ -4,7 +4,9 @@ replaced, and the second-order P&L approximation."""
 
 import dataclasses
 import datetime as dt
+import functools
 import math
+import operator
 import re
 import warnings
 
@@ -34,7 +36,8 @@ from curvehedge import (
     spot,
 )
 import curvehedge.bonds as bonds_module
-from curvehedge.bonds import VALID_FREQUENCIES, _bond_flows, _counts, _flows, _roll_table, _spot_marks
+from curvehedge.bonds import (VALID_FREQUENCIES, _bond_flows, _counts, _flows, _fold, _roll_table,
+                              _spot_marks)
 from curvehedge.curve import MAX_RATE
 
 FD_STEP = 1e-6
@@ -298,6 +301,126 @@ def test_price_strictly_decreasing_in_yield(y1, dy):
 
 
 # ---------------------------------------------------------------------------
+# the one sum: a left fold, earliest flow first
+# ---------------------------------------------------------------------------
+
+def left_fold(values) -> float:
+    """The sum of a flow table's values the pricer states: a left fold,
+    earliest flow first, in Python floats."""
+    return functools.reduce(operator.add, np.asarray(values).tolist())
+
+
+def spread_values(rng, shape) -> np.ndarray:
+    """Signed values over 16 decades, so that sums taken in another order
+    (NumPy's pairwise one) differ in the last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+
+@pytest.mark.parametrize("flows", [1, 8, 9, 360])
+@pytest.mark.parametrize("cols", [None, 1, 2, 3, 17, 250, 1000])
+def test_fold_is_each_columns_left_fold(flows, cols):
+    """_fold == functools.reduce(operator.add, ...) down every column, for a
+    1-D table, a single column and 2 to 1000 columns; from 8 flows on a
+    pairwise sum differs from it."""
+    shape = (flows,) if cols is None else (flows, cols)
+    x = spread_values(np.random.default_rng(flows * 7919 + (cols or 0)), shape)
+    got = _fold(x)
+    assert got.shape == x.shape[1:]
+    columns = [x] if cols is None else list(x.T)
+    assert np.atleast_1d(got).tolist() == [left_fold(c) for c in columns]
+
+
+@pytest.mark.parametrize("shape", [(360, 1), (9, 2), (360, 3), (11, 4, 250), (9, 1, 1)])
+def test_fold_copies_an_input_in_another_order(shape):
+    """An F-ordered block or a strided view is folded as its C-ordered copy
+    would be, and is left as it was; a leading zero flow changes no sum."""
+    x = spread_values(np.random.default_rng(len(shape)), shape)
+    want = _fold(x.copy())
+    for other in (np.asfortranarray(x), np.concatenate((x, x), axis=-1)[..., : shape[-1]]):
+        before = other.copy()
+        assert np.array_equal(_fold(other), want)
+        assert np.array_equal(other, before)
+    padded = np.concatenate((np.zeros((3, *shape[1:])), x))
+    assert np.array_equal(_fold(padded), want)
+    flat = x.reshape(len(x), -1)
+    assert _fold(x).ravel().tolist() == [left_fold(c) for c in flat.T]
+
+
+def pairwise_flat(t, cf, y):
+    """Price, duration and convexity at one yield as the pricer took them
+    before it had one sum: NumPy's pairwise sums and libm's square."""
+    g = 1.0 + y
+    pv = cf * g ** -t
+    p = pv.sum()
+    return p, (t * pv).sum() / p / g, (t * (t + 1.0) * pv).sum() / (p * math.pow(g, 2))
+
+
+def pairwise_spot(t, cf, r):
+    """Spot-mode price, duration and convexity with one rate per flow, the
+    moments summed pairwise as before the one sum."""
+    pv = cf * (1.0 + r) ** -t
+    p = pv.sum()
+    return p, (t * pv / (1.0 + r)).sum() / p, (t * (t + 1.0) * pv / (1.0 + r) ** 2).sum() / p
+
+
+def assert_close(got, want, rel=1e-14):
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel * abs(w), (got, want)
+
+
+@st.composite
+def long_books(draw):
+    """A bond of 1 to 360 flows at any frequency, with or without an accrual
+    offset (a short first coupon or a full one), a curve from half its first
+    flow time to its maturity, and up to 4 rolled rows, each off its own
+    curve, over up to two coupon periods."""
+    freq = draw(st.sampled_from(VALID_FREQUENCIES))
+    flows = draw(st.integers(1, 360))
+    maturity = (flows - draw(st.floats(0.0, 0.99))) / freq
+    first = maturity - (flows - 1) / freq
+    offset = None
+    if draw(st.booleans()):
+        offset = first - draw(st.floats(0.01, 1.5)) / freq
+    rate = draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.2))
+    bond = Bond("F", 100.0, rate, freq, maturity, issue_or_first_coupon_offset=offset)
+    inner = draw(st.lists(st.floats(first / 2, maturity), max_size=6))
+    tenors = tuple(sorted({first / 2, maturity, *inner}))
+    elapsed = np.array([0.0, *sorted(draw(st.lists(st.floats(0.0, 2.0 / freq), max_size=3)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = draw(st.floats(-0.02, 0.15))
+    rates = np.clip(level + 0.01 * rng.standard_normal((len(elapsed), len(tenors))), -0.02, 0.15)
+    return bond, tenors, elapsed, rates
+
+
+@given(long_books())
+@settings(max_examples=300, deadline=None)
+def test_pricing_agrees_with_the_pairwise_formulas(book):
+    """The one sum and the one square move no figure by more than 1e-14
+    relative: flat analytics at each rate, spot analytics off the curve and
+    every row of the mark table (mark and carry) against the pairwise-sum,
+    libm-square formulas they replaced."""
+    bond, tenors, elapsed, rates = book
+    curve = YieldCurve(dt.date(2024, 1, 2), tenors, tuple(rates[0].tolist()))
+    t, cf = _bond_flows(bond)
+    for y in rates[0].tolist():
+        a = analytics(bond, y)
+        assert_close((a.price, a.modified_duration, a.convexity), pairwise_flat(t, cf, y))
+    s = curve_analytics(bond, curve, mode="spot")
+    want = pairwise_spot(t, cf, np.interp(t, tenors, rates[0]))
+    assert_close((s.price, s.modified_duration, s.convexity), want)
+    table, (stop,) = _roll_table([bond], [len(elapsed)], elapsed, tenors, rates)
+    assert stop > 0  # day 0 is on the curve and accrues from before its first coupon
+    for k in range(stop):
+        rolled = bond.rolled(float(elapsed[k]))
+        rt, rcf = _bond_flows(rolled)
+        y = float(np.interp(rolled.maturity, tenors, rates[k]))
+        p, m, d, c, carry = table[:, 0, k]
+        assert_close((p, d, c), pairwise_flat(rt, rcf, y))
+        y_before = float(np.interp(rolled.maturity, tenors, rates[max(k - 1, 0)]))
+        assert_close((carry,), pairwise_flat(rt, rcf, y_before)[:1])
+
+
+# ---------------------------------------------------------------------------
 # duration and convexity
 # ---------------------------------------------------------------------------
 
@@ -465,8 +588,9 @@ def test_a_curve_yield_interpolation_rounds_to_minus_one_refuses_the_bond_by_nam
 
 def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
     """Spot-mode analytics the way curve_analytics used to take them, one
-    spot() lookup per flow: the oracle for the table's one-row case. A
-    maturity off the curve is refused naming the bond."""
+    spot() lookup per flow and each moment summed by the left fold: the
+    oracle for the table's one-row case. A maturity off the curve is refused
+    naming the bond."""
     try:
         y = spot(curve, bond.maturity)
     except ExtrapolationError as exc:
@@ -481,9 +605,9 @@ def looped_spot(bond: Bond, curve: YieldCurve) -> BondAnalytics:
             f"tenor {curve.min_tenor} on {curve.date}; spot mode does not extrapolate"
         ) from exc
     pv = cf * (1.0 + rates) ** (-t)
-    p = float(np.sum(pv))
-    d = float(np.sum(t * pv / (1.0 + rates))) / p
-    cx = float(np.sum(t * (t + 1.0) * pv / (1.0 + rates) ** 2)) / p
+    p = left_fold(pv)
+    d = left_fold(t * pv / (1.0 + rates)) / p
+    cx = left_fold(t * (t + 1.0) * pv / (1.0 + rates) ** 2) / p
     return BondAnalytics(price=p, ytm=y, modified_duration=d, convexity=cx)
 
 
@@ -546,7 +670,7 @@ def test_spot_marks_over_rolled_rows_equal_curve_analytics(bond, curve, seed, ga
     for a, b in zip(cuts, cuts[1:]):
         t, cf, late = _flows(bond, elapsed[a:b], int(n[a]))
         p, d, c = _spot_marks(t, cf, curve.tenors, rates[a:b])
-        first = np.where(cf != 0.0, t, np.inf).min(axis=1)
+        first = np.where(cf != 0.0, t, np.inf).min(axis=0)
         for r in range(b - a):
             k = a + r
             rolled = bond.rolled(float(elapsed[k]))

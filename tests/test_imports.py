@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never reads,
-and the private names each module takes from its siblings are pinned."""
+the private names each module takes from its siblings are pinned, every
+process-wide cache is bounded, and the pricing modules sum a flow table only
+through the one fold."""
 
 import ast
 from pathlib import Path
@@ -52,7 +54,7 @@ SIBLING_PRIVATES = {
     "cli.py": {"io": ["_iso_date", "_write"]},
     "hedging.py": {"bonds": ["_check_marks"], "curve": ["_condition_number"]},
     "io.py": {"curve": ["_bad_rows", "_check_grid", "_history"]},
-    "scenario.py": {"bonds": ["_bond_flows", "_interp_rows", "_pv"],
+    "scenario.py": {"bonds": ["_bond_flows", "_fold", "_interp_rows", "_pv"],
                     "curve": ["_SPAN_TOL", "_shock_block"]},
 }
 
@@ -151,3 +153,57 @@ def test_every_process_wide_cache_is_bounded_and_pinned():
         unbounded += [f"{p.name}:{fault}" for fault in faults]
     assert not unbounded, unbounded
     assert got == CACHES
+
+
+# the pricing modules sum a flow table one way, bonds._fold; the only other
+# sum is estimate_order's slope, a sum of Python floats, not of a flow table
+PRICING = {"bonds.py": {"_fold"}, "scenario.py": {"estimate_order"}}
+
+_SUMS = {"sum", "nansum", "cumsum", "fsum"}
+
+
+def _sums(tree: ast.Module) -> list[str]:
+    """Each call that sums, with its line and the function it sits in (the
+    innermost; a lambda counts as its function's): builtin sum, np.sum,
+    x.sum, math.fsum, cumsum and np.add.reduce, accumulate or reduceat."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                adds = (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute)
+                        and f.value.attr == "add" and name in ("reduce", "accumulate", "reduceat"))
+                if name in _SUMS or adds:
+                    found.append(f"{child.lineno}: {where}: {ast.unparse(f)}")
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _stray_sums(path: Path, source: str) -> list[str]:
+    """The sums of a pricing module outside the functions allowed one."""
+    return [f"{path.name}:{s}" for s in _sums(ast.parse(source, filename=str(path)))
+            if s.split(": ")[1] not in PRICING[path.name]]
+
+
+def test_the_guard_sees_a_sum_outside_the_fold():
+    tree = ast.parse("import numpy as np\ndef _fold(x):\n    return np.add.reduce(x, axis=0)\n"
+                     "def f(pv):\n    g = lambda v: v.cumsum()\n"
+                     "    return pv.sum(axis=-1) + np.sum(pv) + sum(pv.tolist()) + g(pv)\n")
+    assert _sums(tree) == ["3: _fold: np.add.reduce", "5: f: v.cumsum", "6: f: pv.sum",
+                           "6: f: np.sum", "6: f: sum"]
+    bonds = PACKAGE / "bonds.py"
+    planted = bonds.read_text() + "\n\ndef _marks(pv):\n    return pv.sum(axis=-1)\n"
+    assert [s.split(": ", 1)[1] for s in _stray_sums(bonds, planted)] == ["_marks: pv.sum"]
+
+
+@pytest.mark.parametrize("name", sorted(PRICING))
+def test_pricing_sums_a_flow_table_only_through_the_fold(name):
+    path = PACKAGE / name
+    assert not _stray_sums(path, path.read_text())
